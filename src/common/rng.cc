@@ -132,7 +132,7 @@ std::uint64_t Rng::Poisson(double lambda) {
     return x < 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 
-std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
+std::size_t Rng::WeightedIndex(std::span<const double> weights) {
     double total = 0.0;
     for (double w : weights) total += w;
     assert(total > 0.0);

@@ -7,8 +7,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace catapult {
 
@@ -54,7 +55,7 @@ class Rng {
     std::uint64_t Poisson(double lambda);
 
     /** Pick a random index weighted by `weights` (need not be normalized). */
-    std::size_t WeightedIndex(const std::vector<double>& weights);
+    std::size_t WeightedIndex(std::span<const double> weights);
 
     /** Derive an independent child generator (for per-component streams). */
     Rng Fork();

@@ -8,12 +8,8 @@ void CompressionStage::ProgramForModel(const ScoringEnsemble& ensemble) {
     operand_slots_.clear();
     std::vector<bool> referenced(kFeatureUniverse, false);
     for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {
-        for (const auto& tree : ensemble.shard(s).trees()) {
-            for (const auto& node : tree.nodes) {
-                if (node.feature != TreeNode::kLeaf) {
-                    referenced[node.feature] = true;
-                }
-            }
+        for (const auto& node : ensemble.shard(s).nodes()) {
+            if (node.feature != TreeNode::kLeaf) referenced[node.feature] = true;
         }
     }
     for (std::uint32_t id = 0; id < kFeatureUniverse; ++id) {

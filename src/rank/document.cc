@@ -89,8 +89,9 @@ bool HitVectorReader::Next(HitTuple& tuple) {
         request_.query.term_count > 0 ? request_.query.term_count : 1;
     tuple.term = static_cast<std::uint8_t>(
         rng_.NextBounded(static_cast<std::uint64_t>(terms)));
-    tuple.stream = static_cast<std::uint8_t>(rng_.WeightedIndex(
-        {0.55, 0.25, 0.15, 0.05}));  // body, title, anchor, url
+    static constexpr double kStreamWeights[] = {0.55, 0.25, 0.15,
+                                                0.05};  // body, title, anchor, url
+    tuple.stream = static_cast<std::uint8_t>(rng_.WeightedIndex(kStreamWeights));
     // Properties (match weight class etc.): frequency depends on the
     // query term, which drives the 2/4/6-byte size mix (§4.1).
     const double p_props = tuple.term >= 4 ? 0.35 : 0.12;

@@ -13,16 +13,21 @@
 //   * the complex block also houses the double-buffered Feature Storage
 //     Tile (FST).
 //
-// The functional interpreter executes compiled programs exactly (same
-// float operations, same order, as direct AST evaluation). The timing
-// model computes the per-document stage makespan from three binding
-// constraints: per-core issue bandwidth (1 instr/cycle shared by its 4
-// thread slots), per-thread serial dependency latency, and per-cluster
-// complex-block throughput.
+// The functional evaluator executes compiled programs exactly (same
+// float operations, same order, as direct AST evaluation). Loading a
+// partition decodes it once into one flat operation stream: feature and
+// constant loads fold into the operands of the ops that read them, the
+// seven simple ops share one branch-free path (their dispatch is what a
+// switch interpreter mispredicts), and every program reuses one
+// register scratch. The timing model computes the per-document stage
+// makespan from three binding constraints: per-core issue bandwidth
+// (1 instr/cycle shared by its 4 thread slots), per-thread serial
+// dependency latency, and per-cluster complex-block throughput.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -49,20 +54,21 @@ class FfeProcessor {
     explicit FfeProcessor(Config config);
 
     /**
-     * Load a compiled model partition (programs + static assignment).
-     * Mirrors a Model Reload (§4.3): instruction memories rewritten.
+     * Load a compiled model partition: decode the programs and compute
+     * the static assignment's timing. Mirrors a Model Reload (§4.3):
+     * instruction memories rewritten. The programs are not retained.
      */
-    void LoadPrograms(std::vector<Program> programs);
-
-    const std::vector<Program>& programs() const { return programs_; }
+    void LoadPrograms(const std::vector<Program>& programs);
 
     /**
-     * Functional execution: run every loaded program against `store`,
-     * writing each result to its output FST slot.
+     * Functional execution: run every loaded program, in load order,
+     * against `store`, writing each result to its output FST slot.
+     * Uses this processor's register scratch, so one processor serves
+     * one thread at a time.
      */
-    void ExecuteAll(FeatureStore& store) const;
+    void ExecuteAll(FeatureStore& store);
 
-    /** Execute one program (used by tests). */
+    /** Execute one program through the same evaluator (used by tests). */
     static float Execute(const Program& program, const FeatureStore& store);
 
     /**
@@ -84,7 +90,7 @@ class FfeProcessor {
     TimingBreakdown Breakdown() const { return breakdown_; }
 
     /** Total instructions across loaded programs. */
-    std::int64_t TotalInstructions() const;
+    std::int64_t TotalInstructions() const { return total_instructions_; }
 
     /** Instruction memory footprint (drives Model Reload cost, §4.3). */
     Bytes InstructionMemoryBytes() const;
@@ -92,11 +98,42 @@ class FfeProcessor {
     const Config& config() const { return config_; }
 
   private:
-    void RecomputeTiming();
+    /**
+     * One decoded operation: an ISA op, or the write of a program's
+     * result to its FST slot. Operands are references into three banks
+     * (registers, the feature store, constants), so loads need no op.
+     */
+    struct DecodedOp {
+        std::uint32_t code : 8 = 0;
+        /** Destination register; the FST slot for an output write. */
+        std::uint32_t dst : 24 = 0;
+        std::uint32_t a = 0;
+        std::uint32_t b = 0;
+        std::uint32_t c = 0;
+    };
+
+    /** A decoded stream plus the constant bank its operands read. */
+    struct Decoded {
+        /** Constant 0 is the result of an empty program. */
+        std::vector<float> constants = {0.0f};
+        std::vector<DecodedOp> ops;
+        std::uint32_t max_registers = 1;
+
+        /** Appends `program`'s ops, ending with the write of its result. */
+        void Append(const Program& program);
+    };
+
+    /** Runs `ops` with `store` as both the feature bank and the FST. */
+    static void Run(std::span<const DecodedOp> ops, float* registers,
+                    const float* constants, FeatureStore& store);
+
+    void RecomputeTiming(const std::vector<Program>& programs);
 
     Config config_;
-    std::vector<Program> programs_;
-    ThreadAssignment assignment_;
+    Decoded decoded_;
+    /** Register scratch, reused by every program (sized at load). */
+    std::vector<float> registers_;
+    std::int64_t total_instructions_ = 0;
     TimingBreakdown breakdown_;
     std::int64_t document_cycles_ = 0;
 };

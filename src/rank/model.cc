@@ -151,6 +151,8 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     }
     model->ffe0_ = std::move(ffe0);
     model->ffe1_ = std::move(ffe1);
+    model->ffe0_instructions_ = load0;
+    model->ffe1_instructions_ = load1;
 
     // 3. Scoring ensemble + compression stage programming.
     model->ensemble_ =
@@ -172,16 +174,10 @@ Bytes Model::ReloadBytes(PipelineStage stage) const {
       case PipelineStage::kFeatureExtraction:
         // FE reloads feature configuration tables (thresholds, masks).
         return 64 * 1024;
-      case PipelineStage::kFfe0: {
-        std::int64_t instrs = 0;
-        for (const auto& p : ffe0_) instrs += p.InstructionCount();
-        return instrs * 8;
-      }
-      case PipelineStage::kFfe1: {
-        std::int64_t instrs = 0;
-        for (const auto& p : ffe1_) instrs += p.InstructionCount();
-        return instrs * 8;
-      }
+      case PipelineStage::kFfe0:
+        return ffe0_instructions_ * 8;
+      case PipelineStage::kFfe1:
+        return ffe1_instructions_ * 8;
       case PipelineStage::kCompression:
         return static_cast<Bytes>(compression_.operand_count()) * 4;
       case PipelineStage::kScoring0:

@@ -99,6 +99,9 @@ class Model {
     ScoringEnsemble ensemble_;
     CompressionStage compression_;
     std::int64_t total_ffe_ops_ = 0;
+    /** Instruction totals of ffe0_ and ffe1_ (their reload sizes). */
+    std::int64_t ffe0_instructions_ = 0;
+    std::int64_t ffe1_instructions_ = 0;
     int metafeature_count_ = 0;
 };
 

@@ -7,10 +7,17 @@
 // depth-limited binary decision trees over the feature store, split
 // across the three scoring FPGAs (Table 1: Scr0-2) which each evaluate
 // a shard of the trees and accumulate partial sums down the pipeline.
+//
+// A shard stores its trees as one preorder node array, so a split's left
+// child is the next node and a traversal walks forward through memory
+// (Lucchese et al., QuickScorer, SIGIR 2015, on why pointer-chasing
+// separately allocated trees is slow). DecisionTree remains the
+// reference form that tests compare the shard against.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,13 +36,18 @@ struct TreeNode {
     std::int32_t right = -1;
 };
 
-/** A single regression tree stored as a node array. */
+/** A single regression tree stored as a node array (the reference form). */
 struct DecisionTree {
     std::vector<TreeNode> nodes;
 
     float Evaluate(const FeatureStore& store) const;
     int NodeCount() const { return static_cast<int>(nodes.size()); }
 };
+
+class ScoringEnsemble;
+
+ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
+                                 int max_depth, int operand_budget);
 
 /** One scoring stage's shard of the ensemble. */
 class ScorerShard {
@@ -50,27 +62,51 @@ class ScorerShard {
         std::int64_t base_cycles = 120;
     };
 
-    ScorerShard() = default;
-    explicit ScorerShard(std::vector<DecisionTree> trees)
-        : trees_(std::move(trees)) {}
+    /** A node of the preorder array; a split's left child is the next node. */
+    struct FlatNode {
+        std::uint32_t feature = TreeNode::kLeaf;
+        float value = 0.0f;       ///< Split threshold, or the leaf's output.
+        std::uint32_t right = 0;  ///< Index of a split's right child.
+    };
 
-    /** Partial score: sum of this shard's tree outputs. */
+    ScorerShard() = default;
+    /** Flattens `trees`, whatever their node order, into preorder. */
+    explicit ScorerShard(std::span<const DecisionTree> trees);
+
+    /** Partial score: sum of this shard's tree outputs, in tree order. */
     float PartialScore(const FeatureStore& store) const;
 
     /** Stage service time for one document. */
     Time ServiceTime() const;
 
-    /** Model memory footprint (drives Model Reload cost, §4.3). */
-    Bytes ModelBytes() const;
+    /**
+     * Model memory footprint (drives Model Reload cost, §4.3): 8 bytes
+     * per node (feature id, threshold/leaf, child offsets packed).
+     */
+    Bytes ModelBytes() const { return total_nodes() * 8; }
 
-    int tree_count() const { return static_cast<int>(trees_.size()); }
-    std::int64_t total_nodes() const;
-    const std::vector<DecisionTree>& trees() const { return trees_; }
+    int tree_count() const { return tree_count_; }
+    std::int64_t total_nodes() const {
+        return static_cast<std::int64_t>(nodes_.size());
+    }
+    /** Every tree's nodes, tree after tree. */
+    const std::vector<FlatNode>& nodes() const { return nodes_; }
     Timing& timing() { return timing_; }
     const Timing& timing() const { return timing_; }
 
   private:
-    std::vector<DecisionTree> trees_;
+    friend ScoringEnsemble GenerateEnsemble(std::uint64_t, int, int, int);
+
+    void AppendTree(const DecisionTree& tree);
+
+    std::vector<FlatNode> nodes_;
+    /**
+     * First node of each tree with nodes. An empty tree scores +0.0f,
+     * and adding +0.0f leaves a sum that starts at +0.0f bit-identical,
+     * so empty trees only count towards tree_count().
+     */
+    std::vector<std::uint32_t> roots_;
+    int tree_count_ = 0;
     Timing timing_;
 };
 
@@ -84,7 +120,7 @@ class ScoringEnsemble {
     static constexpr int kShardCount = 3;
 
     ScoringEnsemble() = default;
-    explicit ScoringEnsemble(std::vector<DecisionTree> trees);
+    explicit ScoringEnsemble(std::span<const DecisionTree> trees);
 
     /** Full score: evaluate all shards in pipeline order. */
     float Score(const FeatureStore& store) const;
@@ -102,7 +138,8 @@ class ScoringEnsemble {
  * features from a per-model operand window of `operand_budget` distinct
  * feature slots (models use feature subsets; this is what keeps the
  * compression stage's output — the operand set — small enough to stream
- * between the scoring chips within the macropipeline budget).
+ * between the scoring chips within the macropipeline budget). Trees are
+ * generated straight into their shards' preorder arrays.
  */
 ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
                                  int max_depth = 6,

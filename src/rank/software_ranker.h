@@ -40,8 +40,8 @@ class RankingFunction {
 
     /** Stage-wise access for the distributed FPGA roles. */
     void ExtractFeatures(const CompressedRequest& request, FeatureStore& store);
-    void RunFfe0(FeatureStore& store) const { ffe0_.ExecuteAll(store); }
-    void RunFfe1(FeatureStore& store) const { ffe1_.ExecuteAll(store); }
+    void RunFfe0(FeatureStore& store) { ffe0_.ExecuteAll(store); }
+    void RunFfe1(FeatureStore& store) { ffe1_.ExecuteAll(store); }
     void Compress(const FeatureStore& in, FeatureStore& out) const {
         model_->compression().Apply(in, out);
     }

@@ -43,6 +43,34 @@ TEST(HitVectorReader, DeterministicReplay) {
     EXPECT_EQ(count, static_cast<int>(request.tuple_count));
 }
 
+TEST(HitVectorReader, GoldenTupleStream) {
+    // Every bench and test draws its corpus through this reader, so the
+    // stream a fixed request produces is pinned: a reader or Rng change
+    // that alters any tuple fails here rather than silently moving every
+    // downstream number.
+    CompressedRequest request;
+    request.doc_id = 4242;
+    request.content_seed = 0x5EEDC0FFEEull;
+    request.tuple_count = 6'000;
+    request.query.term_count = 7;
+    std::uint64_t digest = 1469598103934665603ull;  // FNV-1a
+    const auto mix = [&digest](std::uint64_t v) {
+        digest ^= v;
+        digest *= 1099511628211ull;
+    };
+    HitVectorReader reader(request);
+    HitTuple tuple;
+    while (reader.Next(tuple)) {
+        mix(tuple.delta);
+        mix(tuple.term);
+        mix(tuple.stream);
+        mix(tuple.properties);
+    }
+    EXPECT_EQ(reader.produced(), 6'000u);
+    EXPECT_EQ(digest, 0x79a696ce0c42547dull);
+    EXPECT_EQ(request.EncodedSize(), 16'432);
+}
+
 TEST(RequestCodec, RoundTripPreservesEverything) {
     DocumentGenerator generator(7);
     for (int i = 0; i < 20; ++i) {

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "rank/document_generator.h"
 #include "rank/ffe/compiler.h"
 #include "rank/ffe/expression.h"
 #include "rank/ffe/processor.h"
+#include "rank/model.h"
+#include "rank/software_ranker.h"
 
 namespace catapult::rank::ffe {
 namespace {
@@ -247,6 +252,132 @@ TEST(FfeProcessor, ExecuteAllWritesOutputSlots) {
         }
     }
     EXPECT_GT(non_zero, 10);
+}
+
+/** Operand values at the edges of every op's semantics. */
+std::vector<float> EdgeValues() {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    return {nan,   -nan,  0.0f,  -0.0f, inf,   -inf,  1.0f,
+            -2.5f, 1e-31f, -1.0f, 60.5f, -61.0f, 3.0f};
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(FfeProcessor, EdgeOperandsMatchAstBitForBit) {
+    // NaN (either sign), signed zeros and infinities through every op,
+    // including division by zero, ln of values <= 0 and exp beyond the
+    // +-60 clamp. EXPECT_EQ would fail on NaN and equate -0 with +0, so
+    // results are compared bit for bit.
+    const std::vector<float> values = EdgeValues();
+    const auto n = static_cast<std::uint32_t>(values.size());
+    FeatureStore store;
+    for (std::uint32_t i = 0; i < n; ++i) store.Set(i, values[i]);
+    // Operands rotate over the evaluator's three sources: a feature
+    // load, a constant, and a register (x + -0.0f is x, bit for bit).
+    const auto operand = [&values](std::uint32_t i, std::uint32_t form) {
+        switch (form % 3) {
+          case 0: return MakeFeature(i);
+          case 1: return MakeConst(values[i]);
+          default:
+            return MakeBinary(OpCode::kAdd, MakeFeature(i), MakeConst(-0.0f));
+        }
+    };
+    std::vector<ExprPtr> exprs;
+    for (const OpCode op : {OpCode::kAdd, OpCode::kSub, OpCode::kMul,
+                            OpCode::kMax, OpCode::kMin, OpCode::kCmpGt,
+                            OpCode::kDiv}) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            for (std::uint32_t j = 0; j < n; ++j) {
+                const auto form = static_cast<std::uint32_t>(op) + i;
+                exprs.push_back(
+                    MakeBinary(op, operand(i, form), operand(j, form + j)));
+            }
+        }
+    }
+    for (const OpCode op : {OpCode::kLn, OpCode::kExp, OpCode::kFloatToInt}) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+            for (std::uint32_t form = 0; form < 3; ++form) {
+                exprs.push_back(MakeUnary(op, operand(i, form)));
+            }
+        }
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t j = 0; j < n; ++j) {
+            for (std::uint32_t k = 0; k < n; ++k) {
+                exprs.push_back(MakeSelect(operand(i, j), operand(j, k),
+                                           operand(k, i)));
+            }
+        }
+    }
+    ASSERT_LE(exprs.size(), kFfeOutputSlots);
+
+    FfeCompiler compiler;
+    std::vector<Program> programs;
+    for (std::size_t e = 0; e < exprs.size(); ++e) {
+        programs.push_back(compiler.Compile(
+            *exprs[e], kFfeOutputBase + static_cast<std::uint32_t>(e)));
+    }
+    FfeProcessor processor;
+    processor.LoadPrograms(programs);
+    FeatureStore out = store;
+    processor.ExecuteAll(out);
+    for (std::size_t e = 0; e < exprs.size(); ++e) {
+        const float expected = exprs[e]->Evaluate(store);
+        EXPECT_TRUE(SameBits(out.Get(kFfeOutputBase + static_cast<std::uint32_t>(e)),
+                             expected))
+            << ToString(exprs[e]->op) << " expression " << e;
+        EXPECT_TRUE(SameBits(FfeProcessor::Execute(programs[e], store), expected))
+            << ToString(exprs[e]->op) << " expression " << e;
+    }
+}
+
+TEST(FfeProcessor, PartitionsWriteTheStagedAstStore) {
+    // FFE0 then FFE1 must leave the whole FST byte-identical to
+    // evaluating the split AST parts in order — metafeature slots and
+    // FFE outputs no tree reads included, which a score comparison
+    // cannot see.
+    Model::Config config;
+    config.expression_count = 240;
+    config.tree_count = 30;
+    config.expressions.small_probability = 0.5;  // more split expressions
+    const FfeCompiler compiler(config.compiler);
+    for (const std::uint64_t seed : {3ull, 17ull, 91ull}) {
+        const auto model = Model::Generate(0, seed, config);
+        ASSERT_GT(model->metafeature_count(), 0);
+        // The staged reference: each expression split as Model::Generate
+        // splits it, producer parts first, writing the same slots.
+        std::vector<std::pair<std::uint32_t, ExprPtr>> staged_parts;
+        std::uint32_t next_meta_slot = 0;
+        const auto& expressions = model->expressions();
+        for (std::size_t i = 0; i < expressions.size(); ++i) {
+            ExprPtr work = expressions[i]->Clone();
+            for (auto& part : compiler.SplitForMetafeatures(*work, next_meta_slot)) {
+                staged_parts.emplace_back(part.slot, std::move(part.expr));
+            }
+            staged_parts.emplace_back(
+                kFfeOutputBase + static_cast<std::uint32_t>(i) % kFfeOutputSlots,
+                std::move(work));
+        }
+
+        RankingFunction function(model.get());
+        DocumentGenerator generator(seed);
+        for (int doc = 0; doc < 32; ++doc) {
+            const CompressedRequest request = generator.Next();
+            FeatureStore compiled;
+            function.ExtractFeatures(request, compiled);
+            FeatureStore staged = compiled;
+            function.RunFfe0(compiled);
+            function.RunFfe1(compiled);
+            for (const auto& [slot, expr] : staged_parts) {
+                staged.Set(slot, expr->Evaluate(staged));
+            }
+            EXPECT_EQ(std::memcmp(compiled.raw().data(), staged.raw().data(),
+                                  kFeatureUniverse * sizeof(float)),
+                      0)
+                << "seed " << seed << " doc " << doc;
+        }
+    }
 }
 
 TEST(FfeProcessor, TimingBoundsAreConsistent) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <numeric>
+
+#include "common/rng.h"
 #include "rank/scorer.h"
 
 namespace catapult::rank {
@@ -101,6 +108,136 @@ TEST(ScorerShard, ModelBytesProportionalToNodes) {
     const auto& shard = ensemble.shard(0);
     EXPECT_EQ(shard.ModelBytes(), shard.total_nodes() * 8);
     EXPECT_GT(shard.total_nodes(), shard.tree_count());
+}
+
+/** Feature slots the random oracle trees split on. */
+constexpr std::uint32_t kOracleFeatures = 40;
+
+/**
+ * A random tree with `splits` split nodes. Splitting a random leaf and
+ * appending its two children leaves the nodes out of preorder;
+ * `shuffle` then permutes every node but the root as well.
+ */
+DecisionTree RandomTree(Rng& rng, int splits, bool shuffle) {
+    const auto leaf_value = [&rng] {
+        return rng.Chance(0.05) ? -0.0f : static_cast<float>(rng.Uniform(-0.5, 0.5));
+    };
+    DecisionTree tree;
+    tree.nodes.push_back(TreeNode{.leaf_value = leaf_value()});
+    std::vector<std::int32_t> leaves = {0};
+    for (int s = 0; s < splits; ++s) {
+        const std::size_t pick = rng.NextBounded(leaves.size());
+        const std::int32_t index = leaves[pick];
+        const auto left = static_cast<std::int32_t>(tree.nodes.size());
+        tree.nodes.push_back(TreeNode{.leaf_value = leaf_value()});
+        tree.nodes.push_back(TreeNode{.leaf_value = leaf_value()});
+        TreeNode& split = tree.nodes[static_cast<std::size_t>(index)];
+        split.feature = static_cast<std::uint32_t>(rng.NextBounded(kOracleFeatures));
+        split.threshold = rng.Chance(0.2) ? 1.0f : static_cast<float>(rng.Uniform(-2.0, 2.0));
+        split.left = left;
+        split.right = left + 1;
+        leaves[pick] = left;
+        leaves.push_back(left + 1);
+    }
+    if (shuffle) {
+        std::vector<std::int32_t> to(tree.nodes.size());
+        std::iota(to.begin(), to.end(), 0);
+        for (std::size_t i = to.size() - 1; i > 1; --i) {
+            std::swap(to[i], to[1 + rng.NextBounded(i)]);
+        }
+        std::vector<TreeNode> moved(tree.nodes.size());
+        for (std::size_t i = 0; i < to.size(); ++i) {
+            TreeNode node = tree.nodes[i];
+            if (node.feature != TreeNode::kLeaf) {
+                node.left = to[static_cast<std::size_t>(node.left)];
+                node.right = to[static_cast<std::size_t>(node.right)];
+            }
+            moved[static_cast<std::size_t>(to[i])] = node;
+        }
+        tree.nodes = std::move(moved);
+    }
+    return tree;
+}
+
+/** Split features drawn from finite values, ones, signed zeros, infinities and NaN. */
+FeatureStore RandomOracleStore(Rng& rng) {
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              0.0f, -0.0f, 1.0f};
+    FeatureStore store;
+    for (std::uint32_t f = 0; f < kOracleFeatures; ++f) {
+        store.Set(f, rng.Chance(0.3) ? specials[rng.NextBounded(std::size(specials))]
+                                     : static_cast<float>(rng.Uniform(-2.0, 2.0)));
+    }
+    return store;
+}
+
+TEST(ScorerShard, MatchesDecisionTreeOracle) {
+    // The preorder array must score exactly what the reference trees
+    // score, summed in tree order, whatever the trees' node layout —
+    // including single-leaf and empty trees and NaN features.
+    Rng rng(2024);
+    for (int round = 0; round < 60; ++round) {
+        std::vector<DecisionTree> trees;
+        std::int64_t node_count = 0;
+        const int tree_count = 1 + static_cast<int>(rng.NextBounded(48));
+        for (int t = 0; t < tree_count; ++t) {
+            const double kind = rng.NextDouble();
+            DecisionTree tree;
+            if (kind >= 0.1) {
+                const int splits =
+                    kind < 0.2 ? 0 : 1 + static_cast<int>(rng.NextBounded(40));
+                tree = RandomTree(rng, splits, kind < 0.6);
+            }
+            node_count += tree.NodeCount();
+            trees.push_back(std::move(tree));
+        }
+        const ScorerShard shard(trees);
+        EXPECT_EQ(shard.tree_count(), tree_count);
+        EXPECT_EQ(shard.total_nodes(), node_count);
+        EXPECT_EQ(shard.ModelBytes(), node_count * 8);
+        const ScoringEnsemble ensemble(trees);
+        const std::size_t per_shard =
+            (trees.size() + ScoringEnsemble::kShardCount - 1) /
+            ScoringEnsemble::kShardCount;
+
+        for (int probe = 0; probe < 20; ++probe) {
+            const FeatureStore store = RandomOracleStore(rng);
+            float expected = 0.0f;
+            float pipelined = 0.0f;
+            for (std::size_t begin = 0; begin < trees.size(); begin += per_shard) {
+                float partial = 0.0f;
+                for (std::size_t t = begin; t < std::min(trees.size(), begin + per_shard); ++t) {
+                    const float value = trees[t].Evaluate(store);
+                    expected += value;
+                    partial += value;
+                }
+                pipelined += partial;
+            }
+            const float actual = shard.PartialScore(store);
+            EXPECT_EQ(std::memcmp(&expected, &actual, sizeof actual), 0)
+                << "round " << round << " probe " << probe;
+            const float score = ensemble.Score(store);
+            EXPECT_EQ(std::memcmp(&pipelined, &score, sizeof score), 0)
+                << "round " << round << " probe " << probe;
+        }
+    }
+}
+
+TEST(ScoringEnsemble, GoldenGeneratedScore) {
+    // Pins the generated production-sized ensemble, so a change to how
+    // trees are generated or laid out cannot silently move every score.
+    const ScoringEnsemble ensemble = GenerateEnsemble(99, 6'000);
+    std::int64_t nodes = 0;
+    for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {
+        nodes += ensemble.shard(s).total_nodes();
+    }
+    EXPECT_EQ(nodes, 193'096);
+    const float score = ensemble.Score(MakeStore());
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &score, sizeof bits);
+    EXPECT_EQ(bits, 0xbf85f3f0u);
 }
 
 TEST(ScorerShard, EmptyShardScoresZero) {
