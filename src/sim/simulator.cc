@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 namespace catapult::sim {
 
@@ -71,17 +74,30 @@ void Simulator::ReleaseSlot(std::uint32_t slot) {
     free_slots_.push_back(slot);
 }
 
+void Simulator::Discard(std::uint32_t slot) {
+    // Move the callback out first: its captures are destroyed after the
+    // slot is free again, so a destructor that reaches back into the
+    // simulator finds the table consistent.
+    EventFn discarded = std::move(slots_[slot].fn);
+    ReleaseSlot(slot);
+}
+
 EventHandle Simulator::Schedule(Time when, EventFn fn, EventPriority priority,
                                 bool daemon) {
-    assert(when >= now_ && "cannot schedule in the past");
+    // Always on: a past event would be misfiled behind the wheel cursor
+    // in builds where assert() compiles out.
+    if (when < now_) [[unlikely]] {
+        std::fprintf(stderr,
+                     "sim::Simulator: cannot schedule in the past "
+                     "(when=%lld ps < Now()=%lld ps)\n",
+                     static_cast<long long>(when),
+                     static_cast<long long>(now_));
+        std::abort();
+    }
     const std::uint32_t slot = AcquireSlot(daemon);
-    Event event;
-    event.when = when;
-    event.priority = static_cast<std::int32_t>(priority);
-    event.slot = slot;
-    event.sequence = next_sequence_++;
-    event.fn = std::move(fn);
-    Insert(std::move(event));
+    slots_[slot].fn = std::move(fn);
+    Insert(Key{when, next_sequence_++, static_cast<std::int32_t>(priority),
+               slot});
     ++live_events_;
     if (daemon) ++daemon_events_;
     return EventHandle((static_cast<std::uint64_t>(slots_[slot].generation)
@@ -96,7 +112,6 @@ EventHandle Simulator::ScheduleAt(Time when, EventFn fn,
 
 EventHandle Simulator::ScheduleAfter(Time delay, EventFn fn,
                                      EventPriority priority) {
-    assert(delay >= 0);
     return Schedule(now_ + delay, std::move(fn), priority, /*daemon=*/false);
 }
 
@@ -107,7 +122,6 @@ EventHandle Simulator::ScheduleDaemonAt(Time when, EventFn fn,
 
 EventHandle Simulator::ScheduleDaemonAfter(Time delay, EventFn fn,
                                            EventPriority priority) {
-    assert(delay >= 0);
     return Schedule(now_ + delay, std::move(fn), priority, /*daemon=*/true);
 }
 
@@ -127,29 +141,18 @@ void Simulator::Cancel(const EventHandle& handle) {
     if (record.daemon) --daemon_events_;
 }
 
-void Simulator::Insert(Event&& event) {
-    if (config_.queue_kind == SimulatorConfig::QueueKind::kBinaryHeap) {
-        heap_.push_back(std::move(event));
-        std::push_heap(heap_.begin(), heap_.end(), LaterFirst{});
-        return;
-    }
-    const auto s0 = static_cast<std::uint64_t>(event.when) >> kSliceBits;
-    if (s0 < l0_cursor_) {
-        // Behind the cursor: a put-back stop advanced the wheel past
-        // now_, and this event precedes everything still wheeled (its
-        // slice — hence its time — is strictly earlier). It goes to the
-        // front spill heap, drained before the wheels.
-        front_.push_back(std::move(event));
-        std::push_heap(front_.begin(), front_.end(), LaterFirst{});
-        return;
-    }
+void Simulator::Insert(const Key& key) {
+    const auto s0 = static_cast<std::uint64_t>(key.when) >> kSliceBits;
+    // Schedule rejects past times and no pop moves the cursor past the
+    // clock, so nothing lands behind it.
+    assert(s0 >= l0_cursor_ && "event behind the wheel cursor");
     if (s0 < l0_end_slice()) {
         // Near horizon: straight into the slice's bucket heap. The L0
         // window is aligned to one L1 slot, so slice -> index is
         // injective within it.
         const std::uint64_t index = s0 & kWheelMask;
         auto& bucket = l0_[index];
-        bucket.push_back(std::move(event));
+        bucket.push_back(key);
         std::push_heap(bucket.begin(), bucket.end(), LaterFirst{});
         SetBit(l0_occupied_.data(), index);
         ++l0_count_;
@@ -160,109 +163,128 @@ void Simulator::Insert(Event&& event) {
         // Mid horizon: stage unsorted; the slot is heapified bucket by
         // bucket when the L0 window advances onto it.
         const std::uint64_t index = s1 & kWheelMask;
-        l1_[index].push_back(std::move(event));
+        l1_[index].push_back(key);
         SetBit(l1_occupied_.data(), index);
         ++l1_count_;
         return;
     }
     // Far future (beyond ~68.7 ms): the sorted overflow level.
-    overflow_.push_back(std::move(event));
+    overflow_.push_back(key);
     std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
 }
 
-bool Simulator::PopNext(Event& out) {
-    if (config_.queue_kind == SimulatorConfig::QueueKind::kBinaryHeap) {
-        while (!heap_.empty()) {
-            std::pop_heap(heap_.begin(), heap_.end(), LaterFirst{});
-            out = std::move(heap_.back());
-            heap_.pop_back();
-            if (slots_[out.slot].cancelled) {
-                ReleaseSlot(out.slot);
-                continue;
-            }
-            return true;
-        }
+std::uint64_t Simulator::FirstL0Bucket() const {
+    const int index =
+        FindSetCircular(l0_occupied_.data(), kBitmapWords,
+                        static_cast<unsigned>(l0_cursor_ & kWheelMask));
+    assert(index >= 0);
+    assert(static_cast<std::uint64_t>(index) >= (l0_cursor_ & kWheelMask) &&
+           "aligned L0 window never wraps");
+    return static_cast<std::uint64_t>(index);
+}
+
+std::uint64_t Simulator::FirstL1Slot() const {
+    const int index =
+        FindSetCircular(l1_occupied_.data(), kBitmapWords,
+                        static_cast<unsigned>((l1_cursor_ + 1) & kWheelMask));
+    assert(index >= 0);
+    return static_cast<std::uint64_t>(index);
+}
+
+void Simulator::PopL0Top(std::uint64_t index) {
+    auto& bucket = l0_[index];
+    std::pop_heap(bucket.begin(), bucket.end(), LaterFirst{});
+    bucket.pop_back();
+    if (bucket.empty()) ClearBit(l0_occupied_.data(), index);
+    --l0_count_;
+}
+
+void Simulator::PopOverflowTop() {
+    std::pop_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
+    overflow_.pop_back();
+}
+
+void Simulator::DropCancelledFront() {
+    Time ignored = 0;
+    PeekNextTime(&ignored);
+}
+
+bool Simulator::PopNext(Time last, Key& out) {
+    if (live_events_ == 0) {
+        // Nothing can fire. An unbounded pop would otherwise advance the
+        // window onto a slot of cancelled entries and leave the cursor
+        // ahead of the clock.
+        DropCancelledFront();
         return false;
     }
     for (;;) {
-        while (!front_.empty()) {
-            std::pop_heap(front_.begin(), front_.end(), LaterFirst{});
-            out = std::move(front_.back());
-            front_.pop_back();
-            if (slots_[out.slot].cancelled) {
-                ReleaseSlot(out.slot);
-                continue;
-            }
-            return true;
-        }
         if (l0_count_ > 0) {
-            const int index = FindSetCircular(l0_occupied_.data(), kBitmapWords,
-                                              static_cast<unsigned>(
-                                                  l0_cursor_ & kWheelMask));
-            assert(index >= 0);
-            const auto uindex = static_cast<std::uint64_t>(index);
-            assert(uindex >= (l0_cursor_ & kWheelMask) &&
-                   "aligned L0 window never wraps");
-            l0_cursor_ = (l1_cursor_ << kWheelBits) + uindex;
-            auto& bucket = l0_[uindex];
-            std::pop_heap(bucket.begin(), bucket.end(), LaterFirst{});
-            out = std::move(bucket.back());
-            bucket.pop_back();
-            if (bucket.empty()) ClearBit(l0_occupied_.data(), uindex);
-            --l0_count_;
-            if (slots_[out.slot].cancelled) {
-                ReleaseSlot(out.slot);
+            const std::uint64_t index = FirstL0Bucket();
+            const Key top = l0_[index].front();
+            const bool cancelled = slots_[top.slot].cancelled;
+            if (!cancelled && top.when > last) return false;
+            PopL0Top(index);
+            if (cancelled) {
+                Discard(top.slot);
                 continue;
             }
+            l0_cursor_ = (l1_cursor_ << kWheelBits) + index;
+            out = top;
             return true;
         }
         if (l1_count_ > 0) {
-            // Advance the L0 window onto the next staged L1 slot and
+            // Advance the L0 window onto the next staged L1 slot — only
+            // if that slot starts at or before `last`, so the cursor
+            // never passes the clock the caller leaves behind — and
             // scatter its events into their slice buckets.
-            const auto from =
-                static_cast<unsigned>((l1_cursor_ + 1) & kWheelMask);
-            const int index =
-                FindSetCircular(l1_occupied_.data(), kBitmapWords, from);
-            assert(index >= 0);
-            const std::uint64_t delta =
-                (static_cast<std::uint64_t>(index) - from) & kWheelMask;
-            l1_cursor_ += 1 + delta;
+            const std::uint64_t index = FirstL1Slot();
+            const std::uint64_t next_slot =
+                l1_cursor_ + 1 + ((index - l1_cursor_ - 1) & kWheelMask);
+            if (static_cast<Time>(next_slot << (kSliceBits + kWheelBits)) >
+                last) {
+                return false;
+            }
+            l1_cursor_ = next_slot;
             l0_cursor_ = l1_cursor_ << kWheelBits;
-            auto& staged = l1_[static_cast<std::uint64_t>(index)];
+            auto& staged = l1_[index];
             l1_count_ -= staged.size();
-            for (Event& event : staged) {
-                const auto s0 =
-                    static_cast<std::uint64_t>(event.when) >> kSliceBits;
-                const std::uint64_t bucket_index = s0 & kWheelMask;
+            for (const Key& key : staged) {
+                const std::uint64_t bucket_index =
+                    (static_cast<std::uint64_t>(key.when) >> kSliceBits) &
+                    kWheelMask;
                 auto& bucket = l0_[bucket_index];
-                bucket.push_back(std::move(event));
+                bucket.push_back(key);
                 std::push_heap(bucket.begin(), bucket.end(), LaterFirst{});
                 SetBit(l0_occupied_.data(), bucket_index);
-                ++l0_count_;
             }
+            l0_count_ += staged.size();
             staged.clear();
-            ClearBit(l1_occupied_.data(), static_cast<std::uint64_t>(index));
+            ClearBit(l1_occupied_.data(), index);
             continue;
         }
         if (!overflow_.empty()) {
-            // Both wheels drained: rebase the windows at the overflow
-            // minimum and pull everything now within the L1 horizon
-            // back through normal placement.
-            const auto base_s1 =
-                static_cast<std::uint64_t>(overflow_.front().when) >>
-                (kSliceBits + kWheelBits);
+            const Key top = overflow_.front();
+            if (slots_[top.slot].cancelled) {
+                PopOverflowTop();
+                Discard(top.slot);
+                continue;
+            }
+            if (top.when > last) return false;
+            // Both wheels drained and the minimum fires: rebase the
+            // windows at it and pull everything now within the L1
+            // horizon back through normal placement.
+            const auto base_s1 = static_cast<std::uint64_t>(top.when) >>
+                                 (kSliceBits + kWheelBits);
             l1_base_slot_ = base_s1;
             l1_cursor_ = base_s1;
             l0_cursor_ = base_s1 << kWheelBits;
             while (!overflow_.empty()) {
-                const auto s1 =
-                    static_cast<std::uint64_t>(overflow_.front().when) >>
-                    (kSliceBits + kWheelBits);
+                const Key key = overflow_.front();
+                const auto s1 = static_cast<std::uint64_t>(key.when) >>
+                                (kSliceBits + kWheelBits);
                 if (s1 >= l1_base_slot_ + kWheelSize) break;
-                std::pop_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
-                Event event = std::move(overflow_.back());
-                overflow_.pop_back();
-                Insert(std::move(event));
+                PopOverflowTop();
+                Insert(key);
             }
             continue;
         }
@@ -270,74 +292,67 @@ bool Simulator::PopNext(Event& out) {
     }
 }
 
-void Simulator::FireAndRelease(Event& event) {
+void Simulator::FireAndRelease(const Key& key) {
+    Slot& slot = slots_[key.slot];
     --live_events_;
-    if (slots_[event.slot].daemon) --daemon_events_;
-    now_ = event.when;
+    if (slot.daemon) --daemon_events_;
+    now_ = key.when;
     ++events_fired_;
     ++t_events_fired;
-    // Release before invoking: a callback cancelling its own handle (or
-    // recycling it via a new schedule) must observe it as already spent.
-    ReleaseSlot(event.slot);
-    event.fn();
+    // Move the callback out and release before invoking: a callback
+    // that schedules may grow slots_, and one cancelling its own handle
+    // (or recycling it via a new schedule) must observe it as spent.
+    EventFn fn = std::move(slot.fn);
+    ReleaseSlot(key.slot);
+    fn();
 }
 
 bool Simulator::Step() {
-    Event event;
-    if (!PopNext(event)) return false;
-    FireAndRelease(event);
+    Key key{};
+    if (!PopNext(std::numeric_limits<Time>::max(), key)) return false;
+    FireAndRelease(key);
     return true;
 }
 
 std::uint64_t Simulator::Run() {
     // Stop when only daemon (background) events remain: recurring
-    // processes like SEU injection never drain on their own. The check
-    // happens after PopNext so cancelled foreground events do not force
-    // a far-future daemon event to fire.
+    // processes like SEU injection never drain on their own. Cancelled
+    // foreground events are already out of live_events_, so they never
+    // force a far-future daemon event to fire.
     std::uint64_t fired = 0;
-    Event event;
-    while (PopNext(event)) {
-        if (slots_[event.slot].daemon && live_events_ == daemon_events_) {
-            // Only background work remains; leave it pending.
-            Insert(std::move(event));
-            break;
-        }
-        FireAndRelease(event);
+    Key key{};
+    while (live_events_ != daemon_events_) {
+        [[maybe_unused]] const bool popped =
+            PopNext(std::numeric_limits<Time>::max(), key);
+        assert(popped && "a live event is pending");
+        FireAndRelease(key);
         ++fired;
     }
+    // Only background work remains. Leave it pending, but drop the
+    // cancelled entries in front of it so their slots recycle.
+    DropCancelledFront();
     return fired;
 }
 
 std::uint64_t Simulator::RunUntil(Time horizon) {
     std::uint64_t fired = 0;
-    Event event;
-    while (PopNext(event)) {
-        if (event.when > horizon) {
-            // Put it back with its original sequence number, so the
-            // deterministic order is untouched and the handle stays
-            // cancellable; advancing now_ to the horizon keeps callers'
-            // notion of elapsed time consistent.
-            Insert(std::move(event));
-            break;
-        }
-        FireAndRelease(event);
+    Key key{};
+    while (PopNext(horizon, key)) {
+        FireAndRelease(key);
         ++fired;
     }
+    // Advancing now_ to the horizon keeps callers' notion of elapsed
+    // time consistent; deferred events keep their sequence numbers and
+    // stay cancellable.
     if (now_ < horizon) now_ = horizon;
     return fired;
 }
 
 std::uint64_t Simulator::RunUntilBefore(Time bound) {
     std::uint64_t fired = 0;
-    Event event;
-    while (PopNext(event)) {
-        if (event.when >= bound) {
-            // Put it back with its original sequence number; it fires in
-            // the next epoch, after the barrier drain.
-            Insert(std::move(event));
-            break;
-        }
-        FireAndRelease(event);
+    Key key{};
+    while (PopNext(bound - 1, key)) {
+        FireAndRelease(key);
         ++fired;
     }
     if (now_ < bound) now_ = bound;
@@ -345,13 +360,53 @@ std::uint64_t Simulator::RunUntilBefore(Time bound) {
 }
 
 bool Simulator::PeekNextTime(Time* when) {
-    Event event;
-    if (!PopNext(event)) return false;
-    *when = event.when;
-    // Re-insert with the original sequence: ordering and the event's
-    // cancellation handle are untouched.
-    Insert(std::move(event));
-    return true;
+    while (l0_count_ > 0) {
+        const std::uint64_t index = FirstL0Bucket();
+        const Key top = l0_[index].front();
+        if (!slots_[top.slot].cancelled) {
+            *when = top.when;
+            return true;
+        }
+        PopL0Top(index);
+        Discard(top.slot);
+    }
+    while (l1_count_ > 0) {
+        // The first staged slot holds the minimum; it is unsorted, so
+        // scan it for its earliest live entry.
+        const std::uint64_t index = FirstL1Slot();
+        auto& staged = l1_[index];
+        Time earliest = std::numeric_limits<Time>::max();
+        bool live = false;
+        for (const Key& key : staged) {
+            if (!slots_[key.slot].cancelled) {
+                earliest = std::min(earliest, key.when);
+                live = true;
+            }
+        }
+        if (live) {
+            *when = earliest;
+            return true;
+        }
+        // Every entry is cancelled: drop the slot without advancing the
+        // window. Index loop — a discarded callback's destructor may
+        // stage new entries here, which must survive.
+        const std::size_t dead = staged.size();
+        l1_count_ -= dead;
+        for (std::size_t i = 0; i < dead; ++i) Discard(staged[i].slot);
+        staged.erase(staged.begin(),
+                     staged.begin() + static_cast<std::ptrdiff_t>(dead));
+        if (staged.empty()) ClearBit(l1_occupied_.data(), index);
+    }
+    while (!overflow_.empty()) {
+        const Key top = overflow_.front();
+        if (!slots_[top.slot].cancelled) {
+            *when = top.when;
+            return true;
+        }
+        PopOverflowTop();
+        Discard(top.slot);
+    }
+    return false;
 }
 
 }  // namespace catapult::sim

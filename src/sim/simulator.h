@@ -6,25 +6,44 @@
 // callbacks here. Ties at the same simulated time break first on an
 // explicit priority, then on insertion order, so runs are deterministic.
 //
-// Two queue implementations share that ordering contract exactly:
+// The queue is a two-level hierarchical timing wheel with a sorted
+// overflow heap (Varghese & Lauck, SOSP 1987). Level 0 buckets 65.5 ns
+// slices over a ~67 us window; level 1 stages whole L0 windows over a
+// ~68.7 ms horizon; anything further sits in the overflow heap until the
+// wheels advance. Near-horizon schedule/pop — the dense load-sweep
+// pattern — touches one small per-slice bucket heap instead of one
+// global binary heap.
 //
-//  - kTimingWheel (production): a two-level hierarchical timing wheel
-//    with a sorted overflow heap. Level 0 buckets 65.5 ns slices over a
-//    ~67 us window; level 1 stages whole L0 windows over a ~68.7 ms
-//    horizon; anything further sits in the overflow heap until the
-//    wheels advance. Near-horizon schedule/pop — the dense load-sweep
-//    pattern — touches one small per-slice bucket heap instead of one
-//    global binary heap, so cost stays O(log bucket) with buckets of a
-//    handful of events.
-//  - kBinaryHeap (reference): the classic global binary heap, kept for
-//    the golden determinism cross-check (same seed, either queue,
-//    identical completion order).
+// Two rules keep the wheel cheap:
+//
+//  - The levels hold 24-byte keys (time, sequence, priority, slot), not
+//    callbacks. Schedule parks the callback once in the event's slot of
+//    the cancellation table; firing moves it out once, releases the slot
+//    and invokes it. Heap sifts, L1 scatters and overflow rebases copy
+//    keys and never relocate a closure.
+//  - The cursor never passes the clock. Every pop takes an inclusive
+//    limit (RunUntil's horizon, the last instant before RunUntilBefore's
+//    bound) and moves no cursor when the earliest live event lies past
+//    it; PeekNextTime reads the minimum where it lives. So an event
+//    scheduled at or after Now() always lands at or ahead of the cursor,
+//    and no level exists for events behind it.
+//
+// Against 96-byte entries that carried their callbacks, popped and put
+// back at every stop and peek (4-core Xeon, GCC 12, Release, 10
+// alternating pairs of perfbench/run.py): frontier simulate time -26%,
+// blackout -23%, identical event counts and digests. In 10 alternating
+// driver runs, one binary heap of these keys in place of the wheel was
+// 26% slower on frontier and 5% faster on blackout (whose shards hold
+// ~30 pending events each), so the wheel stays. The reference queue the
+// wheel must match lives in tests/test_timing_wheel.cc as a
+// sorted-container oracle; there is no queue toggle here.
 //
 // Cancellation is generation-stamped: each pending event owns a slot in
 // a free-listed table and its handle packs (slot, generation). Cancel is
 // a bounds-check plus a flag store — O(1), no hashing, and a handle for
 // an already-fired event can never leak memory because its generation no
-// longer matches.
+// longer matches. A cancelled entry's callback is destroyed when the
+// queue discards the entry.
 
 #pragma once
 
@@ -65,15 +84,6 @@ class EventHandle {
     std::uint64_t id_ = 0;
 };
 
-/** Kernel construction knobs (the default is the production wheel). */
-struct SimulatorConfig {
-    enum class QueueKind {
-        kTimingWheel,  ///< Hierarchical timing wheel + overflow heap.
-        kBinaryHeap,   ///< Reference global heap (determinism cross-check).
-    };
-    QueueKind queue_kind = QueueKind::kTimingWheel;
-};
-
 /**
  * The event queue and simulated clock.
  *
@@ -83,7 +93,6 @@ struct SimulatorConfig {
 class Simulator {
   public:
     Simulator() = default;
-    explicit Simulator(SimulatorConfig config) : config_(config) {}
 
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
@@ -91,11 +100,14 @@ class Simulator {
     /** Current simulated time. */
     Time Now() const { return now_; }
 
-    /** Schedule `fn` at absolute time `when` (must be >= Now()). */
+    /**
+     * Schedule `fn` at absolute time `when`. A `when` earlier than Now()
+     * aborts the process in every build, naming both times.
+     */
     EventHandle ScheduleAt(Time when, EventFn fn,
                            EventPriority priority = EventPriority::kDefault);
 
-    /** Schedule `fn` after `delay` from now. */
+    /** Schedule `fn` after `delay` (>= 0) from now. */
     EventHandle ScheduleAfter(Time delay, EventFn fn,
                               EventPriority priority = EventPriority::kDefault);
 
@@ -133,7 +145,9 @@ class Simulator {
      * Time of the earliest pending event, daemons included; false when
      * the queue is empty. Used for epoch skip-ahead — daemons count
      * because they schedule foreground work (watchdogs, forecasters),
-     * so jumping past one would change simulation semantics.
+     * so jumping past one would change simulation semantics. Moves no
+     * cursor and never changes what fires next; it only discards
+     * cancelled entries in front of the minimum.
      */
     bool PeekNextTime(Time* when);
 
@@ -156,8 +170,6 @@ class Simulator {
      */
     std::size_t event_slots() const { return slots_.size(); }
 
-    SimulatorConfig::QueueKind queue_kind() const { return config_.queue_kind; }
-
   private:
     // --- Wheel geometry --------------------------------------------------
     // L0 slice: 2^16 ps ~ 65.5 ns. L0 window: 1024 slices ~ 67 us, always
@@ -169,29 +181,34 @@ class Simulator {
     static constexpr std::uint64_t kWheelMask = kWheelSize - 1;
     static constexpr std::size_t kBitmapWords = kWheelSize / 64;
 
-    struct Event {
+    /**
+     * What every queue level holds: 24 bytes, copied by heap sifts and
+     * wheel moves. The callback lives in slots_[slot].
+     */
+    struct Key {
         Time when;
-        std::int32_t priority;
-        std::uint32_t slot;  ///< Cancellation-table index.
         std::uint64_t sequence;
-        EventFn fn;
+        std::int32_t priority;
+        std::uint32_t slot;  ///< Slot-table index.
 
         /** Strict-weak "fires later than" — the deterministic contract. */
-        bool After(const Event& other) const {
+        bool After(const Key& other) const {
             if (when != other.when) return when > other.when;
             if (priority != other.priority) return priority > other.priority;
             return sequence > other.sequence;
         }
     };
+    static_assert(sizeof(Key) == 24);
 
     struct LaterFirst {
-        bool operator()(const Event& a, const Event& b) const {
+        bool operator()(const Key& a, const Key& b) const {
             return a.After(b);
         }
     };
 
-    /** Generation-stamped cancellation slot. */
+    /** Per pending event: its callback and generation-stamped cancel state. */
     struct Slot {
+        EventFn fn;
         std::uint32_t generation = 1;
         bool cancelled = false;
         bool daemon = false;
@@ -199,50 +216,49 @@ class Simulator {
 
     EventHandle Schedule(Time when, EventFn fn, EventPriority priority,
                          bool daemon);
-    void Insert(Event&& event);
+    void Insert(const Key& key);
     /**
-     * Pop the globally earliest pending event, skipping (and releasing)
-     * cancelled entries. The popped event's slot stays allocated until
-     * FireAndRelease or a put-back via Insert.
+     * Pop the earliest live event if it fires at or before `last`,
+     * discarding cancelled entries on the way. Returns false, with no
+     * cursor moved past `last`, when the queue holds no live event at or
+     * before it. The popped event's slot stays allocated until
+     * FireAndRelease.
      */
-    bool PopNext(Event& out);
-    void FireAndRelease(Event& event);
+    bool PopNext(Time last, Key& out);
+    /** Drop the cancelled entries ahead of the earliest live one. */
+    void DropCancelledFront();
+    void FireAndRelease(const Key& key);
+    /** Destroy a cancelled entry's callback and free its slot. */
+    void Discard(std::uint32_t slot);
     void ReleaseSlot(std::uint32_t slot);
     std::uint32_t AcquireSlot(bool daemon);
 
     std::uint64_t l0_end_slice() const {
         return (l1_cursor_ + 1) << kWheelBits;
     }
-
-    SimulatorConfig config_;
+    /** First occupied L0 bucket index; l0_count_ must be > 0. */
+    std::uint64_t FirstL0Bucket() const;
+    /** First staged L1 slot index; l1_count_ must be > 0. */
+    std::uint64_t FirstL1Slot() const;
+    void PopL0Top(std::uint64_t index);
+    void PopOverflowTop();
 
     // Level 0: per-slice bucket heaps over [l1_cursor_ * 1024, +1024).
-    std::array<std::vector<Event>, kWheelSize> l0_{};
+    std::array<std::vector<Key>, kWheelSize> l0_{};
     std::array<std::uint64_t, kBitmapWords> l0_occupied_{};
-    std::uint64_t l0_cursor_ = 0;  ///< Absolute slice; earlier slices fired.
+    /** Absolute slice; earlier slices fired. Never past Now()'s slice. */
+    std::uint64_t l0_cursor_ = 0;
     std::uint64_t l0_count_ = 0;
 
     // Level 1: unsorted staging slots over [l1_base_slot_, +1024).
-    std::array<std::vector<Event>, kWheelSize> l1_{};
+    std::array<std::vector<Key>, kWheelSize> l1_{};
     std::array<std::uint64_t, kBitmapWords> l1_occupied_{};
     std::uint64_t l1_base_slot_ = 0;
     std::uint64_t l1_cursor_ = 0;  ///< Slot currently mapped into L0.
     std::uint64_t l1_count_ = 0;
 
     /** Min-heap (std::*_heap with LaterFirst) for the far future. */
-    std::vector<Event> overflow_;
-
-    /**
-     * Min-heap for events scheduled at slices behind the L0 cursor.
-     * Possible only after a put-back (RunUntil horizon stop, daemon-only
-     * stop) advanced the wheel past now_: every entry here fires
-     * strictly before anything still in the wheels, so PopNext drains
-     * this first. Empty in steady state.
-     */
-    std::vector<Event> front_;
-
-    /** Reference queue (kBinaryHeap mode): one global min-heap. */
-    std::vector<Event> heap_;
+    std::vector<Key> overflow_;
 
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;

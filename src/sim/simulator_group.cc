@@ -22,7 +22,7 @@ SimulatorGroup::SimulatorGroup(const Config& config) : config_(config) {
     const auto n = static_cast<std::size_t>(config_.shards);
     shards_.reserve(n);
     for (int i = 0; i < config_.shards; ++i) {
-        shards_.push_back(std::make_unique<Simulator>(config_.shard));
+        shards_.push_back(std::make_unique<Simulator>());
     }
     outboxes_.resize(n);
     fired_settled_.resize(n, 0);
@@ -264,8 +264,8 @@ void SimulatorGroup::BuildRound(Time horizon) {
             }
         } else if (bound > sim.Now()) {
             round_end_[sd] = bound;
-            Time t;
-            if (sim.PeekNextTime(&t) && t < bound) {
+            // base(d) is d's own next event, peeked above.
+            if (base_[sd] < bound) {
                 round_items_.push_back({d, bound, RunKind::kBefore});
             }
         }

@@ -87,8 +87,6 @@ class SimulatorGroup {
          * cost a few integer ops per round.
          */
         bool profile = false;
-        /** Queue kind etc. for every shard. */
-        SimulatorConfig shard;
     };
 
     /** One executor's share of the work-stealing pool. */

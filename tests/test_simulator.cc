@@ -89,14 +89,14 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
 }
 
 TEST(Simulator, HorizonDeferredEventStaysCancellable) {
-    // Regression: RunUntil pops the first event past the horizon and
-    // re-enqueues it. An event cancelled after being deferred that way
-    // must still never fire.
+    // Regression: RunUntil leaves the first event past the horizon
+    // pending. An event cancelled after being deferred that way must
+    // still never fire.
     Simulator sim;
     bool fired = false;
     const EventHandle handle =
         sim.ScheduleAt(Microseconds(100), [&] { fired = true; });
-    sim.RunUntil(Microseconds(50));  // pops + re-enqueues the event
+    sim.RunUntil(Microseconds(50));  // defers the event
     EXPECT_EQ(sim.Now(), Microseconds(50));
     EXPECT_EQ(sim.PendingEvents(), 1u);
     sim.Cancel(handle);
@@ -175,6 +175,28 @@ TEST(Simulator, PendingEventCount) {
     sim.Run();
     EXPECT_EQ(sim.PendingEvents(), 0u);
     EXPECT_TRUE(sim.Empty());
+}
+
+// Scheduling in the past is API misuse: it aborts in every build, with
+// a message naming both times, instead of compiling out with NDEBUG.
+TEST(SimulatorDeathTest, ScheduleAtInThePastAborts) {
+    Simulator sim;
+    sim.ScheduleAt(Microseconds(2), [] {});
+    sim.Run();
+    EXPECT_DEATH(sim.ScheduleAt(Microseconds(1), [] {}),
+                 "cannot schedule in the past \\(when=1000000 ps < "
+                 "Now\\(\\)=2000000 ps\\)");
+    EXPECT_DEATH(sim.ScheduleDaemonAt(0, [] {}),
+                 "cannot schedule in the past");
+}
+
+TEST(SimulatorDeathTest, NegativeDelayAborts) {
+    Simulator sim;
+    EXPECT_DEATH(sim.ScheduleAfter(-1, [] {}),
+                 "cannot schedule in the past \\(when=-1 ps < "
+                 "Now\\(\\)=0 ps\\)");
+    EXPECT_DEATH(sim.ScheduleDaemonAfter(Nanoseconds(-5), [] {}),
+                 "cannot schedule in the past");
 }
 
 TEST(ClockDomain, CyclesAndEdges) {
