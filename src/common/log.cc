@@ -1,6 +1,8 @@
 #include "common/log.h"
 
+#include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/units.h"
 
@@ -29,6 +31,15 @@ void Logger::Write(LogLevel level, const std::string& component,
     if (level_ > level) return;
     std::fprintf(stderr, "[%-5s] %s: %s\n", LevelName(level),
                  component.c_str(), message.c_str());
+}
+
+void FatalMisuse(const char* format, ...) {
+    std::va_list args;
+    va_start(args, format);
+    std::vfprintf(stderr, format, args);
+    va_end(args);
+    std::fputc('\n', stderr);
+    std::abort();
 }
 
 std::string FormatTime(Time t) {

@@ -34,6 +34,14 @@ class Logger {
     static LogLevel level_;
 };
 
+/**
+ * API misuse: print one line on stderr naming the call and the bad
+ * value, then abort. Always on — unlike assert(), release builds keep
+ * the check.
+ */
+[[noreturn]] void FatalMisuse(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
+
 namespace internal {
 
 /** Stream-style builder that emits on destruction. */

@@ -36,50 +36,63 @@ void FederatedDispatcher::SetObservability(obs::ShardObs* obs) {
 
 FederatedDispatcher::~FederatedDispatcher() {
     for (auto& slot : pods_) {
-        for (auto& slice : slot.slices) {
-            if (slice.health_subscription >= 0) {
-                slice.context->health_monitor().RemoveFailureSubscriber(
-                    slice.health_subscription);
-            }
-            slice.context->pool().set_on_rings_available_changed(nullptr);
-        }
-        if (!slot.slices.empty()) continue;
         if (slot.health_subscription >= 0) {
             slot.context->health_monitor().RemoveFailureSubscriber(
                 slot.health_subscription);
         }
-        if (slot.shard >= 0) {
-            slot.context->pool().set_on_rings_available_changed(nullptr);
+        for (auto& slice : slot.slices) {
+            slice.context->health_monitor().RemoveFailureSubscriber(
+                slice.health_subscription);
+            slice.context->pool().set_on_rings_available_changed(nullptr);
         }
     }
 }
 
 void FederatedDispatcher::BindShardGroup(const ShardBinding& binding) {
-    assert(pods_.empty() && "bind before the first pod attach");
-    assert(binding.group != nullptr);
-    assert(binding.coordinator_shard >= 0 &&
-           binding.coordinator_shard < binding.group->shard_count());
+    if (!pods_.empty()) {
+        FatalMisuse("FederatedDispatcher::BindShardGroup: called after %d "
+                    "pod attach(es); bind before the first attach",
+                    pod_count());
+    }
+    if (binding.group == nullptr) {
+        FatalMisuse("FederatedDispatcher::BindShardGroup: null group");
+    }
+    if (binding.coordinator_shard < 0 ||
+        binding.coordinator_shard >= binding.group->shard_count()) {
+        FatalMisuse("FederatedDispatcher::BindShardGroup: coordinator shard "
+                    "%d outside [0, %d)",
+                    binding.coordinator_shard, binding.group->shard_count());
+    }
     // The per-edge lookahead contract replaces the old hop >= epoch
     // check: each attach declares its actual hop latencies as the
     // group's edge lookaheads (DeclareShardEdges), so hops narrower
     // than the uniform default are legal — the group's bounds simply
     // tighten on those edges instead of the whole federation slowing.
-    assert(binding.inject_hop > 0);
-    assert(binding.completion_hop > 0);
+    if (binding.inject_hop <= 0 || binding.completion_hop <= 0) {
+        FatalMisuse("FederatedDispatcher::BindShardGroup: hops must be "
+                    "positive (inject_hop=%lld ps, completion_hop=%lld ps)",
+                    static_cast<long long>(binding.inject_hop),
+                    static_cast<long long>(binding.completion_hop));
+    }
     binding_ = binding;
 }
 
-void FederatedDispatcher::DeclareShardEdges(int shard) {
+void FederatedDispatcher::DeclareShardEdges(const char* caller, int shard) {
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
-    // The real hop costs, asserted at attach and re-asserted on
-    // re-admission: a false return means someone narrowed an edge the
-    // group already ran with — a broken lookahead promise.
-    bool ok = group->SetEdgeLookahead(coord, shard, binding_.inject_hop);
-    assert(ok && "inject hop narrower than the edge already promised");
-    ok = group->SetEdgeLookahead(shard, coord, binding_.completion_hop);
-    assert(ok && "completion hop narrower than the edge already promised");
-    (void)ok;
+    // The real hop costs, declared at attach and re-declared on
+    // re-admission. The group refuses a hop narrower than an edge it
+    // already ran with (someone widened the edge through group() after
+    // a run): honoring it now could deliver into a shard's past.
+    const auto declare = [group, caller](int from, int to, Time hop) {
+        if (group->SetEdgeLookahead(from, to, hop)) return;
+        FatalMisuse("FederatedDispatcher::%s: hop %lld ps on edge %d->%d is "
+                    "narrower than the %lld ps the group already ran with",
+                    caller, static_cast<long long>(hop), from, to,
+                    static_cast<long long>(group->edge_lookahead(from, to)));
+    };
+    declare(coord, shard, binding_.inject_hop);
+    declare(shard, coord, binding_.completion_hop);
     // Pods (and slices) never message each other directly — everything
     // crosses the coordinator — so those edges are unreachable, and a
     // shard's advance is bounded only by its real inbound paths.
@@ -94,20 +107,75 @@ void FederatedDispatcher::DeclareShardEdges(int shard) {
 }
 
 int FederatedDispatcher::AttachPod(mgmt::PodContext* pod) {
-    return AttachPodInternal(pod, /*shard=*/-1);
-}
-
-int FederatedDispatcher::AttachPodShard(mgmt::PodContext* pod, int shard) {
-    assert(sharded() && "BindShardGroup first");
-    assert(shard >= 0 && shard < binding_.group->shard_count());
-    assert(shard != binding_.coordinator_shard &&
-           "a pod cannot share the coordinator shard");
-    return AttachPodInternal(pod, shard);
+    assert(pod != nullptr);
+    // Direct seams call into dispatcher state synchronously: on a pod
+    // shard they would write coordinator state from another shard.
+    if (sharded()) {
+        FatalMisuse("FederatedDispatcher::AttachPod: dispatcher is bound to "
+                    "a shard group (coordinator shard %d); attach through "
+                    "AttachPodSlices",
+                    binding_.coordinator_shard);
+    }
+    if (pod_count() >= 64) {
+        // The per-query tried-set is a 64-bit mask; a 65th pod would
+        // alias bit 0 (shift UB). Enforced in release builds too — the
+        // pod is refused, not silently mis-tracked.
+        LOG_ERROR("federation")
+            << "rotation full: 64 pods per dispatcher; pod "
+            << pod->pod_id() << " refused";
+        return -1;
+    }
+    const int index = pod_count();
+    PodSlot slot;
+    slot.context = pod;
+    slot.node_dead.assign(
+        static_cast<std::size_t>(pod->fabric().node_count()), 0);
+    // The health plane is the fast path for whole-pod loss: once every
+    // node of a pod is flagged for manual service the pod can never
+    // return without operator action, so the breaker latches open and
+    // the pod is skipped without probing — no query has to die to
+    // rediscover it. Partial failures stay the pool's business (it
+    // drains only the hit ring) and only feed the stats here.
+    //
+    // The predictive plane: every published score updates the slot and
+    // drives the shed/unshed hysteresis. Pods without a running
+    // forecaster never publish, so they stay default-healthy here.
+    slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
+        [this, index](const mgmt::MachineReport& report) {
+            ApplyMachineReport(index, report);
+        });
+    slot.score_subscription = pod->health_feed().SubscribeScoped(
+        [this, index](const mgmt::HealthScoreSample& sample) {
+            OnHealthSample(index, sample);
+        });
+    pods_.push_back(std::move(slot));
+    return index;
 }
 
 int FederatedDispatcher::AttachPodSlices(const std::vector<PodSlice>& slices) {
-    assert(sharded() && "BindShardGroup first");
-    assert(!slices.empty());
+    if (!sharded()) {
+        FatalMisuse("FederatedDispatcher::AttachPodSlices: no shard group "
+                    "bound; call BindShardGroup first");
+    }
+    if (slices.empty()) {
+        FatalMisuse("FederatedDispatcher::AttachPodSlices: no slices");
+    }
+    const int shards = binding_.group->shard_count();
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+        const PodSlice& s = slices[i];
+        if (s.context == nullptr) {
+            FatalMisuse("FederatedDispatcher::AttachPodSlices: slice %zu "
+                        "has a null context",
+                        i);
+        }
+        if (s.shard < 0 || s.shard >= shards ||
+            s.shard == binding_.coordinator_shard) {
+            FatalMisuse("FederatedDispatcher::AttachPodSlices: slice %zu on "
+                        "shard %d; pod shards are [0, %d) except the "
+                        "coordinator's %d",
+                        i, s.shard, shards, binding_.coordinator_shard);
+        }
+    }
     if (pod_count() >= 64) {
         LOG_ERROR("federation")
             << "rotation full: 64 pods per dispatcher; pod "
@@ -117,12 +185,8 @@ int FederatedDispatcher::AttachPodSlices(const std::vector<PodSlice>& slices) {
     const int index = pod_count();
     PodSlot slot;
     slot.context = slices.front().context;
-    slot.shard = slices.front().shard;
     int total_nodes = 0;
     for (const PodSlice& s : slices) {
-        assert(s.context != nullptr);
-        assert(s.shard >= 0 && s.shard < binding_.group->shard_count());
-        assert(s.shard != binding_.coordinator_shard);
         SliceState state;
         state.context = s.context;
         state.shard = s.shard;
@@ -131,7 +195,7 @@ int FederatedDispatcher::AttachPodSlices(const std::vector<PodSlice>& slices) {
         slot.rings_view += state.rings_view;
         total_nodes += s.context->fabric().node_count();
         slot.slices.push_back(std::move(state));
-        DeclareShardEdges(s.shard);
+        DeclareShardEdges("AttachPodSlices", s.shard);
     }
     slot.node_dead.assign(static_cast<std::size_t>(total_nodes), 0);
     pods_.push_back(std::move(slot));
@@ -151,11 +215,12 @@ void FederatedDispatcher::AttachSliceSeams(int pod_index, int slice_index) {
     const Time hop = binding_.completion_hop;
     const int shard = slice.shard;
     const int node_offset = slice.node_offset;
-    // Same three seams a whole-pod shard gets (health reports, score
-    // feed, ring availability), per slice, each shipped one completion
-    // hop to the coordinator. Reports remap into the logical pod's
-    // node space; scores fold into a pod-level aggregate; availability
-    // sums into the pod-level rings_view the admission check reads.
+    // The seams fire on the slice's shard and must not touch dispatcher
+    // state there: each ships a plain copy of its payload one completion
+    // hop to the coordinator, the return path completions take. Reports
+    // remap into the logical pod's node space; scores fold into a
+    // pod-level aggregate; availability sums into the pod-level
+    // rings_view the admission check reads.
     slice.health_subscription = pod->health_monitor().AddFailureSubscriber(
         [this, group, coord, hop, pod_index, node_offset,
          shard](const mgmt::MachineReport& report) {
@@ -166,6 +231,8 @@ void FederatedDispatcher::AttachSliceSeams(int pod_index, int slice_index) {
                             ApplyMachineReport(pod_index, remapped);
                         });
         });
+    // Daemon: periodic score publishing must not keep the group's Run()
+    // alive once foreground work drains.
     slice.score_subscription = pod->health_feed().SubscribeScoped(
         [this, group, coord, hop, pod_index, slice_index,
          shard](const mgmt::HealthScoreSample& sample) {
@@ -176,6 +243,9 @@ void FederatedDispatcher::AttachSliceSeams(int pod_index, int slice_index) {
                         },
                         sim::EventPriority::kDeliver, /*daemon=*/true);
         });
+    // Ring availability: seeded at attach, then pushed on every rotation
+    // change — one hop stale by construction, the optimistic-admission
+    // window the slice-side reject path covers.
     pod->pool().set_on_rings_available_changed(
         [this, group, coord, hop, pod_index, slice_index, shard](int rings) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
@@ -197,106 +267,24 @@ void FederatedDispatcher::OnSliceHealthSample(
         slot.slices[static_cast<std::size_t>(slice_index)];
     slice.health_score = sample.score;
     slice.band = sample.band;
-    // Pod-level aggregate: the worst slice past warm-up. A pod is only
-    // as healthy as its sickest ring — one degrading slice must pull
-    // routing weight off the whole pod the same way a degrading
-    // whole-pod score does — and while every slice is still warming
-    // the pod keeps its cold-start grace.
-    mgmt::HealthScoreSample aggregate = sample;
-    aggregate.score = 1.0;
-    aggregate.band = mgmt::HealthBand::kWarmingUp;
+    // Pod-level aggregate: the worst slice, slices past warm-up ranking
+    // before warming ones. A pod is only as healthy as its sickest ring
+    // — one degrading slice pulls routing weight off the whole pod —
+    // and while every slice is still warming the pod keeps its
+    // cold-start grace. A one-slice pod forwards its sample unchanged.
+    const SliceState* worst = &slot.slices.front();
     for (const SliceState& s : slot.slices) {
-        if (s.band == mgmt::HealthBand::kWarmingUp) continue;
-        if (aggregate.band == mgmt::HealthBand::kWarmingUp ||
-            s.health_score < aggregate.score) {
-            aggregate.score = s.health_score;
-            aggregate.band = s.band;
+        const bool warming = s.band == mgmt::HealthBand::kWarmingUp;
+        const bool worst_warming = worst->band == mgmt::HealthBand::kWarmingUp;
+        if (warming != worst_warming ? !warming
+                                     : s.health_score < worst->health_score) {
+            worst = &s;
         }
     }
+    mgmt::HealthScoreSample aggregate = sample;
+    aggregate.score = worst->health_score;
+    aggregate.band = worst->band;
     OnHealthSample(pod_index, aggregate);
-}
-
-int FederatedDispatcher::AttachPodInternal(mgmt::PodContext* pod, int shard) {
-    assert(pod != nullptr);
-    if (pod_count() >= 64) {
-        // The per-query tried-set is a 64-bit mask; a 65th pod would
-        // alias bit 0 (shift UB). Enforced in release builds too — the
-        // pod is refused, not silently mis-tracked.
-        LOG_ERROR("federation")
-            << "rotation full: 64 pods per dispatcher; pod "
-            << pod->pod_id() << " refused";
-        return -1;
-    }
-    const int index = pod_count();
-    PodSlot slot;
-    slot.context = pod;
-    slot.shard = shard;
-    slot.node_dead.assign(
-        static_cast<std::size_t>(pod->fabric().node_count()), 0);
-    if (shard >= 0) DeclareShardEdges(shard);
-    // The health plane is the fast path for whole-pod loss: once every
-    // node of a pod is flagged for manual service the pod can never
-    // return without operator action, so the breaker latches open and
-    // the pod is skipped without probing — no query has to die to
-    // rediscover it. Partial failures stay the pool's business (it
-    // drains only the hit ring) and only feed the stats here.
-    //
-    // The predictive plane: every published score updates the slot and
-    // drives the shed/unshed hysteresis. Pods without a running
-    // forecaster never publish, so they stay default-healthy here.
-    if (shard < 0) {
-        slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
-            [this, index](const mgmt::MachineReport& report) {
-                ApplyMachineReport(index, report);
-            });
-        slot.score_subscription = pod->health_feed().SubscribeScoped(
-            [this, index](const mgmt::HealthScoreSample& sample) {
-                OnHealthSample(index, sample);
-            });
-    } else {
-        // Sharded federation: these callbacks fire on the pod's shard
-        // and must not touch dispatcher state there. Each ships its
-        // payload (a plain copy) to the coordinator through the group
-        // mailbox, one completion hop away — pod-boundary telemetry
-        // rides the same return path completions do.
-        sim::SimulatorGroup* group = binding_.group;
-        const int coord = binding_.coordinator_shard;
-        const Time hop = binding_.completion_hop;
-        slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
-            [this, group, coord, hop, index,
-             shard](const mgmt::MachineReport& report) {
-                group->Post(shard, coord, group->shard(shard).Now() + hop,
-                            [this, index, report] {
-                                ApplyMachineReport(index, report);
-                            });
-            });
-        slot.score_subscription = pod->health_feed().SubscribeScoped(
-            [this, group, coord, hop, index,
-             shard](const mgmt::HealthScoreSample& sample) {
-                // Daemon: periodic score publishing must not keep the
-                // group's Run() alive once foreground work drains.
-                group->Post(shard, coord, group->shard(shard).Now() + hop,
-                            [this, index, sample] {
-                                OnHealthSample(index, sample);
-                            },
-                            sim::EventPriority::kDeliver, /*daemon=*/true);
-            });
-        // Coordinator-side ring availability: seeded now, then kept
-        // fresh by pushed updates on every rotation change. The view is
-        // one hop stale by construction — the optimistic-admission
-        // window the pod-side reject path covers.
-        slot.rings_view = pod->pool().available_rings();
-        pod->pool().set_on_rings_available_changed(
-            [this, group, coord, hop, index, shard](int rings) {
-                group->Post(shard, coord, group->shard(shard).Now() + hop,
-                            [this, index, rings] {
-                                pods_[static_cast<std::size_t>(index)]
-                                    .rings_view = rings;
-                            });
-            });
-    }
-    pods_.push_back(std::move(slot));
-    return index;
 }
 
 void FederatedDispatcher::ApplyMachineReport(
@@ -315,7 +303,7 @@ void FederatedDispatcher::ApplyMachineReport(
     hit.node_dead[static_cast<std::size_t>(report.node)] = 1;
     ++hit.dead_nodes;
     // The ledger spans the whole logical pod (every slice of a
-    // sub-sharded one), so the latch still means "every node gone".
+    // sharded one), so the latch still means "every node gone".
     if (hit.dead_nodes >= static_cast<int>(hit.node_dead.size())) {
         if (simulator_->Now() >= hit.breaker_open_until) {
             ++counters_.breaker_trips;
@@ -360,15 +348,11 @@ void FederatedDispatcher::OnHealthSample(
 void FederatedDispatcher::ReadmitPod(int index) {
     PodSlot& slot = pods_[static_cast<std::size_t>(index)];
     const Time now = simulator_->Now();
-    // Re-assert the pod's edge lookaheads: servicing must not have
+    // Re-declare the pod's edge lookaheads: servicing must not have
     // shortened any hop the group already ran with (the group rejects
     // a narrowed edge; widening or re-stating the same hop is a no-op).
-    if (slot.shard >= 0) {
-        if (slot.slices.empty()) {
-            DeclareShardEdges(slot.shard);
-        } else {
-            for (const SliceState& s : slot.slices) DeclareShardEdges(s.shard);
-        }
+    for (const SliceState& s : slot.slices) {
+        DeclareShardEdges("ReadmitPod", s.shard);
     }
     // Breaker reset, fatal latch included: the dead-node ledger
     // restarts from zero, so a fresh fatal fault on the serviced pod
@@ -446,9 +430,9 @@ bool FederatedDispatcher::Eligible(const PodSlot& slot) const {
                                            WarmupRamp(slot)));
         if (slot.in_flight >= cap) return false;
     }
-    // Sharded mode reads the pushed availability proxy — the pod's pool
-    // lives on another shard and must not be touched synchronously.
-    if (slot.shard >= 0) return slot.rings_view > 0;
+    // A sharded pod reads the pushed availability proxy — its pool
+    // lives on other shards and must not be touched synchronously.
+    if (!slot.slices.empty()) return slot.rings_view > 0;
     return slot.context->pool().available_rings() > 0;
 }
 
@@ -587,7 +571,7 @@ int FederatedDispatcher::PickShedProbe(std::uint64_t tried) {
             slot.in_flight >= config_.max_in_flight_per_pod) {
             continue;
         }
-        const int rings = slot.shard >= 0
+        const int rings = !slot.slices.empty()
                               ? slot.rings_view
                               : slot.context->pool().available_rings();
         if (rings > 0) return i;
@@ -702,48 +686,42 @@ host::SendStatus FederatedDispatcher::TryInject(
                            slot.breaker_open_until !=
                                std::numeric_limits<Time>::max() &&
                            injected_at >= slot.breaker_open_until);
-    if (slot.shard >= 0) {
+    if (!slot.slices.empty()) {
         // Mailbox mode: admit optimistically and ship the inject one
-        // hop to the pod's shard. The pool's verdict (completion or
+        // hop to a slice's shard. The pool's verdict (completion or
         // refusal) comes back a completion hop later; a refusal is
         // handled as a failover, not re-walked synchronously — the
         // admission decision here was made on a one-hop-stale view and
         // that latency is real.
         //
-        // A sub-sharded pod adds a placement step: the query lands on
-        // the least-loaded slice whose ring is in rotation (mirror
-        // view), ties broken by a rotating cursor so light load still
-        // spreads over every ring instead of camping on slice 0 — the
-        // coordinator-side analogue of the pool's least-in-flight ring
-        // dispatch. Deterministic: cursor state lives on the
-        // coordinator shard only.
+        // Placement: the query lands on the least-loaded slice whose
+        // ring is in rotation (mirror view), ties broken by a rotating
+        // cursor so light load still spreads over every ring instead
+        // of camping on slice 0 — the coordinator-side analogue of the
+        // pool's least-in-flight ring dispatch. Deterministic: cursor
+        // state lives on the coordinator shard only.
+        const int n = static_cast<int>(slot.slices.size());
         int slice_index = -1;
-        int target_shard = slot.shard;
-        if (!slot.slices.empty()) {
-            const int n = static_cast<int>(slot.slices.size());
-            for (int i = 0; i < n; ++i) {
-                const int si = (slot.slice_rr + i) % n;
-                const SliceState& s =
-                    slot.slices[static_cast<std::size_t>(si)];
-                if (s.rings_view <= 0) continue;
-                if (slice_index < 0 ||
-                    s.in_flight <
-                        slot.slices[static_cast<std::size_t>(slice_index)]
-                            .in_flight) {
-                    slice_index = si;
-                }
+        for (int i = 0; i < n; ++i) {
+            const int si = (slot.slice_rr + i) % n;
+            const SliceState& s = slot.slices[static_cast<std::size_t>(si)];
+            if (s.rings_view <= 0) continue;
+            if (slice_index < 0 ||
+                s.in_flight <
+                    slot.slices[static_cast<std::size_t>(slice_index)]
+                        .in_flight) {
+                slice_index = si;
             }
-            if (slice_index < 0) {
-                // Every slice's ring is out of rotation on the mirror:
-                // synchronous refusal, like a direct-mode pool reject —
-                // the caller walks on without spending a retry.
-                ++slot.stat_rejected;
-                return host::SendStatus::kTimeout;
-            }
-            target_shard =
-                slot.slices[static_cast<std::size_t>(slice_index)].shard;
-            slot.slice_rr = (slice_index + 1) % n;
         }
+        if (slice_index < 0) {
+            // Every slice's ring is out of rotation on the mirror:
+            // synchronous refusal, like a direct-mode pool reject — the
+            // caller walks on without spending a retry.
+            ++slot.stat_rejected;
+            return host::SendStatus::kTimeout;
+        }
+        SliceState& slice = slot.slices[static_cast<std::size_t>(slice_index)];
+        slot.slice_rr = (slice_index + 1) % n;
         const std::uint64_t query_id = next_query_id_++;
         PendingInject pending;
         pending.query = query;
@@ -754,16 +732,14 @@ host::SendStatus FederatedDispatcher::TryInject(
         const int thread = query->thread;
         const rank::CompressedRequest request = query->request;
         binding_.group->Post(
-            binding_.coordinator_shard, target_shard,
+            binding_.coordinator_shard, slice.shard,
             injected_at + binding_.inject_hop,
             [this, pod_index, slice_index, query_id, thread, request] {
                 PodInjectOnShard(pod_index, slice_index, query_id, thread,
                                  request);
             });
         ++slot.in_flight;
-        if (slice_index >= 0) {
-            ++slot.slices[static_cast<std::size_t>(slice_index)].in_flight;
-        }
+        ++slice.in_flight;
         if (is_probe) slot.probe_in_flight = true;
         if (query->obs_span != 0) {
             obs_->tracer.Instant("inject", query->obs_trace, query->obs_span,
@@ -793,18 +769,14 @@ host::SendStatus FederatedDispatcher::TryInject(
 void FederatedDispatcher::PodInjectOnShard(
     int pod_index, int slice_index, std::uint64_t query_id, int thread,
     const rank::CompressedRequest& request) {
-    // Runs on the pod's (or slice's) shard. Only the slot's immutable
-    // identity (context pointer, shard index) may be read here — every
-    // mutable dispatcher field belongs to the coordinator thread.
-    PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
-    mgmt::PodContext* target = slot.context;
-    int shard = slot.shard;
-    if (slice_index >= 0) {
-        const SliceState& slice =
-            slot.slices[static_cast<std::size_t>(slice_index)];
-        target = slice.context;
-        shard = slice.shard;
-    }
+    // Runs on the slice's shard. Only the slice's immutable identity
+    // (context pointer, shard index) may be read here — every mutable
+    // dispatcher field belongs to the coordinator thread.
+    const SliceState& slice =
+        pods_[static_cast<std::size_t>(pod_index)]
+            .slices[static_cast<std::size_t>(slice_index)];
+    mgmt::PodContext* target = slice.context;
+    const int shard = slice.shard;
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
     const Time hop = binding_.completion_hop;
@@ -831,11 +803,9 @@ void FederatedDispatcher::OnShardResult(int pod_index, std::uint64_t query_id,
     if (it == pending_.end()) return;  // torn down mid-flight
     PendingInject pending = std::move(it->second);
     pending_.erase(it);
-    if (pending.slice >= 0) {
-        --pods_[static_cast<std::size_t>(pod_index)]
-              .slices[static_cast<std::size_t>(pending.slice)]
-              .in_flight;
-    }
+    --pods_[static_cast<std::size_t>(pod_index)]
+          .slices[static_cast<std::size_t>(pending.slice)]
+          .in_flight;
     OnPodResult(pod_index, std::move(pending.query), pending.injected_at,
                 pending.was_probe, result);
 }
@@ -848,9 +818,7 @@ void FederatedDispatcher::OnShardReject(int pod_index,
     pending_.erase(it);
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
     --slot.in_flight;
-    if (pending.slice >= 0) {
-        --slot.slices[static_cast<std::size_t>(pending.slice)].in_flight;
-    }
+    --slot.slices[static_cast<std::size_t>(pending.slice)].in_flight;
     if (pending.was_probe) slot.probe_in_flight = false;
     ++slot.stat_rejected;
     // A pool-level refusal is not a pod failure (no breaker input, as

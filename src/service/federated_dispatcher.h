@@ -29,6 +29,12 @@
 // a time — so a degrading pod stops eating retries before its first
 // hard failure. ReadmitPod reverses a latch-out for a serviced pod
 // with a warm-up ramp, so a rejoining pod earns its share gradually.
+//
+// A pod attaches direct (AttachPod: it shares the dispatcher's
+// simulator — the unsharded reference) or sliced (AttachPodSlices: 1..R
+// slices, each on its own SimulatorGroup shard, every seam crossing the
+// group's mailboxes). A pod is sharded exactly when it has slices.
+// Attach and bind misuse aborts in every build.
 
 #pragma once
 
@@ -125,23 +131,23 @@ class FederatedDispatcher {
      * (confirmed MachineReports) feeds the per-pod failure stats. The
      * pod must outlive this dispatcher. Returns the pod's index in the
      * rotation, or -1 when the rotation is full (64 pods — the
-     * per-query tried-set is a 64-bit mask).
+     * per-query tried-set is a 64-bit mask). Aborts on a dispatcher
+     * bound to a shard group.
      */
     int AttachPod(mgmt::PodContext* pod);
 
     /**
      * Sharded-federation binding: the dispatcher lives on a
-     * SimulatorGroup coordinator shard and every pod (or ring slice)
-     * lives on its own shard. Cross-shard traffic — injects,
-     * completions, pod-level rejects, health telemetry — travels
-     * through the group's mailboxes with these hop latencies. Each
-     * attach declares its hops as the group's per-edge lookaheads
-     * (coordinator <-> pod edges carry the real hop; pod <-> pod edges
-     * are unreachable, nothing ever crosses them directly), and
-     * ReadmitPod re-asserts them — a narrowed edge is rejected by the
-     * group and asserts here. Must be called before the first pod
-     * attach; the dispatcher's own `simulator` must be the coordinator
-     * shard's.
+     * SimulatorGroup coordinator shard and every pod slice lives on its
+     * own shard. Cross-shard traffic — injects, completions, pod-level
+     * rejects, health telemetry — travels through the group's mailboxes
+     * with these hop latencies. Each slice attach declares its hops as
+     * the group's per-edge lookaheads (coordinator <-> slice edges
+     * carry the real hop; slice <-> slice edges are unreachable,
+     * nothing ever crosses them directly), and ReadmitPod re-declares
+     * them. The dispatcher's own `simulator` must be the coordinator
+     * shard's. Aborts when called after the first attach, with a null
+     * group, a coordinator shard outside the group, or a hop <= 0.
      */
     struct ShardBinding {
         sim::SimulatorGroup* group = nullptr;
@@ -154,22 +160,10 @@ class FederatedDispatcher {
     void BindShardGroup(const ShardBinding& binding);
 
     /**
-     * AttachPod for a sharded federation: `pod`'s whole stack runs on
-     * group shard `shard`, and this dispatcher talks to it only
-     * through mailbox messages. Admission is optimistic: the
-     * coordinator tracks each pod's ring availability through pushed
-     * updates (one hop stale by construction), accepts the query
-     * immediately, and a pod-side refusal comes back as a failover
-     * consuming one retry — the price of the hop, mirroring what a
-     * real front door pays.
-     */
-    int AttachPodShard(mgmt::PodContext* pod, int shard);
-
-    /**
-     * One ring sub-shard of a logical pod: a self-contained single-ring
-     * PodContext slice on its own group shard. `node_offset` maps the
-     * slice's local node ids into the logical pod's node space, so
-     * health reports aggregate into one pod-level dead-node ledger.
+     * One slice of a sharded pod (the whole pod, or one ring of it) on
+     * its own group shard. `node_offset` maps the slice's local node
+     * ids into the logical pod's node space, so health reports
+     * aggregate into one pod-level dead-node ledger.
      */
     struct PodSlice {
         mgmt::PodContext* context = nullptr;
@@ -177,14 +171,18 @@ class FederatedDispatcher {
         int node_offset = 0;
     };
     /**
-     * Attach one logical pod built as ring sub-shard slices. The pod
-     * joins the rotation as a single index — policy picks, admission
-     * caps, breaker, shed and warm-up all stay pod-level — and every
-     * accepted query is then placed on the least-loaded slice whose
-     * ring is in rotation (coordinator-mirrored view; ties take the
-     * lowest slice). A 1-pod/6-ring workload thus spreads over 6
-     * shards instead of serializing on one. Health scores aggregate as
-     * the worst slice past warm-up; ring availability as the sum.
+     * Attach one sharded pod as 1..R slices, reached only through
+     * mailbox messages. The pod joins the rotation as a single index —
+     * policy picks, admission caps, breaker, shed and warm-up stay
+     * pod-level — and each accepted query lands on the least-loaded
+     * slice whose ring is in rotation (ties rotate). Admission is
+     * optimistic: ring availability is a pushed mirror, one hop stale,
+     * and a slice-side refusal comes back as a failover consuming one
+     * retry — the price of the hop a real front door pays. Health
+     * scores aggregate as the worst slice, slices past warm-up first;
+     * ring availability as the sum. Aborts before BindShardGroup, with
+     * no slices, a null context, or a shard outside the group or equal
+     * to the coordinator's.
      */
     int AttachPodSlices(const std::vector<PodSlice>& slices);
 
@@ -248,7 +246,9 @@ class FederatedDispatcher {
      * traffic gradually. In-flight queries on surviving pods are
      * untouched. The caller is responsible for the pod actually being
      * healthy again (hosts serviced, pool redeployed) — see
-     * FederationTestbed::ReattachPod for the full sequence.
+     * FederationTestbed::ReattachPod for the full sequence. Aborts
+     * when a sharded pod's hop is now narrower than an edge the group
+     * already ran with (widened through the group after a run).
      */
     void ReadmitPod(int index);
 
@@ -309,7 +309,7 @@ class FederatedDispatcher {
     void SetObservability(obs::ShardObs* obs);
 
   private:
-    /** Coordinator-side state of one attached ring sub-shard slice. */
+    /** Coordinator-side state of one attached pod slice. */
     struct SliceState {
         mgmt::PodContext* context = nullptr;
         int shard = -1;
@@ -317,7 +317,7 @@ class FederatedDispatcher {
         int node_offset = 0;
         /** Dispatcher-accepted queries in flight on this slice. */
         int in_flight = 0;
-        /** Pushed availability mirror of the slice's single ring. */
+        /** Pushed availability mirror of the slice's rings. */
         int rings_view = 0;
         double health_score = 1.0;
         mgmt::HealthBand band = mgmt::HealthBand::kWarmingUp;
@@ -337,21 +337,17 @@ class FederatedDispatcher {
         Time breaker_opened_at = 0;
         /** A half-open probe query is outstanding (one at a time). */
         bool probe_in_flight = false;
+        /** Direct attach only (a sharded pod subscribes per slice). */
         int health_subscription = -1;
-        /** Sharded mode: the group shard this pod's stack runs on (-1 =
-         *  direct; slice 0's shard for a sub-sharded pod). */
-        int shard = -1;
         /**
-         * Coordinator-side proxy of the pod's available_rings(),
-         * updated by pushed availability messages (summed over slices
-         * for a sub-sharded pod). In direct mode the pool is read
-         * synchronously instead.
+         * Coordinator-side proxy of the pod's available rings, summed
+         * over slices by pushed availability messages. A direct pod's
+         * pool is read synchronously instead.
          */
         int rings_view = 0;
         /**
-         * Ring sub-shard slices of this logical pod; empty for a
-         * direct-mode or whole-pod-shard attach. `context` above is
-         * slice 0's, for identity/logging.
+         * A sharded pod's slices; empty for a direct attach. `context`
+         * above is slice 0's, for identity/logging.
          */
         std::vector<SliceState> slices;
         /** Rotating tie-break cursor for the slice placement step. */
@@ -392,21 +388,21 @@ class FederatedDispatcher {
         std::uint64_t obs_parent = 0;
     };
 
+    /** One mailbox-mode inject awaiting its slice's verdict. */
+    struct PendingInject {
+        std::shared_ptr<QueryContext> query;
+        Time injected_at = 0;
+        bool was_probe = false;
+        /** Slice the query was placed on. */
+        int slice = 0;
+    };
+
     /**
      * Policy pick among eligible pods, skipping indices whose bit is
      * set in `tried` (pods are capped at 64 per dispatcher so the
      * per-query tried-set stays an allocation-free bitmask). Returns
      * -1 when nothing fits.
      */
-    /** One mailbox-mode inject awaiting its pod's verdict. */
-    struct PendingInject {
-        std::shared_ptr<QueryContext> query;
-        Time injected_at = 0;
-        bool was_probe = false;
-        /** Slice the query was placed on (-1 = whole-pod shard). */
-        int slice = -1;
-    };
-
     int PickPod(std::uint32_t model_id, std::uint64_t tried);
     int PickShedProbe(std::uint64_t tried);
     /**
@@ -423,19 +419,17 @@ class FederatedDispatcher {
     /** Routing weight under kScoreWeighted (score x warm-up ramp). */
     double EffectiveWeight(const PodSlot& slot) const;
     void OnHealthSample(int pod_index, const mgmt::HealthScoreSample& sample);
-    /** Shared attach body; `shard` < 0 installs the direct-mode seams. */
-    int AttachPodInternal(mgmt::PodContext* pod, int shard);
     /** Mailbox seams for one slice of an already-created slot. */
     void AttachSliceSeams(int pod_index, int slice_index);
-    /** Declare (and assert) the hop lookaheads of one pod/slice shard. */
-    void DeclareShardEdges(int shard);
+    /** Declare one slice shard's hop lookaheads (aborts when narrowed). */
+    void DeclareShardEdges(const char* caller, int shard);
     /** Fold one slice's published score into the pod-level aggregate. */
     void OnSliceHealthSample(int pod_index, int slice_index,
                              const mgmt::HealthScoreSample& sample);
     /** Confirmed MachineReport bookkeeping (direct call or mailbox hop). */
     void ApplyMachineReport(int pod_index, const mgmt::MachineReport& report);
-    // --- Mailbox mode: the pod-shard half of an inject. ----------------
-    /** Runs on the pod's (or slice's) shard: the actual pool Inject. */
+    // --- Mailbox mode: the slice-shard half of an inject. --------------
+    /** Runs on the slice's shard: the actual pool Inject. */
     void PodInjectOnShard(int pod_index, int slice_index,
                           std::uint64_t query_id, int thread,
                           const rank::CompressedRequest& request);
@@ -455,7 +449,7 @@ class FederatedDispatcher {
     sim::Simulator* simulator_;
     Config config_;
     ShardBinding binding_;
-    /** Every pod/slice shard attached so far (pod <-> pod edges are
+    /** Every slice shard attached so far (slice <-> slice edges are
      *  declared unreachable pairwise as each new shard arrives). */
     std::vector<int> attached_shards_;
     /** Mailbox-mode injects awaiting a pod verdict, by query id. */

@@ -2,24 +2,37 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <string>
+
+#include "common/log.h"
 
 namespace catapult::service {
 
 FederationTestbed::FederationTestbed(Config config)
     : config_(std::move(config)) {
-    assert(config_.pod_count >= 1);
-    assert(!config_.sharding.ring_subshards || config_.sharding.enabled);
-    coordinator_ = &simulator_;
-    if (config_.sharding.enabled && config_.sharding.ring_subshards) {
+    // The dispatcher's rotation holds 64 pods (its per-query tried-set
+    // is a 64-bit mask): a 65th would be built but never attached.
+    if (config_.pod_count < 1 || config_.pod_count > 64) {
+        FatalMisuse("FederationTestbed: pod_count %d outside [1, 64]",
+                    config_.pod_count);
+    }
+    if (config_.sharding.ring_subshards) {
+        if (!config_.sharding.enabled) {
+            FatalMisuse("FederationTestbed: sharding.ring_subshards is set "
+                        "but sharding.enabled is not");
+        }
         // Each ring slice is a 1 x cols torus strip, so a full ring
         // must fit along the column dimension.
-        assert(config_.pod.fabric.topology.cols() >=
-               RankingService::kRingLength);
+        const int cols = config_.pod.fabric.topology.cols();
+        if (cols < RankingService::kRingLength) {
+            FatalMisuse("FederationTestbed: sharding.ring_subshards needs a "
+                        "torus at least one ring wide (cols=%d < ring "
+                        "length %d)",
+                        cols, RankingService::kRingLength);
+        }
         slices_per_pod_ = std::max(1, config_.pod.ring_count);
     }
-    FederatedDispatcher::ShardBinding binding;
+    coordinator_ = &simulator_;
     if (config_.sharding.enabled) {
         // Lookahead derivation: a query (or completion) crossing the
         // pod boundary pays the front-door network transit plus the
@@ -35,8 +48,8 @@ FederationTestbed::FederationTestbed(Config config)
                               ? config_.sharding.completion_hop
                               : leg;
         sim::SimulatorGroup::Config group_config;
-        // Shard 0 = coordinator; pod k's slices (the whole pod when
-        // ring_subshards is off) follow pod-major, slice-minor.
+        // Shard 0 = coordinator; pod k's slices follow pod-major,
+        // slice-minor (see BuildPod).
         group_config.shards = 1 + config_.pod_count * slices_per_pod_;
         group_config.epoch = std::min(inject_hop_, completion_hop_);
         group_config.parallel = config_.sharding.parallel;
@@ -63,41 +76,7 @@ FederationTestbed::FederationTestbed(Config config)
         bind.completion_hop = completion_hop_;
         dispatcher_->BindShardGroup(bind);
     }
-    for (int k = 0; k < config_.pod_count; ++k) {
-        if (slices_per_pod_ > 1) {
-            BuildPodSlices(k);
-            continue;
-        }
-        mgmt::PodContext::Config pod_config = config_.pod;
-        pod_config.pod_id = k;
-        if (k > 0) {
-            // De-correlate the pods' fabrics and injectors while pod 0
-            // keeps the template seed (single-pod reproducibility).
-            pod_config.seed =
-                config_.pod.seed + 0x9E3779B97F4A7C15ull *
-                                       static_cast<std::uint64_t>(k);
-        }
-        if (config_.pod_count > 1) {
-            pod_config.service.service_name += "/pod" + std::to_string(k);
-        }
-        // Shard layout: pod k's entire stack — fabric, hosts, pool,
-        // health plane — on shard 1 + k; the per-pod seed stream is
-        // untouched, so the pod's internal behavior is mode-invariant.
-        sim::Simulator* pod_sim =
-            group_ ? &group_->shard(1 + k) : &simulator_;
-        pod_config.shard_index = group_ ? 1 + k : -1;
-        if (plane_) {
-            pod_config.obs = plane_->shard(group_ ? 1 + k : 0);
-        }
-        pods_.push_back(
-            std::make_unique<mgmt::PodContext>(pod_sim,
-                                               std::move(pod_config)));
-        if (group_) {
-            dispatcher_->AttachPodShard(pods_.back().get(), 1 + k);
-        } else {
-            dispatcher_->AttachPod(pods_.back().get());
-        }
-    }
+    for (int k = 0; k < config_.pod_count; ++k) BuildPod(k);
     SessionFrontEnd::Config fe_config = config_.front_end;
     fe_config.driver_threads = config_.pod.driver_threads;
     front_end_ = std::make_unique<SessionFrontEnd>(coordinator_,
@@ -106,6 +85,73 @@ FederationTestbed::FederationTestbed(Config config)
     if (plane_) {
         front_end_->SetObservability(plane_->shard(0));
         InstallObservability();
+    }
+}
+
+void FederationTestbed::BuildPod(int pod_index) {
+    // Pod `pod_index` is R slices (R = 1 unless ring_subshards). R = 1
+    // is the whole pod under the template config. R > 1 splits it into
+    // self-contained single-ring slices, each a 1 x cols torus strip;
+    // identity is pinned per slice — node base, name prefix, host
+    // names, trace-id stride — so the R slices present as one pod
+    // (same pod id on telemetry and reports, slice-local node ids
+    // remapped into pod node space by the dispatcher's seams) without
+    // any layer's names or ids colliding. Sharded, slice r runs on
+    // shard 1 + pod_index * R + r; the per-slice seed stream does not
+    // depend on the layout, so a pod's internal behavior does not
+    // either.
+    const int R = slices_per_pod_;
+    const int cols = config_.pod.fabric.topology.cols();
+    const int pod_nodes = config_.pod.fabric.topology.node_count();
+    std::vector<FederatedDispatcher::PodSlice> slices;
+    for (int r = 0; r < R; ++r) {
+        const int g = pod_index * R + r;  // global slice index
+        mgmt::PodContext::Config sc = config_.pod;
+        sc.pod_id = pod_index;
+        if (g > 0) {
+            // De-correlate the slices' fabrics and injectors by a
+            // golden-ratio stream split while slice 0 of pod 0 keeps
+            // the template seed (single-pod reproducibility).
+            sc.seed = config_.pod.seed +
+                      0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(g);
+        }
+        if (config_.pod_count > 1) {
+            sc.service.service_name += "/pod" + std::to_string(pod_index);
+        }
+        if (R > 1) {
+            sc.ring_count = 1;
+            sc.fabric.topology = fabric::TorusTopology(1, cols);
+            sc.fabric.pod_id = pod_index;
+            sc.fabric.node_base = pod_index * pod_nodes + r * cols;
+            // Built with += in a fresh string: assigning into the copied
+            // template trips GCC 12's -Wrestrict false positive.
+            const auto slice_name = [&](std::string out, const char* ring) {
+                out += std::to_string(pod_index);
+                out += ring;
+                out += std::to_string(r);
+                return out;
+            };
+            sc.fabric.name_prefix = slice_name("pod", ".ring");
+            sc.host_name_prefix = slice_name("p", ".r") + ".srv";
+            // Pod-strided then ring-strided, matching the unsliced
+            // pool's per-ring stride — cross-slice FDR trace ids never
+            // collide.
+            sc.service.trace_id_base =
+                (static_cast<std::uint64_t>(pod_index) << 48) |
+                (static_cast<std::uint64_t>(r) << 40);
+            sc.service.service_name += "/ring" + std::to_string(r);
+        }
+        const int shard = group_ ? 1 + g : -1;
+        sc.shard_index = shard;
+        if (plane_) sc.obs = plane_->shard(group_ ? shard : 0);
+        pods_.push_back(std::make_unique<mgmt::PodContext>(
+            group_ ? &group_->shard(shard) : &simulator_, std::move(sc)));
+        slices.push_back({pods_.back().get(), shard, r * cols});
+    }
+    if (group_) {
+        dispatcher_->AttachPodSlices(slices);
+    } else {
+        dispatcher_->AttachPod(pods_.back().get());
     }
 }
 
@@ -221,173 +267,13 @@ void FederationTestbed::InstallObservability() {
     });
 }
 
-void FederationTestbed::BuildPodSlices(int pod_index) {
-    // Ring sub-shards: pod `pod_index` splits into R self-contained
-    // single-ring slices, each a 1 x cols torus strip on its own group
-    // shard. Identity is pinned per slice — node base, name prefix,
-    // host names, trace-id stride — so the R slices present as one pod
-    // (same pod id on telemetry and reports, slice-local node ids
-    // remapped into pod node space by the dispatcher's seams) without
-    // any layer's names or ids colliding.
-    const int R = slices_per_pod_;
-    const int cols = config_.pod.fabric.topology.cols();
-    const int pod_nodes = config_.pod.fabric.topology.node_count();
-    std::vector<FederatedDispatcher::PodSlice> slices;
-    for (int r = 0; r < R; ++r) {
-        const int g = pod_index * R + r;  // global slice index
-        const int shard = 1 + g;
-        mgmt::PodContext::Config sc = config_.pod;
-        sc.pod_id = pod_index;
-        sc.ring_count = 1;
-        sc.fabric.topology = fabric::TorusTopology(1, cols);
-        sc.fabric.pod_id = pod_index;
-        sc.fabric.node_base = pod_index * pod_nodes + r * cols;
-        // += chains for the same -Wrestrict reason as PodContext.
-        sc.fabric.name_prefix = "pod";
-        sc.fabric.name_prefix += std::to_string(pod_index);
-        sc.fabric.name_prefix += ".ring";
-        sc.fabric.name_prefix += std::to_string(r);
-        sc.host_name_prefix = "p";
-        sc.host_name_prefix += std::to_string(pod_index);
-        sc.host_name_prefix += ".r";
-        sc.host_name_prefix += std::to_string(r);
-        sc.host_name_prefix += ".srv";
-        // Pod-strided then ring-strided, matching the unsliced pool's
-        // per-ring stride — cross-slice FDR trace ids never collide.
-        sc.service.trace_id_base =
-            (static_cast<std::uint64_t>(pod_index) << 48) |
-            (static_cast<std::uint64_t>(r) << 40);
-        if (g > 0) {
-            // Same golden-ratio stream split as whole-pod mode, keyed
-            // by the global slice index; slice 0 of pod 0 keeps the
-            // template seed.
-            sc.seed = config_.pod.seed +
-                      0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(g);
-        }
-        if (config_.pod_count > 1) {
-            sc.service.service_name += "/pod" + std::to_string(pod_index);
-        }
-        sc.service.service_name += "/ring" + std::to_string(r);
-        sc.shard_index = shard;
-        if (plane_) sc.obs = plane_->shard(shard);
-        pods_.push_back(std::make_unique<mgmt::PodContext>(
-            &group_->shard(shard), std::move(sc)));
-        FederatedDispatcher::PodSlice slice;
-        slice.context = pods_.back().get();
-        slice.shard = shard;
-        slice.node_offset = r * cols;
-        slices.push_back(slice);
-    }
-    dispatcher_->AttachPodSlices(slices);
-}
-
-void FederationTestbed::ReattachPod(int index,
-                                    std::function<void(bool)> on_done) {
-    if (group_ && slices_per_pod_ > 1) {
-        // Each ring slice runs the full service sequence on its own
-        // shard; the verdicts hop back to the coordinator, whose
-        // canonical drain makes the join state single-writer. Only
-        // when every slice redeployed does the pod re-enter rotation.
-        struct Join {
-            int pending = 0;
-            bool all_ok = true;
-            std::function<void(bool)> on_done;
-        };
-        auto join = std::make_shared<Join>();
-        join->pending = slices_per_pod_;
-        join->on_done = std::move(on_done);
-        for (int r = 0; r < slices_per_pod_; ++r) {
-            const int shard = 1 + index * slices_per_pod_ + r;
-            auto slice_local = [this, index, r, shard, join]() {
-                mgmt::PodContext& p = this->pod_slice(index, r);
-                auto pending = std::make_shared<int>(
-                    static_cast<int>(p.hosts().size()));
-                auto resume = [this, index, r, shard, join]() {
-                    mgmt::PodContext& ready = this->pod_slice(index, r);
-                    for (int node = 0;
-                         node < ready.fabric().node_count(); ++node) {
-                        ready.health_monitor().MarkNodeServiced(node);
-                    }
-                    ready.pool().ClearRecoveryBacklog();
-                    ready.forecaster().ResetForReadmission();
-                    ready.pool().Deploy([this, index, shard,
-                                         join](bool ok) {
-                        group_->Post(
-                            shard, 0,
-                            group_->shard(shard).Now() + completion_hop_,
-                            [this, index, ok, join]() {
-                                if (!ok) join->all_ok = false;
-                                if (--join->pending > 0) return;
-                                if (join->all_ok) {
-                                    dispatcher_->ReadmitPod(index);
-                                }
-                                if (join->on_done) {
-                                    join->on_done(join->all_ok);
-                                }
-                            });
-                    });
-                };
-                for (host::HostServer* host : p.hosts()) {
-                    host->Service([pending, resume]() mutable {
-                        if (--*pending == 0) resume();
-                    });
-                }
-            };
-            group_->Post(0, shard, coordinator_->Now() + inject_hop_,
-                         std::move(slice_local));
-        }
-        return;
-    }
-    if (group_) {
-        // The service sequence is pod-local and must run on the pod's
-        // shard; only the final re-admission belongs to the
-        // coordinator. One hop out carries the mgmt-plane command, one
-        // hop back carries the redeploy verdict.
-        const int shard = 1 + index;
-        auto pod_local = [this, index, shard,
-                          on_done = std::move(on_done)]() mutable {
-            mgmt::PodContext& p = this->pod(index);
-            auto pending =
-                std::make_shared<int>(static_cast<int>(p.hosts().size()));
-            auto resume = [this, index, shard,
-                           on_done = std::move(on_done)]() mutable {
-                mgmt::PodContext& ready = this->pod(index);
-                for (int node = 0; node < ready.fabric().node_count();
-                     ++node) {
-                    ready.health_monitor().MarkNodeServiced(node);
-                }
-                ready.pool().ClearRecoveryBacklog();
-                ready.forecaster().ResetForReadmission();
-                ready.pool().Deploy([this, index, shard,
-                                     on_done = std::move(on_done)](
-                                        bool ok) mutable {
-                    group_->Post(
-                        shard, 0,
-                        group_->shard(shard).Now() + completion_hop_,
-                        [this, index, ok,
-                         on_done = std::move(on_done)]() mutable {
-                            if (ok) dispatcher_->ReadmitPod(index);
-                            if (on_done) on_done(ok);
-                        });
-                });
-            };
-            for (host::HostServer* host : p.hosts()) {
-                host->Service([pending, resume]() mutable {
-                    if (--*pending == 0) resume();
-                });
-            }
-        };
-        group_->Post(0, shard, coordinator_->Now() + inject_hop_,
-                     std::move(pod_local));
-        return;
-    }
-    mgmt::PodContext& pod = this->pod(index);
+void FederationTestbed::ServiceAndRedeploy(
+    mgmt::PodContext& pod, std::function<void(bool)> on_deployed) {
     // 1. Field service: every host repaired and power-cycled. The
     //    servicing runs concurrently across the pod's machines; the
     //    rest of the sequence waits for the last one.
     auto pending = std::make_shared<int>(static_cast<int>(pod.hosts().size()));
-    auto resume = [this, index, on_done = std::move(on_done)]() mutable {
-        mgmt::PodContext& ready = this->pod(index);
+    auto resume = [&pod, on_deployed = std::move(on_deployed)]() mutable {
         // 2. The health plane forgives: every node was just field-
         //    serviced, so every watchdog grudge goes — dead flags
         //    (heartbeat coverage resumes), but also miss streaks,
@@ -396,26 +282,64 @@ void FederationTestbed::ReattachPod(int index,
         //    investigate freshly replaced hardware and re-flag it. The
         //    pool's deferred blackout-era reports are dropped for the
         //    same reason.
-        for (int node = 0; node < ready.fabric().node_count(); ++node) {
-            ready.health_monitor().MarkNodeServiced(node);
+        for (int node = 0; node < pod.fabric().node_count(); ++node) {
+            pod.health_monitor().MarkNodeServiced(node);
         }
-        ready.pool().ClearRecoveryBacklog();
+        pod.pool().ClearRecoveryBacklog();
         // 3. The forecaster forgets: blackout-era fault rates must not
         //    poison the serviced pod's fresh score (cold-start grace
         //    restarts, so the pod cannot be re-shed on a stale trend).
-        ready.forecaster().ResetForReadmission();
-        // 4. Redeploy the rings onto the serviced hardware, then
-        //    hot-attach the pod back into the dispatcher's rotation.
-        ready.pool().Deploy(
-            [this, index, on_done = std::move(on_done)](bool ok) {
-                if (ok) dispatcher_->ReadmitPod(index);
-                if (on_done) on_done(ok);
-            });
+        pod.forecaster().ResetForReadmission();
+        // 4. Redeploy the rings onto the serviced hardware.
+        pod.pool().Deploy(std::move(on_deployed));
     };
     for (host::HostServer* host : pod.hosts()) {
         host->Service([pending, resume]() mutable {
             if (--*pending == 0) resume();
         });
+    }
+}
+
+void FederationTestbed::ReattachPod(int index,
+                                    std::function<void(bool)> on_done) {
+    // Every slice runs the service sequence on its own simulator; the
+    // pod re-enters the dispatcher's rotation only once every slice
+    // redeployed. The join lives on the coordinator: sharded, one hop
+    // out carries the mgmt-plane command to each slice's shard and one
+    // hop back carries its redeploy verdict, and the coordinator's
+    // canonical drain keeps the join single-writer. Unsharded, nothing
+    // hops: the sequence and its verdict run on the shared simulator.
+    struct Join {
+        int pending = 0;
+        bool all_ok = true;
+        std::function<void(bool)> on_done;
+    };
+    auto join = std::make_shared<Join>();
+    join->pending = slices_per_pod_;
+    join->on_done = std::move(on_done);
+    auto verdict = [this, index, join](bool ok) {
+        if (!ok) join->all_ok = false;
+        if (--join->pending > 0) return;
+        if (join->all_ok) dispatcher_->ReadmitPod(index);
+        if (join->on_done) join->on_done(join->all_ok);
+    };
+    for (int r = 0; r < slices_per_pod_; ++r) {
+        mgmt::PodContext* slice = &pod_slice(index, r);
+        if (!group_) {
+            ServiceAndRedeploy(*slice, verdict);
+            continue;
+        }
+        const int shard = slice->shard_index();
+        group_->Post(0, shard, coordinator_->Now() + inject_hop_,
+                     [this, slice, shard, verdict] {
+                         ServiceAndRedeploy(*slice, [this, shard,
+                                                     verdict](bool ok) {
+                             group_->Post(shard, 0,
+                                          group_->shard(shard).Now() +
+                                              completion_hop_,
+                                          [verdict, ok] { verdict(ok); });
+                         });
+                     });
     }
 }
 

@@ -30,7 +30,7 @@ namespace catapult::service {
 class FederationTestbed {
   public:
     struct Config {
-        /** Pods to build (each a full 48-node torus by default). */
+        /** Pods to build, 1..64 (each a full 48-node torus by default). */
         int pod_count = 1;
         /**
          * Template for every pod; pod_id, node base, name prefix and
@@ -49,26 +49,25 @@ class FederationTestbed {
 
         /**
          * Sharded federation runtime. Off (default), every pod shares
-         * the classic single simulator — the reference mode. On, each
-         * pod's whole stack runs on its own SimulatorGroup shard and
-         * the dispatcher/front-end/injector tier runs on a coordinator
-         * shard; cross-pod traffic crosses explicit hop latencies
-         * through deterministic mailboxes. `parallel` additionally
-         * runs the shards on worker threads — bit-identical to the
-         * lock-step sharded execution by construction.
+         * the classic single simulator and attaches directly — the
+         * reference mode. On, every pod is 1..R slices, each on its own
+         * SimulatorGroup shard, and the dispatcher/front-end/injector
+         * tier runs on a coordinator shard; cross-pod traffic crosses
+         * explicit hop latencies through deterministic mailboxes.
+         * `parallel` additionally runs the shards on worker threads —
+         * bit-identical to the lock-step sharded execution.
          */
         struct Sharding {
             bool enabled = false;
             bool parallel = false;
             /**
-             * Shard *within* each pod: every ring becomes its own
-             * sub-shard — a self-contained single-ring PodContext
-             * slice (1 x cols torus) on its own group shard — attached
-             * through FederatedDispatcher::AttachPodSlices, so a
-             * 1-pod/6-ring workload spreads over 6 shards instead of
-             * serializing on one. Requires `enabled`. pod(k) then
-             * returns slice 0; use pod_slice(k, r) for the rest and
-             * aggregate per-pod metrics across slices.
+             * R = ring_count slices per pod instead of 1: every ring
+             * becomes a self-contained single-ring PodContext (1 x cols
+             * torus strip) on its own shard, so a 1-pod/6-ring workload
+             * spreads over 6 shards instead of serializing on one.
+             * Requires `enabled` and a torus at least one ring wide.
+             * pod(k) then returns slice 0; use pod_slice(k, r) for the
+             * rest and aggregate per-pod metrics across slices.
              */
             bool ring_subshards = false;
             /** Executor cap (0 = hardware concurrency). */
@@ -107,15 +106,16 @@ class FederationTestbed {
     /**
      * Live pod re-admission: bring a serviced pod back into a running
      * federation with zero disruption to in-flight queries on the
-     * surviving pods. The full sequence, all on simulated time:
-     * field-service every host (boot path repaired, hard-reboot-long
-     * power cycle), clear the Health Monitor's dead list so watchdog
-     * coverage resumes, reset the forecaster's trend (cold-start grace
-     * restarts), redeploy the pod's rings, and finally
+     * surviving pods. The full sequence, all on simulated time and
+     * once per slice (ServiceAndRedeploy): field-service every host
+     * (boot path repaired, hard-reboot-long power cycle), clear the
+     * Health Monitor's dead list so watchdog coverage resumes, reset
+     * the forecaster's trend (cold-start grace restarts) and redeploy
+     * the slice's rings. Once every slice has redeployed,
      * FederatedDispatcher::ReadmitPod — breaker reset plus a warm-up
      * ramp so the rejoining pod earns traffic gradually. `on_done`
-     * fires with the redeploy verdict; on failure the pod stays out of
-     * rotation. Call while the simulator runs (or Run() after).
+     * fires with the joined redeploy verdict; on failure the pod stays
+     * out of rotation. Call while the simulator runs (or Run() after).
      */
     void ReattachPod(int index, std::function<void(bool)> on_done);
 
@@ -147,7 +147,7 @@ class FederationTestbed {
     }
     /** Ring sub-shard slices per pod (1 unless ring_subshards). */
     int slices_per_pod() const { return slices_per_pod_; }
-    /** Ring slice r of pod k (ring_subshards mode; r=0 always valid). */
+    /** Slice r of pod k (r = 0 is the whole pod unless ring_subshards). */
     mgmt::PodContext& pod_slice(int index, int ring) {
         return *pods_[static_cast<std::size_t>(index * slices_per_pod_ +
                                                ring)];
@@ -159,8 +159,11 @@ class FederationTestbed {
     obs::ObservabilityPlane* observability() { return plane_.get(); }
 
   private:
-    /** Ring-sub-shard construction of pod `pod_index` (R>1 slices). */
-    void BuildPodSlices(int pod_index);
+    /** Build pod `pod_index`'s R slices and attach them. */
+    void BuildPod(int pod_index);
+    /** ReattachPod's pod-local sequence for one slice, up to redeploy. */
+    void ServiceAndRedeploy(mgmt::PodContext& pod,
+                            std::function<void(bool)> on_deployed);
     /** Register the layer-counter pull-collectors + cadence driver. */
     void InstallObservability();
 

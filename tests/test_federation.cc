@@ -1,8 +1,8 @@
 // Federated control plane: PodContext pod-id threading, the
 // FederatedDispatcher's pod-aware policies, admission control,
-// whole-pod blackout failover with zero lost accepted queries, and
+// whole-pod blackout failover with zero lost accepted queries,
 // PodScheduler grant reuse across deploy/release/redeploy cycles under
-// federation.
+// federation, and the always-on attach and bind misuse checks.
 
 #include <gtest/gtest.h>
 
@@ -434,6 +434,118 @@ TEST(FederatedLoad, ClosedLoopScalesFromOneToTwoPods) {
     }
     // Two pods must comfortably beat one against the same offered load.
     EXPECT_GT(tput[1], tput[0] * 1.5);
+}
+
+// ------------------------------------------------------- misuse checks
+//
+// Attach and bind misuse aborts in every build — release included —
+// naming the call and the bad value, instead of compiling out with
+// NDEBUG.
+
+/** A 3-shard group (coordinator 0) and a binding that is valid on it. */
+struct ThreeShardGroup {
+    sim::SimulatorGroup group{[] {
+        sim::SimulatorGroup::Config config;
+        config.shards = 3;
+        config.epoch = Microseconds(7);
+        return config;
+    }()};
+    FederatedDispatcher::ShardBinding binding() {
+        FederatedDispatcher::ShardBinding b;
+        b.group = &group;
+        b.coordinator_shard = 0;
+        b.inject_hop = Microseconds(7);
+        b.completion_hop = Microseconds(7);
+        return b;
+    }
+};
+
+TEST(FederatedDispatcherDeathTest, BindShardGroupRejectsMisuse) {
+    FederationTestbed bed(FastFederation(/*pods=*/1, /*rings=*/1));
+    ThreeShardGroup g;
+    FederatedDispatcher attached(&g.group.shard(0), {});
+    attached.AttachPod(&bed.pod(0));
+    EXPECT_DEATH(attached.BindShardGroup(g.binding()),
+                 "BindShardGroup: called after 1 pod attach");
+
+    FederatedDispatcher fresh(&g.group.shard(0), {});
+    EXPECT_DEATH(fresh.BindShardGroup({}), "BindShardGroup: null group");
+    auto out_of_range = g.binding();
+    out_of_range.coordinator_shard = 3;
+    EXPECT_DEATH(fresh.BindShardGroup(out_of_range),
+                 "coordinator shard 3 outside \\[0, 3\\)");
+    auto zero_hop = g.binding();
+    zero_hop.completion_hop = 0;
+    EXPECT_DEATH(fresh.BindShardGroup(zero_hop),
+                 "hops must be positive \\(inject_hop=7000000 ps, "
+                 "completion_hop=0 ps\\)");
+}
+
+TEST(FederatedDispatcherDeathTest, AttachPodSlicesRejectsMisuse) {
+    FederationTestbed bed(FastFederation(/*pods=*/1, /*rings=*/1));
+    mgmt::PodContext* pod = &bed.pod(0);
+    ThreeShardGroup g;
+    FederatedDispatcher unbound(&g.group.shard(0), {});
+    EXPECT_DEATH(unbound.AttachPodSlices({{pod, 1, 0}}),
+                 "AttachPodSlices: no shard group bound");
+
+    FederatedDispatcher bound(&g.group.shard(0), {});
+    bound.BindShardGroup(g.binding());
+    EXPECT_DEATH(bound.AttachPodSlices({}), "AttachPodSlices: no slices");
+    EXPECT_DEATH(bound.AttachPodSlices({{pod, 1, 0}, {nullptr, 2, 8}}),
+                 "slice 1 has a null context");
+    EXPECT_DEATH(bound.AttachPodSlices({{pod, 3, 0}}),
+                 "slice 0 on shard 3; pod shards are \\[0, 3\\) except "
+                 "the coordinator's 0");
+    EXPECT_DEATH(bound.AttachPodSlices({{pod, 0, 0}}),
+                 "slice 0 on shard 0;");
+}
+
+TEST(FederatedDispatcherDeathTest, AttachPodOnABoundDispatcherAborts) {
+    // Direct seams call into dispatcher state synchronously; on a pod
+    // shard they would write coordinator state from another shard.
+    FederationTestbed bed(FastFederation(/*pods=*/1, /*rings=*/1));
+    ThreeShardGroup g;
+    FederatedDispatcher bound(&g.group.shard(0), {});
+    bound.BindShardGroup(g.binding());
+    EXPECT_DEATH(bound.AttachPod(&bed.pod(0)),
+                 "AttachPod: dispatcher is bound to a shard group "
+                 "\\(coordinator shard 0\\)");
+}
+
+TEST(FederatedDispatcherDeathTest, ReadmitPodRejectsANarrowedEdge) {
+    // The group ran with the declared hops; widening an edge through
+    // group() afterwards makes ReadmitPod's re-declaration a narrowing.
+    auto config = FastFederation(/*pods=*/1, /*rings=*/1);
+    config.sharding.enabled = true;
+    FederationTestbed bed(config);
+    ASSERT_TRUE(bed.DeployAndSettle());
+    const Time hop = bed.group()->edge_lookahead(0, 1);
+    ASSERT_TRUE(bed.group()->SetEdgeLookahead(0, 1, 2 * hop));
+    EXPECT_DEATH(bed.dispatcher().ReadmitPod(0),
+                 "ReadmitPod: hop [0-9]+ ps on edge 0->1 is narrower than "
+                 "the [0-9]+ ps the group already ran with");
+}
+
+TEST(FederationTestbedDeathTest, RejectsPodCountOutsideTheRotation) {
+    // The dispatcher's rotation holds 64 pods: a 65th would be built
+    // and never attached, so the testbed refuses before building any.
+    EXPECT_DEATH(FederationTestbed{FastFederation(/*pods=*/0, 1)},
+                 "FederationTestbed: pod_count 0 outside \\[1, 64\\]");
+    EXPECT_DEATH(FederationTestbed{FastFederation(/*pods=*/65, 1)},
+                 "FederationTestbed: pod_count 65 outside \\[1, 64\\]");
+}
+
+TEST(FederationTestbedDeathTest, RejectsInvalidRingSubShards) {
+    auto unsharded = FastFederation(/*pods=*/1, /*rings=*/2);
+    unsharded.sharding.ring_subshards = true;
+    EXPECT_DEATH(FederationTestbed{unsharded},
+                 "ring_subshards is set but sharding.enabled is not");
+    auto narrow = unsharded;
+    narrow.sharding.enabled = true;
+    narrow.pod.fabric.topology = fabric::TorusTopology(12, 4);
+    EXPECT_DEATH(FederationTestbed{narrow},
+                 "at least one ring wide \\(cols=4 < ring length 8\\)");
 }
 
 }  // namespace
