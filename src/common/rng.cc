@@ -103,14 +103,18 @@ double Rng::LogNormal(double mu, double sigma) {
     return std::exp(mu + sigma * Normal());
 }
 
-std::uint64_t Rng::Geometric(double p) {
+Rng::GeometricParam::GeometricParam(double p) : p(p), log_q(std::log1p(-p)) {
     assert(p > 0.0 && p <= 1.0);
-    if (p >= 1.0) return 0;
+}
+
+std::uint64_t Rng::Geometric(const GeometricParam& param) {
+    if (param.p >= 1.0) return 0;
     double u;
     do {
         u = NextDouble();
     } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+    // A division, not a multiply by 1 / log_q: the rounding would differ.
+    return static_cast<std::uint64_t>(std::floor(std::log(u) / param.log_q));
 }
 
 std::uint64_t Rng::Poisson(double lambda) {

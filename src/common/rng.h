@@ -48,8 +48,20 @@ class Rng {
     /** Log-normal parameterized by the underlying normal's mu/sigma. */
     double LogNormal(double mu, double sigma);
 
-    /** Geometric number of failures before first success, p in (0,1]. */
-    std::uint64_t Geometric(double p);
+    /**
+     * A geometric distribution's success probability p in (0, 1], with
+     * log(1 - p) computed once here instead of on every draw. Implicit,
+     * so Geometric(0.1) still reads as before; a caller that draws often
+     * from one distribution keeps its parameter.
+     */
+    struct GeometricParam {
+        GeometricParam(double p);  // NOLINT(google-explicit-constructor)
+        double p;
+        double log_q;  ///< std::log1p(-p).
+    };
+
+    /** Geometric number of failures before first success. */
+    std::uint64_t Geometric(const GeometricParam& param);
 
     /** Poisson variate (inversion for small lambda, PTRS otherwise). */
     std::uint64_t Poisson(double lambda);

@@ -76,14 +76,18 @@ bool HitVectorReader::Next(HitTuple& tuple) {
     if (produced_ >= request_.tuple_count) return false;
     // Deltas are mostly small gaps between query-term hits; occasional
     // long jumps cross section boundaries.
+    static const Rng::GeometricParam kHitGap(0.10);
+    static const Rng::GeometricParam kSectionGap(0.002);
+    static const Rng::GeometricParam kLongJump(0.00005);
     const double shape = rng_.NextDouble();
     if (shape < 0.85) {
-        tuple.delta = 1 + static_cast<std::uint32_t>(rng_.Geometric(0.10));
+        tuple.delta = 1 + static_cast<std::uint32_t>(rng_.Geometric(kHitGap));
     } else if (shape < 0.985) {
-        tuple.delta = 256 + static_cast<std::uint32_t>(rng_.Geometric(0.002));
+        tuple.delta =
+            256 + static_cast<std::uint32_t>(rng_.Geometric(kSectionGap));
     } else {
         tuple.delta =
-            65536 + static_cast<std::uint32_t>(rng_.Geometric(0.00005));
+            65536 + static_cast<std::uint32_t>(rng_.Geometric(kLongJump));
     }
     const int terms =
         request_.query.term_count > 0 ? request_.query.term_count : 1;

@@ -1,7 +1,13 @@
 #include "rank/feature_extraction.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <optional>
+#include <span>
+
+#include "common/log.h"
 
 namespace catapult::rank {
 
@@ -109,6 +115,16 @@ std::uint32_t ValuesPerCell(const FsmDescriptor& d) {
         return d.feature_count / (kMetastreamCount * kMaxQueryTerms);
     }
 }
+
+/** Count lanes after the four occurrence predicates; see Cell. */
+constexpr std::uint32_t kBigramLane = 4;
+constexpr std::uint32_t kProximityWindows[] = {8,   16,  32,   64,  128,
+                                               256, 512, 1024, 4096};
+constexpr std::uint32_t kProximityLane = kBigramLane + 4;
+constexpr std::uint32_t kEarlyThresholds[] = {128,  512,   2048,
+                                              8192, 32768, 131072};
+constexpr std::uint32_t kEarlyLane =
+    kProximityLane + static_cast<std::uint32_t>(std::size(kProximityWindows));
 
 }  // namespace
 
@@ -320,8 +336,11 @@ void FeatureFsm::Emit(const CompressedRequest& request,
 }
 
 FeatureExtractor::FeatureExtractor() {
-    for (const auto& descriptor : Descriptors()) {
-        fsms_.push_back(std::make_unique<FeatureFsm>(descriptor));
+    static_assert(kEarlyLane + std::size(kEarlyThresholds) == kCountLanes);
+    for (const FsmDescriptor& descriptor : Descriptors()) {
+        const Output output = OutputFor(descriptor);
+        const bool aggregate = output.source >= Source::kDensity;
+        (aggregate ? aggregate_outputs_ : cell_outputs_).push_back(output);
     }
 }
 
@@ -330,25 +349,256 @@ const std::vector<FsmDescriptor>& FeatureExtractor::Descriptors() {
     return descriptors;
 }
 
+FeatureExtractor::Output FeatureExtractor::OutputFor(
+    const FsmDescriptor& descriptor) {
+    const std::uint32_t param = descriptor.param;
+    // The param indexes a per-predicate lane directly, or names a
+    // window or threshold that has a counting lane.
+    const auto below = [param](std::uint32_t lanes) {
+        return param < lanes ? std::optional(param) : std::nullopt;
+    };
+    const auto find = [param](std::span<const std::uint32_t> params,
+                              std::uint32_t first_lane) {
+        const auto it = std::find(params.begin(), params.end(), param);
+        return it == params.end()
+                   ? std::nullopt
+                   : std::optional(first_lane + static_cast<std::uint32_t>(
+                                                    it - params.begin()));
+    };
+    Source source = Source::kCount;
+    std::optional<std::uint32_t> lane;
+    switch (descriptor.kind) {
+      case FsmKind::kCountOccurrences: lane = below(4); break;
+      case FsmKind::kFirstOccurrence:
+        source = Source::kFirst;
+        lane = below(3);
+        break;
+      case FsmKind::kLastOccurrence:
+        source = Source::kLast;
+        lane = below(3);
+        break;
+      case FsmKind::kCoverageSpan:
+        source = Source::kCoverage;
+        lane = below(3);
+        break;
+      case FsmKind::kMeanGap:
+        source = Source::kMeanGap;
+        lane = below(2);
+        break;
+      case FsmKind::kMaxGap:
+        source = Source::kMaxGap;
+        lane = below(2);
+        break;
+      case FsmKind::kPropertySum:
+        source = Source::kPropertySum;
+        lane = below(3);
+        break;
+      case FsmKind::kPropertyMax:
+        source = Source::kPropertyMax;
+        lane = below(2);
+        break;
+      case FsmKind::kBigramAdjacency:
+        if (param < 4) lane = kBigramLane + param;
+        break;
+      case FsmKind::kProximityWindow:
+        lane = find(kProximityWindows, kProximityLane);
+        break;
+      case FsmKind::kEarlySection:
+        lane = find(kEarlyThresholds, kEarlyLane);
+        break;
+      case FsmKind::kDensity:
+        source = Source::kDensity;
+        lane = below(1);
+        break;
+      case FsmKind::kStreamSpan:
+        source = Source::kStreamSpan;
+        lane = below(1);
+        break;
+      case FsmKind::kTermShare:
+        source = Source::kTermShare;
+        lane = below(1);
+        break;
+    }
+    if (!lane) {
+        FatalMisuse("FeatureExtractor: FSM %s (kind %d, param %u) has no "
+                    "accumulator lane", descriptor.name.c_str(),
+                    static_cast<int>(descriptor.kind), param);
+    }
+    return {source, *lane, descriptor.feature_base, ValuesPerCell(descriptor)};
+}
+
 void FeatureExtractor::Extract(const CompressedRequest& request,
                                FeatureStore& store) {
-    for (auto& fsm : fsms_) fsm->Reset();
+    cells_.fill(Cell{});
 
-    // The Stream Processing FSM issues each tuple to all 43 FSMs (MISD).
+    // The Stream Processing FSM issues each tuple to all 43 FSMs (MISD);
+    // here one pass updates the tuple's cell for all of them. Every lane
+    // adds its predicate or takes a conditional max, with no branch.
     HitVectorReader reader(request);
     HitTuple tuple;
     std::uint32_t position = 0;
+    std::uint8_t previous_term = 0xFF;
+    std::uint8_t previous_stream = 0xFF;
     while (reader.Next(tuple)) {
         position += tuple.delta;
-        for (auto& fsm : fsms_) fsm->Consume(tuple, position);
+        const int stream = tuple.stream % kMetastreamCount;
+        Cell& cell = cells_[static_cast<std::size_t>(stream) * kMaxQueryTerms +
+                            tuple.term % kMaxQueryTerms];
+        const std::uint32_t delta = tuple.delta;
+        const std::uint32_t props = tuple.properties;
+        const std::uint32_t has_props = props != 0;
+        const std::uint32_t hit[3] = {1, has_props, delta < 4};
+        for (std::size_t k = 0; k < 3; ++k) {
+            cell.first[k] =
+                hit[k] != 0 && cell.count[k] == 0 ? position : cell.first[k];
+            cell.last[k] = hit[k] != 0 ? position : cell.last[k];
+            cell.count[k] += hit[k];
+        }
+        cell.count[3] += delta >= 4;
+        for (std::size_t k = 0; k < 2; ++k) {
+            const std::uint32_t gap = hit[k] != 0 ? delta : 0;
+            cell.gap_sum[k] += gap;
+            cell.max_gap[k] = std::max(cell.max_gap[k], gap);
+        }
+        cell.property_sum[0] += props;
+        cell.property_sum[1] += props >= 256 ? props : 0;
+        cell.property_sum[2] += props < 256 ? props : 0;
+        cell.property_max[0] = std::max(cell.property_max[0], props);
+        cell.property_max[1] =
+            std::max(cell.property_max[1], props >= 16 ? props : 0u);
+
+        const std::uint32_t same_stream = previous_stream == stream;
+        const std::uint32_t same_term = previous_term == tuple.term;
+        const std::uint32_t next_term = previous_term + 1 == tuple.term;
+        const std::uint32_t cross_stream =
+            (same_stream ^ 1u) & (previous_stream != 0xFF);
+        std::uint32_t* count = cell.count.data();
+        count[kBigramLane + 0] += same_stream & next_term;
+        count[kBigramLane + 1] += same_stream & same_term;
+        count[kBigramLane + 2] += cross_stream & same_term;
+        count[kBigramLane + 3] += same_stream & next_term & has_props;
+        for (std::size_t w = 0; w < std::size(kProximityWindows); ++w) {
+            count[kProximityLane + w] +=
+                same_stream & (delta <= kProximityWindows[w]);
+        }
+        for (std::size_t e = 0; e < std::size(kEarlyThresholds); ++e) {
+            count[kEarlyLane + e] += position <= kEarlyThresholds[e];
+        }
+        previous_term = tuple.term;
+        previous_stream = static_cast<std::uint8_t>(stream);
     }
 
     // Feature Gathering Network: coalesce all non-zero outputs.
-    for (const auto& fsm : fsms_) fsm->Emit(request, store);
+    Emit(request, store);
 
     // Software-computed features ride along with the request (§4.1).
     for (const auto& feature : request.software_features) {
         store.Set(SoftwareFeatureSlot(feature.feature_id), feature.value);
+    }
+}
+
+void FeatureExtractor::Emit(const CompressedRequest& request,
+                            FeatureStore& store) const {
+    const float doc_norm =
+        1.0f / (1.0f + static_cast<float>(request.document_length));
+    // FeatureFsm::Emit's write for one cell; a zero primary writes nothing.
+    const auto emit = [&](const Output& output, std::uint32_t index,
+                          float primary) {
+        if (primary == 0.0f) return;
+        const std::uint32_t base =
+            output.feature_base + index * output.values_per_cell;
+        store.Set(base, primary);
+        if (output.values_per_cell >= 2) store.Set(base + 1, primary * doc_norm);
+        if (output.values_per_cell >= 3) store.Set(base + 2, std::log1p(primary));
+    };
+
+    // Per-(stream, term) FSMs. An FSM that counted nothing in a cell
+    // emits nothing there; a cell no tuple reached has every lane zero.
+    for (std::uint32_t c = 0; c < cells_.size(); ++c) {
+        const Cell& cell = cells_[c];
+        if (cell.count[0] == 0) continue;
+        for (const Output& output : cell_outputs_) {
+            const std::uint32_t lane = output.lane;
+            const bool counted = cell.count[lane] != 0;
+            float primary = 0.0f;
+            switch (output.source) {
+              case Source::kCount:
+                primary = static_cast<float>(cell.count[lane]);
+                break;
+              case Source::kFirst:
+                if (counted) primary = static_cast<float>(cell.first[lane]);
+                break;
+              case Source::kLast:
+                if (counted) primary = static_cast<float>(cell.last[lane]);
+                break;
+              case Source::kCoverage:
+                if (counted) {
+                    primary = static_cast<float>(cell.last[lane] - cell.first[lane]);
+                }
+                break;
+              case Source::kMeanGap:
+                if (counted) {
+                    primary = static_cast<float>(cell.gap_sum[lane]) /
+                              static_cast<float>(cell.count[lane]);
+                }
+                break;
+              case Source::kMaxGap:
+                if (counted) primary = static_cast<float>(cell.max_gap[lane]);
+                break;
+              // Every tuple these count has properties >= 1, so a zero
+              // sum or max means the FSM counted nothing.
+              case Source::kPropertySum:
+                primary = static_cast<float>(cell.property_sum[lane]);
+                break;
+              case Source::kPropertyMax:
+                primary = static_cast<float>(cell.property_max[lane]);
+                break;
+              default:
+                break;
+            }
+            emit(output, c, primary);
+        }
+    }
+
+    // Aggregate FSMs read the every-hit lanes summed over terms or streams.
+    std::array<std::uint32_t, kMetastreamCount> stream_hits{};
+    std::array<std::uint64_t, kMetastreamCount> stream_span{};
+    std::array<std::uint32_t, kMaxQueryTerms> term_hits{};
+    std::uint32_t total_hits = 0;
+    for (std::size_t s = 0; s < kMetastreamCount; ++s) {
+        for (std::size_t t = 0; t < kMaxQueryTerms; ++t) {
+            const Cell& cell = cells_[s * kMaxQueryTerms + t];
+            stream_hits[s] += cell.count[0];
+            stream_span[s] += cell.gap_sum[0];
+            term_hits[t] += cell.count[0];
+            total_hits += cell.count[0];
+        }
+    }
+    for (const Output& output : aggregate_outputs_) {
+        switch (output.source) {
+          case Source::kDensity:
+            for (std::uint32_t s = 0; s < kMetastreamCount; ++s) {
+                emit(output, s,
+                     static_cast<float>(stream_hits[s]) /
+                         (1.0f + static_cast<float>(request.document_length)));
+            }
+            break;
+          case Source::kStreamSpan:
+            for (std::uint32_t s = 0; s < kMetastreamCount; ++s) {
+                emit(output, s, static_cast<float>(stream_span[s]));
+            }
+            break;
+          case Source::kTermShare:
+            if (total_hits == 0) break;
+            for (std::uint32_t t = 0; t < kMaxQueryTerms; ++t) {
+                emit(output, t,
+                     static_cast<float>(term_hits[t]) /
+                         static_cast<float>(total_hits));
+            }
+            break;
+          default:
+            break;
+        }
     }
 }
 

@@ -8,18 +8,29 @@
 // (MISD), fed by a Stream Processing FSM and drained by a Feature
 // Gathering Network; inputs are double-buffered.
 //
-// Functionally, each FSM here is a real streaming state machine over
-// the hit-vector tuples; the same code runs in the simulated FPGA role
-// and in the software baseline, which is what makes the two paths'
-// scores identical (§4). Timing-wise, the stage cost is the stream
-// issue rate (the FSMs themselves keep up at 1-2 cycles per token
-// because they run in parallel).
+// FeatureFsm is the reference: one streaming state machine per
+// descriptor, each keeping its own copy of every (stream, term) cell.
+// FeatureExtractor computes the same features in one pass. All 43 FSMs
+// read the same tuple stream, so state they would each keep alike (the
+// previous tuple; hit counts per stream and in total) is kept once, and
+// FSMs that keep the same per-cell state share one accumulator lane:
+// NumberOfOccurrences, FirstOccurrence, LastOccurrence and CoverageSpan
+// all count on the same three predicates, MeanGap and MaxGap on two of
+// them, and each proximity window and early-section threshold is one
+// more counting lane. The lanes are stored cell-major, so a tuple
+// updates one (stream, term) cell of 176 bytes rather than a cell in
+// each of 43 FSMs, and every update is branch-free. Emit applies each
+// FSM's reference formula to its lanes, so the features are
+// bit-identical to the reference's. The same code runs in the simulated
+// FPGA role and in the software baseline, which is what makes the two
+// paths' scores identical (§4). Timing-wise, the stage cost is the
+// stream issue rate (the FSMs themselves keep up at 1-2 cycles per
+// token because they run in parallel).
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,7 +72,9 @@ struct FsmDescriptor {
 
 /**
  * One streaming feature state machine. Consume() is called once per
- * tuple in stream order; Emit() writes the non-zero results.
+ * tuple in stream order; Emit() writes the non-zero results. The
+ * reference that FeatureExtractor's shared accumulators are tested
+ * against.
  */
 class FeatureFsm {
   public:
@@ -95,7 +108,8 @@ class FeatureFsm {
 };
 
 /**
- * The complete FE stage: stream processor + 43 FSMs + gathering network.
+ * The complete FE stage: stream processor + 43 FSMs + gathering network,
+ * run as one pass over shared accumulators (see the file comment).
  */
 class FeatureExtractor {
   public:
@@ -111,6 +125,10 @@ class FeatureExtractor {
         double cycles_per_tuple = 0.5;
     };
 
+    /**
+     * Maps every descriptor to its accumulator lane; aborts on a
+     * (kind, param) that no lane computes.
+     */
     FeatureExtractor();
 
     /** The 43 FSM descriptors (§4.4). */
@@ -131,8 +149,68 @@ class FeatureExtractor {
     Timing& timing() { return timing_; }
 
   private:
+    /**
+     * Counting lanes of a cell: the four occurrence predicates (every
+     * hit, properties != 0, delta < 4, delta >= 4), the four bigram
+     * tests in BigramAdjacency's param order, the nine proximity windows
+     * and the six early-section thresholds.
+     */
+    static constexpr std::size_t kCountLanes = 4 + 4 + 9 + 6;
+
+    /**
+     * One (stream, term) cell's accumulators. A lane adds its predicate
+     * (0 or 1) or takes a conditional max; the array index of each
+     * per-predicate lane is the param of the FSMs that read it.
+     */
+    struct Cell {
+        std::array<std::uint32_t, kCountLanes> count{};
+        /** Positions of the first and last hit: the first 3 predicates. */
+        std::array<std::uint32_t, 3> first{};
+        std::array<std::uint32_t, 3> last{};
+        /** Largest delta: every hit, properties != 0. */
+        std::array<std::uint32_t, 2> max_gap{};
+        /** Largest properties: properties != 0, properties >= 16. */
+        std::array<std::uint32_t, 2> property_max{};
+        /** Sum of deltas: every hit, properties != 0. */
+        std::array<std::uint64_t, 2> gap_sum{};
+        /** Sum of properties: != 0, >= 256, in [1, 256). */
+        std::array<std::uint64_t, 3> property_sum{};
+    };
+
+    /**
+     * Which accumulator an FSM's primary value comes from; the
+     * aggregates, per stream or per term, come last.
+     */
+    enum class Source : std::uint8_t {
+        kCount,        ///< count[lane]
+        kFirst,        ///< first[lane]
+        kLast,         ///< last[lane]
+        kCoverage,     ///< last[lane] - first[lane]
+        kMeanGap,      ///< gap_sum[lane] / count[lane]
+        kMaxGap,       ///< max_gap[lane]
+        kPropertySum,  ///< property_sum[lane]
+        kPropertyMax,  ///< property_max[lane]
+        kDensity,      ///< Per stream: every-hit count / document length.
+        kStreamSpan,   ///< Per stream: every-hit sum of deltas.
+        kTermShare,    ///< Per term: every-hit count / all hits.
+    };
+
+    /** One descriptor's place in the accumulators and the feature space. */
+    struct Output {
+        Source source;
+        std::uint32_t lane;
+        std::uint32_t feature_base;
+        std::uint32_t values_per_cell;
+    };
+
+    static Output OutputFor(const FsmDescriptor& descriptor);
+    void Emit(const CompressedRequest& request, FeatureStore& store) const;
+
     Timing timing_;
-    std::vector<std::unique_ptr<FeatureFsm>> fsms_;
+    /** The per-(stream, term) FSMs' outputs, then the aggregates'. */
+    std::vector<Output> cell_outputs_;
+    std::vector<Output> aggregate_outputs_;
+    std::array<Cell, kMetastreamCount * kMaxQueryTerms> cells_;
 };
 
 }  // namespace catapult::rank

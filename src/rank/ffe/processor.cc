@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/log.h"
+
 namespace catapult::rank::ffe {
 
 namespace {
@@ -40,9 +42,13 @@ constexpr float Blend(std::uint32_t mask, float if_set, float if_clear) {
 }  // namespace
 
 FfeProcessor::FfeProcessor(Config config) : config_(config) {
-    assert(config_.core_count > 0);
-    assert(config_.threads_per_core > 0);
-    assert(config_.cores_per_cluster > 0);
+    if (config_.core_count <= 0 || config_.threads_per_core <= 0 ||
+        config_.cores_per_cluster <= 0) {
+        FatalMisuse("FfeProcessor: core_count %d, threads_per_core %d and "
+                    "cores_per_cluster %d must all be positive",
+                    config_.core_count, config_.threads_per_core,
+                    config_.cores_per_cluster);
+    }
 }
 
 void FfeProcessor::Decoded::Append(const Program& program) {

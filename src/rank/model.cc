@@ -1,9 +1,10 @@
 #include "rank/model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 #include <tuple>
+
+#include "common/log.h"
 
 namespace catapult::rank {
 
@@ -122,8 +123,11 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     model->metafeature_count_ = static_cast<int>(next_meta_slot);
     // Metafeature slots must not wrap within one model: a collision
     // would let a later producer overwrite an earlier one's value.
-    assert(next_meta_slot <= kMetaFeatureSlots &&
-           "metafeature slot space exhausted; raise kMetaFeatureSlots");
+    if (next_meta_slot > kMetaFeatureSlots) {
+        FatalMisuse("Model::Generate: model %u needs %u metafeatures, more "
+                    "than the %u slots (kMetaFeatureSlots)", model_id,
+                    next_meta_slot, kMetaFeatureSlots);
+    }
 
     // Partition the remainder across the chips, balancing instruction
     // counts. Metafeature producers must run upstream (FFE0); consumers

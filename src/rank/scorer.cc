@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/log.h"
+
 namespace catapult::rank {
 
 float DecisionTree::Evaluate(const FeatureStore& store) const {
@@ -22,7 +24,7 @@ ScorerShard::ScorerShard(std::span<const DecisionTree> trees) {
 }
 
 void ScorerShard::AppendTree(const DecisionTree& tree) {
-    ++tree_count_;
+    const int tree_index = tree_count_++;
     if (tree.nodes.empty()) return;
     roots_.push_back(static_cast<std::uint32_t>(nodes_.size()));
     // Depth-first from node 0, left before right; a split's right index
@@ -32,16 +34,28 @@ void ScorerShard::AppendTree(const DecisionTree& tree) {
         std::size_t split;  ///< Flat split whose right child this is.
     };
     constexpr std::size_t kNoSplit = ~std::size_t{0};
+    const std::size_t size = tree.nodes.size();
     std::vector<Pending> stack = {{0, kNoSplit}};
-    [[maybe_unused]] const std::size_t first = nodes_.size();
+    std::vector<bool> reached(size);
+    const std::size_t first = nodes_.size();
     while (!stack.empty()) {
         const Pending next = stack.back();
         stack.pop_back();
-        assert(next.node >= 0 &&
-               next.node < static_cast<std::int32_t>(tree.nodes.size()));
-        assert(nodes_.size() - first < tree.nodes.size() &&
-               "a node is reachable twice: not a tree");
+        if (next.node < 0 || static_cast<std::size_t>(next.node) >= size) {
+            FatalMisuse("ScorerShard: tree %d has child index %d outside "
+                        "[0, %zu)", tree_index, next.node, size);
+        }
+        if (reached[static_cast<std::size_t>(next.node)]) {
+            FatalMisuse("ScorerShard: tree %d reaches node %d twice: not a "
+                        "tree", tree_index, next.node);
+        }
+        reached[static_cast<std::size_t>(next.node)] = true;
         const TreeNode& node = tree.nodes[static_cast<std::size_t>(next.node)];
+        if (node.feature != TreeNode::kLeaf && node.feature >= kFeatureUniverse) {
+            FatalMisuse("ScorerShard: tree %d node %d splits on feature %u "
+                        "outside [0, %u)", tree_index, next.node, node.feature,
+                        kFeatureUniverse);
+        }
         if (next.split != kNoSplit) {
             nodes_[next.split].right = static_cast<std::uint32_t>(nodes_.size());
         }
@@ -55,27 +69,48 @@ void ScorerShard::AppendTree(const DecisionTree& tree) {
             stack.push_back({node.left, kNoSplit});
         }
     }
-    assert(nodes_.size() - first == tree.nodes.size() &&
-           "a node is unreachable from the root");
+    if (nodes_.size() - first != size) {
+        FatalMisuse("ScorerShard: tree %d reaches %zu of its %zu nodes from "
+                    "the root", tree_index, nodes_.size() - first, size);
+    }
 }
 
 float ScorerShard::PartialScore(const FeatureStore& store) const {
-    // Pipeline-order accumulation: trees evaluate in array order so the
-    // float sum is deterministic and identical to software. The step to
-    // a child is a mask select, so only a tree's exit is a jump that
-    // depends on the data.
+    // Pipeline-order accumulation: leaf values add up in tree order, so
+    // the float sum is deterministic and identical to software. Trees
+    // walk kGroup at a time, each step moving every tree of the group
+    // one level down: the group's loads are independent, so their cache
+    // misses overlap, and the step to a child is a mask select. A tree
+    // at a leaf stays there (its feature id masks to slot 0), and the
+    // group's one data-dependent jump is its exit once all are leaves.
+    // In a shard's last group, the lanes past its last tree walk that
+    // tree again, and their leaves are not summed.
+    constexpr std::size_t kGroup = 16;
     const FlatNode* nodes = nodes_.data();
+    const std::size_t tree_count = roots_.size();
     float sum = 0.0f;
-    for (const std::uint32_t root : roots_) {
-        std::uint32_t index = root;
-        while (nodes[index].feature != TreeNode::kLeaf) {
-            const FlatNode& node = nodes[index];
-            const std::uint32_t left =
-                0u - static_cast<std::uint32_t>(store.Get(node.feature) <=
-                                                node.value);
-            index = ((index + 1) & left) | (node.right & ~left);
+    for (std::size_t t = 0; t < tree_count; t += kGroup) {
+        const std::size_t n = std::min(kGroup, tree_count - t);
+        std::uint32_t index[kGroup];
+        std::fill(std::copy_n(roots_.data() + t, n, index), index + kGroup,
+                  roots_[tree_count - 1]);
+        for (;;) {
+            std::uint32_t splits = 0;
+            for (std::size_t k = 0; k < kGroup; ++k) {
+                const FlatNode& node = nodes[index[k]];
+                const std::uint32_t split =
+                    0u - static_cast<std::uint32_t>(node.feature != TreeNode::kLeaf);
+                const std::uint32_t left =
+                    0u - static_cast<std::uint32_t>(
+                             store.Get(node.feature & split) <= node.value);
+                const std::uint32_t child =
+                    ((index[k] + 1) & left) | (node.right & ~left);
+                index[k] = (child & split) | (index[k] & ~split);
+                splits |= split;
+            }
+            if (splits == 0) break;
         }
-        sum += nodes[index].value;
+        for (std::size_t k = 0; k < n; ++k) sum += nodes[index[k]].value;
     }
     return sum;
 }

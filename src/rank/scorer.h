@@ -11,8 +11,14 @@
 // A shard stores its trees as one preorder node array, so a split's left
 // child is the next node and a traversal walks forward through memory
 // (Lucchese et al., QuickScorer, SIGIR 2015, on why pointer-chasing
-// separately allocated trees is slow). DecisionTree remains the
-// reference form that tests compare the shard against.
+// separately allocated trees is slow). PartialScore walks the trees 16
+// at a time, one level per step for the whole group, so a document runs
+// 16 independent load chains at once instead of one; a tree that
+// reaches its leaf early stays there until the group's last one does
+// (Asadi, Lin & de Vries, "Runtime Optimizations for Tree-Based Machine
+// Learning Models", IEEE TKDE 2014 — VPred's interleaved evaluation).
+// DecisionTree remains the reference form that tests compare the shard
+// against.
 
 #pragma once
 
@@ -70,7 +76,12 @@ class ScorerShard {
     };
 
     ScorerShard() = default;
-    /** Flattens `trees`, whatever their node order, into preorder. */
+    /**
+     * Flattens `trees`, whatever their node order, into preorder. Aborts
+     * on a tree whose child index is out of range, that reaches a node
+     * twice or leaves one unreachable, or that splits on a feature
+     * outside the feature universe.
+     */
     explicit ScorerShard(std::span<const DecisionTree> trees);
 
     /** Partial score: sum of this shard's tree outputs, in tree order. */

@@ -57,7 +57,9 @@ class StageLoopback::LoopRole : public shell::Role {
 };
 
 StageLoopback::StageLoopback(Config config)
-    : config_(config), generator_(config.corpus_seed, config.corpus) {
+    : config_(config),
+      models_(rank::ModelStore::Config{.model = config.model}),
+      generator_(config.corpus_seed, config.corpus) {
     Rng rng(config_.model_seed ^ 0x10093ACCull);
 
     // Two-node micro-fabric (1x2 "torus"): node 0 hosts the injecting
@@ -73,8 +75,8 @@ StageLoopback::StageLoopback(Config config)
     host_ = std::make_unique<host::HostServer>(&simulator_, "loopback.host",
                                                &fabric_->shell(0));
 
-    model_ = rank::Model::Generate(0, config_.model_seed, config_.model);
-    function_ = std::make_unique<rank::RankingFunction>(model_.get());
+    model_ = &models_.GetOrGenerate(0, config_.model_seed);
+    function_ = std::make_unique<rank::RankingFunction>(model_);
 
     const int role_node = config_.via_sl3 ? 1 : 0;
     role_ = std::make_unique<LoopRole>(this, &simulator_,

@@ -63,7 +63,10 @@ class StageLoopback {
     sim::Simulator simulator_;
     std::unique_ptr<fabric::CatapultFabric> fabric_;
     std::unique_ptr<host::HostServer> host_;
-    std::unique_ptr<rank::Model> model_;
+    /** Shares the process-wide model cache, so every rig of a sweep
+        scores with one generated model. */
+    rank::ModelStore models_;
+    const rank::Model* model_ = nullptr;
     std::unique_ptr<rank::RankingFunction> function_;
     std::unique_ptr<LoopRole> role_;
     rank::DocumentGenerator generator_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "rank/document_generator.h"
 #include "rank/feature_extraction.h"
 #include "rank/feature_space.h"
@@ -109,6 +112,98 @@ TEST(FeatureExtraction, CountOccurrencesCountsHits) {
     EXPECT_EQ(store.Get(count_fsm.feature_base + 0), 3.0f);
     // Cell (stream 1, term 2): cell index = 1*10 + 2 = 12, vpc = 3.
     EXPECT_EQ(store.Get(count_fsm.feature_base + 12 * 3), 1.0f);
+}
+
+/** A store whose every slot holds `fill`, so a stray write shows. */
+FeatureStore FilledStore(float fill) {
+    FeatureStore store;
+    for (std::uint32_t id = 0; id < kFeatureUniverse; ++id) store.Set(id, fill);
+    return store;
+}
+
+/** What Extract computes, from the 43 reference FSMs run side by side. */
+void ReferenceExtract(std::vector<FeatureFsm>& fsms,
+                      const CompressedRequest& request, FeatureStore& store) {
+    for (FeatureFsm& fsm : fsms) fsm.Reset();
+    HitVectorReader reader(request);
+    HitTuple tuple;
+    std::uint32_t position = 0;
+    while (reader.Next(tuple)) {
+        position += tuple.delta;
+        for (FeatureFsm& fsm : fsms) fsm.Consume(tuple, position);
+    }
+    for (const FeatureFsm& fsm : fsms) fsm.Emit(request, store);
+    for (const auto& feature : request.software_features) {
+        store.Set(SoftwareFeatureSlot(feature.feature_id), feature.value);
+    }
+}
+
+TEST(FeatureExtraction, MatchesFsmReference) {
+    // The extractor must write exactly what the 43 reference FSMs write,
+    // bit for bit, and leave every other slot alone.
+    const auto& descriptors = FeatureExtractor::Descriptors();
+    std::vector<FeatureFsm> fsms(descriptors.begin(), descriptors.end());
+    std::vector<CompressedRequest> requests;
+    for (const std::uint32_t tuples : {0u, 1u}) {
+        CompressedRequest request;
+        request.doc_id = tuples;
+        request.content_seed = 77;
+        request.tuple_count = tuples;
+        request.document_length = 40;
+        request.query.term_count = 3;
+        request.software_features.push_back({60'007, 1.5f});
+        requests.push_back(request);
+    }
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        DocumentGenerator generator(seed);
+        for (int i = 0; i < 16; ++i) requests.push_back(generator.Next());
+    }
+    DocumentGenerator generator(99);
+    // One term, all ten, and more terms than FSM cells (terms wrap).
+    for (const int terms : {1, 10, 13}) {
+        CompressedRequest request = generator.Next();
+        request.query.term_count = terms;
+        requests.push_back(request);
+    }
+    // A document cut at the 64 KB slot size (§4.1).
+    CompressedRequest truncated = generator.Next();
+    while (!truncated.truncated) truncated = generator.Next();
+    requests.push_back(truncated);
+
+    FeatureExtractor extractor;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        FeatureStore actual = FilledStore(-7.0f);
+        FeatureStore expected = actual;
+        extractor.Extract(requests[r], actual);
+        ReferenceExtract(fsms, requests[r], expected);
+        EXPECT_EQ(std::memcmp(actual.raw().data(), expected.raw().data(),
+                              kFeatureUniverse * sizeof(float)),
+                  0)
+            << "request " << r << " (" << requests[r].tuple_count
+            << " tuples, " << requests[r].query.term_count << " terms)";
+    }
+}
+
+TEST(FeatureExtraction, GoldenExtractedFeatures) {
+    // Pins the features extracted from the first documents of two
+    // corpora, so a change to extraction cannot silently move every
+    // downstream score.
+    std::uint64_t digest = 1469598103934665603ull;  // FNV-1a
+    FeatureExtractor extractor;
+    for (const std::uint64_t seed : {3ull, 11ull}) {
+        DocumentGenerator generator(seed);
+        for (int i = 0; i < 4; ++i) {
+            FeatureStore store;
+            extractor.Extract(generator.Next(), store);
+            for (const float value : store.raw()) {
+                std::uint32_t bits = 0;
+                std::memcpy(&bits, &value, sizeof bits);
+                digest ^= bits;
+                digest *= 1099511628211ull;
+            }
+        }
+    }
+    EXPECT_EQ(digest, 0xe26d180ebb672385ull);
 }
 
 TEST(FeatureExtraction, ServiceTimeScalesWithTuples) {

@@ -444,6 +444,22 @@ TEST(FfeProcessor, StageWithinMacropipelineBudget) {
     EXPECT_GT(processor.DocumentServiceTime(), Microseconds(1));
 }
 
+// A processor with no cores, threads or clusters aborts in every build:
+// in release it would divide by zero computing its timing.
+TEST(FfeProcessorDeathTest, RejectsAnEmptyTopology) {
+    FfeProcessor::Config no_cores;
+    no_cores.core_count = 0;
+    EXPECT_DEATH(FfeProcessor{no_cores},
+                 "FfeProcessor: core_count 0, threads_per_core 4 and "
+                 "cores_per_cluster 6 must all be positive");
+    FfeProcessor::Config no_threads;
+    no_threads.threads_per_core = 0;
+    EXPECT_DEATH(FfeProcessor{no_threads}, "threads_per_core 0");
+    FfeProcessor::Config no_clusters;
+    no_clusters.cores_per_cluster = -1;
+    EXPECT_DEATH(FfeProcessor{no_clusters}, "cores_per_cluster -1");
+}
+
 TEST(OpLatencies, ComplexOpsAreLong) {
     const OpLatencies latencies;
     EXPECT_GT(latencies.For(OpCode::kLn), latencies.For(OpCode::kAdd));

@@ -120,6 +120,18 @@ TEST(ModelStore, StageReloadScalesWithFootprint) {
     EXPECT_EQ(store.StageReloadTime(model, PipelineStage::kSpare), 0);
 }
 
+// More metafeatures than slots aborts in every build: in release the
+// slots would wrap, a later producer would overwrite an earlier one, and
+// FPGA and reference scores would part silently.
+TEST(ModelDeathTest, RejectsExhaustedMetafeatureSlots) {
+    Model::Config config;
+    config.compiler.split_threshold_ops = 16;
+    config.compiler.split_chunk_ops = 8;
+    EXPECT_DEATH(Model::Generate(0, 1, config),
+                 "Model::Generate: model 0 needs [0-9]+ metafeatures, more "
+                 "than the 4096 slots \\(kMetaFeatureSlots\\)");
+}
+
 TEST(PipelineStage, Names) {
     EXPECT_STREQ(ToString(PipelineStage::kFeatureExtraction), "FE");
     EXPECT_STREQ(ToString(PipelineStage::kSpare), "Spare");

@@ -7,6 +7,8 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "rank/scorer.h"
@@ -173,56 +175,87 @@ FeatureStore RandomOracleStore(Rng& rng) {
     return store;
 }
 
+/** `count` trees: empty, single-leaf, and up to 40 splits in any node order. */
+std::vector<DecisionTree> RandomTrees(Rng& rng, int count) {
+    std::vector<DecisionTree> trees;
+    for (int t = 0; t < count; ++t) {
+        const double kind = rng.NextDouble();
+        DecisionTree tree;
+        if (kind >= 0.1) {
+            const int splits =
+                kind < 0.2 ? 0 : 1 + static_cast<int>(rng.NextBounded(40));
+            tree = RandomTree(rng, splits, kind < 0.6);
+        }
+        trees.push_back(std::move(tree));
+    }
+    return trees;
+}
+
+/** The shard and the ensemble score `trees` exactly as the reference trees do. */
+void ExpectMatchesOracle(Rng& rng, const std::vector<DecisionTree>& trees,
+                         const std::string& label) {
+    std::int64_t node_count = 0;
+    for (const DecisionTree& tree : trees) node_count += tree.NodeCount();
+    const ScorerShard shard(trees);
+    EXPECT_EQ(shard.tree_count(), static_cast<int>(trees.size())) << label;
+    EXPECT_EQ(shard.total_nodes(), node_count) << label;
+    EXPECT_EQ(shard.ModelBytes(), node_count * 8) << label;
+    const ScoringEnsemble ensemble(trees);
+    const std::size_t per_shard =
+        (trees.size() + ScoringEnsemble::kShardCount - 1) /
+        ScoringEnsemble::kShardCount;
+
+    for (int probe = 0; probe < 20; ++probe) {
+        const FeatureStore store = RandomOracleStore(rng);
+        float expected = 0.0f;
+        float pipelined = 0.0f;
+        for (std::size_t begin = 0; begin < trees.size(); begin += per_shard) {
+            float partial = 0.0f;
+            for (std::size_t t = begin; t < std::min(trees.size(), begin + per_shard); ++t) {
+                const float value = trees[t].Evaluate(store);
+                expected += value;
+                partial += value;
+            }
+            pipelined += partial;
+        }
+        const float actual = shard.PartialScore(store);
+        EXPECT_EQ(std::memcmp(&expected, &actual, sizeof actual), 0)
+            << label << " probe " << probe;
+        const float score = ensemble.Score(store);
+        EXPECT_EQ(std::memcmp(&pipelined, &score, sizeof score), 0)
+            << label << " probe " << probe;
+    }
+}
+
 TEST(ScorerShard, MatchesDecisionTreeOracle) {
     // The preorder array must score exactly what the reference trees
     // score, summed in tree order, whatever the trees' node layout —
     // including single-leaf and empty trees and NaN features.
     Rng rng(2024);
     for (int round = 0; round < 60; ++round) {
-        std::vector<DecisionTree> trees;
-        std::int64_t node_count = 0;
         const int tree_count = 1 + static_cast<int>(rng.NextBounded(48));
-        for (int t = 0; t < tree_count; ++t) {
-            const double kind = rng.NextDouble();
-            DecisionTree tree;
-            if (kind >= 0.1) {
-                const int splits =
-                    kind < 0.2 ? 0 : 1 + static_cast<int>(rng.NextBounded(40));
-                tree = RandomTree(rng, splits, kind < 0.6);
-            }
-            node_count += tree.NodeCount();
-            trees.push_back(std::move(tree));
-        }
-        const ScorerShard shard(trees);
-        EXPECT_EQ(shard.tree_count(), tree_count);
-        EXPECT_EQ(shard.total_nodes(), node_count);
-        EXPECT_EQ(shard.ModelBytes(), node_count * 8);
-        const ScoringEnsemble ensemble(trees);
-        const std::size_t per_shard =
-            (trees.size() + ScoringEnsemble::kShardCount - 1) /
-            ScoringEnsemble::kShardCount;
-
-        for (int probe = 0; probe < 20; ++probe) {
-            const FeatureStore store = RandomOracleStore(rng);
-            float expected = 0.0f;
-            float pipelined = 0.0f;
-            for (std::size_t begin = 0; begin < trees.size(); begin += per_shard) {
-                float partial = 0.0f;
-                for (std::size_t t = begin; t < std::min(trees.size(), begin + per_shard); ++t) {
-                    const float value = trees[t].Evaluate(store);
-                    expected += value;
-                    partial += value;
-                }
-                pipelined += partial;
-            }
-            const float actual = shard.PartialScore(store);
-            EXPECT_EQ(std::memcmp(&expected, &actual, sizeof actual), 0)
-                << "round " << round << " probe " << probe;
-            const float score = ensemble.Score(store);
-            EXPECT_EQ(std::memcmp(&pipelined, &score, sizeof score), 0)
-                << "round " << round << " probe " << probe;
+        ExpectMatchesOracle(rng, RandomTrees(rng, tree_count),
+                            "round " + std::to_string(round));
+    }
+    // Either side of one and two 16-tree groups.
+    for (const int tree_count : {15, 16, 17, 31, 32, 33}) {
+        for (int round = 0; round < 4; ++round) {
+            ExpectMatchesOracle(rng, RandomTrees(rng, tree_count),
+                                std::to_string(tree_count) + " trees, round " +
+                                    std::to_string(round));
         }
     }
+    // One group whose deep tree walks on long after its 15 single-leaf
+    // neighbours have stopped; the empty trees are not in the group.
+    std::vector<DecisionTree> mixed;
+    for (int t = 0; t < 20; ++t) {
+        if (t % 5 == 0) {
+            mixed.emplace_back();
+        } else {
+            mixed.push_back(RandomTree(rng, t == 2 ? 40 : 0, /*shuffle=*/true));
+        }
+    }
+    ExpectMatchesOracle(rng, mixed, "mixed group");
 }
 
 TEST(ScoringEnsemble, GoldenGeneratedScore) {
@@ -238,6 +271,31 @@ TEST(ScoringEnsemble, GoldenGeneratedScore) {
     std::uint32_t bits = 0;
     std::memcpy(&bits, &score, sizeof bits);
     EXPECT_EQ(bits, 0xbf85f3f0u);
+}
+
+// A malformed tree aborts in every build: in release a cycle would
+// flatten forever, and a split past the feature store would read past it
+// on every walk.
+TEST(ScorerShardDeathTest, RejectsMalformedTrees) {
+    const auto split = [](std::uint32_t feature, std::int32_t left,
+                          std::int32_t right) {
+        return TreeNode{.feature = feature, .threshold = 0.5f,
+                        .left = left, .right = right};
+    };
+    const TreeNode leaf{.leaf_value = 1.0f};
+    const auto flatten = [](std::vector<TreeNode> nodes) {
+        const DecisionTree tree{std::move(nodes)};
+        return ScorerShard(std::span<const DecisionTree>(&tree, 1));
+    };
+    EXPECT_DEATH(flatten({split(0, 1, 3), leaf, leaf}),
+                 "ScorerShard: tree 0 has child index 3 outside \\[0, 3\\)");
+    EXPECT_DEATH(flatten({split(0, 0, 1), leaf}),
+                 "ScorerShard: tree 0 reaches node 0 twice: not a tree");
+    EXPECT_DEATH(flatten({split(0, 1, 2), leaf, leaf, leaf}),
+                 "ScorerShard: tree 0 reaches 3 of its 4 nodes from the root");
+    EXPECT_DEATH(flatten({split(kFeatureUniverse, 1, 2), leaf, leaf}),
+                 "ScorerShard: tree 0 node 0 splits on feature 13700 outside "
+                 "\\[0, 13700\\)");
 }
 
 TEST(ScorerShard, EmptyShardScoresZero) {
