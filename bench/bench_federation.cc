@@ -18,7 +18,6 @@
 // (and CI's --compare gate) catches federation regressions.
 
 #include <cstdio>
-#include <thread>
 
 #include "bench_util.h"
 #include "rank/document_generator.h"
@@ -141,82 +140,6 @@ BlackoutResult RunBlackout() {
     return result;
 }
 
-// --- Part 3: parallel federation runtime ------------------------------
-
-struct ShardedRun {
-    bool deployed = false;
-    double wall_ms = 0.0;
-    service::LoadResult load;
-    std::uint64_t completed = 0;
-    std::uint64_t failovers = 0;
-};
-
-/**
- * The same sharded 4-pod federation under the same open-loop load,
- * lock-step on one thread vs parallel on worker threads. Simulated
- * metrics must match bit-for-bit (the conservative epoch protocol's
- * determinism contract); wall time is where the parallelism shows.
- */
-ShardedRun RunShardedLoad(bool parallel) {
-    auto config = FederationConfig(4);
-    config.sharding.enabled = true;
-    config.sharding.parallel = parallel;
-    service::FederationTestbed bed(config);
-    ShardedRun run;
-    if (!bed.DeployAndSettle()) return run;
-    service::FederatedOpenLoopInjector::Config load;
-    load.rate_qps = 60'000.0;
-    load.duration = Milliseconds(160);
-    load.arrival_batch = 8;
-    service::FederatedOpenLoopInjector injector(&bed.dispatcher(),
-                                                &bed.simulator(), Rng(41),
-                                                load);
-    injector.set_group(bed.group());
-    run.deployed = true;
-    const bench::WallTimer timer;
-    run.load = injector.Run();
-    run.wall_ms = timer.Ms();
-    run.completed = bed.dispatcher().counters().completed;
-    run.failovers = bed.dispatcher().counters().failovers;
-    return run;
-}
-
-// --- Part 4: ring sub-shards ------------------------------------------
-
-/**
- * A single pod's six rings as sub-shard slices under the same
- * open-loop load, lock-step vs the work-stealing executor pool. This
- * is the configuration whole-pod sharding cannot parallelise at all
- * (one pod = one shard); per-ring slices are what let it scale.
- */
-ShardedRun RunSubShardLoad(bool parallel) {
-    service::FederationTestbed::Config config;
-    config.pod_count = 1;
-    config.pod.ring_count = 6;
-    config.pod.fabric.device.configure_time = Milliseconds(5);
-    config.sharding.enabled = true;
-    config.sharding.ring_subshards = true;
-    config.sharding.parallel = parallel;
-    service::FederationTestbed bed(config);
-    ShardedRun run;
-    if (!bed.DeployAndSettle()) return run;
-    service::FederatedOpenLoopInjector::Config load;
-    load.rate_qps = 60'000.0;
-    load.duration = Milliseconds(160);
-    load.arrival_batch = 8;
-    service::FederatedOpenLoopInjector injector(&bed.dispatcher(),
-                                                &bed.simulator(), Rng(43),
-                                                load);
-    injector.set_group(bed.group());
-    run.deployed = true;
-    const bench::WallTimer timer;
-    run.load = injector.Run();
-    run.wall_ms = timer.Ms();
-    run.completed = bed.dispatcher().counters().completed;
-    run.failovers = bed.dispatcher().counters().failovers;
-    return run;
-}
-
 }  // namespace
 
 int main() {
@@ -292,109 +215,12 @@ int main() {
                     blackout.dead_nodes);
         ok = false;
     }
-    std::printf("\nParallel federation: 4 sharded pods, open-loop 60k QPS "
-                "x 160 ms, lock-step vs worker threads\n");
-    const unsigned cores = std::thread::hardware_concurrency();
-    const ShardedRun lockstep = RunShardedLoad(/*parallel=*/false);
-    const ShardedRun threaded = RunShardedLoad(/*parallel=*/true);
-    if (!lockstep.deployed || !threaded.deployed ||
-        lockstep.completed == 0) {
-        std::printf("FAIL: sharded federation run did not complete\n");
-        return 1;
-    }
-    const double speedup =
-        threaded.wall_ms > 0.0 ? lockstep.wall_ms / threaded.wall_ms : 0.0;
-    bench::Row({"mode", "wall_ms", "completed", "mean_us", "p99_us"});
-    bench::Row({"lockstep", bench::Fmt(lockstep.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(lockstep.completed)),
-                bench::Fmt(lockstep.load.latency_us.mean(), 1),
-                bench::Fmt(lockstep.load.latency_us.P99(), 1)});
-    bench::Row({"parallel", bench::Fmt(threaded.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(threaded.completed)),
-                bench::Fmt(threaded.load.latency_us.mean(), 1),
-                bench::Fmt(threaded.load.latency_us.P99(), 1)});
-    std::printf("[parallel_speedup] %.2f (cores=%u)\n", speedup, cores);
-    if (lockstep.completed != threaded.completed ||
-        lockstep.load.timeouts != threaded.load.timeouts ||
-        lockstep.load.rejected != threaded.load.rejected ||
-        lockstep.load.latency_us.samples() !=
-            threaded.load.latency_us.samples()) {
-        std::printf("FAIL: parallel run diverged from lock-step (completed "
-                    "%llu vs %llu)\n",
-                    static_cast<unsigned long long>(lockstep.completed),
-                    static_cast<unsigned long long>(threaded.completed));
-        ok = false;
-    }
-    // The speedup gate is hardware-aware: on a single-core runner the
-    // group collapses to one executor and the gate degrades to a
-    // report; with 4+ cores the 4 pod shards must deliver >= 2x.
-    if (cores >= 4 && speedup < 2.0) {
-        std::printf("FAIL: parallel speedup %.2fx < 2.0x on %u cores\n",
-                    speedup, cores);
-        ok = false;
-    } else if (cores >= 2 && cores < 4 && speedup < 1.2) {
-        std::printf("FAIL: parallel speedup %.2fx < 1.2x on %u cores\n",
-                    speedup, cores);
-        ok = false;
-    }
-
-    std::printf("\nRing sub-shards: 1 pod / 6 rings as slices, open-loop "
-                "60k QPS x 160 ms, lock-step vs worker threads\n");
-    const ShardedRun sub_lockstep = RunSubShardLoad(/*parallel=*/false);
-    const ShardedRun sub_threaded = RunSubShardLoad(/*parallel=*/true);
-    if (!sub_lockstep.deployed || !sub_threaded.deployed ||
-        sub_lockstep.completed == 0) {
-        std::printf("FAIL: sub-sharded federation run did not complete\n");
-        return 1;
-    }
-    const double sub_speedup = sub_threaded.wall_ms > 0.0
-                                   ? sub_lockstep.wall_ms /
-                                         sub_threaded.wall_ms
-                                   : 0.0;
-    bench::Row({"mode", "wall_ms", "completed", "mean_us", "p99_us"});
-    bench::Row({"lockstep", bench::Fmt(sub_lockstep.wall_ms, 1),
-                bench::FmtInt(
-                    static_cast<long long>(sub_lockstep.completed)),
-                bench::Fmt(sub_lockstep.load.latency_us.mean(), 1),
-                bench::Fmt(sub_lockstep.load.latency_us.P99(), 1)});
-    bench::Row({"parallel", bench::Fmt(sub_threaded.wall_ms, 1),
-                bench::FmtInt(
-                    static_cast<long long>(sub_threaded.completed)),
-                bench::Fmt(sub_threaded.load.latency_us.mean(), 1),
-                bench::Fmt(sub_threaded.load.latency_us.P99(), 1)});
-    std::printf("[subshard_speedup] %.2f (cores=%u)\n", sub_speedup, cores);
-    if (sub_lockstep.completed != sub_threaded.completed ||
-        sub_lockstep.load.timeouts != sub_threaded.load.timeouts ||
-        sub_lockstep.load.rejected != sub_threaded.load.rejected ||
-        sub_lockstep.load.latency_us.samples() !=
-            sub_threaded.load.latency_us.samples()) {
-        std::printf("FAIL: sub-sharded parallel run diverged from "
-                    "lock-step (completed %llu vs %llu)\n",
-                    static_cast<unsigned long long>(sub_lockstep.completed),
-                    static_cast<unsigned long long>(sub_threaded.completed));
-        ok = false;
-    }
-    // Same hardware-aware gate as the 4-pod part: single-core runners
-    // report only; multi-core runners must show that slicing the one
-    // pod actually buys parallelism.
-    if (cores >= 4 && sub_speedup < 1.5) {
-        std::printf("FAIL: sub-shard speedup %.2fx < 1.5x on %u cores\n",
-                    sub_speedup, cores);
-        ok = false;
-    } else if (cores >= 2 && cores < 4 && sub_speedup < 1.1) {
-        std::printf("FAIL: sub-shard speedup %.2fx < 1.1x on %u cores\n",
-                    sub_speedup, cores);
-        ok = false;
-    }
-
     if (!ok) return 1;
     std::printf("PASS: 3 pods sustain %.2fx one pod; blackout retained "
                 "%.1f%% QPS, %d/%d accepted queries completed, %llu "
-                "failover(s); parallel federation %.2fx and ring "
-                "sub-shards %.2fx on %u core(s)\n",
+                "failover(s)\n",
                 three_pod / one_pod, 100.0 * retained, blackout.ok,
                 blackout.accepted,
-                static_cast<unsigned long long>(blackout.failovers),
-                speedup, sub_speedup, cores);
+                static_cast<unsigned long long>(blackout.failovers));
     return 0;
 }

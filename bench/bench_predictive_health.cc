@@ -26,7 +26,6 @@
 //     pod demonstrably serving again.
 
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -138,16 +137,11 @@ struct ReadmitResult {
     std::uint64_t readmitted = 0;
     std::uint64_t pod0_served_after_readmit = 0;
     int pod0_dead_nodes_after = 0;
-    double wall_ms = 0.0;
 };
 
-enum class RunMode { kDirect, kShardedLockstep, kShardedParallel };
-
-ReadmitResult RunReadmission(RunMode mode = RunMode::kDirect) {
+ReadmitResult RunReadmission() {
     auto config = BaseConfig(/*predictive=*/true);
     config.dispatcher.readmission_warmup = Milliseconds(40);
-    config.sharding.enabled = mode != RunMode::kDirect;
-    config.sharding.parallel = mode == RunMode::kShardedParallel;
     service::FederationTestbed bed(config);
     ReadmitResult result;
     if (!bed.DeployAndSettle()) return result;
@@ -166,10 +160,7 @@ ReadmitResult RunReadmission(RunMode mode = RunMode::kDirect) {
     load.phase_offsets = {kFaultAt, kReattachAt, kSettledAt};
     service::FederatedPhasedInjector injector(&bed.dispatcher(),
                                               &bed.simulator(), load);
-    injector.set_group(bed.group());
-    const bench::WallTimer timer;
     result.load = injector.Run();
-    result.wall_ms = timer.Ms();
 
     result.lost = bed.dispatcher().counters().lost;
     result.readmitted = bed.dispatcher().counters().readmissions;
@@ -294,40 +285,6 @@ int main() {
                     static_cast<unsigned long long>(readmit.load.failed));
         ok = false;
     }
-    // --- Part 3: parallel federation runtime --------------------------
-    std::printf("\nParallel runtime: the re-admission scenario sharded, "
-                "lock-step vs worker threads\n");
-    const unsigned cores = std::thread::hardware_concurrency();
-    const ReadmitResult lockstep =
-        RunReadmission(RunMode::kShardedLockstep);
-    const ReadmitResult threaded =
-        RunReadmission(RunMode::kShardedParallel);
-    const double par_speedup =
-        threaded.wall_ms > 0.0 ? lockstep.wall_ms / threaded.wall_ms : 0.0;
-    bench::Row({"mode", "wall_ms", "completed", "reattached"});
-    bench::Row({"lockstep", bench::Fmt(lockstep.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(lockstep.load.completed)),
-                lockstep.reattach_ok ? "yes" : "no"});
-    bench::Row({"parallel", bench::Fmt(threaded.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(threaded.load.completed)),
-                threaded.reattach_ok ? "yes" : "no"});
-    std::printf("[parallel_speedup] %.2f (cores=%u)\n", par_speedup, cores);
-    if (lockstep.load.completed != threaded.load.completed ||
-        lockstep.load.accepted != threaded.load.accepted ||
-        lockstep.load.failed != threaded.load.failed ||
-        lockstep.reattach_ok != threaded.reattach_ok ||
-        lockstep.pod0_served_after_readmit !=
-            threaded.pod0_served_after_readmit) {
-        std::printf("FAIL: parallel re-admission run diverged from "
-                    "lock-step\n");
-        ok = false;
-    }
-    if (!lockstep.reattach_ok || lockstep.lost != 0 ||
-        threaded.lost != 0) {
-        std::printf("FAIL: sharded re-admission scenario incomplete\n");
-        ok = false;
-    }
-
     if (!ok) return 1;
     std::printf("PASS: predictive retained %.2fx reactive incident SLO "
                 "goodput (%.0f vs %.0f QPS, p99 %.1f vs %.1f us) with %llu "

@@ -24,7 +24,6 @@
 // front-door regressions.
 
 #include <cstdio>
-#include <thread>
 
 #include "bench_util.h"
 #include "common/stats.h"
@@ -53,8 +52,6 @@ service::FederationTestbed::Config FrontDoorConfig(int pods) {
     return config;
 }
 
-enum class RunMode { kDirect, kShardedLockstep, kShardedParallel };
-
 struct GatherRunResult {
     bool ok = false;
     std::uint64_t gathers = 0;
@@ -63,19 +60,14 @@ struct GatherRunResult {
     double docs_per_s = 0.0;
     double gather_p50_us = 0.0;
     double merge_mean_us = 0.0;
-    double wall_ms = 0.0;
 };
 
 /**
  * Closed-loop gather load: `kSessions` sessions each keep one gather
  * outstanding until `kGathersPerRun` gathers have been delivered.
  */
-GatherRunResult MeasureGatherThroughput(int pods,
-                                        RunMode mode = RunMode::kDirect) {
-    auto config = FrontDoorConfig(pods);
-    config.sharding.enabled = mode != RunMode::kDirect;
-    config.sharding.parallel = mode == RunMode::kShardedParallel;
-    service::FederationTestbed bed(config);
+GatherRunResult MeasureGatherThroughput(int pods) {
+    service::FederationTestbed bed(FrontDoorConfig(pods));
     GatherRunResult out;
     if (!bed.DeployAndSettle()) return out;
     service::SessionFrontEnd& door = bed.front_end();
@@ -111,9 +103,7 @@ GatherRunResult MeasureGatherThroughput(int pods,
             });
     };
     for (int s = 0; s < kSessions; ++s) pump(door.OpenSession());
-    const bench::WallTimer timer;
     bed.Run();
-    out.wall_ms = timer.Ms();
 
     const auto& counters = door.scatter().counters();
     const double elapsed_s = ToSeconds(bed.simulator().Now() - start);
@@ -296,55 +286,13 @@ int main() {
                     static_cast<unsigned long long>(deadlines.dispatcher_lost));
         ok = false;
     }
-    // --- Part 4: parallel federation runtime --------------------------
-    std::printf("\nParallel runtime: the same gather load on a sharded "
-                "4-pod federation, lock-step vs worker threads\n");
-    const unsigned cores = std::thread::hardware_concurrency();
-    const GatherRunResult lockstep =
-        MeasureGatherThroughput(4, RunMode::kShardedLockstep);
-    const GatherRunResult threaded =
-        MeasureGatherThroughput(4, RunMode::kShardedParallel);
-    const double par_speedup =
-        threaded.wall_ms > 0.0 ? lockstep.wall_ms / threaded.wall_ms : 0.0;
-    bench::Row({"mode", "wall_ms", "gathers", "docs_answered",
-                "gather_p50_us"});
-    bench::Row({"lockstep", bench::Fmt(lockstep.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(lockstep.gathers)),
-                bench::FmtInt(static_cast<long long>(lockstep.docs_answered)),
-                bench::Fmt(lockstep.gather_p50_us, 1)});
-    bench::Row({"parallel", bench::Fmt(threaded.wall_ms, 1),
-                bench::FmtInt(static_cast<long long>(threaded.gathers)),
-                bench::FmtInt(static_cast<long long>(threaded.docs_answered)),
-                bench::Fmt(threaded.gather_p50_us, 1)});
-    std::printf("[parallel_speedup] %.2f (cores=%u)\n", par_speedup, cores);
-    if (!lockstep.ok || !threaded.ok ||
-        lockstep.gathers != threaded.gathers ||
-        lockstep.docs_answered != threaded.docs_answered ||
-        lockstep.gather_p50_us != threaded.gather_p50_us) {
-        std::printf("FAIL: parallel gather run diverged from lock-step\n");
-        return 1;
-    }
-    // Hardware-aware wall gate: a single-core runner collapses to one
-    // executor (report only); 4+ cores must show the pod shards
-    // overlapping.
-    if (cores >= 4 && par_speedup < 2.0) {
-        std::printf("FAIL: parallel speedup %.2fx < 2.0x on %u cores\n",
-                    par_speedup, cores);
-        return 1;
-    }
-    if (cores >= 2 && cores < 4 && par_speedup < 1.2) {
-        std::printf("FAIL: parallel speedup %.2fx < 1.2x on %u cores\n",
-                    par_speedup, cores);
-        return 1;
-    }
+    if (!ok) return 1;
 
     std::printf("PASS: 3-pod scatter-gather sustains %.2fx single-pod "
                 "dispatch; merge overhead %.2f%% of gather p50; %llu/%llu "
-                "deadline gathers partial with 0 lost shards; parallel "
-                "runtime %.2fx on %u core(s)\n",
+                "deadline gathers partial with 0 lost shards\n",
                 speedup, overhead_pct,
                 static_cast<unsigned long long>(deadlines.partial),
-                static_cast<unsigned long long>(deadlines.delivered),
-                par_speedup, cores);
+                static_cast<unsigned long long>(deadlines.delivered));
     return 0;
 }

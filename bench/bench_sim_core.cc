@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -143,17 +142,14 @@ Outcome RunScenario(const Scenario& scenario, std::uint64_t target_fired) {
  * SimulatorGroup sweep: self-sustaining churn on every shard where a
  * slice of fired events crosses a shard boundary through the mailbox
  * at the edge's lookahead. Isolates the cost of rounds, bound
- * computation and canonical drains as shard count, lookahead width and
- * cross-shard traffic ratio vary — in lock-step and on the
- * work-stealing executor pool.
+ * computation and mailbox drains as shard count, lookahead width and
+ * cross-shard traffic ratio vary.
  */
 Outcome RunGroupScenario(int shards, Time lookahead, int mailbox_pct,
-                         bool parallel, Time horizon) {
+                         Time horizon) {
     sim::SimulatorGroup::Config config;
     config.shards = shards;
     config.epoch = lookahead;
-    config.parallel = parallel;
-    config.max_threads = shards;
     sim::SimulatorGroup group(config);
 
     struct ShardState {
@@ -166,9 +162,7 @@ Outcome RunGroupScenario(int shards, Time lookahead, int mailbox_pct,
         st.rng.state ^=
             0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(s + 1);
         // Each firing continues exactly one pump: locally after a short
-        // draw, or on the ring-neighbour shard one lookahead out. Every
-        // shard touches only its own state, so the parallel run is
-        // race-free by construction.
+        // draw, or on the ring-neighbour shard one lookahead out.
         st.pump = [&group, &state, s, shards, mailbox_pct, lookahead] {
             ShardState& self = state[static_cast<std::size_t>(s)];
             if (static_cast<int>(self.rng.Next() % 100) < mailbox_pct) {
@@ -213,7 +207,7 @@ Outcome RunGroupScenario(int shards, Time lookahead, int mailbox_pct,
  * Observability overhead probe: a fig15-style paced-load run on a
  * sharded 2-pod federation that loses pod 0 mid-run and re-admits it —
  * the scenario where every pillar of the plane is live (query spans,
- * failover instants, FDR postmortem, executor profile, hub snapshots).
+ * failover instants, FDR postmortem, round profile, hub snapshots).
  */
 enum class ObsMode { kOff, kMetrics, kTracing };
 
@@ -324,34 +318,24 @@ int main() {
                         static_cast<long long>(out.events_per_sec))});
     }
 
-    // Sharded-runtime sweep. On a single hardware core the parallel
-    // column reports executor-pool overhead, not speedup — the
-    // differential tests guarantee both columns simulate identically.
-    std::printf(
-        "\nSimulatorGroup sweep (10 ms simulated horizon, cores=%u):\n",
-        std::thread::hardware_concurrency());
+    // Sharded-runtime sweep: the cost of rounds and mailbox drains.
+    std::printf("\nSimulatorGroup sweep (10 ms simulated horizon):\n");
     bench::Row({"shards", "lookahead_us", "mailbox_pct", "events",
-                "lockstep_ev_s", "parallel_ev_s"});
+                "events_per_s"});
     const Time horizon = Milliseconds(10);
     for (const int shards : {2, 8}) {
         for (const Time lookahead : {Microseconds(5), Microseconds(50)}) {
             for (const int mailbox : {0, 10, 50}) {
-                const Outcome lockstep = RunGroupScenario(
-                    shards, lookahead, mailbox, /*parallel=*/false,
-                    horizon);
-                const Outcome threaded = RunGroupScenario(
-                    shards, lookahead, mailbox, /*parallel=*/true,
-                    horizon);
+                const Outcome out =
+                    RunGroupScenario(shards, lookahead, mailbox, horizon);
                 bench::Row(
                     {bench::FmtInt(shards),
                      bench::FmtInt(static_cast<long long>(
                          ToMicroseconds(lookahead))),
                      bench::FmtInt(mailbox),
-                     bench::FmtInt(static_cast<long long>(lockstep.events)),
+                     bench::FmtInt(static_cast<long long>(out.events)),
                      bench::FmtInt(static_cast<long long>(
-                         lockstep.events_per_sec)),
-                     bench::FmtInt(static_cast<long long>(
-                         threaded.events_per_sec))});
+                         out.events_per_sec))});
             }
         }
     }

@@ -1,7 +1,7 @@
 // Observability plane walkthrough: the federation-wide metrics
-// registry, distributed query tracing and executor profiling, end to
-// end on a sharded 2-pod federation that loses a pod mid-run and gets
-// it back.
+// registry, distributed query tracing and round-schedule profiling, end
+// to end on a sharded 2-pod federation that loses a pod mid-run and
+// gets it back.
 //
 // The run drives session scatter-gather traffic through the front door
 // while pod 0 suffers a power-domain blackout and is later field
@@ -15,7 +15,7 @@
 //
 // Artifacts (written to argv[1], default "."):
 //   obs_trace.json     Chrome trace-event timeline (chrome://tracing)
-//   obs_metrics.json   merged registry, full view incl. profiling
+//   obs_metrics.json   merged registry, full view incl. volatile metrics
 //   obs_metrics.prom   Prometheus text exposition
 //
 // tools/check_obs_schema.py validates the two JSON artifacts in CI.
@@ -63,12 +63,10 @@ int main(int argc, char** argv) {
     config.pod.host.crash_reboot_delay = Milliseconds(50);
     config.pod.health.heartbeat_period = Milliseconds(10);
     config.pod.health.query_timeout = Milliseconds(50);
-    // Sharded + parallel: each pod's stack on its own simulator shard,
-    // run by the work-stealing executor pool — the mode the executor
-    // profiling pillar is about. The deterministic exports are
-    // byte-identical to a lock-step run of the same scenario.
+    // Sharded: each pod's stack on its own simulator shard, so every
+    // coordinator <-> pod hop pays its latency and the group's round
+    // profile lands in the registry.
     config.sharding.enabled = true;
-    config.sharding.parallel = true;
     // The whole plane on: per-shard registries and trace rings, merged
     // at epoch barriers, snapshotted every 10 ms of simulated time.
     config.observability.enabled = true;

@@ -13,15 +13,15 @@
 // use-after-release-into-pool fails the sanitized job just like a
 // use-after-free would have without pooling.
 //
-// Thread model (parallel federation runtime): every thread has its own
-// arena, and Allocate/Release always touch the *calling* thread's
-// arena — there is no shared free list and therefore no lock. A block
-// allocated on thread A and released on thread B simply migrates: it
-// joins B's free list and is recycled by B from then on. That is safe
-// because slabs are never freed (arenas are intentionally leaked, see
-// Instance()), so the block's storage outlives every thread, and the
-// SimulatorGroup epoch barrier provides the happens-before edge between
-// the releasing and the reusing thread. The only cost of migration is
+// Thread model: every thread has its own arena, and Allocate/Release
+// always touch the *calling* thread's arena — there is no shared free
+// list and therefore no lock. A block allocated on thread A and
+// released on thread B simply migrates: it joins B's free list and is
+// recycled by B from then on. That is safe because slabs are never
+// freed (arenas are intentionally leaked, see Instance()), so the
+// block's storage outlives every thread, provided the caller orders
+// the release after the last use on A (a join or a lock gives the
+// happens-before edge). The only cost of migration is
 // capacity drift — a thread that only frees grows its list while the
 // allocating thread refills — which is bounded by in-flight object
 // count, not by run length.

@@ -87,12 +87,6 @@ class PodContext {
          */
         int pod_id = 0;
         /**
-         * Host-name prefix ("srv" / "p<k>.srv" when empty). A
-         * federation building several contexts with one pod_id — ring
-         * sub-shard slices — pins this so host names stay unique.
-         */
-        std::string host_name_prefix;
-        /**
          * SimulatorGroup shard this pod's stack is pinned to, -1 when
          * the pod shares the classic single simulator. Informational:
          * the `simulator` passed to the constructor is already the
@@ -100,11 +94,11 @@ class PodContext {
          */
         int shard_index = -1;
         /**
-         * This pod's observability shard (single-writer: the executor
-         * running the pod's simulator shard). Wired through the ring
-         * pool (per-document "doc"/"stage" spans) and the Health
-         * Monitor ("fault" instants + FDR postmortem streaming). Null
-         * = observability off; the pointee must outlive the pod.
+         * This pod's observability shard (written only by events on
+         * the pod's simulator). Wired through the ring pool
+         * (per-document "doc"/"stage" spans) and the Health Monitor
+         * ("fault" instants + FDR postmortem streaming). Null =
+         * observability off; the pointee must outlive the pod.
          */
         obs::ShardObs* obs = nullptr;
     };

@@ -3,18 +3,16 @@
 // (name-sorted) export order.
 //
 // Concurrency model — none, on purpose. A MetricRegistry is
-// single-writer: each simulator shard owns one and only the executor
-// running that shard touches it (the same single-writer discipline as
-// SimulatorGroup's outboxes). The coordinator merges shard registries
-// on the driving thread at epoch barriers, where workers are provably
-// idle, so collection is race-free without a single atomic on the hot
-// path — and because rounds are identical in lock-step and parallel
-// mode, the merged values are bit-identical across execution modes.
+// single-writer: each simulator shard owns one and only events on that
+// shard touch it. The coordinator merges shard registries at epoch
+// barriers, after every mailbox drained, and because the round
+// schedule is deterministic the merged values are bit-identical run to
+// run.
 //
-// Wall-clock-derived metrics (executor busy nanoseconds, merge wall
-// time) are registered `volatile`: they appear in the full human-facing
-// export but are excluded from the deterministic export the
-// differential suites compare byte-for-byte.
+// Wall-clock-derived metrics (merge wall time) are registered
+// `volatile`: they appear in the full human-facing export but are
+// excluded from the deterministic export the pinned transcripts
+// compare byte-for-byte.
 
 #pragma once
 
@@ -108,8 +106,8 @@ class MetricRegistry {
     /**
      * One-line JSON object: {"counters":{...},"gauges":{...},
      * "histograms":{name:{"total":n,"underflow":u,"buckets":[...]}}}.
-     * `include_volatile` false gives the deterministic view the
-     * lockstep-vs-parallel differential suites compare byte-for-byte.
+     * `include_volatile` false gives the deterministic view the pinned
+     * transcripts compare byte-for-byte.
      */
     std::string ToJson(bool include_volatile) const;
 

@@ -9,8 +9,7 @@
 // more cadence boundaries the hub renders one snapshot per boundary;
 // the rendered values are "the registry as of the first barrier at or
 // past the boundary", which is a deterministic function of the round
-// schedule and therefore identical between lock-step and parallel
-// execution.
+// schedule and therefore identical run to run.
 
 #pragma once
 

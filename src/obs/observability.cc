@@ -31,8 +31,8 @@ void ObservabilityPlane::BuildMerged(MetricRegistry* out) const {
 
 void ObservabilityPlane::AdvanceTo(Time frontier) {
     hub_.AdvanceTo(frontier, [this, frontier] {
-        // Hub snapshots keep the deterministic view: the differential
-        // suites compare them between lock-step and parallel runs.
+        // Hub snapshots keep the deterministic view, so they reproduce
+        // run to run.
         MetricRegistry merged;
         BuildMerged(&merged);
         std::ostringstream out;

@@ -9,18 +9,18 @@
 //   shard 1..N (pods)       ShardObs ── RankingService / StageRole /
 //                                       HealthMonitor (FDR postmortems)
 //
-// Each ShardObs is written only by the executor running its shard.
-// AdvanceTo — called from the SimulatorGroup barrier hook (sharded) or
-// a self-scheduled daemon event (single simulator) — runs on the
-// driving thread with all workers idle: it merges shard registries in
-// shard-id order, runs the registered pull-collectors (which mirror
+// Each ShardObs is written only by events on its shard. AdvanceTo —
+// called from the SimulatorGroup barrier hook (sharded) or a
+// self-scheduled daemon event (single simulator) — merges shard
+// registries in shard-id order, runs the registered pull-collectors
+// (which mirror
 // pre-existing layer counters such as FederatedDispatcher::Counters
 // into the registry), and lets the hub snapshot. Exports:
 //
 //   MetricsJson(false)  deterministic view (volatile metrics dropped) —
-//                       byte-identical lock-step vs parallel, compared
-//                       by the differential suites
-//   MetricsJson(true)   full view incl. wall-clock executor profiling
+//                       byte-identical run to run, hashed by the pinned
+//                       transcripts
+//   MetricsJson(true)   full view incl. wall-clock metrics
 //   PrometheusText()    text exposition of the full view
 //   TraceJson()         stitched Chrome trace-event timeline
 

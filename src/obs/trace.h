@@ -10,10 +10,10 @@
 //
 // Recording is allocation-free and single-writer: each simulator shard
 // owns a TraceRecorder — a preallocated ring of fixed-size TraceRecord
-// entries, appended only by the executor running that shard. Span and
-// trace ids are (shard << 48) | counter, so id allocation is
-// deterministic per shard and collision-free across shards; the ring
-// contents are bit-identical between lock-step and parallel runs.
+// entries, appended only by events on that shard. Span and trace ids
+// are (shard << 48) | counter, so id allocation is deterministic per
+// shard and collision-free across shards; the ring contents are
+// bit-identical run to run.
 //
 // StitchChromeTrace merges every shard's ring into one Chrome
 // trace-event JSON document ("traceEvents", ph "X" complete events /

@@ -36,14 +36,10 @@ void FederatedDispatcher::SetObservability(obs::ShardObs* obs) {
 
 FederatedDispatcher::~FederatedDispatcher() {
     for (auto& slot : pods_) {
-        if (slot.health_subscription >= 0) {
-            slot.context->health_monitor().RemoveFailureSubscriber(
-                slot.health_subscription);
-        }
-        for (auto& slice : slot.slices) {
-            slice.context->health_monitor().RemoveFailureSubscriber(
-                slice.health_subscription);
-            slice.context->pool().set_on_rings_available_changed(nullptr);
+        slot.context->health_monitor().RemoveFailureSubscriber(
+            slot.health_subscription);
+        if (slot.shard >= 0) {
+            slot.context->pool().set_on_rings_available_changed(nullptr);
         }
     }
 }
@@ -93,9 +89,9 @@ void FederatedDispatcher::DeclareShardEdges(const char* caller, int shard) {
     };
     declare(coord, shard, binding_.inject_hop);
     declare(shard, coord, binding_.completion_hop);
-    // Pods (and slices) never message each other directly — everything
-    // crosses the coordinator — so those edges are unreachable, and a
-    // shard's advance is bounded only by its real inbound paths.
+    // Pods never message each other directly — everything crosses the
+    // coordinator — so those edges are unreachable, and a shard's
+    // advance is bounded only by its real inbound paths.
     for (const int other : attached_shards_) {
         if (other == shard) return;  // re-assertion (ReadmitPod)
         group->SetEdgeLookahead(shard, other,
@@ -113,7 +109,7 @@ int FederatedDispatcher::AttachPod(mgmt::PodContext* pod) {
     if (sharded()) {
         FatalMisuse("FederatedDispatcher::AttachPod: dispatcher is bound to "
                     "a shard group (coordinator shard %d); attach through "
-                    "AttachPodSlices",
+                    "AttachShardedPod",
                     binding_.coordinator_shard);
     }
     if (pod_count() >= 64) {
@@ -152,139 +148,73 @@ int FederatedDispatcher::AttachPod(mgmt::PodContext* pod) {
     return index;
 }
 
-int FederatedDispatcher::AttachPodSlices(const std::vector<PodSlice>& slices) {
+int FederatedDispatcher::AttachShardedPod(mgmt::PodContext* pod,
+                                          int shard) {
     if (!sharded()) {
-        FatalMisuse("FederatedDispatcher::AttachPodSlices: no shard group "
+        FatalMisuse("FederatedDispatcher::AttachShardedPod: no shard group "
                     "bound; call BindShardGroup first");
     }
-    if (slices.empty()) {
-        FatalMisuse("FederatedDispatcher::AttachPodSlices: no slices");
+    if (pod == nullptr) {
+        FatalMisuse("FederatedDispatcher::AttachShardedPod: null pod");
     }
     const int shards = binding_.group->shard_count();
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-        const PodSlice& s = slices[i];
-        if (s.context == nullptr) {
-            FatalMisuse("FederatedDispatcher::AttachPodSlices: slice %zu "
-                        "has a null context",
-                        i);
-        }
-        if (s.shard < 0 || s.shard >= shards ||
-            s.shard == binding_.coordinator_shard) {
-            FatalMisuse("FederatedDispatcher::AttachPodSlices: slice %zu on "
-                        "shard %d; pod shards are [0, %d) except the "
-                        "coordinator's %d",
-                        i, s.shard, shards, binding_.coordinator_shard);
-        }
+    if (shard < 0 || shard >= shards || shard == binding_.coordinator_shard) {
+        FatalMisuse("FederatedDispatcher::AttachShardedPod: pod on shard %d; "
+                    "pod shards are [0, %d) except the coordinator's %d",
+                    shard, shards, binding_.coordinator_shard);
     }
     if (pod_count() >= 64) {
         LOG_ERROR("federation")
             << "rotation full: 64 pods per dispatcher; pod "
-            << slices.front().context->pod_id() << " refused";
+            << pod->pod_id() << " refused";
         return -1;
     }
     const int index = pod_count();
     PodSlot slot;
-    slot.context = slices.front().context;
-    int total_nodes = 0;
-    for (const PodSlice& s : slices) {
-        SliceState state;
-        state.context = s.context;
-        state.shard = s.shard;
-        state.node_offset = s.node_offset;
-        state.rings_view = s.context->pool().available_rings();
-        slot.rings_view += state.rings_view;
-        total_nodes += s.context->fabric().node_count();
-        slot.slices.push_back(std::move(state));
-        DeclareShardEdges("AttachPodSlices", s.shard);
-    }
-    slot.node_dead.assign(static_cast<std::size_t>(total_nodes), 0);
-    pods_.push_back(std::move(slot));
-    for (int si = 0; si < static_cast<int>(slices.size()); ++si) {
-        AttachSliceSeams(index, si);
-    }
-    return index;
-}
-
-void FederatedDispatcher::AttachSliceSeams(int pod_index, int slice_index) {
-    SliceState& slice =
-        pods_[static_cast<std::size_t>(pod_index)]
-            .slices[static_cast<std::size_t>(slice_index)];
-    mgmt::PodContext* pod = slice.context;
+    slot.context = pod;
+    slot.shard = shard;
+    slot.rings_view = pod->pool().available_rings();
+    slot.node_dead.assign(
+        static_cast<std::size_t>(pod->fabric().node_count()), 0);
+    DeclareShardEdges("AttachShardedPod", shard);
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
     const Time hop = binding_.completion_hop;
-    const int shard = slice.shard;
-    const int node_offset = slice.node_offset;
-    // The seams fire on the slice's shard and must not touch dispatcher
+    // The seams fire on the pod's shard and must not touch dispatcher
     // state there: each ships a plain copy of its payload one completion
-    // hop to the coordinator, the return path completions take. Reports
-    // remap into the logical pod's node space; scores fold into a
-    // pod-level aggregate; availability sums into the pod-level
-    // rings_view the admission check reads.
-    slice.health_subscription = pod->health_monitor().AddFailureSubscriber(
-        [this, group, coord, hop, pod_index, node_offset,
+    // hop to the coordinator, the return path completions take.
+    slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
+        [this, group, coord, hop, index,
          shard](const mgmt::MachineReport& report) {
-            mgmt::MachineReport remapped = report;
-            remapped.node += node_offset;
             group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, remapped] {
-                            ApplyMachineReport(pod_index, remapped);
+                        [this, index, report] {
+                            ApplyMachineReport(index, report);
                         });
         });
     // Daemon: periodic score publishing must not keep the group's Run()
     // alive once foreground work drains.
-    slice.score_subscription = pod->health_feed().SubscribeScoped(
-        [this, group, coord, hop, pod_index, slice_index,
+    slot.score_subscription = pod->health_feed().SubscribeScoped(
+        [this, group, coord, hop, index,
          shard](const mgmt::HealthScoreSample& sample) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, slice_index, sample] {
-                            OnSliceHealthSample(pod_index, slice_index,
-                                                sample);
+                        [this, index, sample] {
+                            OnHealthSample(index, sample);
                         },
                         sim::EventPriority::kDeliver, /*daemon=*/true);
         });
-    // Ring availability: seeded at attach, then pushed on every rotation
+    // Ring availability: seeded above, then pushed on every rotation
     // change — one hop stale by construction, the optimistic-admission
-    // window the slice-side reject path covers.
+    // window the pod-side reject path covers.
     pod->pool().set_on_rings_available_changed(
-        [this, group, coord, hop, pod_index, slice_index, shard](int rings) {
+        [this, group, coord, hop, index, shard](int rings) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, slice_index, rings] {
-                            PodSlot& slot =
-                                pods_[static_cast<std::size_t>(pod_index)];
-                            SliceState& s = slot.slices[
-                                static_cast<std::size_t>(slice_index)];
-                            slot.rings_view += rings - s.rings_view;
-                            s.rings_view = rings;
+                        [this, index, rings] {
+                            pods_[static_cast<std::size_t>(index)]
+                                .rings_view = rings;
                         });
         });
-}
-
-void FederatedDispatcher::OnSliceHealthSample(
-    int pod_index, int slice_index, const mgmt::HealthScoreSample& sample) {
-    PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
-    SliceState& slice =
-        slot.slices[static_cast<std::size_t>(slice_index)];
-    slice.health_score = sample.score;
-    slice.band = sample.band;
-    // Pod-level aggregate: the worst slice, slices past warm-up ranking
-    // before warming ones. A pod is only as healthy as its sickest ring
-    // — one degrading slice pulls routing weight off the whole pod —
-    // and while every slice is still warming the pod keeps its
-    // cold-start grace. A one-slice pod forwards its sample unchanged.
-    const SliceState* worst = &slot.slices.front();
-    for (const SliceState& s : slot.slices) {
-        const bool warming = s.band == mgmt::HealthBand::kWarmingUp;
-        const bool worst_warming = worst->band == mgmt::HealthBand::kWarmingUp;
-        if (warming != worst_warming ? !warming
-                                     : s.health_score < worst->health_score) {
-            worst = &s;
-        }
-    }
-    mgmt::HealthScoreSample aggregate = sample;
-    aggregate.score = worst->health_score;
-    aggregate.band = worst->band;
-    OnHealthSample(pod_index, aggregate);
+    pods_.push_back(std::move(slot));
+    return index;
 }
 
 void FederatedDispatcher::ApplyMachineReport(
@@ -302,8 +232,6 @@ void FederatedDispatcher::ApplyMachineReport(
     }
     hit.node_dead[static_cast<std::size_t>(report.node)] = 1;
     ++hit.dead_nodes;
-    // The ledger spans the whole logical pod (every slice of a
-    // sharded one), so the latch still means "every node gone".
     if (hit.dead_nodes >= static_cast<int>(hit.node_dead.size())) {
         if (simulator_->Now() >= hit.breaker_open_until) {
             ++counters_.breaker_trips;
@@ -351,9 +279,7 @@ void FederatedDispatcher::ReadmitPod(int index) {
     // Re-declare the pod's edge lookaheads: servicing must not have
     // shortened any hop the group already ran with (the group rejects
     // a narrowed edge; widening or re-stating the same hop is a no-op).
-    for (const SliceState& s : slot.slices) {
-        DeclareShardEdges("ReadmitPod", s.shard);
-    }
+    if (slot.shard >= 0) DeclareShardEdges("ReadmitPod", slot.shard);
     // Breaker reset, fatal latch included: the dead-node ledger
     // restarts from zero, so a fresh fatal fault on the serviced pod
     // re-counts toward a new latch instead of inheriting the old one.
@@ -367,12 +293,6 @@ void FederatedDispatcher::ReadmitPod(int index) {
     slot.shed = false;
     slot.health_score = 1.0;
     slot.health_band = mgmt::HealthBand::kWarmingUp;
-    // Blackout-era slice scores must not poison the first post-service
-    // aggregate; each slice re-earns its band from its reset forecaster.
-    for (SliceState& s : slot.slices) {
-        s.health_score = 1.0;
-        s.band = mgmt::HealthBand::kWarmingUp;
-    }
     slot.warmup_start = now;
     slot.warmup_until = now + config_.readmission_warmup;
     ++slot.stat_readmitted;
@@ -431,8 +351,8 @@ bool FederatedDispatcher::Eligible(const PodSlot& slot) const {
         if (slot.in_flight >= cap) return false;
     }
     // A sharded pod reads the pushed availability proxy — its pool
-    // lives on other shards and must not be touched synchronously.
-    if (!slot.slices.empty()) return slot.rings_view > 0;
+    // lives on another shard and must not be touched synchronously.
+    if (slot.shard >= 0) return slot.rings_view > 0;
     return slot.context->pool().available_rings() > 0;
 }
 
@@ -571,7 +491,7 @@ int FederatedDispatcher::PickShedProbe(std::uint64_t tried) {
             slot.in_flight >= config_.max_in_flight_per_pod) {
             continue;
         }
-        const int rings = !slot.slices.empty()
+        const int rings = slot.shard >= 0
                               ? slot.rings_view
                               : slot.context->pool().available_rings();
         if (rings > 0) return i;
@@ -686,64 +606,39 @@ host::SendStatus FederatedDispatcher::TryInject(
                            slot.breaker_open_until !=
                                std::numeric_limits<Time>::max() &&
                            injected_at >= slot.breaker_open_until);
-    if (!slot.slices.empty()) {
+    if (slot.shard >= 0) {
         // Mailbox mode: admit optimistically and ship the inject one
-        // hop to a slice's shard. The pool's verdict (completion or
+        // hop to the pod's shard. The pool's verdict (completion or
         // refusal) comes back a completion hop later; a refusal is
         // handled as a failover, not re-walked synchronously — the
         // admission decision here was made on a one-hop-stale view and
         // that latency is real.
-        //
-        // Placement: the query lands on the least-loaded slice whose
-        // ring is in rotation (mirror view), ties broken by a rotating
-        // cursor so light load still spreads over every ring instead
-        // of camping on slice 0 — the coordinator-side analogue of the
-        // pool's least-in-flight ring dispatch. Deterministic: cursor
-        // state lives on the coordinator shard only.
-        const int n = static_cast<int>(slot.slices.size());
-        int slice_index = -1;
-        for (int i = 0; i < n; ++i) {
-            const int si = (slot.slice_rr + i) % n;
-            const SliceState& s = slot.slices[static_cast<std::size_t>(si)];
-            if (s.rings_view <= 0) continue;
-            if (slice_index < 0 ||
-                s.in_flight <
-                    slot.slices[static_cast<std::size_t>(slice_index)]
-                        .in_flight) {
-                slice_index = si;
-            }
-        }
-        if (slice_index < 0) {
-            // Every slice's ring is out of rotation on the mirror:
-            // synchronous refusal, like a direct-mode pool reject — the
-            // caller walks on without spending a retry.
+        if (slot.rings_view <= 0) {
+            // Every ring is out of rotation on the mirror: synchronous
+            // refusal, like a direct-mode pool reject — the caller
+            // walks on without spending a retry.
             ++slot.stat_rejected;
             return host::SendStatus::kTimeout;
         }
-        SliceState& slice = slot.slices[static_cast<std::size_t>(slice_index)];
-        slot.slice_rr = (slice_index + 1) % n;
         const std::uint64_t query_id = next_query_id_++;
         PendingInject pending;
         pending.query = query;
         pending.injected_at = injected_at;
         pending.was_probe = is_probe;
-        pending.slice = slice_index;
         pending_.emplace(query_id, std::move(pending));
         const int thread = query->thread;
         const rank::CompressedRequest request = query->request;
         binding_.group->Post(
-            binding_.coordinator_shard, slice.shard,
+            binding_.coordinator_shard, slot.shard,
             injected_at + binding_.inject_hop,
-            [this, pod_index, slice_index, query_id, thread, request] {
-                PodInjectOnShard(pod_index, slice_index, query_id, thread,
-                                 request);
+            [this, pod_index, query_id, thread, request] {
+                PodInjectOnShard(pod_index, query_id, thread, request);
             });
         ++slot.in_flight;
-        ++slice.in_flight;
         if (is_probe) slot.probe_in_flight = true;
         if (query->obs_span != 0) {
             obs_->tracer.Instant("inject", query->obs_trace, query->obs_span,
-                                 0, injected_at, pod_index, slice_index);
+                                 0, injected_at, pod_index, /*a2=*/0);
         }
         return host::SendStatus::kOk;
     }
@@ -767,16 +662,14 @@ host::SendStatus FederatedDispatcher::TryInject(
 }
 
 void FederatedDispatcher::PodInjectOnShard(
-    int pod_index, int slice_index, std::uint64_t query_id, int thread,
+    int pod_index, std::uint64_t query_id, int thread,
     const rank::CompressedRequest& request) {
-    // Runs on the slice's shard. Only the slice's immutable identity
+    // Runs on the pod's shard. Only the pod's immutable identity
     // (context pointer, shard index) may be read here — every mutable
-    // dispatcher field belongs to the coordinator thread.
-    const SliceState& slice =
-        pods_[static_cast<std::size_t>(pod_index)]
-            .slices[static_cast<std::size_t>(slice_index)];
-    mgmt::PodContext* target = slice.context;
-    const int shard = slice.shard;
+    // dispatcher field belongs to the coordinator shard.
+    const PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
+    mgmt::PodContext* target = slot.context;
+    const int shard = slot.shard;
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
     const Time hop = binding_.completion_hop;
@@ -803,9 +696,6 @@ void FederatedDispatcher::OnShardResult(int pod_index, std::uint64_t query_id,
     if (it == pending_.end()) return;  // torn down mid-flight
     PendingInject pending = std::move(it->second);
     pending_.erase(it);
-    --pods_[static_cast<std::size_t>(pod_index)]
-          .slices[static_cast<std::size_t>(pending.slice)]
-          .in_flight;
     OnPodResult(pod_index, std::move(pending.query), pending.injected_at,
                 pending.was_probe, result);
 }
@@ -818,7 +708,6 @@ void FederatedDispatcher::OnShardReject(int pod_index,
     pending_.erase(it);
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
     --slot.in_flight;
-    --slot.slices[static_cast<std::size_t>(pending.slice)].in_flight;
     if (pending.was_probe) slot.probe_in_flight = false;
     ++slot.stat_rejected;
     // A pool-level refusal is not a pod failure (no breaker input, as

@@ -31,10 +31,11 @@
 // with a warm-up ramp, so a rejoining pod earns its share gradually.
 //
 // A pod attaches direct (AttachPod: it shares the dispatcher's
-// simulator — the unsharded reference) or sliced (AttachPodSlices: 1..R
-// slices, each on its own SimulatorGroup shard, every seam crossing the
-// group's mailboxes). A pod is sharded exactly when it has slices.
-// Attach and bind misuse aborts in every build.
+// simulator — the unsharded reference) or sharded (AttachShardedPod:
+// the whole pod on its own SimulatorGroup shard, every seam crossing
+// the group's mailboxes with the declared hop latency). A pod is
+// sharded exactly when it has a shard. Attach and bind misuse aborts in
+// every build.
 
 #pragma once
 
@@ -138,16 +139,16 @@ class FederatedDispatcher {
 
     /**
      * Sharded-federation binding: the dispatcher lives on a
-     * SimulatorGroup coordinator shard and every pod slice lives on its
-     * own shard. Cross-shard traffic — injects, completions, pod-level
+     * SimulatorGroup coordinator shard and every pod lives on its own
+     * shard. Cross-shard traffic — injects, completions, pod-level
      * rejects, health telemetry — travels through the group's mailboxes
-     * with these hop latencies. Each slice attach declares its hops as
-     * the group's per-edge lookaheads (coordinator <-> slice edges
-     * carry the real hop; slice <-> slice edges are unreachable,
-     * nothing ever crosses them directly), and ReadmitPod re-declares
-     * them. The dispatcher's own `simulator` must be the coordinator
-     * shard's. Aborts when called after the first attach, with a null
-     * group, a coordinator shard outside the group, or a hop <= 0.
+     * with these hop latencies. Each pod attach declares its hops as
+     * the group's per-edge lookaheads (coordinator <-> pod edges carry
+     * the real hop; pod <-> pod edges are unreachable, nothing ever
+     * crosses them directly), and ReadmitPod re-declares them. The
+     * dispatcher's own `simulator` must be the coordinator shard's.
+     * Aborts when called after the first attach, with a null group, a
+     * coordinator shard outside the group, or a hop <= 0.
      */
     struct ShardBinding {
         sim::SimulatorGroup* group = nullptr;
@@ -160,31 +161,16 @@ class FederatedDispatcher {
     void BindShardGroup(const ShardBinding& binding);
 
     /**
-     * One slice of a sharded pod (the whole pod, or one ring of it) on
-     * its own group shard. `node_offset` maps the slice's local node
-     * ids into the logical pod's node space, so health reports
-     * aggregate into one pod-level dead-node ledger.
-     */
-    struct PodSlice {
-        mgmt::PodContext* context = nullptr;
-        int shard = -1;
-        int node_offset = 0;
-    };
-    /**
-     * Attach one sharded pod as 1..R slices, reached only through
-     * mailbox messages. The pod joins the rotation as a single index —
-     * policy picks, admission caps, breaker, shed and warm-up stay
-     * pod-level — and each accepted query lands on the least-loaded
-     * slice whose ring is in rotation (ties rotate). Admission is
+     * Attach one sharded pod whose whole stack runs on group shard
+     * `shard`, reached only through mailbox messages. Admission is
      * optimistic: ring availability is a pushed mirror, one hop stale,
-     * and a slice-side refusal comes back as a failover consuming one
-     * retry — the price of the hop a real front door pays. Health
-     * scores aggregate as the worst slice, slices past warm-up first;
-     * ring availability as the sum. Aborts before BindShardGroup, with
-     * no slices, a null context, or a shard outside the group or equal
-     * to the coordinator's.
+     * and a pod-side refusal comes back as a failover consuming one
+     * retry — the price of the hop a real front door pays. Returns the
+     * pod's index in the rotation, or -1 when the rotation is full.
+     * Aborts before BindShardGroup, with a null pod, or with a shard
+     * outside the group or equal to the coordinator's.
      */
-    int AttachPodSlices(const std::vector<PodSlice>& slices);
+    int AttachShardedPod(mgmt::PodContext* pod, int shard);
 
     /** True when BindShardGroup routed this dispatcher through mailboxes. */
     bool sharded() const { return binding_.group != nullptr; }
@@ -309,22 +295,6 @@ class FederatedDispatcher {
     void SetObservability(obs::ShardObs* obs);
 
   private:
-    /** Coordinator-side state of one attached pod slice. */
-    struct SliceState {
-        mgmt::PodContext* context = nullptr;
-        int shard = -1;
-        /** Slice-local node 0 in the logical pod's node space. */
-        int node_offset = 0;
-        /** Dispatcher-accepted queries in flight on this slice. */
-        int in_flight = 0;
-        /** Pushed availability mirror of the slice's rings. */
-        int rings_view = 0;
-        double health_score = 1.0;
-        mgmt::HealthBand band = mgmt::HealthBand::kWarmingUp;
-        int health_subscription = -1;
-        mgmt::HealthScoreSubscription score_subscription;
-    };
-
     struct PodSlot {
         mgmt::PodContext* context = nullptr;
         int in_flight = 0;
@@ -337,21 +307,15 @@ class FederatedDispatcher {
         Time breaker_opened_at = 0;
         /** A half-open probe query is outstanding (one at a time). */
         bool probe_in_flight = false;
-        /** Direct attach only (a sharded pod subscribes per slice). */
+        /** The pod's group shard; -1 for a direct attach. */
+        int shard = -1;
         int health_subscription = -1;
         /**
-         * Coordinator-side proxy of the pod's available rings, summed
-         * over slices by pushed availability messages. A direct pod's
-         * pool is read synchronously instead.
+         * Coordinator-side proxy of a sharded pod's available rings,
+         * kept by pushed availability messages. A direct pod's pool is
+         * read synchronously instead.
          */
         int rings_view = 0;
-        /**
-         * A sharded pod's slices; empty for a direct attach. `context`
-         * above is slice 0's, for identity/logging.
-         */
-        std::vector<SliceState> slices;
-        /** Rotating tie-break cursor for the slice placement step. */
-        int slice_rr = 0;
         std::uint64_t fault_reports = 0;
         /** Distinct nodes flagged fatal (duplicate reports ignored). */
         std::vector<char> node_dead;
@@ -388,13 +352,11 @@ class FederatedDispatcher {
         std::uint64_t obs_parent = 0;
     };
 
-    /** One mailbox-mode inject awaiting its slice's verdict. */
+    /** One mailbox-mode inject awaiting its pod's verdict. */
     struct PendingInject {
         std::shared_ptr<QueryContext> query;
         Time injected_at = 0;
         bool was_probe = false;
-        /** Slice the query was placed on. */
-        int slice = 0;
     };
 
     /**
@@ -419,19 +381,13 @@ class FederatedDispatcher {
     /** Routing weight under kScoreWeighted (score x warm-up ramp). */
     double EffectiveWeight(const PodSlot& slot) const;
     void OnHealthSample(int pod_index, const mgmt::HealthScoreSample& sample);
-    /** Mailbox seams for one slice of an already-created slot. */
-    void AttachSliceSeams(int pod_index, int slice_index);
-    /** Declare one slice shard's hop lookaheads (aborts when narrowed). */
+    /** Declare one pod shard's hop lookaheads (aborts when narrowed). */
     void DeclareShardEdges(const char* caller, int shard);
-    /** Fold one slice's published score into the pod-level aggregate. */
-    void OnSliceHealthSample(int pod_index, int slice_index,
-                             const mgmt::HealthScoreSample& sample);
     /** Confirmed MachineReport bookkeeping (direct call or mailbox hop). */
     void ApplyMachineReport(int pod_index, const mgmt::MachineReport& report);
-    // --- Mailbox mode: the slice-shard half of an inject. --------------
-    /** Runs on the slice's shard: the actual pool Inject. */
-    void PodInjectOnShard(int pod_index, int slice_index,
-                          std::uint64_t query_id, int thread,
+    // --- Mailbox mode: the pod-shard half of an inject. ----------------
+    /** Runs on the pod's shard: the actual pool Inject. */
+    void PodInjectOnShard(int pod_index, std::uint64_t query_id, int thread,
                           const rank::CompressedRequest& request);
     /** Back on the coordinator: completion / pod-level refusal. */
     void OnShardResult(int pod_index, std::uint64_t query_id,
@@ -449,8 +405,8 @@ class FederatedDispatcher {
     sim::Simulator* simulator_;
     Config config_;
     ShardBinding binding_;
-    /** Every slice shard attached so far (slice <-> slice edges are
-     *  declared unreachable pairwise as each new shard arrives). */
+    /** Every pod shard attached so far (pod <-> pod edges are declared
+     *  unreachable pairwise as each new shard arrives). */
     std::vector<int> attached_shards_;
     /** Mailbox-mode injects awaiting a pod verdict, by query id. */
     std::unordered_map<std::uint64_t, PendingInject> pending_;

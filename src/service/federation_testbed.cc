@@ -1,7 +1,6 @@
 #include "service/federation_testbed.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/log.h"
@@ -16,21 +15,10 @@ FederationTestbed::FederationTestbed(Config config)
         FatalMisuse("FederationTestbed: pod_count %d outside [1, 64]",
                     config_.pod_count);
     }
-    if (config_.sharding.ring_subshards) {
-        if (!config_.sharding.enabled) {
-            FatalMisuse("FederationTestbed: sharding.ring_subshards is set "
-                        "but sharding.enabled is not");
-        }
-        // Each ring slice is a 1 x cols torus strip, so a full ring
-        // must fit along the column dimension.
-        const int cols = config_.pod.fabric.topology.cols();
-        if (cols < RankingService::kRingLength) {
-            FatalMisuse("FederationTestbed: sharding.ring_subshards needs a "
-                        "torus at least one ring wide (cols=%d < ring "
-                        "length %d)",
-                        cols, RankingService::kRingLength);
-        }
-        slices_per_pod_ = std::max(1, config_.pod.ring_count);
+    if (config_.sharding.parallel) {
+        FatalMisuse("FederationTestbed: sharding.parallel is set; shards "
+                    "run lock-step on the calling thread, so the field "
+                    "accepts only false");
     }
     coordinator_ = &simulator_;
     if (config_.sharding.enabled) {
@@ -48,20 +36,16 @@ FederationTestbed::FederationTestbed(Config config)
                               ? config_.sharding.completion_hop
                               : leg;
         sim::SimulatorGroup::Config group_config;
-        // Shard 0 = coordinator; pod k's slices follow pod-major,
-        // slice-minor (see BuildPod).
-        group_config.shards = 1 + config_.pod_count * slices_per_pod_;
+        // Shard 0 = coordinator; pod k runs on shard 1 + k.
+        group_config.shards = 1 + config_.pod_count;
         group_config.epoch = std::min(inject_hop_, completion_hop_);
-        group_config.parallel = config_.sharding.parallel;
-        group_config.max_threads = config_.sharding.max_threads;
         group_ = std::make_unique<sim::SimulatorGroup>(group_config);
         coordinator_ = &group_->shard(0);
     }
     if (config_.observability.enabled) {
         // One ShardObs per simulator shard; the whole plane collapses
         // to a single shard when every layer shares one simulator.
-        const int obs_shards =
-            group_ ? 1 + config_.pod_count * slices_per_pod_ : 1;
+        const int obs_shards = group_ ? 1 + config_.pod_count : 1;
         plane_ = std::make_unique<obs::ObservabilityPlane>(
             obs_shards, config_.observability);
     }
@@ -89,76 +73,38 @@ FederationTestbed::FederationTestbed(Config config)
 }
 
 void FederationTestbed::BuildPod(int pod_index) {
-    // Pod `pod_index` is R slices (R = 1 unless ring_subshards). R = 1
-    // is the whole pod under the template config. R > 1 splits it into
-    // self-contained single-ring slices, each a 1 x cols torus strip;
-    // identity is pinned per slice — node base, name prefix, host
-    // names, trace-id stride — so the R slices present as one pod
-    // (same pod id on telemetry and reports, slice-local node ids
-    // remapped into pod node space by the dispatcher's seams) without
-    // any layer's names or ids colliding. Sharded, slice r runs on
-    // shard 1 + pod_index * R + r; the per-slice seed stream does not
-    // depend on the layout, so a pod's internal behavior does not
-    // either.
-    const int R = slices_per_pod_;
-    const int cols = config_.pod.fabric.topology.cols();
-    const int pod_nodes = config_.pod.fabric.topology.node_count();
-    std::vector<FederatedDispatcher::PodSlice> slices;
-    for (int r = 0; r < R; ++r) {
-        const int g = pod_index * R + r;  // global slice index
-        mgmt::PodContext::Config sc = config_.pod;
-        sc.pod_id = pod_index;
-        if (g > 0) {
-            // De-correlate the slices' fabrics and injectors by a
-            // golden-ratio stream split while slice 0 of pod 0 keeps
-            // the template seed (single-pod reproducibility).
-            sc.seed = config_.pod.seed +
-                      0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(g);
-        }
-        if (config_.pod_count > 1) {
-            sc.service.service_name += "/pod" + std::to_string(pod_index);
-        }
-        if (R > 1) {
-            sc.ring_count = 1;
-            sc.fabric.topology = fabric::TorusTopology(1, cols);
-            sc.fabric.pod_id = pod_index;
-            sc.fabric.node_base = pod_index * pod_nodes + r * cols;
-            // Built with += in a fresh string: assigning into the copied
-            // template trips GCC 12's -Wrestrict false positive.
-            const auto slice_name = [&](std::string out, const char* ring) {
-                out += std::to_string(pod_index);
-                out += ring;
-                out += std::to_string(r);
-                return out;
-            };
-            sc.fabric.name_prefix = slice_name("pod", ".ring");
-            sc.host_name_prefix = slice_name("p", ".r") + ".srv";
-            // Pod-strided then ring-strided, matching the unsliced
-            // pool's per-ring stride — cross-slice FDR trace ids never
-            // collide.
-            sc.service.trace_id_base =
-                (static_cast<std::uint64_t>(pod_index) << 48) |
-                (static_cast<std::uint64_t>(r) << 40);
-            sc.service.service_name += "/ring" + std::to_string(r);
-        }
-        const int shard = group_ ? 1 + g : -1;
-        sc.shard_index = shard;
-        if (plane_) sc.obs = plane_->shard(group_ ? shard : 0);
-        pods_.push_back(std::make_unique<mgmt::PodContext>(
-            group_ ? &group_->shard(shard) : &simulator_, std::move(sc)));
-        slices.push_back({pods_.back().get(), shard, r * cols});
+    // Pod `pod_index` runs the template config under its own identity.
+    // Sharded, it runs on shard 1 + pod_index; the per-pod seed stream
+    // does not depend on the layout, so a pod's internal behavior does
+    // not either.
+    mgmt::PodContext::Config pc = config_.pod;
+    pc.pod_id = pod_index;
+    if (pod_index > 0) {
+        // De-correlate the pods' fabrics and injectors by a
+        // golden-ratio stream split while pod 0 keeps the template
+        // seed (single-pod reproducibility).
+        pc.seed = config_.pod.seed + 0x9E3779B97F4A7C15ull *
+                                         static_cast<std::uint64_t>(pod_index);
     }
+    if (config_.pod_count > 1) {
+        pc.service.service_name += "/pod" + std::to_string(pod_index);
+    }
+    const int shard = group_ ? 1 + pod_index : -1;
+    pc.shard_index = shard;
+    if (plane_) pc.obs = plane_->shard(group_ ? shard : 0);
+    pods_.push_back(std::make_unique<mgmt::PodContext>(
+        group_ ? &group_->shard(shard) : &simulator_, std::move(pc)));
     if (group_) {
-        dispatcher_->AttachPodSlices(slices);
+        dispatcher_->AttachShardedPod(pods_.back().get(), shard);
     } else {
         dispatcher_->AttachPod(pods_.back().get());
     }
 }
 
 void FederationTestbed::InstallObservability() {
-    // Cadence driver: the group's epoch barrier is the race-free merge
-    // point (workers provably idle on the driving thread); the classic
-    // single simulator self-drives with a daemon tick instead.
+    // Cadence driver: the group's epoch barrier is the merge point
+    // (every mailbox drained); the classic single simulator self-drives
+    // with a daemon tick instead.
     if (group_) {
         group_->SetBarrierHook(
             [p = plane_.get()](Time frontier) { p->AdvanceTo(frontier); });
@@ -168,8 +114,8 @@ void FederationTestbed::InstallObservability() {
     // Pull-collector mirroring pre-existing layer counters into the
     // merged registry at every merge. Absolute writes (Set) keep it
     // idempotent; every value here is simulated-time-deterministic
-    // except the wall-clock ones, registered volatile so the
-    // deterministic export stays mode-identical.
+    // except the wall-clock one, registered volatile so the
+    // deterministic export stays reproducible.
     plane_->AddCollector([this](obs::MetricRegistry& reg) {
         const auto& d = dispatcher_->counters();
         reg.counter("federation.accepted")->Set(d.accepted);
@@ -197,43 +143,27 @@ void FederationTestbed::InstallObservability() {
         reg.counter("frontend.submitted")->Set(fe.submitted);
         reg.counter("frontend.refused")->Set(fe.refused);
         for (int k = 0; k < pod_count(); ++k) {
-            // Ring sub-shard slices present as one pod: sum across them.
-            std::uint64_t dispatched = 0, recoveries = 0, injected = 0,
-                          completed = 0, timeouts = 0, investigations = 0,
-                          fdr_postmortem = 0;
-            std::int64_t rings_available = 0;
-            for (int r = 0; r < slices_per_pod_; ++r) {
-                mgmt::PodContext& p = pod_slice(k, r);
-                const auto& pc = p.pool().counters();
-                dispatched += pc.dispatched;
-                recoveries += pc.recoveries;
-                rings_available += p.pool().available_rings();
-                const auto rc = p.pool().AggregateRingCounters();
-                injected += rc.injected;
-                completed += rc.completed;
-                timeouts += rc.timeouts;
-                const auto& hc = p.health_monitor().counters();
-                investigations += hc.investigations;
-                fdr_postmortem += hc.fdr_postmortem_records;
-            }
+            mgmt::PodContext& p = pod(k);
+            const auto& pc = p.pool().counters();
+            const auto rc = p.pool().AggregateRingCounters();
+            const auto& hc = p.health_monitor().counters();
             std::string prefix = "pod";
             prefix += std::to_string(k);
             prefix += ".";
-            reg.counter(prefix + "dispatched")->Set(dispatched);
-            reg.counter(prefix + "recoveries")->Set(recoveries);
-            reg.counter(prefix + "injected")->Set(injected);
-            reg.counter(prefix + "completed")->Set(completed);
-            reg.counter(prefix + "timeouts")->Set(timeouts);
-            reg.counter(prefix + "investigations")->Set(investigations);
+            reg.counter(prefix + "dispatched")->Set(pc.dispatched);
+            reg.counter(prefix + "recoveries")->Set(pc.recoveries);
+            reg.counter(prefix + "injected")->Set(rc.injected);
+            reg.counter(prefix + "completed")->Set(rc.completed);
+            reg.counter(prefix + "timeouts")->Set(rc.timeouts);
+            reg.counter(prefix + "investigations")->Set(hc.investigations);
             reg.counter(prefix + "fdr_postmortem_records")
-                ->Set(fdr_postmortem);
-            reg.gauge(prefix + "rings_available")->Set(rings_available);
+                ->Set(hc.fdr_postmortem_records);
+            reg.gauge(prefix + "rings_available")
+                ->Set(p.pool().available_rings());
         }
         if (group_ != nullptr) {
-            // Executor profiling. Round/message/frontier counts and
-            // mailbox high-water marks are mode-identical (the rounds
-            // are); per-worker item/wall-time split depends on the
-            // work-stealing interleave, so those are volatile.
+            // Round schedule: round/message/frontier counts and mailbox
+            // high-water marks.
             const auto& prof = group_->profile();
             reg.counter("exec.rounds")->Set(prof.rounds);
             reg.counter("exec.round_items")->Set(prof.round_items);
@@ -253,15 +183,6 @@ void FederationTestbed::InstallObservability() {
                     reg.gauge(name, obs::GaugeMerge::kMax)
                         ->Set(static_cast<std::int64_t>(hwm));
                 }
-            }
-            for (std::size_t e = 0; e < prof.executors.size(); ++e) {
-                const auto& ex = prof.executors[e];
-                std::string prefix = "exec.worker";
-                prefix += std::to_string(e);
-                prefix += ".";
-                reg.counter(prefix + "items", true)->Set(ex.items);
-                reg.counter(prefix + "busy_ns", true)->Set(ex.busy_ns);
-                reg.counter(prefix + "wait_ns", true)->Set(ex.wait_ns);
             }
         }
     });
@@ -302,62 +223,47 @@ void FederationTestbed::ServiceAndRedeploy(
 
 void FederationTestbed::ReattachPod(int index,
                                     std::function<void(bool)> on_done) {
-    // Every slice runs the service sequence on its own simulator; the
-    // pod re-enters the dispatcher's rotation only once every slice
-    // redeployed. The join lives on the coordinator: sharded, one hop
-    // out carries the mgmt-plane command to each slice's shard and one
-    // hop back carries its redeploy verdict, and the coordinator's
-    // canonical drain keeps the join single-writer. Unsharded, nothing
-    // hops: the sequence and its verdict run on the shared simulator.
-    struct Join {
-        int pending = 0;
-        bool all_ok = true;
-        std::function<void(bool)> on_done;
+    // The pod runs the service sequence on its own simulator and
+    // re-enters the dispatcher's rotation once it redeployed. The
+    // verdict lands on the coordinator: sharded, one hop out carries
+    // the mgmt-plane command to the pod's shard and one hop back
+    // carries its redeploy verdict. Unsharded, nothing hops: the
+    // sequence and its verdict run on the shared simulator.
+    auto verdict = [this, index, on_done = std::move(on_done)](bool ok) {
+        if (ok) dispatcher_->ReadmitPod(index);
+        if (on_done) on_done(ok);
     };
-    auto join = std::make_shared<Join>();
-    join->pending = slices_per_pod_;
-    join->on_done = std::move(on_done);
-    auto verdict = [this, index, join](bool ok) {
-        if (!ok) join->all_ok = false;
-        if (--join->pending > 0) return;
-        if (join->all_ok) dispatcher_->ReadmitPod(index);
-        if (join->on_done) join->on_done(join->all_ok);
-    };
-    for (int r = 0; r < slices_per_pod_; ++r) {
-        mgmt::PodContext* slice = &pod_slice(index, r);
-        if (!group_) {
-            ServiceAndRedeploy(*slice, verdict);
-            continue;
-        }
-        const int shard = slice->shard_index();
-        group_->Post(0, shard, coordinator_->Now() + inject_hop_,
-                     [this, slice, shard, verdict] {
-                         ServiceAndRedeploy(*slice, [this, shard,
-                                                     verdict](bool ok) {
-                             group_->Post(shard, 0,
-                                          group_->shard(shard).Now() +
-                                              completion_hop_,
-                                          [verdict, ok] { verdict(ok); });
-                         });
-                     });
+    mgmt::PodContext* target = &pod(index);
+    if (!group_) {
+        ServiceAndRedeploy(*target, std::move(verdict));
+        return;
     }
+    const int shard = target->shard_index();
+    group_->Post(0, shard, coordinator_->Now() + inject_hop_,
+                 [this, target, shard, verdict] {
+                     ServiceAndRedeploy(*target, [this, shard,
+                                                  verdict](bool ok) {
+                         group_->Post(shard, 0,
+                                      group_->shard(shard).Now() +
+                                          completion_hop_,
+                                      [verdict, ok] { verdict(ok); });
+                     });
+                 });
 }
 
 bool FederationTestbed::DeployAndSettle() {
     // Pods deploy concurrently: each owns its Mapping Manager, so only
-    // rings within one pod serialize. Atomics because in sharded
-    // parallel mode each pod's completion fires on its shard's worker
-    // thread; the values are only read after Run() returns.
-    std::atomic<int> pending{static_cast<int>(pods_.size())};
-    std::atomic<bool> all_ok{true};
+    // rings within one pod serialize.
+    int pending = pod_count();
+    bool all_ok = true;
     for (auto& pod : pods_) {
         pod->Deploy([&](bool ok) {
-            if (!ok) all_ok.store(false, std::memory_order_relaxed);
-            pending.fetch_sub(1, std::memory_order_relaxed);
+            if (!ok) all_ok = false;
+            --pending;
         });
     }
     Run();
-    return all_ok.load() && pending.load() == 0;
+    return all_ok && pending == 0;
 }
 
 }  // namespace catapult::service

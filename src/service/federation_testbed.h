@@ -50,28 +50,20 @@ class FederationTestbed {
         /**
          * Sharded federation runtime. Off (default), every pod shares
          * the classic single simulator and attaches directly — the
-         * reference mode. On, every pod is 1..R slices, each on its own
-         * SimulatorGroup shard, and the dispatcher/front-end/injector
-         * tier runs on a coordinator shard; cross-pod traffic crosses
-         * explicit hop latencies through deterministic mailboxes.
-         * `parallel` additionally runs the shards on worker threads —
-         * bit-identical to the lock-step sharded execution.
+         * reference mode. On, every pod runs on its own SimulatorGroup
+         * shard and the dispatcher/front-end/injector tier on a
+         * coordinator shard; cross-pod traffic crosses explicit hop
+         * latencies through deterministic mailboxes. One thread runs
+         * every shard, lock-step.
          */
         struct Sharding {
             bool enabled = false;
-            bool parallel = false;
             /**
-             * R = ring_count slices per pod instead of 1: every ring
-             * becomes a self-contained single-ring PodContext (1 x cols
-             * torus strip) on its own shard, so a 1-pod/6-ring workload
-             * spreads over 6 shards instead of serializing on one.
-             * Requires `enabled` and a torus at least one ring wide.
-             * pod(k) then returns slice 0; use pod_slice(k, r) for the
-             * rest and aggregate per-pod metrics across slices.
+             * Accepted only when false; true aborts. perfbench's
+             * blackout workload still assigns it; the field goes with
+             * the next change to perfbench/.
              */
-            bool ring_subshards = false;
-            /** Executor cap (0 = hardware concurrency). */
-            int max_threads = 0;
+            bool parallel = false;
             /**
              * Cross-pod hop latencies; 0 derives them from the fabric:
              * the pod-edge DMA interrupt latency plus the front-door
@@ -86,13 +78,12 @@ class FederationTestbed {
 
         /**
          * Observability plane (metrics registry + distributed tracing +
-         * executor profiling). Off by default — zero overhead beyond
-         * untaken branches. On: one ShardObs per simulator shard (the
-         * coordinator's feeds the dispatcher/scatter/session tier, each
-         * pod slice's feeds its rings and Health Monitor), merged
-         * race-free at epoch barriers (or a cadence daemon when
-         * unsharded). The deterministic exports are byte-identical
-         * between lock-step and parallel execution.
+         * round-schedule profiling). Off by default — zero overhead
+         * beyond untaken branches. On: one ShardObs per simulator shard
+         * (the coordinator's feeds the dispatcher/scatter/session tier,
+         * each pod's feeds its rings and Health Monitor), merged at
+         * epoch barriers (or by a cadence daemon when unsharded). The
+         * deterministic exports are byte-identical run to run.
          */
         obs::ObservabilityPlane::Config observability;
     };
@@ -106,14 +97,14 @@ class FederationTestbed {
     /**
      * Live pod re-admission: bring a serviced pod back into a running
      * federation with zero disruption to in-flight queries on the
-     * surviving pods. The full sequence, all on simulated time and
-     * once per slice (ServiceAndRedeploy): field-service every host
-     * (boot path repaired, hard-reboot-long power cycle), clear the
-     * Health Monitor's dead list so watchdog coverage resumes, reset
-     * the forecaster's trend (cold-start grace restarts) and redeploy
-     * the slice's rings. Once every slice has redeployed,
-     * FederatedDispatcher::ReadmitPod — breaker reset plus a warm-up
-     * ramp so the rejoining pod earns traffic gradually. `on_done`
+     * surviving pods. The full sequence, all on simulated time
+     * (ServiceAndRedeploy): field-service every host (boot path
+     * repaired, hard-reboot-long power cycle), clear the Health
+     * Monitor's dead list so watchdog coverage resumes, reset the
+     * forecaster's trend (cold-start grace restarts) and redeploy the
+     * pod's rings. Once they are up, FederatedDispatcher::ReadmitPod —
+     * breaker reset plus a warm-up ramp so the rejoining pod earns
+     * traffic gradually. `on_done`
      * fires with the joined redeploy verdict; on failure the pod stays
      * out of rotation. Call while the simulator runs (or Run() after).
      */
@@ -138,19 +129,9 @@ class FederationTestbed {
     }
     Time Now() const { return coordinator_->Now(); }
 
-    int pod_count() const {
-        return static_cast<int>(pods_.size()) / slices_per_pod_;
-    }
-    /** Pod k's context — slice 0 of it under ring_subshards. */
+    int pod_count() const { return static_cast<int>(pods_.size()); }
     mgmt::PodContext& pod(int index) {
-        return *pods_[static_cast<std::size_t>(index * slices_per_pod_)];
-    }
-    /** Ring sub-shard slices per pod (1 unless ring_subshards). */
-    int slices_per_pod() const { return slices_per_pod_; }
-    /** Slice r of pod k (r = 0 is the whole pod unless ring_subshards). */
-    mgmt::PodContext& pod_slice(int index, int ring) {
-        return *pods_[static_cast<std::size_t>(index * slices_per_pod_ +
-                                               ring)];
+        return *pods_[static_cast<std::size_t>(index)];
     }
     FederatedDispatcher& dispatcher() { return *dispatcher_; }
     /** The session-oriented scatter-gather door over the dispatcher. */
@@ -159,9 +140,9 @@ class FederationTestbed {
     obs::ObservabilityPlane* observability() { return plane_.get(); }
 
   private:
-    /** Build pod `pod_index`'s R slices and attach them. */
+    /** Build pod `pod_index` and attach it. */
     void BuildPod(int pod_index);
-    /** ReattachPod's pod-local sequence for one slice, up to redeploy. */
+    /** ReattachPod's pod-local sequence, up to redeploy. */
     void ServiceAndRedeploy(mgmt::PodContext& pod,
                             std::function<void(bool)> on_deployed);
     /** Register the layer-counter pull-collectors + cadence driver. */
@@ -176,8 +157,6 @@ class FederationTestbed {
     std::unique_ptr<obs::ObservabilityPlane> plane_;
     Time inject_hop_ = 0;
     Time completion_hop_ = 0;
-    int slices_per_pod_ = 1;
-    /** Pod-major, slice-minor: pod k's slices at [k*R, (k+1)*R). */
     std::vector<std::unique_ptr<mgmt::PodContext>> pods_;
     std::unique_ptr<FederatedDispatcher> dispatcher_;
     std::unique_ptr<SessionFrontEnd> front_end_;

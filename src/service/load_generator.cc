@@ -31,7 +31,6 @@ struct ClosedLoopParams {
  */
 template <typename InjectFn>
 LoadResult RunClosedLoop(sim::Simulator* simulator,
-                         sim::SimulatorGroup* group,
                          rank::DocumentGenerator& generator,
                          const ClosedLoopParams& params, InjectFn inject) {
     LoadResult result;
@@ -88,11 +87,7 @@ LoadResult RunClosedLoop(sim::Simulator* simulator,
         simulator->ScheduleAfter(Microseconds(client),
                                  [&, client] { send_next(client); });
     }
-    if (group) {
-        group->Run();
-    } else {
-        simulator->Run();
-    }
+    simulator->Run();
     result.elapsed = last_completion - started;
     return result;
 }
@@ -165,7 +160,7 @@ LoadResult PoolClosedLoopInjector::Run() {
                                   config_.max_retries, config_.single_model,
                                   "pool client"};
     return RunClosedLoop(
-        pool_->simulator(), /*group=*/nullptr, generator_, params,
+        pool_->simulator(), generator_, params,
         [this](int thread, const rank::CompressedRequest& request,
                std::function<void(const ScoreResult&)> on_complete) {
             return pool_->Inject(thread, request, std::move(on_complete));
@@ -187,7 +182,7 @@ LoadResult FederatedClosedLoopInjector::Run() {
                                   config_.max_retries, config_.single_model,
                                   "federated client"};
     return RunClosedLoop(
-        simulator_, group_, generator_, params,
+        simulator_, generator_, params,
         [this](int thread, const rank::CompressedRequest& request,
                std::function<void(const ScoreResult&)> on_complete) {
             return dispatcher_->Inject(thread, request,
@@ -211,11 +206,7 @@ LoadResult FederatedOpenLoopInjector::Run() {
     arrival_seq_ = 0;
     deadline_ = simulator_->Now() + config_.duration;
     ScheduleArrival();
-    if (group_) {
-        group_->Run();
-    } else {
-        simulator_->Run();
-    }
+    simulator_->Run();
     result_.elapsed = config_.duration;
     return result_;
 }
@@ -242,27 +233,15 @@ void FederatedOpenLoopInjector::InjectArrival() {
 
 void FederatedOpenLoopInjector::ScheduleArrival() {
     if (config_.rate_qps <= 0.0) return;
-    // Draw `arrival_batch` interarrival gaps at once and schedule each
-    // arrival at its exact cumulative time; the last arrival of the
-    // batch chains the next draw. Gaps are drawn in arrival order, so
-    // the RNG stream, the arrival times and the injected sequence are
-    // identical for every batch size — only the chain-bookkeeping
-    // event traffic shrinks. batch = 1 is exactly the classic
-    // one-pending self-chain.
-    const int batch = std::max(1, config_.arrival_batch);
-    Time at = simulator_->Now();
-    for (int k = 0; k < batch; ++k) {
-        const double gap_s = config_.poisson
-                                 ? rng_.Exponential(1.0 / config_.rate_qps)
-                                 : 1.0 / config_.rate_qps;
-        at += static_cast<Time>(gap_s * 1e12);
-        if (at >= deadline_) return;  // injection window closed
-        const bool chains = k == batch - 1;
-        simulator_->ScheduleAt(at, [this, chains] {
-            InjectArrival();
-            if (chains) ScheduleArrival();
-        });
-    }
+    const double gap_s = config_.poisson
+                             ? rng_.Exponential(1.0 / config_.rate_qps)
+                             : 1.0 / config_.rate_qps;
+    const Time at = simulator_->Now() + static_cast<Time>(gap_s * 1e12);
+    if (at >= deadline_) return;  // injection window closed
+    simulator_->ScheduleAt(at, [this] {
+        InjectArrival();
+        ScheduleArrival();
+    });
 }
 
 FederatedPhasedInjector::FederatedPhasedInjector(
@@ -303,23 +282,11 @@ FederatedPhasedInjector::Result FederatedPhasedInjector::Run() {
     const Time beat = static_cast<Time>(1e12 / config_.rate_qps);
     const std::uint64_t arrivals =
         static_cast<std::uint64_t>(config_.duration / beat);
-    if (config_.arrival_batch > 1) {
-        // Batch-leader chain: the pending queue holds one batch of
-        // near-horizon beats instead of the whole run's arrivals, so
-        // the far-horizon wheel/overflow churn of pre-scheduling
-        // disappears. Arrival times are beat-exact either way.
-        ScheduleBatchFrom(0, arrivals, beat);
-    } else {
-        for (std::uint64_t i = 0; i < arrivals; ++i) {
-            simulator_->ScheduleAt(load_start_ + beat * static_cast<Time>(i),
-                                   [this] { InjectArrival(); });
-        }
+    for (std::uint64_t i = 0; i < arrivals; ++i) {
+        simulator_->ScheduleAt(load_start_ + beat * static_cast<Time>(i),
+                               [this] { InjectArrival(); });
     }
-    if (group_) {
-        group_->Run();
-    } else {
-        simulator_->Run();
-    }
+    simulator_->Run();
     return result_;
 }
 
@@ -359,28 +326,6 @@ void FederatedPhasedInjector::InjectArrival() {
         ++arrival_phase.rejected;
         ++result_.rejected;
     }
-}
-
-void FederatedPhasedInjector::ScheduleBatchFrom(std::uint64_t index,
-                                                std::uint64_t total,
-                                                Time beat) {
-    if (index >= total) return;
-    simulator_->ScheduleAt(
-        load_start_ + beat * static_cast<Time>(index),
-        [this, index, total, beat] {
-            // The leader is its own batch's first arrival; it schedules
-            // only the rest of its batch plus the next leader.
-            InjectArrival();
-            const auto batch = static_cast<std::uint64_t>(
-                std::max(1, config_.arrival_batch));
-            const std::uint64_t last = std::min(index + batch, total);
-            for (std::uint64_t i = index + 1; i < last; ++i) {
-                simulator_->ScheduleAt(
-                    load_start_ + beat * static_cast<Time>(i),
-                    [this] { InjectArrival(); });
-            }
-            ScheduleBatchFrom(last, total, beat);
-        });
 }
 
 OpenLoopInjector::OpenLoopInjector(RankingService* service, Rng rng,

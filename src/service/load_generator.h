@@ -24,7 +24,6 @@
 #include "service/ranking_service.h"
 #include "service/service_pool.h"
 #include "sim/simulator.h"
-#include "sim/simulator_group.h"
 
 namespace catapult::service {
 
@@ -148,20 +147,12 @@ class FederatedClosedLoopInjector {
     FederatedClosedLoopInjector(FederatedDispatcher* dispatcher,
                                 sim::Simulator* simulator, Config config);
 
-    /**
-     * Sharded federation: `simulator` must be the group's coordinator
-     * shard and Run() drives the whole group (epoch barriers included)
-     * instead of the lone simulator.
-     */
-    void set_group(sim::SimulatorGroup* group) { group_ = group; }
-
     /** Run to completion; returns the measurements. */
     LoadResult Run();
 
   private:
     FederatedDispatcher* dispatcher_;
     sim::Simulator* simulator_;
-    sim::SimulatorGroup* group_ = nullptr;
     Config config_;
     rank::DocumentGenerator generator_;
 };
@@ -189,32 +180,21 @@ class FederatedOpenLoopInjector {
         std::uint64_t corpus_seed = 42;
         rank::DocumentGenerator::Config corpus;
         bool single_model = true;
-        /**
-         * Arrivals scheduled per generator event. 1 is the classic
-         * one-event-per-arrival chain; K > 1 draws K interarrival gaps
-         * at once and schedules K arrival events per chain link —
-         * identical arrival times and RNG draw order (verified by
-         * test), ~1/K the chain-bookkeeping event traffic.
-         */
-        int arrival_batch = 1;
     };
 
     FederatedOpenLoopInjector(FederatedDispatcher* dispatcher,
                               sim::Simulator* simulator, Rng rng,
                               Config config);
 
-    /** Sharded federation: Run() drives the whole group. */
-    void set_group(sim::SimulatorGroup* group) { group_ = group; }
-
     LoadResult Run();
 
   private:
+    /** Draw the next gap and schedule that arrival; it chains the next. */
     void ScheduleArrival();
     void InjectArrival();
 
     FederatedDispatcher* dispatcher_;
     sim::Simulator* simulator_;
-    sim::SimulatorGroup* group_ = nullptr;
     Rng rng_;
     Config config_;
     rank::DocumentGenerator generator_;
@@ -260,16 +240,6 @@ class FederatedPhasedInjector {
          * goodput is where that damage shows up numerically.
          */
         Time slo = 0;
-        /**
-         * Arrivals per generator event. 1 (default) pre-schedules every
-         * beat up front — the classic shape, byte-identical to PR 7.
-         * K > 1 chains batch-leader events: each leader injects its own
-         * arrival and schedules only the next K-1 beats plus the next
-         * leader, so the pending-event queue holds ~K arrivals instead
-         * of the whole run and far-horizon wheel churn disappears.
-         * Arrival times are identical either way.
-         */
-        int arrival_batch = 1;
     };
 
     struct Phase {
@@ -306,22 +276,18 @@ class FederatedPhasedInjector {
     FederatedPhasedInjector(FederatedDispatcher* dispatcher,
                             sim::Simulator* simulator, Config config);
 
-    /** Sharded federation: Run() drives the whole group. */
-    void set_group(sim::SimulatorGroup* group) { group_ = group; }
-
-    /** Run to completion (arrivals + drain); returns per-phase stats. */
+    /**
+     * Schedule every beat up front, then run to completion (arrivals +
+     * drain); returns per-phase stats.
+     */
     Result Run();
 
   private:
     int PhaseOf(Time now) const;
     void InjectArrival();
-    /** Batch-leader chain (arrival_batch > 1): leader at `index`. */
-    void ScheduleBatchFrom(std::uint64_t index, std::uint64_t total,
-                           Time beat);
 
     FederatedDispatcher* dispatcher_;
     sim::Simulator* simulator_;
-    sim::SimulatorGroup* group_ = nullptr;
     Config config_;
     rank::DocumentGenerator generator_;
     Result result_;

@@ -277,11 +277,8 @@ class Simulator {
 std::uint64_t GlobalEventsFired();
 
 /**
- * Fold `n` events fired on another thread into this thread's
- * GlobalEventsFired() counter. The counter is thread-local (simulation
- * is single-threaded per shard), so a parallel SimulatorGroup adopts
- * its worker shards' deltas onto the driving thread once per run —
- * keeping the bench-harness events/second comparable across modes.
+ * Add `n` to this thread's GlobalEventsFired() counter: for benches
+ * that model work analytically instead of firing events for it.
  */
 void AdoptEventsFired(std::uint64_t n);
 

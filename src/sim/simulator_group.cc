@@ -2,23 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+
+#include "common/log.h"
 
 namespace catapult::sim {
-namespace {
-
-std::uint64_t MonotonicNs() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-}  // namespace
 
 SimulatorGroup::SimulatorGroup(const Config& config) : config_(config) {
-    assert(config_.shards >= 1);
-    assert(config_.epoch > 0 && "default lookahead must be positive");
+    if (config_.shards < 1) {
+        FatalMisuse("SimulatorGroup: shards %d < 1", config_.shards);
+    }
+    if (config_.epoch <= 0) {
+        FatalMisuse("SimulatorGroup: epoch %lld ps; the default lookahead "
+                    "must be positive",
+                    static_cast<long long>(config_.epoch));
+    }
     const auto n = static_cast<std::size_t>(config_.shards);
     shards_.reserve(n);
     for (int i = 0; i < config_.shards; ++i) {
@@ -40,33 +37,6 @@ SimulatorGroup::SimulatorGroup(const Config& config) : config_(config) {
 
     profile_.edge_mailbox_hwm.assign(n * n, 0);
     edge_count_scratch_.assign(n, 0);
-
-    executors_ = 1;
-    if (config_.parallel) {
-        int cap = config_.max_threads > 0
-                      ? config_.max_threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-        if (cap < 1) cap = 1;
-        executors_ = std::min(cap, config_.shards);
-    }
-    // Executor 0 is the driving thread; spawn the rest. All executors
-    // steal off the shared round work list, so there is no static
-    // shard-to-executor assignment.
-    profile_.executors.resize(static_cast<std::size_t>(executors_));
-    for (int e = 1; e < executors_; ++e) {
-        workers_.emplace_back([this, e] { WorkerLoop(e); });
-    }
-}
-
-SimulatorGroup::~SimulatorGroup() {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& worker : workers_) worker.join();
-    // Outboxes may still hold undelivered messages (teardown with
-    // in-flight traffic); their closures are destroyed, never invoked.
 }
 
 Time SimulatorGroup::SatAdd(Time a, Time b) {
@@ -75,11 +45,26 @@ Time SimulatorGroup::SatAdd(Time a, Time b) {
     return a + b;
 }
 
+void SimulatorGroup::CheckShard(const char* call, const char* what,
+                                int shard) const {
+    if (shard >= 0 && shard < shard_count()) return;
+    FatalMisuse("SimulatorGroup::%s: %s shard %d outside [0, %d)", call, what,
+                shard, shard_count());
+}
+
 bool SimulatorGroup::SetEdgeLookahead(int from, int to, Time lookahead) {
-    assert(from >= 0 && from < shard_count());
-    assert(to >= 0 && to < shard_count());
-    assert(from != to && "self-edges are derived, not declared");
-    assert(lookahead > 0 && "edge lookahead must be positive");
+    CheckShard("SetEdgeLookahead", "from", from);
+    CheckShard("SetEdgeLookahead", "to", to);
+    if (from == to) {
+        FatalMisuse("SimulatorGroup::SetEdgeLookahead: self-edge %d->%d; "
+                    "round trips are derived, not declared",
+                    from, to);
+    }
+    if (lookahead <= 0) {
+        FatalMisuse("SimulatorGroup::SetEdgeLookahead: lookahead %lld ps on "
+                    "edge %d->%d must be positive",
+                    static_cast<long long>(lookahead), from, to);
+    }
     Time& raw = raw_lookahead_[static_cast<std::size_t>(from) *
                                    static_cast<std::size_t>(shard_count()) +
                                static_cast<std::size_t>(to)];
@@ -95,16 +80,16 @@ bool SimulatorGroup::SetEdgeLookahead(int from, int to, Time lookahead) {
 }
 
 Time SimulatorGroup::edge_lookahead(int from, int to) const {
-    assert(from >= 0 && from < shard_count());
-    assert(to >= 0 && to < shard_count());
+    CheckShard("edge_lookahead", "from", from);
+    CheckShard("edge_lookahead", "to", to);
     return raw_lookahead_[static_cast<std::size_t>(from) *
                               static_cast<std::size_t>(shard_count()) +
                           static_cast<std::size_t>(to)];
 }
 
 Time SimulatorGroup::path_lookahead(int from, int to) {
-    assert(from >= 0 && from < shard_count());
-    assert(to >= 0 && to < shard_count());
+    CheckShard("path_lookahead", "from", from);
+    CheckShard("path_lookahead", "to", to);
     RefreshClosure();
     return closure_at(from, to);
 }
@@ -131,10 +116,10 @@ void SimulatorGroup::RefreshClosure() {
 
 void SimulatorGroup::Post(int from, int to, Time deliver_at, EventFn fn,
                           EventPriority priority, bool daemon) {
-    assert(from >= 0 && from < shard_count());
-    assert(to >= 0 && to < shard_count());
+    CheckShard("Post", "from", from);
+    CheckShard("Post", "to", to);
     if (!running_) {
-        // Setup/teardown path on the driving thread: apply directly.
+        // Setup/teardown path: apply directly.
         Simulator& dest = shard(to);
         if (daemon) {
             dest.ScheduleDaemonAt(deliver_at, std::move(fn), priority);
@@ -143,18 +128,19 @@ void SimulatorGroup::Post(int from, int to, Time deliver_at, EventFn fn,
         }
         return;
     }
-    assert(deliver_at >= round_end_[static_cast<std::size_t>(to)] &&
-           "cross-shard hop shorter than the declared edge lookahead");
-    Outbox& box = outboxes_[static_cast<std::size_t>(from)];
-    PostedMsg msg;
-    msg.to = to;
-    msg.deliver_at = deliver_at;
-    msg.priority = priority;
-    msg.seq = box.next_seq++;
-    msg.source = from;
-    msg.daemon = daemon;
-    msg.fn = std::move(fn);
-    box.msgs.push_back(std::move(msg));
+    const Time bound = round_end_[static_cast<std::size_t>(to)];
+    if (deliver_at < bound) {
+        // The one promise conservative synchronization rests on: shard
+        // `to` may already have run past `deliver_at`.
+        FatalMisuse("SimulatorGroup::Post: message %d->%d delivers at %lld "
+                    "ps, before the destination's round bound %lld ps "
+                    "(cross-shard hop shorter than the declared edge "
+                    "lookahead)",
+                    from, to, static_cast<long long>(deliver_at),
+                    static_cast<long long>(bound));
+    }
+    outboxes_[static_cast<std::size_t>(from)].push_back(
+        {to, deliver_at, priority, daemon, std::move(fn)});
 }
 
 bool SimulatorGroup::AllShardsForegroundEmpty() const {
@@ -166,46 +152,32 @@ bool SimulatorGroup::AllShardsForegroundEmpty() const {
 
 void SimulatorGroup::DrainMailboxes() {
     const auto n = static_cast<std::size_t>(shard_count());
-    drain_scratch_.clear();
+    // Shard order, each outbox front to back: the canonical order (see
+    // the header), so destination sequence numbers need no sort.
     for (std::size_t from = 0; from < n; ++from) {
-        Outbox& box = outboxes_[from];
-        if (box.msgs.empty()) continue;
-        // Per-edge depth high-water: the deepest one-round backlog each
-        // (source, destination) mailbox ever reached. Deterministic —
-        // the outbox contents are a function of the round schedule.
+        std::vector<PostedMsg>& box = outboxes_[from];
+        if (box.empty()) continue;
         std::fill(edge_count_scratch_.begin(), edge_count_scratch_.end(), 0u);
-        for (auto& msg : box.msgs) {
+        for (PostedMsg& msg : box) {
             ++edge_count_scratch_[static_cast<std::size_t>(msg.to)];
-            drain_scratch_.push_back(std::move(msg));
+            Simulator& dest = shard(msg.to);
+            if (msg.daemon) {
+                dest.ScheduleDaemonAt(msg.deliver_at, std::move(msg.fn),
+                                      msg.priority);
+            } else {
+                dest.ScheduleAt(msg.deliver_at, std::move(msg.fn),
+                                msg.priority);
+            }
         }
+        // Per-edge depth high-water: the deepest one-round backlog each
+        // (source, destination) mailbox ever reached.
         for (std::size_t to = 0; to < n; ++to) {
             std::uint32_t& hwm = profile_.edge_mailbox_hwm[from * n + to];
             hwm = std::max(hwm, edge_count_scratch_[to]);
         }
-        box.msgs.clear();
+        profile_.messages_drained += box.size();
+        box.clear();
     }
-    profile_.messages_drained += drain_scratch_.size();
-    // Canonical delivery order. Destination-shard sequence numbers are
-    // assigned in this order, so same-(time, priority) ties inside a
-    // shard resolve identically no matter which thread produced them.
-    std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-              [](const PostedMsg& a, const PostedMsg& b) {
-                  if (a.deliver_at != b.deliver_at)
-                      return a.deliver_at < b.deliver_at;
-                  if (a.priority != b.priority) return a.priority < b.priority;
-                  if (a.source != b.source) return a.source < b.source;
-                  return a.seq < b.seq;
-              });
-    for (auto& msg : drain_scratch_) {
-        Simulator& dest = shard(msg.to);
-        if (msg.daemon) {
-            dest.ScheduleDaemonAt(msg.deliver_at, std::move(msg.fn),
-                                  msg.priority);
-        } else {
-            dest.ScheduleAt(msg.deliver_at, std::move(msg.fn), msg.priority);
-        }
-    }
-    drain_scratch_.clear();
 }
 
 void SimulatorGroup::BeginRun() {
@@ -272,91 +244,23 @@ void SimulatorGroup::BuildRound(Time horizon) {
     }
 }
 
-void SimulatorGroup::RunItem(const RoundItem& item, int executor) {
-    ExecutorProfile& prof =
-        profile_.executors[static_cast<std::size_t>(executor)];
-    ++prof.items;
-    const std::uint64_t t0 = config_.profile ? MonotonicNs() : 0;
-    Simulator& s = shard(item.shard);
-    switch (item.kind) {
-        case RunKind::kBefore:
-            s.RunUntilBefore(item.bound);
-            break;
-        case RunKind::kInclusive:
-            s.RunUntil(item.bound);
-            break;
-        case RunKind::kAll:
-            s.Run();
-            break;
-    }
-    if (config_.profile) prof.busy_ns += MonotonicNs() - t0;
-}
-
-void SimulatorGroup::StealLoop(int executor, bool adopt_fired) {
-    const int count = static_cast<int>(round_items_.size());
-    for (;;) {
-        const int i = next_item_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        const RoundItem& item = round_items_[static_cast<std::size_t>(i)];
-        if (adopt_fired) {
-            // Events fired on a worker thread land on its thread-local
-            // counter; bank the delta so the driving thread can adopt
-            // it at settle time regardless of who ran which shard.
-            const std::uint64_t before = GlobalEventsFired();
-            RunItem(item, executor);
-            worker_fired_.fetch_add(GlobalEventsFired() - before,
-                                    std::memory_order_relaxed);
-        } else {
-            RunItem(item, executor);
-        }
-    }
-}
-
 void SimulatorGroup::ExecuteRound() {
     profile_.round_items += round_items_.size();
     if (round_items_.empty()) return;
     ++profile_.rounds;
-    if (executors_ == 1) {
-        // Lock-step reference mode: shard-id order on the driving thread.
-        for (const RoundItem& item : round_items_) RunItem(item, 0);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        next_item_.store(0, std::memory_order_relaxed);
-        remaining_ = executors_ - 1;
-        ++generation_;
-    }
-    cv_work_.notify_all();
-    StealLoop(/*executor=*/0, /*adopt_fired=*/false);
-    const std::uint64_t w0 = config_.profile ? MonotonicNs() : 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return remaining_ == 0; });
-    if (config_.profile) profile_.executors[0].wait_ns += MonotonicNs() - w0;
-}
-
-void SimulatorGroup::WorkerLoop(int executor) {
-    std::uint64_t seen_generation = 0;
-    for (;;) {
-        {
-            const std::uint64_t w0 = config_.profile ? MonotonicNs() : 0;
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_work_.wait(lock, [this, seen_generation] {
-                return shutdown_ || generation_ != seen_generation;
-            });
-            if (config_.profile) {
-                profile_.executors[static_cast<std::size_t>(executor)]
-                    .wait_ns += MonotonicNs() - w0;
-            }
-            if (shutdown_) return;
-            seen_generation = generation_;
+    for (const RoundItem& item : round_items_) {
+        Simulator& s = shard(item.shard);
+        switch (item.kind) {
+            case RunKind::kBefore:
+                s.RunUntilBefore(item.bound);
+                break;
+            case RunKind::kInclusive:
+                s.RunUntil(item.bound);
+                break;
+            case RunKind::kAll:
+                s.Run();
+                break;
         }
-        StealLoop(executor, /*adopt_fired=*/true);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --remaining_;
-        }
-        cv_done_.notify_one();
     }
 }
 
@@ -383,10 +287,9 @@ void SimulatorGroup::FinishRound() {
         profile_.frontier_advance += frontier - last_frontier_;
         last_frontier_ = frontier;
     }
-    // Post-barrier: mailboxes drained on this (the driving) thread,
-    // workers idle behind cv_done_ — cross-shard reads are race-free
-    // and the round schedule is mode-identical, so anything the hook
-    // derives is too.
+    // Post-barrier: every message of the round is scheduled, so
+    // cross-shard state is consistent, and the round schedule is
+    // deterministic, so anything the hook derives is too.
     if (barrier_hook_) barrier_hook_(frontier);
 }
 
@@ -399,12 +302,6 @@ std::uint64_t SimulatorGroup::SettleEventsFired() {
         total += delta;
         fired_settled_[static_cast<std::size_t>(i)] = fired;
     }
-    // Fold worker-thread counters into the driving thread's so
-    // GlobalEventsFired() (the bench reporter) stays a
-    // whole-simulation count.
-    const std::uint64_t stolen =
-        worker_fired_.exchange(0, std::memory_order_relaxed);
-    if (stolen > 0) AdoptEventsFired(stolen);
     return total;
 }
 

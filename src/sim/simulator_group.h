@@ -1,6 +1,8 @@
-// Conservative parallel discrete-event runtime: one Simulator shard per
-// partition (pod, ring slice, coordinator), advanced in bounded rounds
-// and coupled through deterministic cross-shard mailboxes.
+// Conservative sharded discrete-event runtime: one Simulator shard per
+// partition (pod, coordinator), advanced in bounded rounds and coupled
+// through deterministic cross-shard mailboxes. One thread runs every
+// shard; sharding exists for its hop-latency semantics — a message
+// between shards pays the declared edge latency — not for parallelism.
 //
 // Synchronization is per-edge Chandy-Misra lookahead, not a global
 // epoch. Every (source, destination) shard pair carries a declared
@@ -21,33 +23,22 @@
 // with the paper's asymmetric hops this is the difference between the
 // federation crawling at the global minimum and each pod advancing at
 // its own inbound latency. The uniform matrix (every edge = Config::
-// epoch) degenerates to PR 8's global-minimum epochs exactly.
+// epoch) degenerates to global-minimum epochs exactly.
 //
-// Execution is a work-stealing pool: the driving thread publishes the
-// round's ready shards as a work list; executors (the driver plus
-// workers) claim entries with an atomic ticket, so an idle executor
-// steals the next ready shard instead of idling behind a static
-// shard-to-thread map. The generation-counted barrier then drains all
-// mailboxes in canonical (deliver_time, priority, source, sequence)
-// order, so destination sequence numbers — the final tie-breaker in a
-// shard's queue — are assigned identically no matter which thread ran
-// which shard: lock-step and parallel execution are bit-identical, and
-// the differential federation tests pin it.
-//
-// Mailboxes are single-writer: outbox[s] is appended only by the
-// executor running shard s during a round and drained only by the
-// driving thread at the barrier, so the message path takes no locks.
+// A round runs its ready shards in shard-id order, then drains the
+// mailboxes: outbox 0 front to back, then outbox 1, and so on. That
+// order is canonical without a sort. A destination fires its events in
+// (time, priority, sequence) order, so among the messages one round
+// delivers only those with equal (time, priority) at one destination
+// compete, and the walk hands them sequence numbers in (source, posting
+// order) — a function of the round schedule alone.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -64,48 +55,12 @@ class SimulatorGroup {
          * Default lookahead for every edge not declared through
          * SetEdgeLookahead: the minimum cross-shard hop latency. Every
          * Post() made while running must deliver at or after the
-         * destination's current round bound (asserted).
+         * destination's current round bound (aborts otherwise).
          */
         Time epoch = 0;
-        /**
-         * Run rounds on worker threads. Off, ready shards execute on
-         * the calling thread in shard-id order — same algorithm, same
-         * barriers, bit-identical results.
-         */
-        bool parallel = false;
-        /**
-         * Executor cap in parallel mode; 0 means hardware_concurrency.
-         * Values above `shards` are clamped. Tests pin this > 1 to
-         * force real threads even on single-core CI runners.
-         */
-        int max_threads = 0;
-        /**
-         * Wall-clock executor profiling: time each RunItem and each
-         * barrier wait with steady_clock. Off, the profile still
-         * carries the deterministic counters (rounds, items per
-         * executor, epoch widths, mailbox high-water marks) — those
-         * cost a few integer ops per round.
-         */
-        bool profile = false;
     };
 
-    /** One executor's share of the work-stealing pool. */
-    struct ExecutorProfile {
-        /** Round items this executor claimed off the ticket. */
-        std::uint64_t items = 0;
-        /** Wall nanoseconds inside RunItem (Config::profile only). */
-        std::uint64_t busy_ns = 0;
-        /**
-         * Wall nanoseconds blocked at the barrier (Config::profile
-         * only): for executor 0 the cv_done_ wait after its own steal
-         * loop ran dry, for workers the cv_work_ wait for the next
-         * round.
-         */
-        std::uint64_t wait_ns = 0;
-    };
-
-    /** Run-loop statistics; deterministic except the wall-clock fields
-     *  inside `executors`. */
+    /** Run-loop statistics; all deterministic. */
     struct GroupProfile {
         std::uint64_t rounds = 0;
         /** Total ready-shard entries across all rounds. */
@@ -119,14 +74,13 @@ class SimulatorGroup {
          *  [from][to]: the most messages one round ever drained across
          *  the edge. */
         std::vector<std::uint32_t> edge_mailbox_hwm;
-        std::vector<ExecutorProfile> executors;
     };
 
     /** "No path": an edge nothing is ever posted across. */
     static constexpr Time kUnreachable = std::numeric_limits<Time>::max();
 
+    /** Aborts on `shards` < 1 or `epoch` <= 0. */
     explicit SimulatorGroup(const Config& config);
-    ~SimulatorGroup();
 
     SimulatorGroup(const SimulatorGroup&) = delete;
     SimulatorGroup& operator=(const SimulatorGroup&) = delete;
@@ -135,8 +89,6 @@ class SimulatorGroup {
     Simulator& shard(int i) { return *shards_[static_cast<std::size_t>(i)]; }
     /** The default (undeclared-edge) lookahead. */
     Time epoch() const { return config_.epoch; }
-    /** Number of executors actually used (1 in lock-step mode). */
-    int executors() const { return executors_; }
 
     /**
      * Declare the lookahead of edge `from` -> `to`: every message
@@ -149,7 +101,8 @@ class SimulatorGroup {
      * ReattachPod path) is always allowed. Narrowing is allowed only
      * before the first Run/RunUntil: past bounds already exploited the
      * old guarantee, so a too-narrow re-assertion is rejected — the
-     * call returns false and the matrix is unchanged (callers assert).
+     * call returns false and the matrix is unchanged. Aborts on a
+     * shard out of range, `from == to` or `lookahead` <= 0.
      */
     bool SetEdgeLookahead(int from, int to, Time lookahead);
     /** The declared (raw) lookahead of one edge. */
@@ -165,11 +118,10 @@ class SimulatorGroup {
     Time Now() const { return now_; }
 
     /**
-     * Install a hook run on the driving thread after every barrier
-     * (mailboxes drained, workers idle) with the group's conservative
-     * frontier — the point where cross-shard state may be read
-     * race-free and rounds are identical in lock-step and parallel
-     * mode. The observability plane merges shard registries here.
+     * Install a hook run after every barrier (mailboxes drained) with
+     * the group's conservative frontier — the point where cross-shard
+     * state is consistent. The observability plane merges shard
+     * registries here.
      */
     void SetBarrierHook(std::function<void(Time)> hook) {
         barrier_hook_ = std::move(hook);
@@ -180,12 +132,13 @@ class SimulatorGroup {
 
     /**
      * Post a cross-shard message: run `fn` on shard `to` at
-     * `deliver_at`. Must be called from the context executing shard
-     * `from` (or from the driving thread outside Run). While running,
+     * `deliver_at`. Called from an event on shard `from` (or from
+     * outside Run, where it applies directly). While running,
      * `deliver_at` must be at or after the destination's current round
      * bound — i.e. the hop that produced it must honor the declared
-     * edge lookahead. Daemon messages (periodic telemetry) do not keep
-     * Run() alive.
+     * edge lookahead; a shorter hop aborts, as does a shard out of
+     * range. Daemon messages (periodic telemetry) do not keep Run()
+     * alive.
      */
     void Post(int from, int to, Time deliver_at, EventFn fn,
               EventPriority priority = EventPriority::kDeliver,
@@ -212,16 +165,8 @@ class SimulatorGroup {
         int to;
         Time deliver_at;
         EventPriority priority;
-        std::uint64_t seq;  ///< Per-source-shard counter.
-        int source;
         bool daemon;
         EventFn fn;
-    };
-
-    /** Per-source mailbox; written only by the shard's executor. */
-    struct Outbox {
-        std::vector<PostedMsg> msgs;
-        std::uint64_t next_seq = 0;
     };
 
     /** How one ready shard executes its round. */
@@ -242,10 +187,12 @@ class SimulatorGroup {
                             static_cast<std::size_t>(shard_count()) +
                         static_cast<std::size_t>(to)];
     }
+    /** Abort unless `shard` indexes a shard; `call` names the caller. */
+    void CheckShard(const char* call, const char* what, int shard) const;
     /** Min-plus (Floyd-Warshall) closure of the raw edge matrix. */
     void RefreshClosure();
     bool AllShardsForegroundEmpty() const;
-    /** Sort all outboxes canonically and schedule onto destinations. */
+    /** Schedule every outbox onto its destinations, in shard order. */
     void DrainMailboxes();
     /**
      * Compute per-shard promises and bounds and fill round_items_ with
@@ -253,11 +200,8 @@ class SimulatorGroup {
      * shards whose bound clears it as done (RunUntil mode).
      */
     void BuildRound(Time horizon);
-    /** Run round_items_ on the executor pool (or inline, lock-step). */
+    /** Run round_items_ in shard order. */
     void ExecuteRound();
-    /** Claim items off round_items_ until the ticket runs out. */
-    void StealLoop(int executor, bool adopt_fired);
-    void RunItem(const RoundItem& item, int executor);
     /** Min round_end_ over unfinished shards (max shard clock when all
      *  are free-running or done). */
     Time CurrentFrontier() const;
@@ -265,16 +209,14 @@ class SimulatorGroup {
     void FinishRound();
     /** Reset per-run frontier bookkeeping. */
     void BeginRun();
-    /** Sum shard EventsFired deltas; adopt worker-run deltas into TLS. */
+    /** Sum shard EventsFired deltas since the last settle. */
     std::uint64_t SettleEventsFired();
-    void WorkerLoop(int executor);
 
     Config config_;
-    int executors_ = 1;
     std::vector<std::unique_ptr<Simulator>> shards_;
-    std::vector<Outbox> outboxes_;
-    std::vector<PostedMsg> drain_scratch_;
-    /** Per-shard EventsFired already folded into the return/TLS counters. */
+    /** Per-source mailbox: messages posted by shard s this round. */
+    std::vector<std::vector<PostedMsg>> outboxes_;
+    /** Per-shard EventsFired already folded into a run's return value. */
     std::vector<std::uint64_t> fired_settled_;
 
     /** Raw declared edge lookaheads, row-major [from][to]. */
@@ -284,14 +226,14 @@ class SimulatorGroup {
     bool closure_dirty_ = true;
     bool has_run_ = false;
 
-    // Per-round scratch, written by the driving thread between barriers.
+    // Per-round scratch, written between barriers.
     std::vector<Time> base_;
     std::vector<RoundItem> round_items_;
     /**
      * Per-shard conservative frontier: no message may deliver before
-     * round_end_[s] (the Post assert). Monotone within a run — the
-     * closure's triangle inequality makes every later round's bound at
-     * least as large as any bound a shard already executed to.
+     * round_end_[s] (Post aborts otherwise). Monotone within a run —
+     * the closure's triangle inequality makes every later round's bound
+     * at least as large as any bound a shard already executed to.
      */
     std::vector<Time> round_end_;
     std::vector<char> done_;  ///< RunUntil: shard finished its final leg.
@@ -305,21 +247,6 @@ class SimulatorGroup {
     Time last_frontier_ = 0;
     /** Per-destination scratch for edge high-water counting. */
     std::vector<std::uint32_t> edge_count_scratch_;
-
-    // Parallel-mode executor pool, guarded by mu_ except for the work
-    // ticket. Workers exist only when config_.parallel and
-    // executors_ > 1.
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_done_;
-    std::uint64_t generation_ = 0;
-    int remaining_ = 0;
-    bool shutdown_ = false;
-    /** Work-stealing ticket into round_items_. */
-    std::atomic<int> next_item_{0};
-    /** Events fired by worker executors this run, adopted at settle. */
-    std::atomic<std::uint64_t> worker_fired_{0};
 };
 
 }  // namespace catapult::sim

@@ -481,24 +481,22 @@ TEST(FederatedDispatcherDeathTest, BindShardGroupRejectsMisuse) {
                  "completion_hop=0 ps\\)");
 }
 
-TEST(FederatedDispatcherDeathTest, AttachPodSlicesRejectsMisuse) {
+TEST(FederatedDispatcherDeathTest, AttachShardedPodRejectsMisuse) {
     FederationTestbed bed(FastFederation(/*pods=*/1, /*rings=*/1));
     mgmt::PodContext* pod = &bed.pod(0);
     ThreeShardGroup g;
     FederatedDispatcher unbound(&g.group.shard(0), {});
-    EXPECT_DEATH(unbound.AttachPodSlices({{pod, 1, 0}}),
-                 "AttachPodSlices: no shard group bound");
+    EXPECT_DEATH(unbound.AttachShardedPod(pod, 1),
+                 "AttachShardedPod: no shard group bound");
 
     FederatedDispatcher bound(&g.group.shard(0), {});
     bound.BindShardGroup(g.binding());
-    EXPECT_DEATH(bound.AttachPodSlices({}), "AttachPodSlices: no slices");
-    EXPECT_DEATH(bound.AttachPodSlices({{pod, 1, 0}, {nullptr, 2, 8}}),
-                 "slice 1 has a null context");
-    EXPECT_DEATH(bound.AttachPodSlices({{pod, 3, 0}}),
-                 "slice 0 on shard 3; pod shards are \\[0, 3\\) except "
-                 "the coordinator's 0");
-    EXPECT_DEATH(bound.AttachPodSlices({{pod, 0, 0}}),
-                 "slice 0 on shard 0;");
+    EXPECT_DEATH(bound.AttachShardedPod(nullptr, 1),
+                 "AttachShardedPod: null pod");
+    EXPECT_DEATH(bound.AttachShardedPod(pod, 3),
+                 "pod on shard 3; pod shards are \\[0, 3\\) except the "
+                 "coordinator's 0");
+    EXPECT_DEATH(bound.AttachShardedPod(pod, 0), "pod on shard 0;");
 }
 
 TEST(FederatedDispatcherDeathTest, AttachPodOnABoundDispatcherAborts) {
@@ -536,16 +534,20 @@ TEST(FederationTestbedDeathTest, RejectsPodCountOutsideTheRotation) {
                  "FederationTestbed: pod_count 65 outside \\[1, 64\\]");
 }
 
-TEST(FederationTestbedDeathTest, RejectsInvalidRingSubShards) {
-    auto unsharded = FastFederation(/*pods=*/1, /*rings=*/2);
-    unsharded.sharding.ring_subshards = true;
+TEST(FederationTestbedDeathTest, RejectsParallelSharding) {
+    // One thread runs every shard; the field accepts only false, with
+    // or without sharding.
+    auto sharded = FastFederation(/*pods=*/2, /*rings=*/1);
+    sharded.sharding.enabled = true;
+    sharded.sharding.parallel = true;
+    EXPECT_DEATH(FederationTestbed{sharded},
+                 "FederationTestbed: sharding.parallel is set; shards run "
+                 "lock-step on the calling thread, so the field accepts "
+                 "only false");
+    auto unsharded = FastFederation(/*pods=*/1, /*rings=*/1);
+    unsharded.sharding.parallel = true;
     EXPECT_DEATH(FederationTestbed{unsharded},
-                 "ring_subshards is set but sharding.enabled is not");
-    auto narrow = unsharded;
-    narrow.sharding.enabled = true;
-    narrow.pod.fabric.topology = fabric::TorusTopology(12, 4);
-    EXPECT_DEATH(FederationTestbed{narrow},
-                 "at least one ring wide \\(cols=4 < ring length 8\\)");
+                 "sharding.parallel is set");
 }
 
 }  // namespace

@@ -212,8 +212,8 @@ TEST(MetricsHub, RetainedSnapshotsAreBounded) {
 TEST(TraceRecorder, DeterministicShardStridedIds) {
     TraceRecorder a(3, 16, true);
     TraceRecorder b(3, 16, true);
-    // Same shard, same call sequence, same ids — this is what makes the
-    // parallel run's trace byte-identical to lock-step.
+    // Same shard, same call sequence, same ids — this is what makes a
+    // run's trace byte-identical to the next run's.
     EXPECT_EQ(a.NextTraceId(), b.NextTraceId());
     EXPECT_EQ(a.NextSpanId(), b.NextSpanId());
     EXPECT_EQ(a.NextSpanId(), (std::uint64_t{3} << 48) | 2u);

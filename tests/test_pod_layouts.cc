@@ -1,17 +1,15 @@
 // Pod layouts, pinned: the same 2-pod blackout + re-admission scenario
-// run unsharded (every pod on one simulator), as whole-pod shards (each
-// pod on its own SimulatorGroup shard) and as ring sub-shards (each
-// ring of each pod on its own shard). Every observable — per-query
-// records, dispatcher counters, events fired, end and re-attach times,
-// the deterministic metrics export and the dispatcher's per-pod stats
-// sampled every 2 ms — folds into one FNV-1a hash per layout, compared
-// with a pinned constant.
+// run unsharded (every pod on one simulator) and as whole-pod shards
+// (each pod on its own SimulatorGroup shard). Every observable —
+// per-query records, dispatcher counters, events fired, end and
+// re-attach times, the deterministic metrics export and the
+// dispatcher's per-pod stats sampled every 2 ms — folds into one FNV-1a
+// hash per layout, compared with a pinned constant.
 //
-// The differential suites (ParallelFederation, RingSubShards) compare
-// lockstep with parallel inside one build, so a change that moves both
-// modes the same way still passes them. These pins catch that: a
-// refactor of the attach, inject, health or re-admission paths must
-// leave every layout's transcript exactly where it was.
+// The constants were taken before the whole-pod shard became a
+// one-slice pod and are unchanged since; a refactor of the attach,
+// inject, health, mailbox or re-admission paths must leave every
+// layout's transcript exactly where it was.
 //
 // `health_score` enters the hash only once a pod is past warm-up: the
 // score a warming pod reports is a readout that routing never reads.
@@ -30,7 +28,7 @@
 namespace catapult::service {
 namespace {
 
-enum class Layout { kUnsharded, kWholePodShards, kRingSubShards };
+enum class Layout { kUnsharded, kWholePodShards };
 
 /** FNV-1a, 64-bit. */
 class Hasher {
@@ -71,16 +69,15 @@ FederationTestbed::Config LayoutConfig(Layout layout) {
     // Score-weighted routing over the predictive plane (on by default
     // in the pod template): the health feed steers every pick.
     config.dispatcher.policy = FederationPolicy::kScoreWeighted;
-    config.sharding.enabled = layout != Layout::kUnsharded;
-    config.sharding.ring_subshards = layout == Layout::kRingSubShards;
+    config.sharding.enabled = layout == Layout::kWholePodShards;
     config.observability.enabled = true;
     config.observability.hub.cadence = Milliseconds(10);
     return config;
 }
 
 /**
- * Blackout of pod 0 (every slice of it), re-attach 30 ms later, paced
- * load throughout; returns the transcript's hash.
+ * Blackout of pod 0, re-attach 30 ms later, paced load throughout;
+ * returns the transcript's hash.
  */
 std::uint64_t RunLayout(Layout layout) {
     FederationTestbed bed(LayoutConfig(layout));
@@ -88,10 +85,7 @@ std::uint64_t RunLayout(Layout layout) {
     Hasher hash;
 
     const Time blackout_at = bed.Now() + Milliseconds(30);
-    for (int r = 0; r < bed.slices_per_pod(); ++r) {
-        bed.pod_slice(0, r).failure_injector().SchedulePodBlackout(
-            blackout_at);
-    }
+    bed.pod(0).failure_injector().SchedulePodBlackout(blackout_at);
     bool reattach_ok = false;
     Time reattach_done_at = -1;
     bed.simulator().ScheduleAt(blackout_at + Milliseconds(30), [&] {
@@ -192,10 +186,6 @@ TEST(PodLayouts, UnshardedTranscriptIsPinned) {
 
 TEST(PodLayouts, WholePodShardTranscriptIsPinned) {
     EXPECT_EQ(RunLayout(Layout::kWholePodShards), 0xEAA47B22E86B95E1ull);
-}
-
-TEST(PodLayouts, RingSubShardTranscriptIsPinned) {
-    EXPECT_EQ(RunLayout(Layout::kRingSubShards), 0x5E672F64CB53CECDull);
 }
 
 }  // namespace

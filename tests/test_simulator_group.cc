@@ -1,6 +1,7 @@
-// Unit tests for the conservative parallel simulation group: epoch
+// Unit tests for the conservative sharded simulation group: epoch
 // barriers, canonical mailbox drain order, boundary-exact delivery,
-// skip-ahead, daemon termination and teardown with in-flight traffic.
+// skip-ahead, daemon termination, teardown with in-flight traffic,
+// pinned multi-round transcripts and misuse that aborts in every build.
 
 #include <gtest/gtest.h>
 
@@ -16,15 +17,37 @@
 namespace catapult::sim {
 namespace {
 
-SimulatorGroup::Config GroupConfig(int shards, Time epoch,
-                                   bool parallel = false,
-                                   int max_threads = 0) {
+SimulatorGroup::Config GroupConfig(int shards, Time epoch) {
     SimulatorGroup::Config config;
     config.shards = shards;
     config.epoch = epoch;
-    config.parallel = parallel;
-    config.max_threads = max_threads;
     return config;
+}
+
+/**
+ * FNV-1a (64-bit) over a run's transcript words and its round
+ * statistics: pins what each shard saw, in which order, and the round
+ * schedule that delivered it.
+ */
+std::uint64_t TranscriptDigest(const std::vector<std::uint64_t>& transcript,
+                               std::uint64_t events_fired,
+                               const SimulatorGroup::GroupProfile& profile) {
+    std::uint64_t state = 0xCBF29CE484222325ull;
+    const auto add = [&state](std::uint64_t value) {
+        for (int i = 0; i < 8; ++i) {
+            state ^= static_cast<std::uint8_t>(value >> (8 * i));
+            state *= 0x100000001B3ull;
+        }
+    };
+    add(transcript.size());
+    for (const std::uint64_t word : transcript) add(word);
+    add(events_fired);
+    add(profile.rounds);
+    add(profile.round_items);
+    add(profile.messages_drained);
+    add(static_cast<std::uint64_t>(profile.frontier_advance));
+    for (const std::uint32_t hwm : profile.edge_mailbox_hwm) add(hwm);
+    return state;
 }
 
 TEST(SimulatorGroup, CrossShardMessageFiresAtDeliverTime) {
@@ -69,11 +92,9 @@ TEST(SimulatorGroup, MessageExactlyOnEpochBoundary) {
 
 // Canonical drain order: same deliver time and priority from different
 // source shards must arrive ordered by source shard id, then by
-// per-source posting sequence — identically in lock-step and parallel
-// mode.
-std::vector<int> TieOrderRun(bool parallel) {
-    SimulatorGroup group(
-        GroupConfig(4, Microseconds(5), parallel, /*max_threads=*/4));
+// per-source posting sequence.
+TEST(SimulatorGroup, MailboxTieOrderIsCanonical) {
+    SimulatorGroup group(GroupConfig(4, Microseconds(5)));
     std::vector<int> arrivals;
     const Time deliver = Microseconds(5);
     for (int s = 1; s < 4; ++s) {
@@ -87,61 +108,50 @@ std::vector<int> TieOrderRun(bool parallel) {
         });
     }
     group.Run();
-    return arrivals;
+    EXPECT_EQ(arrivals, (std::vector<int>{10, 11, 20, 21, 30, 31}));
 }
 
-TEST(SimulatorGroup, MailboxTieOrderIsCanonical) {
-    const std::vector<int> expected{10, 11, 20, 21, 30, 31};
-    EXPECT_EQ(TieOrderRun(/*parallel=*/false), expected);
-    EXPECT_EQ(TieOrderRun(/*parallel=*/true), expected);
-}
-
-TEST(SimulatorGroup, ParallelMatchesLockstepOnChatter) {
+TEST(SimulatorGroup, ChatterTranscriptIsPinned) {
     // A multi-epoch ping-pong across three pods and a coordinator;
-    // each shard records its own transcript (shards may not share
-    // mutable state mid-run in parallel mode) and the parallel run must
-    // reproduce the lock-step transcripts byte for byte.
-    auto run = [](bool parallel) {
-        SimulatorGroup group(GroupConfig(4, Microseconds(7), parallel,
-                                         /*max_threads=*/4));
-        std::vector<std::vector<std::uint64_t>> per_shard(4);
-        // Coordinator sprays a token to each pod; each pod bounces it
-        // back twice with pod-dependent local work in between.
-        group.shard(0).ScheduleAt(0, [&] {
-            for (int s = 1; s < 4; ++s) {
-                group.Post(0, s, Microseconds(7), [&, s] {
-                    Simulator& pod = group.shard(s);
-                    per_shard[static_cast<std::size_t>(s)].push_back(
-                        static_cast<std::uint64_t>(s) * 1000000 +
-                        static_cast<std::uint64_t>(pod.Now()));
-                    for (int r = 0; r < 2; ++r) {
-                        pod.ScheduleAfter(Microseconds(s), [&, s] {
-                            group.Post(
-                                s, 0,
-                                group.shard(s).Now() + Microseconds(7),
-                                [&, s] {
-                                    per_shard[0].push_back(
-                                        static_cast<std::uint64_t>(s) +
-                                        static_cast<std::uint64_t>(
-                                            group.shard(0).Now()) *
-                                            10);
-                                });
-                        });
-                    }
-                });
-            }
-        });
-        group.Run();
-        std::vector<std::uint64_t> transcript;
-        for (const auto& t : per_shard) {
-            transcript.insert(transcript.end(), t.begin(), t.end());
+    // each shard records its own transcript, and the transcripts plus
+    // the round statistics hash to a constant pinned before the
+    // mailbox drain lost its sort.
+    SimulatorGroup group(GroupConfig(4, Microseconds(7)));
+    std::vector<std::vector<std::uint64_t>> per_shard(4);
+    // Coordinator sprays a token to each pod; each pod bounces it
+    // back twice with pod-dependent local work in between.
+    group.shard(0).ScheduleAt(0, [&] {
+        for (int s = 1; s < 4; ++s) {
+            group.Post(0, s, Microseconds(7), [&, s] {
+                Simulator& pod = group.shard(s);
+                per_shard[static_cast<std::size_t>(s)].push_back(
+                    static_cast<std::uint64_t>(s) * 1000000 +
+                    static_cast<std::uint64_t>(pod.Now()));
+                for (int r = 0; r < 2; ++r) {
+                    pod.ScheduleAfter(Microseconds(s), [&, s] {
+                        group.Post(
+                            s, 0,
+                            group.shard(s).Now() + Microseconds(7),
+                            [&, s] {
+                                per_shard[0].push_back(
+                                    static_cast<std::uint64_t>(s) +
+                                    static_cast<std::uint64_t>(
+                                        group.shard(0).Now()) *
+                                        10);
+                            });
+                    });
+                }
+            });
         }
-        return transcript;
-    };
-    const auto lockstep = run(false);
-    const auto threaded = run(true);
-    EXPECT_EQ(lockstep.size(), 9u);  // 3 pod receipts + 6 bounces.
-    EXPECT_EQ(lockstep, threaded);
+    });
+    const std::uint64_t fired = group.Run();
+    std::vector<std::uint64_t> transcript;
+    for (const auto& t : per_shard) {
+        transcript.insert(transcript.end(), t.begin(), t.end());
+    }
+    EXPECT_EQ(transcript.size(), 9u);  // 3 pod receipts + 6 bounces.
+    EXPECT_EQ(TranscriptDigest(transcript, fired, group.profile()),
+              0x8EB3CC4EF856C83Cull);
 }
 
 TEST(SimulatorGroup, SkipAheadCrossesIdleGaps) {
@@ -202,9 +212,7 @@ TEST(SimulatorGroup, TeardownWithInFlightMailboxTraffic) {
     auto payload = std::make_shared<int>(42);
     bool invoked = false;
     {
-        SimulatorGroup group(
-            GroupConfig(3, Microseconds(10), /*parallel=*/true,
-                        /*max_threads=*/3));
+        SimulatorGroup group(GroupConfig(3, Microseconds(10)));
         group.shard(1).ScheduleAt(Microseconds(1), [&, payload] {
             group.Post(1, 2, Microseconds(500), [&invoked, payload] {
                 invoked = true;
@@ -236,9 +244,7 @@ TEST(SimulatorGroup, PostOutsideRunAppliesDirectly) {
 
 TEST(SimulatorGroup, EventsFiredAggregatesAcrossShards) {
     const std::uint64_t before = GlobalEventsFired();
-    SimulatorGroup group(
-        GroupConfig(4, Microseconds(5), /*parallel=*/true,
-                    /*max_threads=*/4));
+    SimulatorGroup group(GroupConfig(4, Microseconds(5)));
     for (int s = 0; s < 4; ++s) {
         for (int i = 0; i < 10; ++i) {
             group.shard(s).ScheduleAt(Microseconds(i + 1), [] {});
@@ -246,8 +252,8 @@ TEST(SimulatorGroup, EventsFiredAggregatesAcrossShards) {
     }
     const std::uint64_t fired = group.Run();
     EXPECT_EQ(fired, 40u);
-    // Worker-shard deltas are adopted into the driving thread's
-    // counter, so multi-shard runs report like single-simulator ones.
+    // Multi-shard runs report to the process-wide counter like
+    // single-simulator ones.
     EXPECT_EQ(GlobalEventsFired() - before, 40u);
 }
 
@@ -349,57 +355,98 @@ TEST(SimulatorGroupEdges, UnreachableEdgesDecoupleShards) {
                                          Milliseconds(3)}));
 }
 
-// Work-stealing parity: more shards than executors, an asymmetric edge
-// matrix, multi-round chatter — the threaded run must reproduce the
-// lock-step transcript byte for byte.
-TEST(SimulatorGroupEdges, WorkStealingMatchesLockstep) {
-    auto run = [](bool parallel) {
-        SimulatorGroup group(GroupConfig(8, Microseconds(20), parallel,
-                                         /*max_threads=*/3));
+// An asymmetric edge matrix under multi-round chatter: seven pods with
+// per-pod inject and completion lookaheads, so bounces from different
+// pods tie at the coordinator. The transcript (which records each
+// bounce's source, in arrival order) and the round statistics hash to
+// a constant pinned before the mailbox drain lost its sort.
+TEST(SimulatorGroupEdges, AsymmetricChatterTranscriptIsPinned) {
+    SimulatorGroup group(GroupConfig(8, Microseconds(20)));
+    for (int s = 1; s < 8; ++s) {
+        // Inject edge narrower than the epoch (legal pre-run),
+        // completion edge per-pod asymmetric.
+        EXPECT_TRUE(group.SetEdgeLookahead(0, s, Microseconds(2 + s)));
+        EXPECT_TRUE(group.SetEdgeLookahead(s, 0, Microseconds(17 - s)));
+    }
+    std::vector<std::vector<std::uint64_t>> per_shard(8);
+    group.shard(0).ScheduleAt(0, [&] {
         for (int s = 1; s < 8; ++s) {
-            // Inject edge narrower than the epoch (legal pre-run),
-            // completion edge per-pod asymmetric.
-            EXPECT_TRUE(group.SetEdgeLookahead(0, s, Microseconds(2 + s)));
-            EXPECT_TRUE(
-                group.SetEdgeLookahead(s, 0, Microseconds(17 - s)));
-        }
-        std::vector<std::vector<std::uint64_t>> per_shard(8);
-        group.shard(0).ScheduleAt(0, [&] {
-            for (int s = 1; s < 8; ++s) {
-                const Time out = group.edge_lookahead(0, s);
-                group.Post(0, s, group.shard(0).Now() + out, [&, s] {
-                    Simulator& pod = group.shard(s);
-                    per_shard[static_cast<std::size_t>(s)].push_back(
-                        static_cast<std::uint64_t>(s) * 1000000 +
-                        static_cast<std::uint64_t>(pod.Now()));
-                    for (int r = 0; r < 3; ++r) {
-                        pod.ScheduleAfter(Microseconds(s + r), [&, s] {
-                            const Time back = group.edge_lookahead(s, 0);
-                            group.Post(
-                                s, 0, group.shard(s).Now() + back,
-                                [&, s] {
-                                    per_shard[0].push_back(
-                                        static_cast<std::uint64_t>(s) +
-                                        static_cast<std::uint64_t>(
-                                            group.shard(0).Now()) *
-                                            10);
-                                });
+            const Time out = group.edge_lookahead(0, s);
+            group.Post(0, s, group.shard(0).Now() + out, [&, s] {
+                Simulator& pod = group.shard(s);
+                per_shard[static_cast<std::size_t>(s)].push_back(
+                    static_cast<std::uint64_t>(s) * 1000000 +
+                    static_cast<std::uint64_t>(pod.Now()));
+                for (int r = 0; r < 3; ++r) {
+                    pod.ScheduleAfter(Microseconds(s + r), [&, s] {
+                        const Time back = group.edge_lookahead(s, 0);
+                        group.Post(s, 0, group.shard(s).Now() + back, [&, s] {
+                            per_shard[0].push_back(
+                                static_cast<std::uint64_t>(s) +
+                                static_cast<std::uint64_t>(
+                                    group.shard(0).Now()) *
+                                    10);
                         });
-                    }
-                });
-            }
-        });
-        group.Run();
-        std::vector<std::uint64_t> transcript;
-        for (const auto& t : per_shard) {
-            transcript.insert(transcript.end(), t.begin(), t.end());
+                    });
+                }
+            });
         }
-        return transcript;
-    };
-    const auto lockstep = run(false);
-    const auto threaded = run(true);
-    EXPECT_EQ(lockstep.size(), 28u);  // 7 receipts + 21 bounces.
-    EXPECT_EQ(lockstep, threaded);
+    });
+    const std::uint64_t fired = group.Run();
+    std::vector<std::uint64_t> transcript;
+    for (const auto& t : per_shard) {
+        transcript.insert(transcript.end(), t.begin(), t.end());
+    }
+    EXPECT_EQ(transcript.size(), 28u);  // 7 receipts + 21 bounces.
+    EXPECT_EQ(TranscriptDigest(transcript, fired, group.profile()),
+              0x880A077C04FC1C63ull);
+}
+
+// ---- Misuse ------------------------------------------------------------
+//
+// Each aborts in every build, release included, naming the call and the
+// bad value.
+
+TEST(SimulatorGroupDeathTest, ConstructorRejectsMisuse) {
+    EXPECT_DEATH(SimulatorGroup{GroupConfig(0, Microseconds(5))},
+                 "SimulatorGroup: shards 0 < 1");
+    EXPECT_DEATH(SimulatorGroup{GroupConfig(2, 0)},
+                 "SimulatorGroup: epoch 0 ps; the default lookahead must "
+                 "be positive");
+}
+
+TEST(SimulatorGroupDeathTest, SetEdgeLookaheadRejectsMisuse) {
+    SimulatorGroup group(GroupConfig(3, Microseconds(5)));
+    EXPECT_DEATH(group.SetEdgeLookahead(3, 0, Microseconds(1)),
+                 "SetEdgeLookahead: from shard 3 outside \\[0, 3\\)");
+    EXPECT_DEATH(group.SetEdgeLookahead(1, 1, Microseconds(1)),
+                 "SetEdgeLookahead: self-edge 1->1");
+    EXPECT_DEATH(group.SetEdgeLookahead(0, 2, 0),
+                 "SetEdgeLookahead: lookahead 0 ps on edge 0->2 must be "
+                 "positive");
+}
+
+TEST(SimulatorGroupDeathTest, LookupsRejectAShardOutOfRange) {
+    SimulatorGroup group(GroupConfig(3, Microseconds(5)));
+    EXPECT_DEATH(group.edge_lookahead(0, -1),
+                 "edge_lookahead: to shard -1 outside \\[0, 3\\)");
+    EXPECT_DEATH(group.path_lookahead(4, 0),
+                 "path_lookahead: from shard 4 outside \\[0, 3\\)");
+}
+
+TEST(SimulatorGroupDeathTest, PostRejectsMisuse) {
+    SimulatorGroup group(GroupConfig(2, Microseconds(10)));
+    EXPECT_DEATH(group.Post(0, 2, Microseconds(20), [] {}),
+                 "Post: to shard 2 outside \\[0, 2\\)");
+    // A 1 us hop on a 10 us edge: shard 0 may already have run past
+    // the delivery time.
+    group.shard(1).ScheduleAt(Microseconds(3), [&group] {
+        group.Post(1, 0, group.shard(1).Now() + Microseconds(1), [] {});
+    });
+    EXPECT_DEATH(group.Run(),
+                 "Post: message 1->0 delivers at 4000000 ps, before the "
+                 "destination's round bound 13000000 ps \\(cross-shard hop "
+                 "shorter than the declared edge lookahead\\)");
 }
 
 }  // namespace
