@@ -27,12 +27,10 @@ int main() {
     std::printf("\nAll 8 nodes inject; threads (slots in use) per node vary:\n");
     bench::Row({"slots/node", "tput_docs_s", "mean_us", "p95_us"});
     for (const int threads : {1, 2, 4, 8, 16, 32, 64}) {
-        service::ClosedLoopInjector::Config config;
-        config.injecting_ring_indices = {0, 1, 2, 3, 4, 5, 6, 7};
-        config.threads_per_node = threads;
-        config.documents_per_thread = std::max(20, 240 / threads);
-        service::ClosedLoopInjector injector(&bed.service(), config);
-        const auto result = injector.Run();
+        const auto result = service::RunPerThreadLoop(
+            service::RingTarget(&bed.service(), {0, 1, 2, 3, 4, 5, 6, 7},
+                                threads),
+            std::max(20, 240 / threads));
         bench::Row({bench::FmtInt(threads),
                     bench::Fmt(result.ThroughputPerSecond(), 0),
                     bench::Fmt(result.latency_us.mean(), 1),

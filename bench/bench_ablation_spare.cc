@@ -20,12 +20,10 @@ using namespace catapult;
 namespace {
 
 double MeasureThroughput(service::PodTestbed& bed) {
-    service::ClosedLoopInjector::Config config;
-    config.injecting_ring_indices = {0, 1, 2, 3, 4, 5, 6, 7};
-    config.threads_per_node = 4;
-    config.documents_per_thread = 100;
-    service::ClosedLoopInjector injector(&bed.service(), config);
-    return injector.Run().ThroughputPerSecond();
+    return service::RunPerThreadLoop(
+               service::RingTarget(&bed.service(), {0, 1, 2, 3, 4, 5, 6, 7}, 4),
+               100)
+        .ThroughputPerSecond();
 }
 
 }  // namespace

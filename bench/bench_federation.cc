@@ -43,15 +43,12 @@ service::FederationTestbed::Config FederationConfig(int pods) {
 double MeasureThroughput(int pods) {
     service::FederationTestbed bed(FederationConfig(pods));
     if (!bed.DeployAndSettle()) return 0.0;
-    service::FederatedClosedLoopInjector::Config load;
     // Saturates well past 3 pods x 2 rings (single-ring saturation is
     // ~12 outstanding, Fig. 9).
-    load.concurrency = 96;
-    load.documents = 2'000;
-    service::FederatedClosedLoopInjector injector(&bed.dispatcher(),
-                                                  &bed.simulator(), load);
-    const service::LoadResult result = injector.Run();
-    if (result.completed != static_cast<std::uint64_t>(load.documents)) {
+    constexpr int kDocuments = 2'000;
+    const service::LoadResult result = service::RunSharedLoop(
+        service::FederationTarget(&bed.dispatcher()), 96, kDocuments);
+    if (result.completed != static_cast<std::uint64_t>(kDocuments)) {
         return 0.0;
     }
     bench::Row({bench::FmtInt(pods),

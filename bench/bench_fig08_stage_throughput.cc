@@ -22,7 +22,7 @@ double RunLoopback(rank::PipelineStage stage, bool via_sl3, int threads) {
     config.threads = threads;
     config.documents_per_thread = 120;
     service::StageLoopback rig(config);
-    return rig.Run().documents_per_second;
+    return rig.Run().ThroughputPerSecond();
 }
 
 }  // namespace

@@ -27,12 +27,11 @@ int main() {
     std::printf("\nThroughput normalized to 1 thread:\n");
     bench::Row({"threads", "norm_tput", "docs_per_s"});
     for (const int threads : {1, 2, 4, 8, 12, 16, 24, 32}) {
-        service::ClosedLoopInjector::Config config;
-        config.injecting_ring_indices = {0};
-        config.threads_per_node = threads;
-        config.documents_per_thread = 400 / threads + 50;
-        service::ClosedLoopInjector injector(&bed.service(), config);
-        const double tput = injector.Run().ThroughputPerSecond();
+        const double tput =
+            service::RunPerThreadLoop(
+                service::RingTarget(&bed.service(), {0}, threads),
+                400 / threads + 50)
+                .ThroughputPerSecond();
         if (threads == 1) one_thread = tput;
         bench::Row({bench::FmtInt(threads), bench::Fmt(tput / one_thread),
                     bench::Fmt(tput, 0)});

@@ -26,12 +26,9 @@ int main() {
     std::printf("\nMean user-level latency normalized to 1 thread:\n");
     bench::Row({"threads", "norm_latency", "mean_us", "p95_us"});
     for (const int threads : {1, 2, 4, 8, 12, 16, 24, 32}) {
-        service::ClosedLoopInjector::Config config;
-        config.injecting_ring_indices = {0};
-        config.threads_per_node = threads;
-        config.documents_per_thread = 400 / threads + 50;
-        service::ClosedLoopInjector injector(&bed.service(), config);
-        const auto result = injector.Run();
+        const auto result = service::RunPerThreadLoop(
+            service::RingTarget(&bed.service(), {0}, threads),
+            400 / threads + 50);
         const double mean = result.latency_us.mean();
         if (threads == 1) one_thread_latency = mean;
         bench::Row({bench::FmtInt(threads),

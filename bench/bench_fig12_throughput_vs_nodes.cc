@@ -26,15 +26,12 @@ int main() {
     std::printf("\nAggregate throughput normalized to 1 node (1 thread each):\n");
     bench::Row({"nodes", "norm_tput", "docs_per_s"});
     for (int nodes = 1; nodes <= 8; ++nodes) {
-        service::ClosedLoopInjector::Config config;
-        config.injecting_ring_indices.clear();
-        for (int n = 0; n < nodes; ++n) {
-            config.injecting_ring_indices.push_back(n);
-        }
-        config.threads_per_node = 1;
-        config.documents_per_thread = 250;
-        service::ClosedLoopInjector injector(&bed.service(), config);
-        const double tput = injector.Run().ThroughputPerSecond();
+        std::vector<int> ring_indices;
+        for (int n = 0; n < nodes; ++n) ring_indices.push_back(n);
+        const double tput =
+            service::RunPerThreadLoop(
+                service::RingTarget(&bed.service(), ring_indices, 1), 250)
+                .ThroughputPerSecond();
         if (nodes == 1) one_node = tput;
         bench::Row({bench::FmtInt(nodes), bench::Fmt(tput / one_node),
                     bench::Fmt(tput, 0)});

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "rank/document_generator.h"
 #include "service/load_generator.h"
 
 using namespace catapult;
@@ -33,13 +34,10 @@ int main() {
     double fe_base = 0.0;
     for (int nodes = 1; nodes <= 8; ++nodes) {
         // Background load: `nodes` injectors, one thread each.
-        service::ClosedLoopInjector::Config config;
-        config.injecting_ring_indices.clear();
-        for (int n = 0; n < nodes; ++n) config.injecting_ring_indices.push_back(n);
-        config.threads_per_node = 1;
-        config.documents_per_thread = 120;
-        service::ClosedLoopInjector background(&bed.service(), config);
-        background.Run();
+        std::vector<int> ring_indices;
+        for (int n = 0; n < nodes; ++n) ring_indices.push_back(n);
+        service::RunPerThreadLoop(
+            service::RingTarget(&bed.service(), ring_indices, 1), 120);
 
         // Re-partition the drivers: slot 0 for the probe thread, slot 1
         // for the background keep-alive injections below.

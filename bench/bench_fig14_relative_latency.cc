@@ -13,8 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "rank/software_ranker.h"
-#include "service/load_generator.h"
 
 using namespace catapult;
 
@@ -23,26 +21,6 @@ namespace {
 /** Arrivals/s per server at normalized rate 1.0 (production target). */
 constexpr double kRateUnit = 3'400.0;
 constexpr Time kWindow = Milliseconds(400);
-
-service::LoadResult RunFpga(double rate) {
-    service::PodTestbed bed(bench::RingBenchConfig());
-    if (!bed.DeployAndSettle()) return {};
-    service::OpenLoopInjector::Config config;
-    config.rate_per_server = rate;
-    config.duration = kWindow;
-    service::OpenLoopInjector injector(&bed.service(), Rng(0xF16'14), config);
-    return injector.Run();
-}
-
-service::LoadResult RunSoftware(double rate, const rank::Model* model) {
-    sim::Simulator sim;
-    service::SoftwareLoadRunner::Config config;
-    config.servers = 8;
-    config.rate_per_server = rate;
-    config.duration = kWindow;
-    service::SoftwareLoadRunner runner(&sim, model, Rng(0x50F7'14), config);
-    return runner.Run();
-}
 
 }  // namespace
 
@@ -56,8 +34,10 @@ int main() {
     bench::Row({"rate", "avg", "p95", "p99", "p99.9"});
     double ratio_p95_at_one = 0.0;
     for (const double rate : {0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0}) {
-        const auto fpga = RunFpga(rate * kRateUnit);
-        const auto sw = RunSoftware(rate * kRateUnit, model.get());
+        const auto fpga = bench::RunFpgaFleet(rate * kRateUnit, kWindow,
+                                              0xF16'14);
+        const auto sw = bench::RunSoftwareFleet(rate * kRateUnit, kWindow,
+                                                model.get(), 0x50F7'14);
         const double avg = fpga.latency_us.mean() / sw.latency_us.mean();
         const double p95 = fpga.latency_us.P95() / sw.latency_us.P95();
         const double p99 = fpga.latency_us.P99() / sw.latency_us.P99();

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "rank/software_ranker.h"
-#include "service/load_generator.h"
 
 using namespace catapult;
 
@@ -26,25 +24,8 @@ struct Point {
     double p95_us;
 };
 
-Point RunFpga(double rate) {
-    service::PodTestbed bed(bench::RingBenchConfig());
-    if (!bed.DeployAndSettle()) return {};
-    service::OpenLoopInjector::Config config;
-    config.rate_per_server = rate;
-    config.duration = kWindow;
-    service::OpenLoopInjector injector(&bed.service(), Rng(0xF16'15), config);
-    const auto result = injector.Run();
-    return {rate, result.ThroughputPerSecond() / 8.0, result.latency_us.P95()};
-}
-
-Point RunSoftware(double rate, const rank::Model* model) {
-    sim::Simulator sim;
-    service::SoftwareLoadRunner::Config config;
-    config.servers = 8;
-    config.rate_per_server = rate;
-    config.duration = kWindow;
-    service::SoftwareLoadRunner runner(&sim, model, Rng(0x50F7'15), config);
-    const auto result = runner.Run();
+/** A fleet's per-server throughput and p95 latency at `rate`. */
+Point ToPoint(double rate, const service::LoadResult& result) {
     return {rate, result.ThroughputPerSecond() / 8.0, result.latency_us.P95()};
 }
 
@@ -70,8 +51,11 @@ int main() {
          {1'000.0, 2'000.0, 3'000.0, 4'000.0, 5'000.0, 5'500.0, 6'000.0,
           6'500.0, 7'000.0, 8'000.0, 9'000.0, 10'000.0, 11'000.0, 12'000.0,
           13'000.0}) {
-        fpga.push_back(RunFpga(rate));
-        software.push_back(RunSoftware(rate, model.get()));
+        fpga.push_back(
+            ToPoint(rate, bench::RunFpgaFleet(rate, kWindow, 0xF16'15)));
+        software.push_back(ToPoint(
+            rate,
+            bench::RunSoftwareFleet(rate, kWindow, model.get(), 0x50F7'15)));
     }
 
     std::printf("\nThroughput/latency frontier per server:\n");

@@ -42,11 +42,8 @@ int main() {
             return 1;
         }
 
-        service::PoolClosedLoopInjector::Config load;
-        load.concurrency = kConcurrency;
-        load.documents = kDocuments;
-        service::PoolClosedLoopInjector injector(&bed.pool(), load);
-        const service::LoadResult result = injector.Run();
+        const service::LoadResult result = service::RunSharedLoop(
+            service::PoolTarget(&bed.pool()), kConcurrency, kDocuments);
         const double tput = result.ThroughputPerSecond();
         if (rings == 1) one_ring = tput;
         if (rings == 3) three_ring = tput;

@@ -66,13 +66,13 @@ constexpr Time kLoadEnd = Milliseconds(440);
 constexpr Time kSlo = Milliseconds(2);
 
 struct RampResult {
-    service::FederatedPhasedInjector::Result load;  // pre/incident/recovery
+    service::LoadResult load;  // phases: pre/incident/recovery
     std::uint64_t lost = 0;
     std::uint64_t failovers = 0;
     std::uint64_t sheds = 0;
     std::uint64_t pod0_shed_queries = 0;
 
-    const service::FederatedPhasedInjector::Phase& Incident() const {
+    const service::LoadPhase& Incident() const {
         return load.phases[1];
     }
 };
@@ -107,14 +107,13 @@ RampResult RunRamp(bool predictive) {
         ramp_nodes, load_start + kRampStart, Milliseconds(12),
         /*flap_duration=*/Milliseconds(14));
 
-    service::FederatedPhasedInjector::Config load;
-    load.rate_qps = 100'000.0;
-    load.duration = kLoadEnd;
-    load.phase_offsets = {kRampStart, kIncidentEnd};
-    load.slo = kSlo;
-    service::FederatedPhasedInjector injector(&bed.dispatcher(),
-                                              &bed.simulator(), load);
-    result.load = injector.Run();
+    result.load = service::RunOpenLoop(
+        {service::FederationTarget(&bed.dispatcher())},
+        {.rate = 100'000.0,
+         .duration = kLoadEnd,
+         .phase_offsets = {kRampStart, kIncidentEnd},
+         .slo = kSlo},
+        /*poisson=*/nullptr);
 
     result.lost = bed.dispatcher().counters().lost;
     result.failovers = bed.dispatcher().counters().failovers;
@@ -131,7 +130,7 @@ constexpr Time kSettledAt = Milliseconds(380);
 constexpr Time kReadmitDuration = Milliseconds(470);
 
 struct ReadmitResult {
-    service::FederatedPhasedInjector::Result load;
+    service::LoadResult load;
     bool reattach_ok = false;
     std::uint64_t lost = 0;
     std::uint64_t readmitted = 0;
@@ -154,13 +153,12 @@ ReadmitResult RunReadmission() {
         bed.ReattachPod(0, [&](bool ok) { result.reattach_ok = ok; });
     });
 
-    service::FederatedPhasedInjector::Config load;
-    load.rate_qps = 25'000.0;
-    load.duration = kReadmitDuration;
-    load.phase_offsets = {kFaultAt, kReattachAt, kSettledAt};
-    service::FederatedPhasedInjector injector(&bed.dispatcher(),
-                                              &bed.simulator(), load);
-    result.load = injector.Run();
+    result.load = service::RunOpenLoop(
+        {service::FederationTarget(&bed.dispatcher())},
+        {.rate = 25'000.0,
+         .duration = kReadmitDuration,
+         .phase_offsets = {kFaultAt, kReattachAt, kSettledAt}},
+        /*poisson=*/nullptr);
 
     result.lost = bed.dispatcher().counters().lost;
     result.readmitted = bed.dispatcher().counters().readmissions;
@@ -256,7 +254,7 @@ int main() {
         ok = false;
     }
     if (predictive.lost != 0 || reactive.lost != 0 ||
-        predictive.load.failed != 0 || reactive.load.failed != 0) {
+        predictive.load.timeouts != 0 || reactive.load.timeouts != 0) {
         std::printf("FAIL: accepted queries lost during the ramp\n");
         ok = false;
     }
@@ -278,11 +276,11 @@ int main() {
                     100.0 * recovered);
         ok = false;
     }
-    if (readmit.lost != 0 || readmit.load.failed != 0) {
+    if (readmit.lost != 0 || readmit.load.timeouts != 0) {
         std::printf("FAIL: accepted queries lost across the blackout / "
                     "re-admission (lost=%llu failed=%llu)\n",
                     static_cast<unsigned long long>(readmit.lost),
-                    static_cast<unsigned long long>(readmit.load.failed));
+                    static_cast<unsigned long long>(readmit.load.timeouts));
         ok = false;
     }
     if (!ok) return 1;

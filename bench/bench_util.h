@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "rank/model.h"
+#include "service/load_generator.h"
 #include "service/testbed.h"
 #include "sim/simulator.h"
 
@@ -81,6 +83,38 @@ inline service::PodTestbed::Config RingBenchConfig() {
     service::PodTestbed::Config config;
     config.fabric.device.configure_time = Milliseconds(5);
     return config;
+}
+
+/**
+ * Figs. 14-15 FPGA fleet: Poisson arrivals at `rate` per server for
+ * `window` on the eight host fronts of a fresh 8-FPGA ring.
+ */
+inline service::LoadResult RunFpgaFleet(double rate, Time window,
+                                        std::uint64_t seed) {
+    service::PodTestbed bed(RingBenchConfig());
+    if (!bed.DeployAndSettle()) return {};
+    Rng rng(seed);
+    std::vector<service::LoadTarget> fronts;
+    for (int i = 0; i < service::RankingService::kRingLength; ++i) {
+        fronts.push_back(service::HostFront(&bed.service(), i, rng));
+    }
+    return service::RunOpenLoop(fronts, {.rate = rate, .duration = window},
+                                &rng);
+}
+
+/** Figs. 14-15 software fleet: the same load on one software server
+ *  per ring server. */
+inline service::LoadResult RunSoftwareFleet(double rate, Time window,
+                                            const rank::Model* model,
+                                            std::uint64_t seed) {
+    sim::Simulator sim;
+    Rng rng(seed);
+    std::vector<service::LoadTarget> servers;
+    for (int s = 0; s < service::RankingService::kRingLength; ++s) {
+        servers.push_back(service::SoftwareServer(&sim, model, rng));
+    }
+    return service::RunOpenLoop(servers, {.rate = rate, .duration = window},
+                                &rng);
 }
 
 }  // namespace catapult::bench

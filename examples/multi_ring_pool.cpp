@@ -42,11 +42,8 @@ int main() {
                 bed.scheduler().occupied_nodes(), bed.scheduler().node_count());
 
     // --- Sharded load across the pool ---------------------------------
-    service::PoolClosedLoopInjector::Config load;
-    load.concurrency = 24;
-    load.documents = 240;
-    service::PoolClosedLoopInjector injector(&bed.pool(), load);
-    const service::LoadResult result = injector.Run();
+    const service::LoadResult result =
+        service::RunSharedLoop(service::PoolTarget(&bed.pool()), 24, 240);
     std::printf("\n[t=%s] %llu documents scored across the pool:\n",
                 FormatTime(bed.simulator().Now()).c_str(),
                 static_cast<unsigned long long>(result.completed));

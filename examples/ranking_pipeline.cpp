@@ -22,12 +22,8 @@ int main() {
 
     // All eight ring servers inject in closed loop with 8 threads each,
     // enough to saturate the FE-bound pipeline (Fig. 9/12).
-    service::ClosedLoopInjector::Config load;
-    load.injecting_ring_indices = {0, 1, 2, 3, 4, 5, 6, 7};
-    load.threads_per_node = 8;
-    load.documents_per_thread = 150;
-    service::ClosedLoopInjector injector(&bed.service(), load);
-    const service::LoadResult result = injector.Run();
+    const service::LoadResult result = service::RunPerThreadLoop(
+        service::RingTarget(&bed.service(), {0, 1, 2, 3, 4, 5, 6, 7}, 8), 150);
 
     std::printf("completed %llu documents, %llu timeouts\n",
                 static_cast<unsigned long long>(result.completed),

@@ -23,8 +23,11 @@ const char* ToString(FederationPolicy policy) {
 FederatedDispatcher::FederatedDispatcher(sim::Simulator* simulator,
                                          Config config)
     : simulator_(simulator), config_(config) {
-    assert(simulator_ != nullptr);
-    assert(config_.max_retries >= 0);
+    if (simulator_ == nullptr) FatalMisuse("FederatedDispatcher: null simulator");
+    if (config_.max_retries < 0) {
+        FatalMisuse("FederatedDispatcher: max_retries %d < 0",
+                    config_.max_retries);
+    }
 }
 
 void FederatedDispatcher::SetObservability(obs::ShardObs* obs) {

@@ -119,6 +119,7 @@ class FederatedDispatcher {
         double warmup_weight_floor = 0.15;
     };
 
+    /** Aborts on a null simulator or `max_retries` < 0. */
     FederatedDispatcher(sim::Simulator* simulator, Config config);
 
     FederatedDispatcher(const FederatedDispatcher&) = delete;
@@ -205,6 +206,7 @@ class FederatedDispatcher {
      */
     std::vector<int> EligiblePods() const;
 
+    sim::Simulator* simulator() { return simulator_; }
     int pod_count() const { return static_cast<int>(pods_.size()); }
     mgmt::PodContext& pod(int index) {
         return *pods_[static_cast<std::size_t>(index)].context;

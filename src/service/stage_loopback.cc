@@ -1,6 +1,5 @@
 #include "service/stage_loopback.h"
 
-#include <cassert>
 #include <deque>
 
 namespace catapult::service {
@@ -58,8 +57,7 @@ class StageLoopback::LoopRole : public shell::Role {
 
 StageLoopback::StageLoopback(Config config)
     : config_(config),
-      models_(rank::ModelStore::Config{.model = config.model}),
-      generator_(config.corpus_seed, config.corpus) {
+      models_(rank::ModelStore::Config{.model = config.model}) {
     Rng rng(config_.model_seed ^ 0x10093ACCull);
 
     // Two-node micro-fabric (1x2 "torus"): node 0 hosts the injecting
@@ -91,44 +89,27 @@ StageLoopback::StageLoopback(Config config)
 
 StageLoopback::~StageLoopback() = default;
 
-StageLoopback::Result StageLoopback::Run() {
-    result_ = Result{};
-    first_send_ = simulator_.Now();
-    last_completion_ = first_send_;
-    for (int t = 0; t < config_.threads; ++t) {
-        SendNext(t, config_.documents_per_thread);
-    }
-    simulator_.Run();
-    const Time elapsed = last_completion_ - first_send_;
-    result_.documents_per_second =
-        elapsed > 0 ? static_cast<double>(result_.completed) / ToSeconds(elapsed)
-                    : 0.0;
-    return result_;
-}
-
-void StageLoopback::SendNext(int thread, int remaining) {
-    if (remaining <= 0) return;
-    const rank::CompressedRequest request = generator_.Next();
+LoadResult StageLoopback::Run() {
     const int role_node = config_.via_sl3 ? 1 : 0;
-    auto packet = shell::MakePacket(shell::PacketType::kScoringRequest,
-                                    fabric_->GlobalId(0),
-                                    fabric_->GlobalId(role_node),
-                                    request.wire_bytes, request.doc_id + 1);
-    packet->payload = request.tuple_count;
-    const Time sent = simulator_.Now();
-    const int slot = host_->driver().SlotFor(thread);
-    host_->driver().Send(
-        slot, std::move(packet),
-        [this, thread, remaining, sent](host::SendStatus status,
-                                        shell::PacketPtr) {
-            if (status == host::SendStatus::kOk) {
-                ++result_.completed;
-                result_.latency_us.Add(
-                    ToMicroseconds(simulator_.Now() - sent));
-            }
-            last_completion_ = simulator_.Now();
-            SendNext(thread, remaining - 1);
-        });
+    const LoadTarget rig{
+        &simulator_, config_.threads,
+        [this, role_node](int thread, const rank::CompressedRequest& request,
+                          CompletionFn on_complete) {
+            auto packet = shell::MakePacket(
+                shell::PacketType::kScoringRequest, fabric_->GlobalId(0),
+                fabric_->GlobalId(role_node), request.wire_bytes,
+                request.doc_id + 1);
+            packet->payload = request.tuple_count;
+            const Time sent = simulator_.Now();
+            return host_->driver().Send(
+                host_->driver().SlotFor(thread), std::move(packet),
+                [this, sent, on_complete = std::move(on_complete)](
+                    host::SendStatus status, shell::PacketPtr) {
+                    on_complete({.ok = status == host::SendStatus::kOk,
+                                 .latency = simulator_.Now() - sent});
+                });
+        }};
+    return RunPerThreadLoop(rig, config_.documents_per_thread);
 }
 
 }  // namespace catapult::service

@@ -9,8 +9,9 @@
 // The rig instantiates a two-node micro-fabric: the stage under test on
 // one FPGA and, in SL3 mode, a second shell acting as the far end of
 // the loopback cable (topologically identical to a cable looped back
-// into the same board). Requests are injected by 1..N host threads in
-// closed loop; the result is documents/second.
+// into the same board). The rig is a LoadTarget whose clients are the
+// host's 1..N threads, driven by the per-thread closed loop; the
+// result's ThroughputPerSecond() is documents/second.
 
 #pragma once
 
@@ -18,12 +19,11 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "fabric/catapult_fabric.h"
 #include "host/host_server.h"
-#include "rank/document_generator.h"
 #include "rank/model.h"
 #include "rank/software_ranker.h"
+#include "service/load_generator.h"
 #include "service/stage_role.h"
 #include "sim/simulator.h"
 
@@ -36,28 +36,19 @@ class StageLoopback {
         bool via_sl3 = false;   ///< PCIe-only vs SL3 loopback (§5).
         int threads = 1;
         int documents_per_thread = 200;
-        std::uint64_t corpus_seed = 42;
         std::uint64_t model_seed = 0xCA7A9017ull;
-        rank::DocumentGenerator::Config corpus;
         rank::FeatureExtractor::Timing fe_timing;
         rank::Model::Config model;
-    };
-
-    struct Result {
-        double documents_per_second = 0.0;
-        SampleStat latency_us;
-        std::uint64_t completed = 0;
     };
 
     explicit StageLoopback(Config config);
     ~StageLoopback();
 
-    Result Run();
+    /** Every thread sends `documents_per_thread` back to back. */
+    LoadResult Run();
 
   private:
     class LoopRole;
-
-    void SendNext(int thread, int remaining);
 
     Config config_;
     sim::Simulator simulator_;
@@ -69,10 +60,6 @@ class StageLoopback {
     const rank::Model* model_ = nullptr;
     std::unique_ptr<rank::RankingFunction> function_;
     std::unique_ptr<LoopRole> role_;
-    rank::DocumentGenerator generator_;
-    Result result_;
-    Time first_send_ = 0;
-    Time last_completion_ = 0;
 };
 
 }  // namespace catapult::service

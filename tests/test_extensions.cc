@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "service/load_generator.h"
+#include "rank/document_generator.h"
 #include "service/stage_role.h"
 #include "service/testbed.h"
 #include "shell/flight_data_recorder.h"

@@ -182,13 +182,11 @@ TEST(FederatedDispatcher, OpenLoopLoadRejectsBeyondTheAdmissionCap) {
     FederationTestbed bed(config);
     ASSERT_TRUE(bed.DeployAndSettle());
 
-    FederatedOpenLoopInjector::Config load;
     // Far beyond two rings' capacity, so the cap must engage.
-    load.rate_qps = 100'000.0;
-    load.duration = Milliseconds(20);
-    FederatedOpenLoopInjector injector(&bed.dispatcher(), &bed.simulator(),
-                                       Rng(23), load);
-    const LoadResult result = injector.Run();
+    Rng rng(23);
+    const LoadResult result =
+        RunOpenLoop({FederationTarget(&bed.dispatcher())},
+                    {.rate = 100'000.0, .duration = Milliseconds(20)}, &rng);
 
     EXPECT_GT(result.completed, 0u);
     EXPECT_GT(result.rejected, 0u);  // admission control engaged
@@ -422,12 +420,9 @@ TEST(FederatedLoad, ClosedLoopScalesFromOneToTwoPods) {
     for (int pods = 1; pods <= 2; ++pods) {
         FederationTestbed bed(FastFederation(pods, /*rings=*/1));
         ASSERT_TRUE(bed.DeployAndSettle());
-        FederatedClosedLoopInjector::Config load;
-        load.concurrency = 32;  // saturates a single ring (~12, Fig. 9)
-        load.documents = 400;
-        FederatedClosedLoopInjector injector(&bed.dispatcher(),
-                                             &bed.simulator(), load);
-        const LoadResult result = injector.Run();
+        // 32 clients saturate a single ring (~12, Fig. 9).
+        const LoadResult result = RunSharedLoop(
+            FederationTarget(&bed.dispatcher()), 32, 400);
         EXPECT_EQ(result.completed, 400u);
         EXPECT_EQ(result.timeouts, 0u);
         tput[pods - 1] = result.ThroughputPerSecond();
@@ -459,6 +454,16 @@ struct ThreeShardGroup {
         return b;
     }
 };
+
+TEST(FederatedDispatcherDeathTest, ConstructorRejectsMisuse) {
+    sim::Simulator sim;
+    EXPECT_DEATH(FederatedDispatcher(nullptr, {}),
+                 "FederatedDispatcher: null simulator");
+    FederatedDispatcher::Config negative;
+    negative.max_retries = -1;
+    EXPECT_DEATH(FederatedDispatcher(&sim, negative),
+                 "FederatedDispatcher: max_retries -1 < 0");
+}
 
 TEST(FederatedDispatcherDeathTest, BindShardGroupRejectsMisuse) {
     FederationTestbed bed(FastFederation(/*pods=*/1, /*rings=*/1));

@@ -209,13 +209,12 @@ TEST(PredictiveDispatch, DegradationRampShedsPodBeforeHardFailure) {
     bed.pod(0).failure_injector().ScheduleDegradationRamp(
         ramp_nodes, ramp_at, Milliseconds(15));
 
-    FederatedPhasedInjector::Config load;
-    load.rate_qps = 10'000.0;
-    load.duration = Milliseconds(300);
-    load.phase_offsets = {Milliseconds(30)};
-    FederatedPhasedInjector injector(&bed.dispatcher(), &bed.simulator(),
-                                     load);
-    const auto result = injector.Run();
+    const LoadResult result = RunOpenLoop(
+        {FederationTarget(&bed.dispatcher())},
+        {.rate = 10'000.0,
+         .duration = Milliseconds(300),
+         .phase_offsets = {Milliseconds(30)}},
+        /*poisson=*/nullptr);
 
     // The pod was proactively shed...
     EXPECT_GE(bed.dispatcher().counters().sheds, 1u);
@@ -225,7 +224,7 @@ TEST(PredictiveDispatch, DegradationRampShedsPodBeforeHardFailure) {
     // around pod 0 while it was out of rotation.
     EXPECT_GT(pod0.shed_queries, 0u);
     // Nothing accepted was lost across the whole incident.
-    EXPECT_EQ(result.failed, 0u);
+    EXPECT_EQ(result.timeouts, 0u);
     EXPECT_EQ(bed.dispatcher().counters().lost, 0u);
     EXPECT_EQ(result.completed, result.accepted);
     // The healthy pod carried the bulk of the incident phase.

@@ -137,12 +137,8 @@ TEST(RankingService, ClosedLoopThroughputSaturates) {
     ASSERT_TRUE(bed.DeployAndSettle());
 
     auto run_with_threads = [&](int threads) {
-        ClosedLoopInjector::Config config;
-        config.injecting_ring_indices = {0};
-        config.threads_per_node = threads;
-        config.documents_per_thread = 60;
-        ClosedLoopInjector injector(&bed.service(), config);
-        return injector.Run().ThroughputPerSecond();
+        return RunPerThreadLoop(RingTarget(&bed.service(), {0}, threads), 60)
+            .ThroughputPerSecond();
     };
     const double t1 = run_with_threads(1);
     const double t8 = run_with_threads(8);
@@ -159,15 +155,10 @@ TEST(RankingService, MultiNodeAggregateScalesNearLinearly) {
     ASSERT_TRUE(bed.DeployAndSettle());
 
     auto run_with_nodes = [&](int nodes) {
-        ClosedLoopInjector::Config config;
-        config.injecting_ring_indices.clear();
-        for (int n = 0; n < nodes; ++n) {
-            config.injecting_ring_indices.push_back(n);
-        }
-        config.threads_per_node = 1;
-        config.documents_per_thread = 60;
-        ClosedLoopInjector injector(&bed.service(), config);
-        return injector.Run().ThroughputPerSecond();
+        std::vector<int> ring_indices;
+        for (int n = 0; n < nodes; ++n) ring_indices.push_back(n);
+        return RunPerThreadLoop(RingTarget(&bed.service(), ring_indices, 1), 60)
+            .ThroughputPerSecond();
     };
     const double one = run_with_nodes(1);
     const double four = run_with_nodes(4);
@@ -225,12 +216,14 @@ TEST(RankingService, LatencyGrowsWithDocumentSize) {
 TEST(RankingService, OpenLoopInjectionCompletes) {
     PodTestbed bed(FastConfig());
     ASSERT_TRUE(bed.DeployAndSettle());
-    OpenLoopInjector::Config config;
-    config.rate_per_server = 2'000.0;
-    config.duration = Milliseconds(20);
-    OpenLoopInjector injector(&bed.service(), Rng(31), config);
-    const LoadResult result = injector.Run();
-    EXPECT_GT(result.completed, 100u);
+    Rng rng(31);
+    std::vector<LoadTarget> fronts;
+    for (int i = 0; i < RankingService::kRingLength; ++i) {
+        fronts.push_back(HostFront(&bed.service(), i, rng));
+    }
+    const LoadResult result = RunOpenLoop(
+        fronts, {.rate = 2'000.0, .duration = Milliseconds(20)}, &rng);
+    EXPECT_GT(result.completed_in_window, 100u);
     EXPECT_EQ(result.timeouts, 0u);
     EXPECT_GT(result.latency_us.mean(), 0.0);
 }

@@ -189,11 +189,7 @@ TEST(ServicePool, ClosedLoopLoadSpreadsAcrossRings) {
     PodTestbed bed(PoolConfig(3));
     ASSERT_TRUE(bed.DeployAndSettle());
 
-    PoolClosedLoopInjector::Config load;
-    load.concurrency = 24;
-    load.documents = 240;
-    PoolClosedLoopInjector injector(&bed.pool(), load);
-    const LoadResult result = injector.Run();
+    const LoadResult result = RunSharedLoop(PoolTarget(&bed.pool()), 24, 240);
     EXPECT_EQ(result.completed, 240u);
     EXPECT_EQ(result.timeouts, 0u);
     // Least-in-flight sharding keeps every ring busy: no ring handled

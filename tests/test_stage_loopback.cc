@@ -24,7 +24,7 @@ TEST(StageLoopback, CompletesAllDocuments) {
                                   false, 2));
     const auto result = rig.Run();
     EXPECT_EQ(result.completed, 120u);
-    EXPECT_GT(result.documents_per_second, 0.0);
+    EXPECT_GT(result.ThroughputPerSecond(), 0.0);
 }
 
 TEST(StageLoopback, MultithreadingRaisesThroughput) {
@@ -33,7 +33,7 @@ TEST(StageLoopback, MultithreadingRaisesThroughput) {
         rank::PipelineStage::kFeatureExtraction, false, 1)).Run();
     const auto twelve = StageLoopback(SmallConfig(
         rank::PipelineStage::kFeatureExtraction, false, 12)).Run();
-    EXPECT_GT(twelve.documents_per_second, one.documents_per_second * 1.5);
+    EXPECT_GT(twelve.ThroughputPerSecond(), one.ThroughputPerSecond() * 1.5);
 }
 
 TEST(StageLoopback, Sl3LoopbackAddsLatency) {
@@ -43,7 +43,7 @@ TEST(StageLoopback, Sl3LoopbackAddsLatency) {
         rank::PipelineStage::kCompression, true, 1)).Run();
     EXPECT_GT(sl3.latency_us.mean(), pcie.latency_us.mean());
     // Single-threaded throughput drops when round-trip latency grows.
-    EXPECT_LT(sl3.documents_per_second, pcie.documents_per_second);
+    EXPECT_LT(sl3.ThroughputPerSecond(), pcie.ThroughputPerSecond());
 }
 
 TEST(StageLoopback, FeatureExtractionIsSlowestStage) {
@@ -56,9 +56,9 @@ TEST(StageLoopback, FeatureExtractionIsSlowestStage) {
         const auto result =
             StageLoopback(SmallConfig(stage, false, 12)).Run();
         if (stage == rank::PipelineStage::kFeatureExtraction) {
-            fe_rate = result.documents_per_second;
+            fe_rate = result.ThroughputPerSecond();
         } else {
-            min_other = std::min(min_other, result.documents_per_second);
+            min_other = std::min(min_other, result.ThroughputPerSecond());
         }
     }
     EXPECT_LT(fe_rate, min_other);
