@@ -1,13 +1,10 @@
-// Slab-backed free-list pooling for hot-path reference-counted objects.
+// Slab-backed free-list pooling for hot-path objects.
 //
-// The inject path allocates a shared_ptr<Packet> per document and a
-// shared_ptr<QueryContext> per accepted query; at federation scale that
-// is millions of malloc/free pairs per simulated second of load.
-// MakePooled<T>() is a drop-in replacement for std::make_shared<T>():
-// the object and its control block still live in one combined block,
-// but the block comes from a thread-local slab free list and returns to
-// it on the last reference release, so steady-state traffic allocates
-// nothing.
+// Every document makes a few fabric packets; at federation scale that
+// is millions of malloc/free pairs per simulated second of load. A
+// PoolArena<T> hands out blocks of one size class from a thread-local
+// slab free list and takes them back, so steady-state traffic
+// allocates nothing: shell::PacketPtr draws its packets from one.
 //
 // Under AddressSanitizer the free list poisons parked blocks, so a
 // use-after-release-into-pool fails the sanitized job just like a
@@ -64,9 +61,9 @@ inline void RegisterArena(void* arena) {
 }
 
 /**
- * One size class: recycled blocks of exactly sizeof(Block) bytes.
- * `Block` is the rebound allocation type (control block + payload for
- * allocate_shared), so every pooled type gets its own arena.
+ * One size class: recycled blocks of exactly sizeof(Block) bytes, raw
+ * storage the caller constructs a Block in. Every pooled type gets its
+ * own arena.
  */
 template <typename Block>
 class PoolArena {
@@ -77,6 +74,7 @@ class PoolArena {
         if (free_list_.empty()) Refill();
         void* block = free_list_.back();
         free_list_.pop_back();
+        ++live_;
 #ifdef CATAPULT_POOL_ASAN
         __asan_unpoison_memory_region(block, sizeof(Block));
 #endif
@@ -88,11 +86,19 @@ class PoolArena {
         __asan_poison_memory_region(block, sizeof(Block));
 #endif
         free_list_.push_back(block);
+        --live_;
     }
 
     /**
+     * Blocks handed out by this arena and not yet released to it. A
+     * block released on another thread lowers that thread's count, so
+     * read it from the one thread that both allocates and releases.
+     */
+    std::ptrdiff_t live() const { return live_; }
+
+    /**
      * The arena is intentionally never destroyed: its blocks may be
-     * owned by objects (scheduled callbacks, parked shared_ptrs) whose
+     * owned by objects (scheduled callbacks, parked handles) whose
      * destruction order versus thread-local teardown is unknowable —
      * and blocks released on another thread migrate to *that* thread's
      * arena, so storage must outlive every thread. The global registry
@@ -125,49 +131,9 @@ class PoolArena {
 
     std::vector<void*> free_list_;
     std::vector<std::unique_ptr<unsigned char[]>> slabs_;
+    std::ptrdiff_t live_ = 0;
 };
 
 }  // namespace detail
-
-/**
- * Allocator handing out slab-pooled blocks for single-object
- * allocations (the allocate_shared case) and falling back to plain new
- * for anything else.
- */
-template <typename T>
-struct PooledAllocator {
-    using value_type = T;
-
-    PooledAllocator() = default;
-    template <typename U>
-    PooledAllocator(const PooledAllocator<U>&) {}  // NOLINT
-
-    T* allocate(std::size_t n) {
-        if (n == 1) {
-            return static_cast<T*>(detail::PoolArena<T>::Instance().Allocate());
-        }
-        return static_cast<T*>(::operator new(n * sizeof(T)));
-    }
-
-    void deallocate(T* p, std::size_t n) {
-        if (n == 1) {
-            detail::PoolArena<T>::Instance().Release(p);
-            return;
-        }
-        ::operator delete(p);
-    }
-
-    template <typename U>
-    bool operator==(const PooledAllocator<U>&) const {
-        return true;
-    }
-};
-
-/** make_shared<T> whose combined block is recycled through the pool. */
-template <typename T, typename... Args>
-std::shared_ptr<T> MakePooled(Args&&... args) {
-    return std::allocate_shared<T>(PooledAllocator<T>{},
-                                   std::forward<Args>(args)...);
-}
 
 }  // namespace catapult

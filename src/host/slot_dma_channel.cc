@@ -27,28 +27,43 @@ SlotDmaChannel::SlotDmaChannel(sim::Simulator* simulator,
 }
 
 int SlotDmaChannel::AssignThreads(int thread_count) {
-    assert(thread_count > 0 && thread_count <= shell::kDmaSlotCount);
+    if (thread_count < 1 || thread_count > shell::kDmaSlotCount) {
+        FatalMisuse("SlotDmaChannel::AssignThreads: thread_count %d outside "
+                    "[1, %d]",
+                    thread_count, shell::kDmaSlotCount);
+    }
     thread_count_ = thread_count;
     slots_per_thread_ = shell::kDmaSlotCount / thread_count;
     return slots_per_thread_;
 }
 
 int SlotDmaChannel::SlotFor(int thread, int k) const {
-    assert(thread >= 0 && thread < thread_count_);
-    assert(k >= 0 && k < slots_per_thread_);
-    // Release-mode safety: never hand out an out-of-range slot even if
-    // a caller probes beyond the current partitioning.
-    if (thread_count_ <= 0) return 0;
-    const int slot = (thread % thread_count_) * slots_per_thread_ +
-                     (slots_per_thread_ > 0 ? k % slots_per_thread_ : 0);
-    return slot % shell::kDmaSlotCount;
+    if (thread < 0 || thread >= thread_count_) {
+        FatalMisuse("SlotDmaChannel::SlotFor: thread %d outside [0, %d)",
+                    thread, thread_count_);
+    }
+    if (k < 0 || k >= slots_per_thread_) {
+        FatalMisuse("SlotDmaChannel::SlotFor: k %d outside [0, %d)", k,
+                    slots_per_thread_);
+    }
+    return thread * slots_per_thread_ + k;
 }
 
 SendStatus SlotDmaChannel::Send(int slot, shell::PacketPtr request,
                                 ResponseFn on_response) {
-    assert(slot >= 0 && slot < shell::kDmaSlotCount);
+    if (slot < 0 || slot >= shell::kDmaSlotCount) {
+        FatalMisuse("SlotDmaChannel::Send: slot %d outside [0, %d)", slot,
+                    shell::kDmaSlotCount);
+    }
     if (pending_[slot].active) return SendStatus::kSlotBusy;
     if (request->size > shell::kDmaSlotBytes) return SendStatus::kBadRequest;
+    if (dma_->InputFull(slot)) {
+        // Idle by the driver's books but still full on the device: the
+        // request would be dropped, and only its timeout would notice.
+        FatalMisuse("SlotDmaChannel::Send: slot %d is idle but its input "
+                    "full bit is set",
+                    slot);
+    }
 
     Pending& p = pending_[slot];
     p.active = true;
@@ -62,9 +77,7 @@ SendStatus SlotDmaChannel::Send(int slot, shell::PacketPtr request,
     ++counters_.sent;
     request->slot = slot;
     request->injected_at = simulator_->Now();
-    const bool accepted = dma_->SetInputFull(slot, std::move(request));
-    assert(accepted && "full bit already set on an idle slot");
-    (void)accepted;
+    dma_->SetInputFull(slot, std::move(request));
     return SendStatus::kOk;
 }
 
@@ -79,8 +92,7 @@ void SlotDmaChannel::OnOutputReady(int slot, shell::PacketPtr packet) {
     ++counters_.responses;
     simulator_->Cancel(p.timeout);
     p.active = false;
-    auto cb = std::move(p.on_response);
-    p.on_response = nullptr;
+    ResponseFn cb = std::move(p.on_response);
     if (cb) cb(SendStatus::kOk, std::move(packet));
 }
 
@@ -91,8 +103,7 @@ void SlotDmaChannel::OnTimeout(int slot, std::uint64_t request_id) {
     LOG_DEBUG("driver") << "request on slot " << slot
                         << " timed out; diverting to failure handling";
     p.active = false;
-    auto cb = std::move(p.on_response);
-    p.on_response = nullptr;
+    ResponseFn cb = std::move(p.on_response);
     if (cb) cb(SendStatus::kTimeout, nullptr);
 }
 

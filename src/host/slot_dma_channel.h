@@ -14,11 +14,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "common/units.h"
 #include "shell/dma_engine.h"
 #include "shell/packet.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::host {
@@ -41,7 +41,7 @@ class SlotDmaChannel {
     };
 
     /** Response callback: status + response packet (null on timeout). */
-    using ResponseFn = std::function<void(SendStatus, shell::PacketPtr)>;
+    using ResponseFn = sim::InlineFunction<void(SendStatus, shell::PacketPtr)>;
 
     SlotDmaChannel(sim::Simulator* simulator, shell::DmaEngine* dma,
                    Config config);
@@ -54,17 +54,25 @@ class SlotDmaChannel {
     /**
      * Statically partition the 64 slots among `thread_count` threads
      * (§3.1). Returns slots-per-thread. Threads address their slots as
-     * SlotFor(thread, k) for k in [0, slots_per_thread).
+     * SlotFor(thread, k) for k in [0, slots_per_thread). A count
+     * outside [1, 64] aborts in every build.
      */
     int AssignThreads(int thread_count);
     int slots_per_thread() const { return slots_per_thread_; }
     int thread_count() const { return thread_count_; }
+    /**
+     * Slot `k` of `thread`. A thread outside [0, thread_count()) or a
+     * `k` outside [0, slots_per_thread()) aborts in every build: a
+     * wrapped index would alias two threads onto one slot.
+     */
     int SlotFor(int thread, int k = 0) const;
 
     /**
      * Send a request on `slot`. The request occupies the slot until the
      * response (or timeout) completes. Fails fast with kSlotBusy /
-     * kBadRequest without consuming the slot.
+     * kBadRequest without consuming the slot. A slot out of range, or
+     * an idle slot whose input full bit is still set, aborts in every
+     * build.
      */
     SendStatus Send(int slot, shell::PacketPtr request, ResponseFn on_response);
 

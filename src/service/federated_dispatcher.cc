@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <memory>
 
 #include "common/log.h"
-#include "common/object_pool.h"
 
 namespace catapult::service {
 
@@ -504,44 +502,45 @@ int FederatedDispatcher::PickShedProbe(std::uint64_t tried) {
 
 host::SendStatus FederatedDispatcher::Inject(
     int thread, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+    CompletionFn on_complete) {
     return InjectPreferring(-1, thread, request, std::move(on_complete));
 }
 
 host::SendStatus FederatedDispatcher::InjectPreferring(
     int preferred_pod, int thread, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+    CompletionFn on_complete) {
     // Walk distinct picks until one pod accepts. An immediate pod-level
     // reject (all rings mid-recovery, slot contention on the chosen
     // host) is not a pod failure — just try the next pod this instant.
     // The query context (request copy + callback) is only materialized
     // once a pod is actually eligible, so the admission-cap reject
-    // path — the open-loop hot path under overload — stays
-    // allocation-free.
-    std::shared_ptr<QueryContext> query;
+    // path — the open-loop hot path under overload — touches no slot.
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t query = kNone;
     std::uint64_t tried = 0;
     const auto materialize = [&] {
-        if (query) return;
-        query = MakePooled<QueryContext>();
-        query->thread = thread;
-        query->request = request;
-        query->on_complete = std::move(on_complete);
-        query->accepted_at = simulator_->Now();
-        query->retries_left = config_.max_retries;
-        query->obs_trace = 0;
-        query->obs_span = 0;
-        query->obs_parent = 0;
+        if (query != kNone) return;
+        query = queries_.Acquire();
+        QueryContext& ctx = queries_[query];
+        ctx.thread = thread;
+        ctx.request = request;
+        ctx.on_complete = std::move(on_complete);
+        ctx.accepted_at = simulator_->Now();
+        ctx.retries_left = config_.max_retries;
+        ctx.obs_trace = 0;
+        ctx.obs_span = 0;
+        ctx.obs_parent = 0;
         if (obs_ != nullptr && obs_->tracing()) {
             // Join the caller's timeline (a scatter gather stamped the
             // request) or open a fresh one; pod-side document spans
             // parent on this query span through the forwarded request.
-            query->obs_parent = request.query.obs_parent;
-            query->obs_trace = request.query.obs_trace != 0
-                                   ? request.query.obs_trace
-                                   : obs_->tracer.NextTraceId();
-            query->obs_span = obs_->tracer.NextSpanId();
-            query->request.query.obs_trace = query->obs_trace;
-            query->request.query.obs_parent = query->obs_span;
+            ctx.obs_parent = request.query.obs_parent;
+            ctx.obs_trace = request.query.obs_trace != 0
+                                ? request.query.obs_trace
+                                : obs_->tracer.NextTraceId();
+            ctx.obs_span = obs_->tracer.NextSpanId();
+            ctx.request.query.obs_trace = ctx.obs_trace;
+            ctx.request.query.obs_parent = ctx.obs_span;
         }
     };
     const auto note_accepted = [&](int pick) {
@@ -581,6 +580,10 @@ host::SendStatus FederatedDispatcher::InjectPreferring(
         RefundFailedPick(pick);
         tried |= std::uint64_t{1} << static_cast<unsigned>(pick);
     }
+    if (query != kNone) {
+        queries_[query].on_complete = nullptr;
+        queries_.Release(query);
+    }
     ++counters_.rejected;
     return host::SendStatus::kTimeout;
 }
@@ -596,9 +599,10 @@ std::vector<int> FederatedDispatcher::EligiblePods() const {
     return eligible;
 }
 
-host::SendStatus FederatedDispatcher::TryInject(
-    int pod_index, std::shared_ptr<QueryContext> query) {
+host::SendStatus FederatedDispatcher::TryInject(int pod_index,
+                                                std::uint32_t query) {
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
+    const QueryContext& ctx = queries_[query];
     const Time injected_at = simulator_->Now();
     // Admission through a half-open breaker — or into a shed pod — is
     // a probe: exactly one at a time (Eligible / PickShedProbe gate
@@ -623,30 +627,26 @@ host::SendStatus FederatedDispatcher::TryInject(
             ++slot.stat_rejected;
             return host::SendStatus::kTimeout;
         }
-        const std::uint64_t query_id = next_query_id_++;
-        PendingInject pending;
-        pending.query = query;
-        pending.injected_at = injected_at;
-        pending.was_probe = is_probe;
-        pending_.emplace(query_id, std::move(pending));
-        const int thread = query->thread;
-        const rank::CompressedRequest request = query->request;
-        binding_.group->Post(
-            binding_.coordinator_shard, slot.shard,
-            injected_at + binding_.inject_hop,
-            [this, pod_index, query_id, thread, request] {
-                PodInjectOnShard(pod_index, query_id, thread, request);
-            });
+        const std::uint32_t pending = pending_.Acquire();
+        PendingInject& entry = pending_[pending];
+        entry.active = true;
+        entry.query = query;
+        entry.pod_index = pod_index;
+        entry.injected_at = injected_at;
+        entry.was_probe = is_probe;
+        binding_.group->Post(binding_.coordinator_shard, slot.shard,
+                             injected_at + binding_.inject_hop,
+                             [this, pending] { PodInjectOnShard(pending); });
         ++slot.in_flight;
         if (is_probe) slot.probe_in_flight = true;
-        if (query->obs_span != 0) {
-            obs_->tracer.Instant("inject", query->obs_trace, query->obs_span,
-                                 0, injected_at, pod_index, /*a2=*/0);
+        if (ctx.obs_span != 0) {
+            obs_->tracer.Instant("inject", ctx.obs_trace, ctx.obs_span, 0,
+                                 injected_at, pod_index, /*a2=*/0);
         }
         return host::SendStatus::kOk;
     }
     const auto status = slot.context->pool().Inject(
-        query->thread, query->request,
+        ctx.thread, ctx.request,
         [this, pod_index, query, injected_at,
          is_probe](const ScoreResult& result) {
             OnPodResult(pod_index, query, injected_at, is_probe, result);
@@ -654,9 +654,9 @@ host::SendStatus FederatedDispatcher::TryInject(
     if (status == host::SendStatus::kOk) {
         ++slot.in_flight;
         if (is_probe) slot.probe_in_flight = true;
-        if (query->obs_span != 0) {
-            obs_->tracer.Instant("inject", query->obs_trace, query->obs_span,
-                                 0, injected_at, pod_index, /*a2=*/-1);
+        if (ctx.obs_span != 0) {
+            obs_->tracer.Instant("inject", ctx.obs_trace, ctx.obs_span, 0,
+                                 injected_at, pod_index, /*a2=*/-1);
         }
     } else {
         ++slot.stat_rejected;
@@ -664,82 +664,87 @@ host::SendStatus FederatedDispatcher::TryInject(
     return status;
 }
 
-void FederatedDispatcher::PodInjectOnShard(
-    int pod_index, std::uint64_t query_id, int thread,
-    const rank::CompressedRequest& request) {
-    // Runs on the pod's shard. Only the pod's immutable identity
-    // (context pointer, shard index) may be read here — every mutable
-    // dispatcher field belongs to the coordinator shard.
-    const PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
-    mgmt::PodContext* target = slot.context;
+FederatedDispatcher::PendingInject FederatedDispatcher::ReleasePending(
+    std::uint32_t pending) {
+    PendingInject entry = pending_[pending];
+    pending_[pending].active = false;
+    pending_.Release(pending);
+    return entry;
+}
+
+void FederatedDispatcher::PodInjectOnShard(std::uint32_t pending) {
+    // Runs on the pod's shard. Besides the pod's immutable identity
+    // (context pointer, shard index) it reads only the query's thread
+    // and request, which stay put in their slot until the query
+    // completes — and it cannot complete while this inject is pending.
+    // Every other dispatcher field belongs to the coordinator shard.
+    const PendingInject& entry = pending_[pending];
+    const PodSlot& slot = pods_[static_cast<std::size_t>(entry.pod_index)];
+    const QueryContext& query = queries_[entry.query];
     const int shard = slot.shard;
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
     const Time hop = binding_.completion_hop;
-    const auto status = target->pool().Inject(
-        thread, request,
-        [this, group, coord, hop, shard, pod_index,
-         query_id](const ScoreResult& result) {
-            group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, query_id, result] {
-                            OnShardResult(pod_index, query_id, result);
-                        });
+    const auto status = slot.context->pool().Inject(
+        query.thread, query.request,
+        [this, pending](const ScoreResult& result) {
+            const int from =
+                pods_[static_cast<std::size_t>(pending_[pending].pod_index)]
+                    .shard;
+            sim::SimulatorGroup* g = binding_.group;
+            g->Post(from, binding_.coordinator_shard,
+                    g->shard(from).Now() + binding_.completion_hop,
+                    [this, pending, result] {
+                        OnShardResult(pending, result);
+                    });
         });
     if (status != host::SendStatus::kOk) {
         group->Post(shard, coord, group->shard(shard).Now() + hop,
-                    [this, pod_index, query_id] {
-                        OnShardReject(pod_index, query_id);
-                    });
+                    [this, pending] { OnShardReject(pending); });
     }
 }
 
-void FederatedDispatcher::OnShardResult(int pod_index, std::uint64_t query_id,
+void FederatedDispatcher::OnShardResult(std::uint32_t pending,
                                         const ScoreResult& result) {
-    auto it = pending_.find(query_id);
-    if (it == pending_.end()) return;  // torn down mid-flight
-    PendingInject pending = std::move(it->second);
-    pending_.erase(it);
-    OnPodResult(pod_index, std::move(pending.query), pending.injected_at,
-                pending.was_probe, result);
+    if (!pending_[pending].active) return;  // torn down mid-flight
+    const PendingInject entry = ReleasePending(pending);
+    OnPodResult(entry.pod_index, entry.query, entry.injected_at,
+                entry.was_probe, result);
 }
 
-void FederatedDispatcher::OnShardReject(int pod_index,
-                                        std::uint64_t query_id) {
-    auto it = pending_.find(query_id);
-    if (it == pending_.end()) return;
-    PendingInject pending = std::move(it->second);
-    pending_.erase(it);
+void FederatedDispatcher::OnShardReject(std::uint32_t pending) {
+    if (!pending_[pending].active) return;
+    const PendingInject entry = ReleasePending(pending);
+    const int pod_index = entry.pod_index;
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
     --slot.in_flight;
-    if (pending.was_probe) slot.probe_in_flight = false;
+    if (entry.was_probe) slot.probe_in_flight = false;
     ++slot.stat_rejected;
     // A pool-level refusal is not a pod failure (no breaker input, as
     // in direct mode) — but unlike direct mode the query was already
     // accepted on the stale view, so the re-route consumes one of its
     // retries instead of continuing the original synchronous walk.
-    std::shared_ptr<QueryContext> query = std::move(pending.query);
-    if (query->retries_left > 0) {
-        --query->retries_left;
+    const std::uint32_t query = entry.query;
+    QueryContext& ctx = queries_[query];
+    if (ctx.retries_left > 0) {
+        --ctx.retries_left;
         ++counters_.failovers;
-        if (query->obs_span != 0) {
-            obs_->tracer.Instant("failover", query->obs_trace,
-                                 query->obs_span, 0, simulator_->Now(),
-                                 pod_index, query->retries_left);
+        if (ctx.obs_span != 0) {
+            obs_->tracer.Instant("failover", ctx.obs_trace, ctx.obs_span, 0,
+                                 simulator_->Now(), pod_index,
+                                 ctx.retries_left);
         }
-        const int failed_pod = pod_index;
         simulator_->ScheduleAfter(
-            config_.retry_backoff, [this, failed_pod, query]() mutable {
-                Failover(std::move(query), failed_pod);
-            });
+            config_.retry_backoff,
+            [this, pod_index, query] { Failover(query, pod_index); });
         return;
     }
     ScoreResult result;
     result.ok = false;
-    Deliver(std::move(query), result);
+    Deliver(query, result);
 }
 
-void FederatedDispatcher::OnPodResult(int pod_index,
-                                      std::shared_ptr<QueryContext> query,
+void FederatedDispatcher::OnPodResult(int pod_index, std::uint32_t query,
                                       Time injected_at, bool was_probe,
                                       const ScoreResult& result) {
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
@@ -762,44 +767,43 @@ void FederatedDispatcher::OnPodResult(int pod_index,
         // included) so the scatter-gather tier can attribute answers.
         ScoreResult stamped = result;
         stamped.pod = pod_index;
-        Deliver(std::move(query), stamped);
+        Deliver(query, stamped);
         return;
     }
     RecordFailure(pod_index);
-    if (query->retries_left <= 0) {
-        Deliver(std::move(query), result);
+    QueryContext& ctx = queries_[query];
+    if (ctx.retries_left <= 0) {
+        Deliver(query, result);
         return;
     }
     // Zero dropped in-flight retries: the accepted query outlives its
     // pod. Back off a beat (the failed pod's breaker is counting; the
     // survivors need no warm-up) and re-inject away from the failure.
-    --query->retries_left;
+    --ctx.retries_left;
     ++counters_.failovers;
-    if (query->obs_span != 0) {
-        obs_->tracer.Instant("failover", query->obs_trace, query->obs_span, 0,
-                             simulator_->Now(), pod_index,
-                             query->retries_left);
+    if (ctx.obs_span != 0) {
+        obs_->tracer.Instant("failover", ctx.obs_trace, ctx.obs_span, 0,
+                             simulator_->Now(), pod_index, ctx.retries_left);
     }
     simulator_->ScheduleAfter(
-        config_.retry_backoff, [this, pod_index, query]() mutable {
-            Failover(std::move(query), pod_index);
-        });
+        config_.retry_backoff,
+        [this, pod_index, query] { Failover(query, pod_index); });
 }
 
-void FederatedDispatcher::Failover(std::shared_ptr<QueryContext> query,
-                                   int failed_pod) {
+void FederatedDispatcher::Failover(std::uint32_t query, int failed_pod) {
     const std::uint64_t failed_bit =
         failed_pod >= 0 && failed_pod < pod_count()
             ? std::uint64_t{1} << static_cast<unsigned>(failed_pod)
             : 0;
+    const std::uint32_t model_id = queries_[query].request.query.model_id;
     std::uint64_t tried = failed_bit;
     for (int attempts = 0; attempts < pod_count(); ++attempts) {
-        int pick = PickPod(query->request.query.model_id, tried);
+        int pick = PickPod(model_id, tried);
         if (pick < 0 && (tried & failed_bit) != 0) {
             // Nothing else is eligible; the failed pod itself (a ring
             // may have rejoined) beats losing the query.
             tried &= ~failed_bit;
-            pick = PickPod(query->request.query.model_id, tried);
+            pick = PickPod(model_id, tried);
         }
         if (pick < 0) break;
         if (TryInject(pick, query) == host::SendStatus::kOk) return;
@@ -808,17 +812,17 @@ void FederatedDispatcher::Failover(std::shared_ptr<QueryContext> query,
     }
     // No pod accepted right now; spend another retry waiting for one
     // to come back, or give up.
-    if (query->retries_left > 0) {
-        --query->retries_left;
+    QueryContext& ctx = queries_[query];
+    if (ctx.retries_left > 0) {
+        --ctx.retries_left;
         simulator_->ScheduleAfter(
-            config_.retry_backoff, [this, failed_pod, query]() mutable {
-                Failover(std::move(query), failed_pod);
-            });
+            config_.retry_backoff,
+            [this, failed_pod, query] { Failover(query, failed_pod); });
         return;
     }
     ScoreResult result;
     result.ok = false;
-    Deliver(std::move(query), result);
+    Deliver(query, result);
 }
 
 void FederatedDispatcher::RecordFailure(int pod_index) {
@@ -832,11 +836,11 @@ void FederatedDispatcher::RecordFailure(int pod_index) {
     slot.breaker_opened_at = now;
 }
 
-void FederatedDispatcher::Deliver(std::shared_ptr<QueryContext> query,
-                                  ScoreResult result) {
+void FederatedDispatcher::Deliver(std::uint32_t query, ScoreResult result) {
+    QueryContext& ctx = queries_[query];
     // User-level latency spans accept to final completion, failover
     // hops included.
-    result.latency = simulator_->Now() - query->accepted_at;
+    result.latency = simulator_->Now() - ctx.accepted_at;
     if (result.ok) {
         ++counters_.completed;
     } else {
@@ -845,12 +849,15 @@ void FederatedDispatcher::Deliver(std::shared_ptr<QueryContext> query,
     if (obs_latency_us_ != nullptr) {
         obs_latency_us_->ObserveLatency(result.latency);
     }
-    if (query->obs_span != 0) {
-        obs_->tracer.Span("query", query->obs_trace, query->obs_span,
-                          query->obs_parent, 0, query->accepted_at,
+    if (ctx.obs_span != 0) {
+        obs_->tracer.Span("query", ctx.obs_trace, ctx.obs_span,
+                          ctx.obs_parent, 0, ctx.accepted_at,
                           simulator_->Now(), result.ok ? 1 : 0, result.pod);
     }
-    if (query->on_complete) query->on_complete(result);
+    // Free the slot before the callback: it may inject again.
+    CompletionFn on_complete = std::move(ctx.on_complete);
+    queries_.Release(query);
+    if (on_complete) on_complete(result);
 }
 
 }  // namespace catapult::service

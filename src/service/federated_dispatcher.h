@@ -41,10 +41,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "host/slot_dma_channel.h"
 #include "mgmt/health_forecaster.h"
@@ -185,7 +184,7 @@ class FederatedDispatcher {
      * query (admission caps, no ring in rotation anywhere).
      */
     host::SendStatus Inject(int thread, const rank::CompressedRequest& request,
-                            std::function<void(const ScoreResult&)> on_complete);
+                            CompletionFn on_complete);
 
     /**
      * Inject with a placement preference: try `preferred_pod` first
@@ -195,9 +194,9 @@ class FederatedDispatcher {
      * shard's accounting, while failover and retry semantics stay
      * exactly Inject's. `preferred_pod` < 0 is plain Inject.
      */
-    host::SendStatus InjectPreferring(
-        int preferred_pod, int thread, const rank::CompressedRequest& request,
-        std::function<void(const ScoreResult&)> on_complete);
+    host::SendStatus InjectPreferring(int preferred_pod, int thread,
+                                      const rank::CompressedRequest& request,
+                                      CompletionFn on_complete);
 
     /**
      * Rotation indices that would be considered for the next query
@@ -341,11 +340,15 @@ class FederatedDispatcher {
         std::uint64_t stat_readmitted = 0;
     };
 
-    /** One accepted query's life across retries. */
+    /**
+     * One accepted query's life across retries, in a slot of
+     * `queries_`. The request is stored here once; hops and mailbox
+     * posts carry the slot index.
+     */
     struct QueryContext {
         int thread = 0;
         rank::CompressedRequest request;
-        std::function<void(const ScoreResult&)> on_complete;
+        CompletionFn on_complete;
         Time accepted_at = 0;
         int retries_left = 0;
         /** Tracing: this query's span and its timeline (0 = untraced). */
@@ -356,9 +359,12 @@ class FederatedDispatcher {
 
     /** One mailbox-mode inject awaiting its pod's verdict. */
     struct PendingInject {
-        std::shared_ptr<QueryContext> query;
+        std::uint32_t query = 0;
+        int pod_index = -1;
         Time injected_at = 0;
         bool was_probe = false;
+        /** False once the verdict arrived (the slot is free). */
+        bool active = false;
     };
 
     /**
@@ -389,20 +395,19 @@ class FederatedDispatcher {
     void ApplyMachineReport(int pod_index, const mgmt::MachineReport& report);
     // --- Mailbox mode: the pod-shard half of an inject. ----------------
     /** Runs on the pod's shard: the actual pool Inject. */
-    void PodInjectOnShard(int pod_index, std::uint64_t query_id, int thread,
-                          const rank::CompressedRequest& request);
+    void PodInjectOnShard(std::uint32_t pending);
     /** Back on the coordinator: completion / pod-level refusal. */
-    void OnShardResult(int pod_index, std::uint64_t query_id,
-                       const ScoreResult& result);
-    void OnShardReject(int pod_index, std::uint64_t query_id);
-    host::SendStatus TryInject(int pod_index,
-                               std::shared_ptr<QueryContext> query);
-    void OnPodResult(int pod_index, std::shared_ptr<QueryContext> query,
-                     Time injected_at, bool was_probe,
-                     const ScoreResult& result);
-    void Failover(std::shared_ptr<QueryContext> query, int failed_pod);
+    void OnShardResult(std::uint32_t pending, const ScoreResult& result);
+    void OnShardReject(std::uint32_t pending);
+    /** Free the pending slot; returns what it held. */
+    PendingInject ReleasePending(std::uint32_t pending);
+    host::SendStatus TryInject(int pod_index, std::uint32_t query);
+    void OnPodResult(int pod_index, std::uint32_t query, Time injected_at,
+                     bool was_probe, const ScoreResult& result);
+    void Failover(std::uint32_t query, int failed_pod);
     void RecordFailure(int pod_index);
-    void Deliver(std::shared_ptr<QueryContext> query, ScoreResult result);
+    /** Complete `query` to its caller and free its slot. */
+    void Deliver(std::uint32_t query, ScoreResult result);
 
     sim::Simulator* simulator_;
     Config config_;
@@ -410,9 +415,10 @@ class FederatedDispatcher {
     /** Every pod shard attached so far (pod <-> pod edges are declared
      *  unreachable pairwise as each new shard arrives). */
     std::vector<int> attached_shards_;
-    /** Mailbox-mode injects awaiting a pod verdict, by query id. */
-    std::unordered_map<std::uint64_t, PendingInject> pending_;
-    std::uint64_t next_query_id_ = 1;
+    /** Accepted queries. */
+    SlotTable<QueryContext> queries_;
+    /** Mailbox-mode injects awaiting a pod verdict. */
+    SlotTable<PendingInject> pending_;
     std::vector<PodSlot> pods_;
     std::size_t rr_cursor_ = 0;
     /** Smooth-WRR round total debited by the last PickPod (for refunds). */

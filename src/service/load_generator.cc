@@ -69,7 +69,8 @@ struct HostFrontState {
         : service(service),
           ring_index(ring_index),
           cpu(service->simulator(), rng),
-          slot_busy(static_cast<std::size_t>(slots), false) {}
+          slot_busy(static_cast<std::size_t>(slots), false),
+          slot_callbacks(static_cast<std::size_t>(slots)) {}
     HostFrontState(const HostFrontState&) = delete;
     HostFrontState& operator=(const HostFrontState&) = delete;
 
@@ -77,6 +78,8 @@ struct HostFrontState {
     int ring_index;
     rank::CpuPool cpu;
     std::vector<bool> slot_busy;
+    /** The caller's completion of the document each thread carries. */
+    std::vector<CompletionFn> slot_callbacks;
     std::deque<PendingDoc> backlog;
     rank::SoftwareCostModel cost;
 
@@ -89,28 +92,31 @@ struct HostFrontState {
         const int thread = static_cast<int>(free - slot_busy.begin());
         PendingDoc doc = std::move(backlog.front());
         backlog.pop_front();
+        slot_callbacks[static_cast<std::size_t>(thread)] =
+            std::move(doc.on_complete);
         // The software portion of ranking runs first (§4), then the
         // encoded document is injected into the local FPGA.
         const Time prep = cost.PrepServiceTime(doc.request);
-        cpu.Submit(prep, [this, doc = std::move(doc), thread] {
+        cpu.Submit(prep, [this, request = std::move(doc.request),
+                          arrived = doc.arrived, thread] {
             const auto status = service->Inject(
-                ring_index, thread, doc.request,
-                [this, thread, arrived = doc.arrived,
-                 on_complete = doc.on_complete](const ScoreResult& result) {
-                    Finish(thread, arrived, on_complete, result.ok);
+                ring_index, thread, request,
+                [this, thread, arrived](const ScoreResult& result) {
+                    Finish(thread, arrived, result.ok);
                 });
             if (status != host::SendStatus::kOk) {
-                Finish(thread, doc.arrived, doc.on_complete, false);
+                Finish(thread, arrived, false);
             }
         });
     }
 
     /** Free the slot and report end-to-end latency: arrival (backlog)
      *  through prep, fabric and response delivery. */
-    void Finish(int thread, Time arrived, const CompletionFn& on_complete,
-                bool ok) {
+    void Finish(int thread, Time arrived, bool ok) {
         slot_busy[static_cast<std::size_t>(thread)] = false;
         const Time latency = service->simulator()->Now() - arrived;
+        CompletionFn on_complete =
+            std::move(slot_callbacks[static_cast<std::size_t>(thread)]);
         on_complete({.ok = ok, .latency = latency});
         TryDispatch();
     }
@@ -193,8 +199,10 @@ LoadTarget SoftwareServer(sim::Simulator* simulator, const rank::Model* model,
     return {simulator, 1,
             [server, model](int, const rank::CompressedRequest& request,
                             CompletionFn on_complete) {
-                server->Submit(request, *model, [on_complete](Time latency) {
-                    on_complete({.ok = true, .latency = latency});
+                // The software server's callback must be copyable.
+                auto done = std::make_shared<CompletionFn>(std::move(on_complete));
+                server->Submit(request, *model, [done](Time latency) {
+                    (*done)({.ok = true, .latency = latency});
                 });
                 return host::SendStatus::kOk;
             }};

@@ -82,8 +82,6 @@ struct LoadResult {
     }
 };
 
-using CompletionFn = std::function<void(const ScoreResult&)>;
-
 /**
  * Where load goes. `inject(client, request, on_complete)` returns kOk
  * when the target took the document — `on_complete` then fires once,

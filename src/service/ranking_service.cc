@@ -125,9 +125,22 @@ const rank::Model& RankingService::DefaultModel() {
 
 rank::QueueManager& RankingService::queue_manager() { return queue_manager_; }
 
-DocContext* RankingService::FindContext(std::uint64_t trace_id) {
-    const auto it = in_flight_.find(trace_id);
-    return it == in_flight_.end() ? nullptr : &it->second;
+DocContext* RankingService::ContextAt(std::uint32_t index,
+                                      std::uint64_t trace_id) {
+    if (index >= contexts_.size()) return nullptr;
+    DocContext& ctx = contexts_[index];
+    return ctx.trace_id == trace_id ? &ctx : nullptr;
+}
+
+DocContext* RankingService::FindContext(const shell::Packet& packet) {
+    return ContextAt(packet.context, packet.trace_id);
+}
+
+void RankingService::ReleaseContext(std::uint32_t index) {
+    DocContext& ctx = contexts_[index];
+    ctx.trace_id = 0;
+    ctx.on_complete = nullptr;
+    contexts_.Release(index);
 }
 
 void RankingService::SetObservability(obs::ShardObs* obs) {
@@ -166,10 +179,21 @@ Time RankingService::StageServiceTime(PipelineStage stage,
                                config_.fe_timing);
 }
 
+void RankingService::BindModel(DocContext& ctx) {
+    if (ctx.function != nullptr) return;
+    const std::uint32_t model_id = ctx.request.query.model_id;
+    ctx.model = &models_.GetOrGenerate(model_id, config_.model_seed);
+    ctx.function = &FunctionFor(model_id);
+}
+
 Bytes RankingService::StageOutputBytes(PipelineStage stage,
                                        std::uint32_t model_id) {
-    const rank::Model& model =
-        models_.GetOrGenerate(model_id, config_.model_seed);
+    return StageOutputBytes(
+        stage, models_.GetOrGenerate(model_id, config_.model_seed));
+}
+
+Bytes RankingService::StageOutputBytes(PipelineStage stage,
+                                       const rank::Model& model) {
     switch (stage) {
       case PipelineStage::kFeatureExtraction:
         // Non-zero dynamic features + software features, ~6 B apiece
@@ -189,9 +213,9 @@ Bytes RankingService::StageOutputBytes(PipelineStage stage,
     }
 }
 
-host::SendStatus RankingService::Inject(
-    int ring_index, int thread, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+host::SendStatus RankingService::Inject(int ring_index, int thread,
+                                        const rank::CompressedRequest& request,
+                                        CompletionFn on_complete) {
     host::HostServer* server = host(ring_index);
     const int slot = server->driver().SlotFor(thread);
     return InjectOnSlot(ring_index, slot, request, std::move(on_complete));
@@ -199,69 +223,78 @@ host::SendStatus RankingService::Inject(
 
 host::SendStatus RankingService::InjectOnSlot(
     int ring_index, int slot, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+    CompletionFn on_complete) {
     host::HostServer* server = host(ring_index);
     if (!server->responsive()) return host::SendStatus::kTimeout;
 
     const std::uint64_t trace_id = next_trace_id_++;
-    DocContext ctx;
+    // A traced document takes its span id even when the slot turns out
+    // busy, so span numbering does not depend on slot contention.
+    const bool traced = obs_ != nullptr && obs_->tracing() &&
+                        request.query.obs_trace != 0;
+    const std::uint64_t obs_span = traced ? obs_->tracer.NextSpanId() : 0;
+    if (server->driver().SlotBusy(slot)) return host::SendStatus::kSlotBusy;
+
+    // A reused slot keeps its request's and feature store's storage.
+    const std::uint32_t index = contexts_.Acquire();
+    DocContext& ctx = contexts_[index];
+    ctx.trace_id = trace_id;
     ctx.request = request;
     ctx.injector = fabric_->GlobalId(RingNode(ring_index));
     ctx.slot = slot;
     ctx.injected_at = simulator_->Now();
+    ctx.model = nullptr;
+    ctx.function = nullptr;
+    ctx.final_score = 0.0f;
     ctx.on_complete = std::move(on_complete);
     if (config_.compute_scores) {
-        ctx.store = std::make_unique<rank::FeatureStore>();
+        if (ctx.store != nullptr) {
+            ctx.store->Clear();
+        } else {
+            ctx.store = std::make_unique<rank::FeatureStore>();
+        }
     }
-    if (obs_ != nullptr && obs_->tracing() &&
-        request.query.obs_trace != 0) {
-        ctx.obs_trace = request.query.obs_trace;
-        ctx.obs_parent = request.query.obs_parent;
-        ctx.obs_span = obs_->tracer.NextSpanId();
-    }
+    ctx.obs_trace = traced ? request.query.obs_trace : 0;
+    ctx.obs_parent = traced ? request.query.obs_parent : 0;
+    ctx.obs_span = obs_span;
 
     auto packet = shell::MakePacket(
         shell::PacketType::kScoringRequest, ctx.injector,
         fabric_->GlobalId(RingNode(RingIndexOf(PipelineStage::kFeatureExtraction))),
         request.wire_bytes > 0 ? request.wire_bytes : request.EncodedSize(),
         trace_id);
-
-    if (server->driver().SlotBusy(slot)) {
-        in_flight_.erase(trace_id);
-        return host::SendStatus::kSlotBusy;
-    }
-    in_flight_.emplace(trace_id, std::move(ctx));
+    packet->context = index;
     ++counters_.injected;
 
     // The injecting thread first runs the document-conversion software
     // (§4) before filling its slot.
     simulator_->ScheduleAfter(
         config_.injection_overhead,
-        [this, server, slot, trace_id, packet = std::move(packet)]() mutable {
+        [this, server, slot, index, trace_id,
+         packet = std::move(packet)]() mutable {
             const auto status = server->driver().Send(
                 slot, std::move(packet),
-                [this, trace_id](host::SendStatus send_status,
-                                 shell::PacketPtr response) {
+                [this, index, trace_id](host::SendStatus send_status,
+                                        shell::PacketPtr) {
                     if (send_status == host::SendStatus::kOk) {
-                        OnResponse(trace_id, true, 0.0f, std::move(response));
+                        OnResponse(index, trace_id);
                     } else {
-                        CompleteTimeout(trace_id);
+                        CompleteTimeout(index, trace_id);
                     }
                 });
-            if (status != host::SendStatus::kOk) CompleteTimeout(trace_id);
+            if (status != host::SendStatus::kOk) {
+                CompleteTimeout(index, trace_id);
+            }
         });
     return host::SendStatus::kOk;
 }
 
-void RankingService::OnResponse(std::uint64_t trace_id, bool ok, float score,
-                                shell::PacketPtr packet) {
-    (void)score;
-    (void)packet;
-    const auto it = in_flight_.find(trace_id);
-    if (it == in_flight_.end()) return;
-    DocContext& ctx = it->second;
+void RankingService::OnResponse(std::uint32_t index, std::uint64_t trace_id) {
+    DocContext* found = ContextAt(index, trace_id);
+    if (found == nullptr) return;
+    DocContext& ctx = *found;
     ScoreResult result;
-    result.ok = ok;
+    result.ok = true;
     result.trace_id = trace_id;
     result.score = ctx.final_score;
     result.latency = simulator_->Now() - ctx.injected_at;
@@ -274,10 +307,10 @@ void RankingService::OnResponse(std::uint64_t trace_id, bool ok, float score,
         // keyed by the FDR-visible trace id so recorder records join
         // this span in the stitched timeline.
         obs_->tracer.Instant("dma_response", ctx.obs_trace, ctx.obs_span,
-                             trace_id, simulator_->Now(), ctx.slot, ok ? 1 : 0);
+                             trace_id, simulator_->Now(), ctx.slot, 1);
         obs_->tracer.Span("doc", ctx.obs_trace, ctx.obs_span, ctx.obs_parent,
-                          trace_id, ctx.injected_at, simulator_->Now(),
-                          ok ? 1 : 0, ctx.slot);
+                          trace_id, ctx.injected_at, simulator_->Now(), 1,
+                          ctx.slot);
     }
     if (config_.archive_traces) {
         ArchivedTrace trace;
@@ -289,27 +322,28 @@ void RankingService::OnResponse(std::uint64_t trace_id, bool ok, float score,
                                     : trace_archive_;
         archive.Record(trace_id, std::move(trace));
     }
-    auto cb = std::move(ctx.on_complete);
-    in_flight_.erase(it);
+    CompletionFn cb = std::move(ctx.on_complete);
+    ReleaseContext(index);
     if (cb) cb(result);
 }
 
-void RankingService::CompleteTimeout(std::uint64_t trace_id) {
-    const auto it = in_flight_.find(trace_id);
-    if (it == in_flight_.end()) return;
+void RankingService::CompleteTimeout(std::uint32_t index,
+                                     std::uint64_t trace_id) {
+    DocContext* found = ContextAt(index, trace_id);
+    if (found == nullptr) return;
+    DocContext& ctx = *found;
     ScoreResult result;
     result.ok = false;
     result.trace_id = trace_id;
-    result.latency = simulator_->Now() - it->second.injected_at;
+    result.latency = simulator_->Now() - ctx.injected_at;
     ++counters_.timeouts;
-    if (it->second.obs_span != 0) {
-        obs_->tracer.Span("doc", it->second.obs_trace, it->second.obs_span,
-                          it->second.obs_parent, trace_id,
-                          it->second.injected_at, simulator_->Now(), 0,
-                          it->second.slot);
+    if (ctx.obs_span != 0) {
+        obs_->tracer.Span("doc", ctx.obs_trace, ctx.obs_span, ctx.obs_parent,
+                          trace_id, ctx.injected_at, simulator_->Now(), 0,
+                          ctx.slot);
     }
-    auto cb = std::move(it->second.on_complete);
-    in_flight_.erase(it);
+    CompletionFn cb = std::move(ctx.on_complete);
+    ReleaseContext(index);
     if (cb) cb(result);
 }
 
@@ -336,5 +370,14 @@ void RankingService::RotateRingAround(int failed_ring_index,
 }
 
 void RankingService::BumpModelReloads() { ++counters_.model_reloads; }
+
+rank::FeatureStore& RankingService::CompressionScratch() {
+    if (compressed_scratch_ == nullptr) {
+        compressed_scratch_ = std::make_unique<rank::FeatureStore>();
+    } else {
+        compressed_scratch_->Clear();
+    }
+    return *compressed_scratch_;
+}
 
 }  // namespace catapult::service

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slot_table.h"
 #include "common/stats.h"
 #include "common/units.h"
 #include "fabric/catapult_fabric.h"
@@ -32,6 +33,7 @@
 #include "rank/software_ranker.h"
 #include "service/trace_replay.h"
 #include "shell/shell.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::service {
@@ -57,20 +59,39 @@ struct ScoreResult {
 };
 
 /**
+ * Completion callback of every injection layer (ring, pool, federation).
+ * Captures up to 48 bytes stay inline, so a caller's lambda costs no
+ * allocation; a layer that wraps another's callback keeps it in its own
+ * slot table and hands down a wrapper capturing the slot index, never
+ * the callback itself (a nested InlineFunction would be boxed).
+ */
+using CompletionFn = sim::InlineFunction<void(const ScoreResult&)>;
+
+/**
  * Per-document in-flight context shared by the stage roles. The fabric
  * carries packets; heavyweight state (the request, the feature store
- * when functional scoring is on) lives here, keyed by trace id — the
- * same id the Flight Data Recorder logs, so an FDR trace can be
- * replayed against this table in a test environment (§3.6).
+ * when functional scoring is on) lives here, in a slot of the ring's
+ * context table. A packet carries its context's slot index and its
+ * trace id — the id the Flight Data Recorder logs, so an FDR trace can
+ * be replayed against the archive in a test environment (§3.6) — and a
+ * lookup only hits while the slot still holds that trace id.
  */
 struct DocContext {
+    /** 0 while the slot is free. */
+    std::uint64_t trace_id = 0;
     rank::CompressedRequest request;
     shell::NodeId injector = shell::kInvalidNode;
     int slot = -1;
     Time injected_at = 0;
     std::unique_ptr<rank::FeatureStore> store;  ///< null when timing-only
+    /**
+     * The document's model and functional pipeline, resolved by
+     * RankingService::BindModel at its first stage; null before.
+     */
+    const rank::Model* model = nullptr;
+    rank::RankingFunction* function = nullptr;
     float final_score = 0.0f;
-    std::function<void(const ScoreResult&)> on_complete;
+    CompletionFn on_complete;
     /** Tracing context joined from request.query (0 = untraced). */
     std::uint64_t obs_trace = 0;
     std::uint64_t obs_span = 0;
@@ -151,12 +172,12 @@ class RankingService {
      */
     host::SendStatus Inject(int ring_index, int thread,
                             const rank::CompressedRequest& request,
-                            std::function<void(const ScoreResult&)> on_complete);
+                            CompletionFn on_complete);
 
     /** Same, with an explicit slot (thread -> slots mapping bypassed). */
     host::SendStatus InjectOnSlot(int ring_index, int slot,
                                   const rank::CompressedRequest& request,
-                                  std::function<void(const ScoreResult&)> on_complete);
+                                  CompletionFn on_complete);
 
     /** Pod-local node index of ring position `ring_index`. */
     int RingNode(int ring_index) const { return ring_nodes_[ring_index]; }
@@ -190,7 +211,19 @@ class RankingService {
     }
     const rank::Model& DefaultModel();
     rank::QueueManager& queue_manager();
-    DocContext* FindContext(std::uint64_t trace_id);
+    /**
+     * The in-flight context `packet` belongs to, or null when it is
+     * gone (completed, or timed out and its slot reused).
+     */
+    DocContext* FindContext(const shell::Packet& packet);
+    /** Documents injected and not yet completed or timed out. */
+    std::size_t in_flight() const { return contexts_.live(); }
+
+    /**
+     * Resolve `ctx`'s model and functional pipeline if not yet done, so
+     * the stages after the first look nothing up by model id.
+     */
+    void BindModel(DocContext& ctx);
 
     /** Per-stage service time for a given request (used by benches). */
     Time StageServiceTime(rank::PipelineStage stage,
@@ -203,6 +236,8 @@ class RankingService {
      * bandwidth-saving rationale applies inside the ring too).
      */
     Bytes StageOutputBytes(rank::PipelineStage stage, std::uint32_t model_id);
+    static Bytes StageOutputBytes(rank::PipelineStage stage,
+                                  const rank::Model& model);
 
     struct Counters {
         std::uint64_t injected = 0;
@@ -225,6 +260,12 @@ class RankingService {
     /** Stage-role hook: count a pipeline-wide model reload. */
     void BumpModelReloads();
 
+    /**
+     * Stage-role hook: a cleared store the compression stage writes its
+     * output into before swapping it with the document's store.
+     */
+    rank::FeatureStore& CompressionScratch();
+
     /** The stage role currently at ring position `ring_index`. */
     StageRole& role(int ring_index) {
         return *roles_[static_cast<std::size_t>(ring_index)];
@@ -243,9 +284,11 @@ class RankingService {
     friend class StageRole;
 
     void BuildRoles();
-    void OnResponse(std::uint64_t trace_id, bool ok, float score,
-                    shell::PacketPtr packet);
-    void CompleteTimeout(std::uint64_t trace_id);
+    /** The context in `index` while it still holds `trace_id`. */
+    DocContext* ContextAt(std::uint32_t index, std::uint64_t trace_id);
+    void ReleaseContext(std::uint32_t index);
+    void OnResponse(std::uint32_t index, std::uint64_t trace_id);
+    void CompleteTimeout(std::uint32_t index, std::uint64_t trace_id);
 
     sim::Simulator* simulator_;
     fabric::CatapultFabric* fabric_;
@@ -260,7 +303,10 @@ class RankingService {
     std::array<int, kRingLength> ring_nodes_{};
     std::array<rank::PipelineStage, kRingLength> stage_at_{};
     std::vector<std::unique_ptr<StageRole>> roles_;
-    std::unordered_map<std::uint64_t, DocContext> in_flight_;
+    /** In-flight document contexts; see DocContext. */
+    SlotTable<DocContext> contexts_;
+    /** Scratch output of the compression stage (functional path). */
+    std::unique_ptr<rank::FeatureStore> compressed_scratch_;
     std::unordered_map<std::uint32_t, std::unique_ptr<rank::RankingFunction>>
         functions_;
     std::uint64_t next_trace_id_;  ///< Starts at trace_id_base + 1.

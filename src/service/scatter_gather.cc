@@ -6,12 +6,11 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/object_pool.h"
 
 namespace catapult::service {
 
-std::vector<RankedDoc> ResultMerger::Merge(
-    std::vector<std::vector<RankedDoc>> per_pod, std::size_t k) {
+std::vector<RankedDoc> ResultMerger::MergeInPlace(
+    std::vector<std::vector<RankedDoc>>& per_pod, std::size_t k) {
     // Canonical per-source order: score descending, doc id ascending.
     // Sources arrive in completion order (gather callbacks), so the
     // merger owns the canonicalization rather than trusting callers.
@@ -96,39 +95,51 @@ void ScatterGatherDispatcher::SetObservability(obs::ShardObs* obs) {
 
 std::uint64_t ScatterGatherDispatcher::Submit(
     const rank::Query& query, std::vector<rank::CompressedRequest> docs,
-    std::size_t top_k, Time budget,
-    std::function<void(const GatherResult&)> on_complete,
+    std::size_t top_k, Time budget, GatherFn on_complete,
     const std::vector<int>* connection_pool,
     std::function<void()> on_straggler) {
     ++counters_.submitted;
-    auto gather = MakePooled<Gather>();
-    gather->id = ++next_gather_id_;
-    gather->top_k = top_k;
-    gather->submitted_at = simulator_->Now();
-    gather->docs = std::move(docs);
-    gather->on_complete = std::move(on_complete);
-    gather->on_straggler = std::move(on_straggler);
+    const std::uint32_t slot = gathers_.Acquire();
+    Gather& gather = gathers_[slot];
+    gather.outstanding = 0;
+    gather.id = ++next_gather_id_;
+    gather.top_k = top_k;
+    gather.submitted_at = simulator_->Now();
+    gather.deadline_event = sim::EventHandle();
+    gather.delivered = false;
+    gather.docs = std::move(docs);
+    gather.accepted = 0;
+    gather.rejected = 0;
+    gather.answered = 0;
+    gather.failed = 0;
+    gather.on_complete = std::move(on_complete);
+    gather.on_straggler = std::move(on_straggler);
+    gather.obs_trace = 0;
+    gather.obs_span = 0;
+    gather.obs_parent = 0;
 
-    const std::size_t n = gather->docs.size();
+    const std::size_t n = gather.docs.size();
     const int pod_count = dispatcher_->pod_count();
-    gather->per_pod.resize(static_cast<std::size_t>(pod_count));
-    gather->shards.resize(static_cast<std::size_t>(pod_count));
+    // Cleared, not reallocated: the slot's per-pod lists keep their
+    // storage from the gathers it served before.
+    gather.per_pod.resize(static_cast<std::size_t>(pod_count));
+    for (auto& list : gather.per_pod) list.clear();
+    gather.shards.assign(static_cast<std::size_t>(pod_count), PodShard{});
     for (int p = 0; p < pod_count; ++p) {
-        gather->shards[static_cast<std::size_t>(p)].pod = p;
+        gather.shards[static_cast<std::size_t>(p)].pod = p;
     }
-    gather->doc_state.assign(n, DocState::kPending);
-    gather->doc_assigned.assign(n, -1);
-    gather->doc_thread.assign(n, 0);
+    gather.doc_state.assign(n, DocState::kPending);
+    gather.doc_assigned.assign(n, -1);
+    gather.doc_thread.assign(n, 0);
 
     if (obs_ != nullptr && obs_->tracing()) {
         // Join the caller's trace when the query already carries one
         // (the session front end roots the timeline); otherwise this
         // gather roots a fresh trace.
-        gather->obs_trace = query.obs_trace != 0
-                                ? query.obs_trace
-                                : obs_->tracer.NextTraceId();
-        gather->obs_parent = query.obs_parent;
-        gather->obs_span = obs_->tracer.NextSpanId();
+        gather.obs_trace = query.obs_trace != 0 ? query.obs_trace
+                                                : obs_->tracer.NextTraceId();
+        gather.obs_parent = query.obs_parent;
+        gather.obs_span = obs_->tracer.NextSpanId();
     }
 
     // Partition across the pods eligible *now*: a shed, latched-out or
@@ -139,61 +150,85 @@ std::uint64_t ScatterGatherDispatcher::Submit(
     // answer, which is what the partial result reports as missing.
     const std::vector<int> eligible = dispatcher_->EligiblePods();
     for (std::size_t i = 0; i < n; ++i) {
-        gather->docs[i].query = query;
-        gather->docs[i].query.obs_trace = gather->obs_trace;
-        gather->docs[i].query.obs_parent = gather->obs_span;
+        gather.docs[i].query = query;
+        gather.docs[i].query.obs_trace = gather.obs_trace;
+        gather.docs[i].query.obs_parent = gather.obs_span;
         if (!eligible.empty()) {
             const int target = eligible[i % eligible.size()];
-            gather->doc_assigned[i] = target;
-            ++gather->shards[static_cast<std::size_t>(target)].assigned;
+            gather.doc_assigned[i] = target;
+            ++gather.shards[static_cast<std::size_t>(target)].assigned;
         }
-        gather->doc_thread[i] =
+        gather.doc_thread[i] =
             connection_pool != nullptr && !connection_pool->empty()
                 ? (*connection_pool)[i % connection_pool->size()]
                 : static_cast<int>(i) %
                       std::max(1, config_.default_threads);
     }
 
+    const std::uint64_t id = gather.id;
+    const std::uint32_t generation = gather.generation;
     for (std::size_t i = 0; i < n; ++i) {
-        InjectShard(gather, i, config_.max_reject_retries);
+        InjectShard(slot, static_cast<std::uint32_t>(i),
+                    config_.max_reject_retries);
     }
 
-    if (gather->delivered) return gather->id;
-    if (AllResolved(*gather)) {
+    // Delivered synchronously (every shard refused with no retry
+    // budget): the slot may already serve another gather.
+    if (GatherAt(slot, generation) == nullptr || gather.delivered) return id;
+    if (AllResolved(gather)) {
         // Everything refused up front (or the set was empty): deliver
         // asynchronously so the caller always sees the gather id before
         // its completion.
-        simulator_->ScheduleAfter(0, [this, gather] {
-            if (!gather->delivered) DeliverGather(gather);
+        simulator_->ScheduleAfter(0, [this, slot, generation] {
+            Gather* g = GatherAt(slot, generation);
+            if (g != nullptr && !g->delivered) DeliverGather(slot);
         });
-        return gather->id;
+        return id;
     }
     if (budget > 0) {
         // kTimeout priority: shards completing at exactly the budget
         // instant merge first — a gather whose last pod answers exactly
         // at the deadline is complete, not partial.
-        gather->deadline_event = simulator_->ScheduleAt(
-            gather->submitted_at + budget,
-            [this, gather] {
-                if (!gather->delivered) DeliverGather(gather);
+        gather.deadline_event = simulator_->ScheduleAt(
+            gather.submitted_at + budget,
+            [this, slot, generation] {
+                Gather* g = GatherAt(slot, generation);
+                if (g != nullptr && !g->delivered) DeliverGather(slot);
             },
             sim::EventPriority::kTimeout);
     }
-    return gather->id;
+    return id;
 }
 
-void ScatterGatherDispatcher::InjectShard(
-    const std::shared_ptr<Gather>& gather, std::size_t index,
-    int retries_left) {
-    const int target = gather->doc_assigned[index];
+ScatterGatherDispatcher::Gather* ScatterGatherDispatcher::GatherAt(
+    std::uint32_t slot, std::uint32_t generation) {
+    Gather& gather = gathers_[slot];
+    return gather.generation == generation ? &gather : nullptr;
+}
+
+void ScatterGatherDispatcher::MaybeRelease(std::uint32_t slot) {
+    Gather& gather = gathers_[slot];
+    if (!gather.delivered || gather.outstanding > 0) return;
+    ++gather.generation;
+    gather.on_complete = nullptr;
+    gather.on_straggler = nullptr;
+    gathers_.Release(slot);
+}
+
+void ScatterGatherDispatcher::InjectShard(std::uint32_t slot,
+                                          std::uint32_t index,
+                                          int retries_left) {
+    Gather& gather = gathers_[slot];
+    const int target = gather.doc_assigned[index];
     const auto status = dispatcher_->InjectPreferring(
-        target, gather->doc_thread[index], gather->docs[index],
-        [this, gather, index](const ScoreResult& result) {
-            OnShardResult(gather, index, result);
+        target, gather.doc_thread[index], gather.docs[index],
+        [this, slot, index](const ScoreResult& result) {
+            OnShardResult(slot, index, result);
         });
     if (status == host::SendStatus::kOk) {
-        gather->doc_state[index] = DocState::kInFlight;
-        ++gather->accepted;
+        gather.doc_state[index] = DocState::kInFlight;
+        ++gather.accepted;
+        ++gather.outstanding;
         ++counters_.docs_scattered;
         return;
     }
@@ -206,108 +241,117 @@ void ScatterGatherDispatcher::InjectShard(
         // a straggler.
         simulator_->ScheduleAfter(
             config_.reject_retry_backoff,
-            [this, gather, index, retries_left] {
-                if (gather->delivered) return;
-                InjectShard(gather, index, retries_left - 1);
+            [this, slot, generation = gather.generation, index,
+             retries_left] {
+                const Gather* g = GatherAt(slot, generation);
+                if (g == nullptr || g->delivered) return;
+                InjectShard(slot, index, retries_left - 1);
             });
         return;
     }
-    gather->doc_state[index] = DocState::kRejected;
-    ++gather->rejected;
+    gather.doc_state[index] = DocState::kRejected;
+    ++gather.rejected;
     ++counters_.docs_rejected;
-    if (AllResolved(*gather) && !gather->delivered) DeliverGather(gather);
+    if (AllResolved(gather) && !gather.delivered) DeliverGather(slot);
 }
 
-void ScatterGatherDispatcher::OnShardResult(
-    const std::shared_ptr<Gather>& gather, std::size_t index,
-    const ScoreResult& result) {
-    if (gather->delivered) {
+void ScatterGatherDispatcher::OnShardResult(std::uint32_t slot,
+                                            std::uint32_t index,
+                                            const ScoreResult& result) {
+    Gather& gather = gathers_[slot];
+    --gather.outstanding;
+    if (gather.delivered) {
         // Straggler: the deadline already spoke for this shard. It is
         // accounted — here and to the gather's hook — but its score is
         // dropped, the callback has already fired, and nothing leaks
         // (this completion releases the shard's hold on the gather).
         ++counters_.stragglers;
-        if (gather->on_straggler) gather->on_straggler();
+        if (gather.on_straggler) gather.on_straggler();
+        MaybeRelease(slot);
         return;
     }
     if (result.ok) {
-        gather->doc_state[index] = DocState::kAnswered;
-        ++gather->answered;
+        gather.doc_state[index] = DocState::kAnswered;
+        ++gather.answered;
         ++counters_.docs_answered;
         // Attribution follows the pod that finally answered (failover
         // included); fall back to the assignee if the result predates
         // pod stamping (a pool-level completion path).
         int pod = result.pod;
-        if (pod < 0 || pod >= static_cast<int>(gather->per_pod.size())) {
-            pod = gather->doc_assigned[index];
+        if (pod < 0 || pod >= static_cast<int>(gather.per_pod.size())) {
+            pod = gather.doc_assigned[index];
         }
-        if (pod >= 0 && pod < static_cast<int>(gather->per_pod.size())) {
-            gather->per_pod[static_cast<std::size_t>(pod)].push_back(
-                RankedDoc{gather->docs[index].doc_id, result.score, pod});
-            ++gather->shards[static_cast<std::size_t>(pod)].answered;
+        if (pod >= 0 && pod < static_cast<int>(gather.per_pod.size())) {
+            gather.per_pod[static_cast<std::size_t>(pod)].push_back(
+                RankedDoc{gather.docs[index].doc_id, result.score, pod});
+            ++gather.shards[static_cast<std::size_t>(pod)].answered;
         }
     } else {
-        gather->doc_state[index] = DocState::kFailed;
-        ++gather->failed;
+        gather.doc_state[index] = DocState::kFailed;
+        ++gather.failed;
         ++counters_.docs_failed;
     }
-    if (AllResolved(*gather)) DeliverGather(gather);
+    if (AllResolved(gather)) DeliverGather(slot);
 }
 
-void ScatterGatherDispatcher::DeliverGather(
-    const std::shared_ptr<Gather>& gather) {
-    gather->delivered = true;
-    if (gather->deadline_event.valid()) {
-        simulator_->Cancel(gather->deadline_event);
+void ScatterGatherDispatcher::DeliverGather(std::uint32_t slot) {
+    Gather& gather = gathers_[slot];
+    gather.delivered = true;
+    if (gather.deadline_event.valid()) {
+        simulator_->Cancel(gather.deadline_event);
     }
     GatherResult result;
-    result.gather_id = gather->id;
-    result.doc_count = gather->docs.size();
-    result.accepted = gather->accepted;
-    result.rejected = gather->rejected;
-    result.answered = gather->answered;
-    result.partial = gather->answered < gather->docs.size();
+    result.gather_id = gather.id;
+    result.doc_count = gather.docs.size();
+    result.accepted = gather.accepted;
+    result.rejected = gather.rejected;
+    result.answered = gather.answered;
+    result.partial = gather.answered < gather.docs.size();
     // Missing attribution: every assigned shard that produced no merged
     // score — still outstanding at the deadline, failed, or rejected —
     // is charged to the pod it was assigned to. Sum(answered) +
     // Sum(missing) covers every assigned shard exactly once even when
     // failover moved a shard between pods.
-    for (std::size_t i = 0; i < gather->docs.size(); ++i) {
-        if (gather->doc_state[i] == DocState::kAnswered) continue;
-        const int assigned = gather->doc_assigned[i];
+    for (std::size_t i = 0; i < gather.docs.size(); ++i) {
+        if (gather.doc_state[i] == DocState::kAnswered) continue;
+        const int assigned = gather.doc_assigned[i];
         if (assigned >= 0) {
-            ++gather->shards[static_cast<std::size_t>(assigned)].missing;
+            ++gather.shards[static_cast<std::size_t>(assigned)].missing;
         }
     }
-    result.pods = gather->shards;
+    result.pods = gather.shards;
     // The merge itself is front-door host code, measured in wall time:
     // bench_scatter_gather gates it against the end-to-end p50 the
     // federation spends producing the scores being merged.
     const auto merge_start = std::chrono::steady_clock::now();
-    result.top = ResultMerger::Merge(std::move(gather->per_pod), gather->top_k);
+    result.top = ResultMerger::MergeInPlace(gather.per_pod, gather.top_k);
     const auto merge_end = std::chrono::steady_clock::now();
     counters_.merge_wall_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(merge_end -
                                                              merge_start)
             .count());
     ++counters_.merges;
-    result.latency = simulator_->Now() - gather->submitted_at;
+    result.latency = simulator_->Now() - gather.submitted_at;
     ++counters_.delivered;
     if (result.partial) ++counters_.partial;
     if (obs_gather_latency_us_ != nullptr) {
         obs_gather_latency_us_->ObserveLatency(result.latency);
     }
-    if (gather->obs_span != 0) {
-        obs_->tracer.Instant("merge", gather->obs_trace, gather->obs_span, 0,
+    if (gather.obs_span != 0) {
+        obs_->tracer.Instant("merge", gather.obs_trace, gather.obs_span, 0,
                              simulator_->Now(),
                              static_cast<std::int64_t>(result.top.size()),
                              static_cast<std::int64_t>(result.answered));
-        obs_->tracer.Span("gather", gather->obs_trace, gather->obs_span,
-                          gather->obs_parent, 0, gather->submitted_at,
+        obs_->tracer.Span("gather", gather.obs_trace, gather.obs_span,
+                          gather.obs_parent, 0, gather.submitted_at,
                           simulator_->Now(), result.partial ? 0 : 1,
                           static_cast<std::int64_t>(result.doc_count));
     }
-    if (gather->on_complete) gather->on_complete(result);
+    // The callback may submit again and reuse slots; nothing of this
+    // gather is read after it.
+    GatherFn on_complete = std::move(gather.on_complete);
+    MaybeRelease(slot);
+    if (on_complete) on_complete(result);
 }
 
 }  // namespace catapult::service

@@ -34,14 +34,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "obs/observability.h"
 #include "rank/document.h"
 #include "service/federated_dispatcher.h"
 #include "service/ranking_service.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::service {
@@ -74,7 +75,13 @@ struct RankedDoc {
 class ResultMerger {
   public:
     static std::vector<RankedDoc> Merge(
-        std::vector<std::vector<RankedDoc>> per_pod, std::size_t k);
+        std::vector<std::vector<RankedDoc>> per_pod, std::size_t k) {
+        return MergeInPlace(per_pod, k);
+    }
+
+    /** Merge, canonicalizing the lists of `per_pod` in place. */
+    static std::vector<RankedDoc> MergeInPlace(
+        std::vector<std::vector<RankedDoc>>& per_pod, std::size_t k);
 };
 
 /**
@@ -159,6 +166,9 @@ class ScatterGatherDispatcher {
         std::uint64_t merge_wall_ns = 0;
     };
 
+    /** Gather completion; captures up to 48 bytes stay inline. */
+    using GatherFn = sim::InlineFunction<void(const GatherResult&)>;
+
     ScatterGatherDispatcher(sim::Simulator* simulator,
                             FederatedDispatcher* dispatcher, Config config);
 
@@ -179,10 +189,12 @@ class ScatterGatherDispatcher {
      */
     std::uint64_t Submit(const rank::Query& query,
                          std::vector<rank::CompressedRequest> docs,
-                         std::size_t top_k, Time budget,
-                         std::function<void(const GatherResult&)> on_complete,
+                         std::size_t top_k, Time budget, GatherFn on_complete,
                          const std::vector<int>* connection_pool = nullptr,
                          std::function<void()> on_straggler = nullptr);
+
+    /** Gathers whose slot is still held (undelivered or awaiting stragglers). */
+    std::size_t live_gathers() const { return gathers_.live(); }
 
     const Counters& counters() const { return counters_; }
     const Config& config() const { return config_; }
@@ -205,7 +217,16 @@ class ScatterGatherDispatcher {
         kRejected,   ///< Refused up front; retry budget spent.
     };
 
+    /**
+     * One gather, in a slot of `gathers_`. The slot is held until the
+     * gather is delivered and every accepted shard has reported back
+     * (a straggler still needs `on_straggler`); freeing it bumps
+     * `generation`, which retries and deadlines check.
+     */
     struct Gather {
+        std::uint32_t generation = 0;
+        /** Accepted shards that have not reported back yet. */
+        std::size_t outstanding = 0;
         std::uint64_t id = 0;
         std::size_t top_k = 0;
         Time submitted_at = 0;
@@ -222,7 +243,7 @@ class ScatterGatherDispatcher {
         /** Per-serving-pod result lists, indexed by pod id. */
         std::vector<std::vector<RankedDoc>> per_pod;
         std::vector<PodShard> shards;
-        std::function<void(const GatherResult&)> on_complete;
+        GatherFn on_complete;
         std::function<void()> on_straggler;
         /** Tracing context (0 when the gather is untraced). */
         std::uint64_t obs_trace = 0;
@@ -230,20 +251,24 @@ class ScatterGatherDispatcher {
         std::uint64_t obs_parent = 0;
     };
 
-    void InjectShard(const std::shared_ptr<Gather>& gather, std::size_t index,
-                     int retries_left);
-    void OnShardResult(const std::shared_ptr<Gather>& gather,
-                       std::size_t index, const ScoreResult& result);
+    void InjectShard(std::uint32_t slot, std::uint32_t index, int retries_left);
+    void OnShardResult(std::uint32_t slot, std::uint32_t index,
+                       const ScoreResult& result);
     bool AllResolved(const Gather& gather) const {
         return gather.answered + gather.failed + gather.rejected ==
                gather.docs.size();
     }
-    void DeliverGather(const std::shared_ptr<Gather>& gather);
+    /** The gather in `slot` while it still has `generation`, else null. */
+    Gather* GatherAt(std::uint32_t slot, std::uint32_t generation);
+    void DeliverGather(std::uint32_t slot);
+    /** Free the slot once delivered with no shard outstanding. */
+    void MaybeRelease(std::uint32_t slot);
 
     sim::Simulator* simulator_;
     FederatedDispatcher* dispatcher_;
     Config config_;
     std::uint64_t next_gather_id_ = 0;
+    SlotTable<Gather> gathers_;
     Counters counters_;
     obs::ShardObs* obs_ = nullptr;
     obs::Histogram* obs_gather_latency_us_ = nullptr;

@@ -155,22 +155,32 @@ int ServicePool::total_in_flight() const {
 
 host::SendStatus ServicePool::InjectOnRing(
     int ring_id, int ring_position, int thread,
-    const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+    const rank::CompressedRequest& request, CompletionFn on_complete) {
     RingSlot& slot = rings_[static_cast<std::size_t>(ring_id)];
+    const std::uint32_t doc = doc_callbacks_.Acquire();
+    doc_callbacks_[doc] = std::move(on_complete);
     const auto status = slot.service->Inject(
         ring_position, thread, request,
-        [this, ring_id, on_complete = std::move(on_complete)](
-            const ScoreResult& result) {
-            --rings_[static_cast<std::size_t>(ring_id)].in_flight;
-            if (on_complete) on_complete(result);
+        [this, ring_id, doc](const ScoreResult& result) {
+            OnRingResult(ring_id, doc, result);
         });
     if (status == host::SendStatus::kOk) {
         ++slot.in_flight;
         ++counters_.dispatched;
         if (DrainedRings() > 0) ++counters_.redirected;
+    } else {
+        doc_callbacks_[doc] = nullptr;
+        doc_callbacks_.Release(doc);
     }
     return status;
+}
+
+void ServicePool::OnRingResult(int ring_id, std::uint32_t doc,
+                               const ScoreResult& result) {
+    --rings_[static_cast<std::size_t>(ring_id)].in_flight;
+    CompletionFn on_complete = std::move(doc_callbacks_[doc]);
+    doc_callbacks_.Release(doc);
+    if (on_complete) on_complete(result);
 }
 
 int ServicePool::NextResponsivePosition(RingSlot& slot) {
@@ -198,9 +208,9 @@ host::SendStatus ServicePool::RejectPick() {
     return host::SendStatus::kTimeout;
 }
 
-host::SendStatus ServicePool::Inject(
-    int thread, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+host::SendStatus ServicePool::Inject(int thread,
+                                     const rank::CompressedRequest& request,
+                                     CompletionFn on_complete) {
     const int ring_id = dispatcher_.Pick(Snapshot(), /*preferred_row=*/-1);
     if (ring_id < 0) return RejectPick();
     RingSlot& slot = rings_[static_cast<std::size_t>(ring_id)];
@@ -215,7 +225,7 @@ host::SendStatus ServicePool::Inject(
 
 host::SendStatus ServicePool::InjectFrom(
     int injector_node, int thread, const rank::CompressedRequest& request,
-    std::function<void(const ScoreResult&)> on_complete) {
+    CompletionFn on_complete) {
     const auto coord = fabric_->topology().CoordOf(injector_node);
     const int ring_id = dispatcher_.Pick(Snapshot(), coord.row);
     if (ring_id < 0) return RejectPick();

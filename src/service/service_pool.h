@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slot_table.h"
 #include "mgmt/health_monitor.h"
 #include "mgmt/pod_scheduler.h"
 #include "service/query_dispatcher.h"
@@ -102,7 +103,7 @@ class ServicePool {
      * Returns kTimeout when no ring is in rotation.
      */
     host::SendStatus Inject(int thread, const rank::CompressedRequest& request,
-                            std::function<void(const ScoreResult&)> on_complete);
+                            CompletionFn on_complete);
 
     /**
      * Inject from a specific pod node (the server the query arrived
@@ -112,7 +113,7 @@ class ServicePool {
      */
     host::SendStatus InjectFrom(int injector_node, int thread,
                                 const rank::CompressedRequest& request,
-                                std::function<void(const ScoreResult&)> on_complete);
+                                CompletionFn on_complete);
 
     /**
      * Ring failure handling: immediately drain ring `ring_id` out of
@@ -244,7 +245,9 @@ class ServicePool {
 
     host::SendStatus InjectOnRing(int ring_id, int ring_position, int thread,
                                   const rank::CompressedRequest& request,
-                                  std::function<void(const ScoreResult&)> on_complete);
+                                  CompletionFn on_complete);
+    /** A ring completed pool document `doc`. */
+    void OnRingResult(int ring_id, std::uint32_t doc, const ScoreResult& result);
     host::SendStatus RejectPick();
     int NextResponsivePosition(RingSlot& slot);
     void AutoRecover(int ring_id, int failed_ring_index, int attempt);
@@ -271,6 +274,11 @@ class ServicePool {
     /** Bumped by ClearRecoveryBacklog to orphan stale recovery chains. */
     std::uint64_t recovery_epoch_ = 0;
     std::vector<RingView> snapshot_;  ///< reused per dispatch (hot path)
+    /**
+     * Callers' completions of the documents in flight; the ring gets a
+     * wrapper carrying the slot index.
+     */
+    SlotTable<CompletionFn> doc_callbacks_;
     std::queue<std::function<void()>> deployment_queue_;
     bool deployment_in_flight_ = false;
     std::function<void(int)> on_ring_drained_;

@@ -120,6 +120,8 @@ std::uint64_t SessionFrontEnd::Submit(
                              static_cast<std::int64_t>(session_id),
                              static_cast<std::int64_t>(docs.size()));
     }
+    // The wrapper is 48 bytes, so it rides inline in the scatter tier's
+    // callback.
     return scatter_.Submit(traced, std::move(docs), top_k, budget,
                            std::move(wrapped),
                            &session->stats.connection_pool,

@@ -1,6 +1,6 @@
 #include "service/stage_loopback.h"
 
-#include <deque>
+#include "common/ring_queue.h"
 
 namespace catapult::service {
 
@@ -28,8 +28,7 @@ class StageLoopback::LoopRole : public shell::Role {
     void Pump() {
         if (busy_ || queue_.empty()) return;
         busy_ = true;
-        shell::PacketPtr packet = std::move(queue_.front());
-        queue_.pop_front();
+        shell::PacketPtr packet = queue_.pop_front();
         // Service time derives from the injected document's tuple count
         // (stashed in the packet payload by the rig).
         rank::CompressedRequest request;
@@ -37,12 +36,12 @@ class StageLoopback::LoopRole : public shell::Role {
         const Time service = StageServiceTimeFor(
             rig_->config_.stage, request, *rig_->model_, *rig_->function_,
             rig_->config_.fe_timing);
-        simulator_->ScheduleAfter(service, [this, packet] {
+        simulator_->ScheduleAfter(service, [this, packet = std::move(packet)] {
             auto response = shell::MakePacket(
                 shell::PacketType::kScoringResponse, shell_->node(),
                 packet->source, 64, packet->trace_id);
             response->slot = packet->slot;
-            shell_->SendFromRole(response);
+            shell_->SendFromRole(std::move(response));
             busy_ = false;
             Pump();
         });
@@ -51,7 +50,7 @@ class StageLoopback::LoopRole : public shell::Role {
     StageLoopback* rig_;
     sim::Simulator* simulator_;
     shell::Shell* shell_;
-    std::deque<shell::PacketPtr> queue_;
+    RingQueue<shell::PacketPtr> queue_;
     bool busy_ = false;
 };
 
@@ -101,14 +100,20 @@ LoadResult StageLoopback::Run() {
                 request.doc_id + 1);
             packet->payload = request.tuple_count;
             const Time sent = simulator_.Now();
+            const int slot = host_->driver().SlotFor(thread);
+            thread_callbacks_[static_cast<std::size_t>(thread)] =
+                std::move(on_complete);
             return host_->driver().Send(
-                host_->driver().SlotFor(thread), std::move(packet),
-                [this, sent, on_complete = std::move(on_complete)](
-                    host::SendStatus status, shell::PacketPtr) {
-                    on_complete({.ok = status == host::SendStatus::kOk,
-                                 .latency = simulator_.Now() - sent});
+                slot, std::move(packet),
+                [this, sent, thread](host::SendStatus status,
+                                     shell::PacketPtr) {
+                    CompletionFn done = std::move(
+                        thread_callbacks_[static_cast<std::size_t>(thread)]);
+                    done({.ok = status == host::SendStatus::kOk,
+                          .latency = simulator_.Now() - sent});
                 });
         }};
+    thread_callbacks_.resize(static_cast<std::size_t>(config_.threads));
     return RunPerThreadLoop(rig, config_.documents_per_thread);
 }
 

@@ -60,6 +60,8 @@ class StageLoopback {
     const rank::Model* model_ = nullptr;
     std::unique_ptr<rank::RankingFunction> function_;
     std::unique_ptr<LoopRole> role_;
+    /** The completion of each thread's outstanding document. */
+    std::vector<CompletionFn> thread_callbacks_;
 };
 
 }  // namespace catapult::service

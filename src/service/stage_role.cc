@@ -42,6 +42,22 @@ Time StageServiceTimeFor(PipelineStage stage,
     return 0;
 }
 
+namespace {
+
+/**
+ * One generation counter per live stage role. A role takes a free cell
+ * at construction and bumps its generation at destruction, so a
+ * callback that captured (cell, generation) can tell whether its role
+ * still exists. Cells recycle; the table holds the peak number of
+ * roles alive at once.
+ */
+SlotTable<std::uint32_t>& Liveness() {
+    static thread_local SlotTable<std::uint32_t> liveness;
+    return liveness;
+}
+
+}  // namespace
+
 StageRole::StageRole(RankingService* service, sim::Simulator* simulator,
                      shell::Shell* shell, PipelineStage stage, int ring_index)
     : service_(service),
@@ -50,6 +66,17 @@ StageRole::StageRole(RankingService* service, sim::Simulator* simulator,
       stage_(stage),
       ring_index_(ring_index) {
     assert(service_ != nullptr && shell_ != nullptr);
+    live_cell_ = Liveness().Acquire();
+    live_generation_ = Liveness()[live_cell_];
+}
+
+StageRole::~StageRole() {
+    ++Liveness()[live_cell_];
+    Liveness().Release(live_cell_);
+}
+
+bool StageRole::Alive(std::uint32_t cell, std::uint32_t generation) {
+    return Liveness()[cell] == generation;
 }
 
 std::string StageRole::RoleName() const {
@@ -84,15 +111,16 @@ void StageRole::OnPacket(shell::PacketPtr packet) {
         // Head of the pipeline: the request lands in the Queue Manager's
         // per-model DRAM queue (§4.3). The DRAM write is charged against
         // channel 0; queue state updates immediately.
-        DocContext* ctx = service_->FindContext(packet->trace_id);
+        DocContext* ctx = service_->FindContext(*packet);
         if (ctx == nullptr) {
             ++counters_.dropped_unknown;
             return;
         }
         shell_->dram(0).Transfer(packet->size, [](bool) {});
-        head_pending_[packet->trace_id] = packet;
-        service_->queue_manager().Enqueue(ctx->request.query.model_id,
-                                          packet->trace_id, simulator_->Now());
+        const std::uint32_t entry = head_slots_.Acquire();
+        head_slots_[entry] = std::move(packet);
+        service_->queue_manager().Enqueue(ctx->request.query.model_id, entry,
+                                          simulator_->Now());
         PumpHead();
         return;
     }
@@ -126,27 +154,29 @@ void StageRole::PumpHead() {
         ForwardToNext(std::move(command));
         const Time reload = service_->models().StageReloadTime(model, stage_);
         simulator_->ScheduleAfter(
-            reload, [this, guard = std::weak_ptr<char>(alive_)] {
-                if (guard.expired()) return;  // role rebuilt mid-reload
+            reload, [this, cell = live_cell_, generation = live_generation_] {
+                if (!Alive(cell, generation)) return;  // rebuilt mid-reload
                 busy_ = false;
                 PumpHead();
             });
         return;
       }
       case Kind::kDispatch: {
-        auto it = head_pending_.find(decision.entry);
-        if (it == head_pending_.end()) {
+        const auto entry = static_cast<std::uint32_t>(decision.entry);
+        if (decision.entry >= head_slots_.size() ||
+            head_slots_[entry] == nullptr) {
             // The Queue Manager outlives this role (it belongs to the
-            // service); an entry it dispatches after a redeploy may
-            // have been enqueued by our destroyed predecessor, whose
-            // head_pending_ packets died with it. Drop and keep
-            // draining — the document's host timeout handles the rest.
+            // service), but BuildRoles resets it whenever it rebuilds
+            // the roles, so an entry always names one of this role's
+            // slots; an empty slot means an entry dispatched twice.
+            // Drop and keep draining — the document's host timeout
+            // handles the rest.
             ++counters_.dropped_unknown;
             PumpHead();
             return;
         }
-        shell::PacketPtr packet = std::move(it->second);
-        head_pending_.erase(it);
+        shell::PacketPtr packet = std::move(head_slots_[entry]);
+        head_slots_.Release(entry);
         // DRAM read back out of the model queue.
         shell_->dram(0).Transfer(packet->size, [](bool) {});
         StartService(std::move(packet));
@@ -157,8 +187,7 @@ void StageRole::PumpHead() {
 
 void StageRole::Pump() {
     if (busy_ || queue_.empty()) return;
-    shell::PacketPtr packet = std::move(queue_.front());
-    queue_.pop_front();
+    shell::PacketPtr packet = queue_.pop_front();
     if (packet->type == shell::PacketType::kModelReload) {
         // Reload this stage's instruction/model memories from DRAM.
         ++counters_.reloads;
@@ -170,8 +199,8 @@ void StageRole::Pump() {
         busy_ = true;
         const Time reload = service_->models().StageReloadTime(model, stage_);
         simulator_->ScheduleAfter(
-            reload, [this, guard = std::weak_ptr<char>(alive_)] {
-                if (guard.expired()) return;  // role rebuilt mid-reload
+            reload, [this, cell = live_cell_, generation = live_generation_] {
+                if (!Alive(cell, generation)) return;  // rebuilt mid-reload
                 busy_ = false;
                 Pump();
             });
@@ -182,7 +211,7 @@ void StageRole::Pump() {
 
 void StageRole::StartService(shell::PacketPtr packet) {
     busy_ = true;
-    DocContext* ctx = service_->FindContext(packet->trace_id);
+    DocContext* ctx = service_->FindContext(*packet);
     if (ctx == nullptr) {
         // Context evaporated (host timed out and gave up). Drop.
         ++counters_.dropped_unknown;
@@ -190,8 +219,10 @@ void StageRole::StartService(shell::PacketPtr packet) {
         if (stage_ == PipelineStage::kFeatureExtraction) PumpHead(); else Pump();
         return;
     }
-    const Time service = service_->StageServiceTime(
-        stage_, ctx->request, ctx->request.query.model_id);
+    service_->BindModel(*ctx);
+    const Time service =
+        StageServiceTimeFor(stage_, ctx->request, *ctx->model, *ctx->function,
+                            service_->config().fe_timing);
     obs::ShardObs* obs = service_->observability();
     if (obs != nullptr && obs->tracing() && ctx->obs_span != 0) {
         // The stage interval is deterministic once service starts, so
@@ -204,22 +235,22 @@ void StageRole::StartService(shell::PacketPtr packet) {
                          static_cast<std::int64_t>(stage_), ring_index_);
     }
     simulator_->ScheduleAfter(
-        service, [this, guard = std::weak_ptr<char>(alive_),
+        service, [this, cell = live_cell_, generation = live_generation_,
                   packet = std::move(packet)]() mutable {
             // Role rebuilt mid-service (ring redeploy after a failure):
             // the document's fate is the host timeout's to decide, not
             // a dangling `this`.
-            if (guard.expired()) return;
+            if (!Alive(cell, generation)) return;
             FinishService(std::move(packet));
         });
 }
 
 void StageRole::FinishService(shell::PacketPtr packet) {
     ++counters_.processed;
-    DocContext* ctx = service_->FindContext(packet->trace_id);
+    DocContext* ctx = service_->FindContext(*packet);
     if (ctx != nullptr && ctx->store != nullptr) {
         // Functional path (bit-exact scores).
-        auto& fn = service_->FunctionFor(ctx->request.query.model_id);
+        rank::RankingFunction& fn = *ctx->function;
         switch (stage_) {
           case PipelineStage::kFeatureExtraction:
             fn.ExtractFeatures(ctx->request, *ctx->store);
@@ -231,9 +262,9 @@ void StageRole::FinishService(shell::PacketPtr packet) {
             fn.RunFfe1(*ctx->store);
             break;
           case PipelineStage::kCompression: {
-            rank::FeatureStore compressed;
+            rank::FeatureStore& compressed = service_->CompressionScratch();
             fn.Compress(*ctx->store, compressed);
-            *ctx->store = std::move(compressed);
+            std::swap(*ctx->store, compressed);
             break;
           }
           case PipelineStage::kScoring0:
@@ -279,16 +310,20 @@ void StageRole::ForwardToNext(shell::PacketPtr packet) {
     if (packet->type == shell::PacketType::kScoringRequest) {
         // Downstream of each stage the wire carries that stage's output
         // data (features/operands), not the compressed document.
-        DocContext* ctx = service_->FindContext(packet->trace_id);
-        packet->size = service_->StageOutputBytes(
-            stage_, ctx != nullptr ? ctx->request.query.model_id : 0);
+        DocContext* ctx = service_->FindContext(*packet);
+        if (ctx != nullptr) {
+            service_->BindModel(*ctx);
+            packet->size = RankingService::StageOutputBytes(stage_, *ctx->model);
+        } else {
+            packet->size = service_->StageOutputBytes(stage_, 0);
+        }
     }
     ++counters_.forwarded;
     shell_->SendFromRole(std::move(packet));
 }
 
 void StageRole::EmitResponse(shell::PacketPtr request_packet) {
-    DocContext* ctx = service_->FindContext(request_packet->trace_id);
+    DocContext* ctx = service_->FindContext(*request_packet);
     if (ctx == nullptr) return;
     // §4.1: "A PCIe DMA transfer moves the score, query ID, and
     // performance counters back to the host" — a small fixed payload.
@@ -297,6 +332,7 @@ void StageRole::EmitResponse(shell::PacketPtr request_packet) {
                                       request_packet->trace_id);
     response->slot = ctx->slot;
     response->injected_at = ctx->injected_at;
+    response->context = request_packet->context;
     shell_->SendFromRole(std::move(response));
 }
 

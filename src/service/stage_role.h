@@ -10,10 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
 
+#include "common/ring_queue.h"
+#include "common/slot_table.h"
 #include "rank/model.h"
 #include "rank/software_ranker.h"
 #include "shell/shell.h"
@@ -38,6 +37,10 @@ class StageRole : public shell::Role {
   public:
     StageRole(RankingService* service, sim::Simulator* simulator,
               shell::Shell* shell, rank::PipelineStage stage, int ring_index);
+    ~StageRole() override;
+
+    StageRole(const StageRole&) = delete;
+    StageRole& operator=(const StageRole&) = delete;
 
     // shell::Role interface.
     void OnPacket(shell::PacketPtr packet) override;
@@ -69,15 +72,20 @@ class StageRole : public shell::Role {
     void EmitResponse(shell::PacketPtr request_packet);
     /** Head-of-ring only: run the Queue Manager dispatch loop. */
     void PumpHead();
+    /** True while this role (not a rebuilt successor) still exists. */
+    static bool Alive(std::uint32_t cell, std::uint32_t generation);
 
     RankingService* service_;
     sim::Simulator* simulator_;
     shell::Shell* shell_;
     rank::PipelineStage stage_;
     int ring_index_;
-    std::deque<shell::PacketPtr> queue_;
-    /** Head stage: QM entries keyed by trace id -> packet. */
-    std::unordered_map<std::uint64_t, shell::PacketPtr> head_pending_;
+    RingQueue<shell::PacketPtr> queue_;
+    /**
+     * Head stage: documents parked in the Queue Manager's DRAM queues.
+     * A QM entry is the index of its packet's slot here.
+     */
+    SlotTable<shell::PacketPtr> head_slots_;
     bool busy_ = false;
     bool hung_ = false;
     std::uint32_t loaded_model_ = 0;
@@ -86,10 +94,12 @@ class StageRole : public shell::Role {
      * Liveness guard for simulator callbacks: a ring redeploy
      * (RankingService::BuildRoles) destroys and rebuilds every role
      * while documents may still be mid-service, so scheduled
-     * completions capture a weak_ptr to this token and no-op once the
-     * role is gone instead of dereferencing a dangling `this`.
+     * completions capture this role's liveness cell and generation and
+     * no-op once the role is gone instead of dereferencing a dangling
+     * `this`.
      */
-    std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+    std::uint32_t live_cell_ = 0;
+    std::uint32_t live_generation_ = 0;
     Counters counters_;
 };
 

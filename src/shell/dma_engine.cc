@@ -14,12 +14,20 @@ DmaEngine::DmaEngine(sim::Simulator* simulator, Config config)
     assert(simulator_ != nullptr);
 }
 
-bool DmaEngine::SetInputFull(int slot, PacketPtr packet) {
-    assert(slot >= 0 && slot < kDmaSlotCount);
+void DmaEngine::CheckSlot(const char* call, int slot) {
+    if (slot < 0 || slot >= kDmaSlotCount) {
+        FatalMisuse("DmaEngine::%s: slot %d outside [0, %d)", call, slot,
+                    kDmaSlotCount);
+    }
+}
+
+bool DmaEngine::SetInputFull(int slot, PacketPtr&& packet) {
+    CheckSlot("SetInputFull", slot);
     assert(packet != nullptr);
-    if (input_full_[slot].has_value()) return false;
+    if (input_full_[slot]) return false;
     if (packet->size > kDmaSlotBytes) return false;
-    input_full_[slot] = std::move(packet);
+    input_full_[slot] = true;
+    input_packet_[slot] = std::move(packet);
     PumpInput();
     return true;
 }
@@ -30,7 +38,7 @@ void DmaEngine::PumpInput() {
         // Take a snapshot of the full bits (§3.1 fairness): all currently
         // full slots are drained before the next snapshot.
         for (int s = 0; s < kDmaSlotCount; ++s) {
-            if (input_full_[s].has_value()) snapshot_.push_back(s);
+            if (input_full_[s]) snapshot_.push_back(s);
         }
         if (snapshot_.empty()) return;
         ++counters_.snapshots;
@@ -41,36 +49,40 @@ void DmaEngine::PumpInput() {
 void DmaEngine::StartSnapshotTransfer() {
     assert(!snapshot_.empty());
     input_dma_active_ = true;
-    const int slot = snapshot_.front();
-    snapshot_.pop_front();
+    const int slot = snapshot_.pop_front();
     // The slot may have been claimed by an earlier snapshot pass only if
     // protocol was violated; guard anyway.
-    if (!input_full_[slot].has_value()) {
+    if (!input_full_[slot]) {
         input_dma_active_ = false;
         PumpInput();
         return;
     }
-    PacketPtr packet = *input_full_[slot];
-    h2f_.Transfer(packet->size, [this, slot, packet](bool ok) {
-        input_dma_active_ = false;
-        // Full bit cleared once the data reaches FPGA staging.
-        input_full_[slot].reset();
-        if (on_input_cleared_) on_input_cleared_(slot);
-        if (ok) {
-            ++counters_.host_to_fpga;
-            packet->slot = slot;
-            if (on_ingress_) on_ingress_(packet);
-        } else {
-            ++counters_.failed_transfers;
-            LOG_DEBUG("dma") << "host->fpga transfer failed (slot " << slot
-                             << ")";
-        }
-        PumpInput();
-    });
+    // The full bit stays set until the data reaches FPGA staging.
+    input_transfer_ = std::move(input_packet_[slot]);
+    h2f_.Transfer(input_transfer_->size,
+                  [this, slot](bool ok) { FinishInputTransfer(slot, ok); });
+}
+
+void DmaEngine::FinishInputTransfer(int slot, bool ok) {
+    input_dma_active_ = false;
+    // Full bit cleared once the data reaches FPGA staging.
+    input_full_[slot] = false;
+    PacketPtr packet = std::move(input_transfer_);
+    if (on_input_cleared_) on_input_cleared_(slot);
+    if (ok) {
+        ++counters_.host_to_fpga;
+        packet->slot = slot;
+        if (on_ingress_) on_ingress_(std::move(packet));
+    } else {
+        ++counters_.failed_transfers;
+        LOG_DEBUG("dma") << "host->fpga transfer failed (slot " << slot
+                         << ")";
+    }
+    PumpInput();
 }
 
 void DmaEngine::SendToHost(int slot, PacketPtr packet) {
-    assert(slot >= 0 && slot < kDmaSlotCount);
+    CheckSlot("SendToHost", slot);
     output_wait_[slot].push_back(std::move(packet));
     PumpOutput(slot);
 }
@@ -87,9 +99,10 @@ void DmaEngine::PumpOutput(int slot) {
         return;  // retried when the host consumes the slot
     }
     output_dma_active_[slot] = true;
-    PacketPtr packet = output_wait_[slot].front();
-    output_wait_[slot].pop_front();
-    f2h_.Transfer(packet->size, [this, slot, packet](bool ok) {
+    PacketPtr packet = output_wait_[slot].pop_front();
+    const Bytes size = packet->size;
+    f2h_.Transfer(size, [this, slot, packet = std::move(packet)](
+                            bool ok) mutable {
         output_dma_active_[slot] = false;
         if (!ok) {
             ++counters_.failed_transfers;
@@ -100,15 +113,16 @@ void DmaEngine::PumpOutput(int slot) {
         output_full_[slot] = true;
         // Interrupt to wake the consumer thread (§3.1).
         simulator_->ScheduleAfter(
-            config_.interrupt_latency, [this, slot, packet] {
-                if (on_output_ready_) on_output_ready_(slot, packet);
+            config_.interrupt_latency,
+            [this, slot, packet = std::move(packet)]() mutable {
+                if (on_output_ready_) on_output_ready_(slot, std::move(packet));
             });
         PumpOutput(slot);
     });
 }
 
 void DmaEngine::ConsumeOutput(int slot) {
-    assert(slot >= 0 && slot < kDmaSlotCount);
+    CheckSlot("ConsumeOutput", slot);
     output_full_[slot] = false;
     PumpOutput(slot);
 }

@@ -17,11 +17,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
-#include <vector>
 
+#include "common/ring_queue.h"
 #include "common/units.h"
 #include "mgmt/telemetry_bus.h"
 #include "shell/packet.h"
@@ -67,14 +65,19 @@ class DmaEngine {
     /**
      * Host thread set the full bit on input slot `slot` whose contents
      * describe `packet`. Returns false if the slot was already full
-     * (a protocol violation by the caller).
+     * (a protocol violation by the caller) or the packet exceeds the
+     * slot; the packet then stays with the caller. A slot outside
+     * [0, kDmaSlotCount) aborts in every build.
      */
-    bool SetInputFull(int slot, PacketPtr packet);
+    bool SetInputFull(int slot, PacketPtr&& packet);
 
     /** True when the input slot's full bit is set (DMA not yet done). */
-    bool InputFull(int slot) const { return input_full_[slot].has_value(); }
+    bool InputFull(int slot) const { return input_full_[slot]; }
 
-    /** Host consumed output slot `slot`: clears the output full bit. */
+    /**
+     * Host consumed output slot `slot`: clears the output full bit. A
+     * slot out of range aborts in every build.
+     */
     void ConsumeOutput(int slot);
 
     bool OutputFull(int slot) const { return output_full_[slot]; }
@@ -98,7 +101,8 @@ class DmaEngine {
 
     /**
      * FPGA produced a result for the thread owning `slot`. If the output
-     * slot is full the result queues until the host consumes it.
+     * slot is full the result queues until the host consumes it. A slot
+     * out of range aborts in every build.
      */
     void SendToHost(int slot, PacketPtr packet);
 
@@ -123,7 +127,9 @@ class DmaEngine {
   private:
     void PumpInput();
     void StartSnapshotTransfer();
+    void FinishInputTransfer(int slot, bool ok);
     void PumpOutput(int slot);
+    static void CheckSlot(const char* call, int slot);
 
     sim::Simulator* simulator_;
     Config config_;
@@ -131,14 +137,18 @@ class DmaEngine {
     PcieLink f2h_;
     Counters counters_;
 
-    /** Full-bit view of the input buffer: slot -> queued packet. */
-    std::array<std::optional<PacketPtr>, kDmaSlotCount> input_full_{};
+    /** Full bits of the input buffer. */
+    std::array<bool, kDmaSlotCount> input_full_{};
+    /** Contents of each full input slot until its DMA starts. */
+    std::array<PacketPtr, kDmaSlotCount> input_packet_{};
+    /** The packet crossing host -> FPGA (one input DMA at a time). */
+    PacketPtr input_transfer_;
     /** Snapshot of full slots being drained, in slot order. */
-    std::deque<int> snapshot_;
+    RingQueue<int> snapshot_;
     bool input_dma_active_ = false;
 
     std::array<bool, kDmaSlotCount> output_full_{};
-    std::array<std::deque<PacketPtr>, kDmaSlotCount> output_wait_{};
+    std::array<RingQueue<PacketPtr>, kDmaSlotCount> output_wait_{};
     std::array<bool, kDmaSlotCount> output_dma_active_{};
 
     std::function<void(int)> on_input_cleared_;

@@ -40,7 +40,7 @@ void DramController::set_calibrated(bool calibrated) {
     if (lost) PublishTelemetry(mgmt::TelemetryKind::kDramCalibrationLoss);
 }
 
-void DramController::Transfer(Bytes size, std::function<void(bool)> on_done) {
+void DramController::Transfer(Bytes size, DoneFn on_done) {
     queue_.push_back(Request{size, std::move(on_done)});
     Pump();
 }
@@ -48,23 +48,25 @@ void DramController::Transfer(Bytes size, std::function<void(bool)> on_done) {
 void DramController::Pump() {
     if (busy_ || queue_.empty()) return;
     busy_ = true;
-    Request request = std::move(queue_.front());
-    queue_.pop_front();
-    const Time duration = TransferTime(request.size);
-    simulator_->ScheduleAfter(duration, [this, request = std::move(request)] {
-        ++status_.transfers;
-        bool ok = status_.calibrated;
-        if (ok && rng_.Chance(config_.double_bit_error_rate)) {
-            ++status_.double_bit_errors;
-            PublishTelemetry(mgmt::TelemetryKind::kDramEccFault);
-            ok = false;
-        } else if (ok && rng_.Chance(config_.single_bit_error_rate)) {
-            ++status_.single_bit_errors;  // corrected, transfer succeeds
-        }
-        request.on_done(ok);
-        busy_ = false;
-        Pump();
-    });
+    active_ = queue_.pop_front();
+    simulator_->ScheduleAfter(TransferTime(active_.size),
+                              [this] { Complete(); });
+}
+
+void DramController::Complete() {
+    ++status_.transfers;
+    bool ok = status_.calibrated;
+    if (ok && rng_.Chance(config_.double_bit_error_rate)) {
+        ++status_.double_bit_errors;
+        PublishTelemetry(mgmt::TelemetryKind::kDramEccFault);
+        ok = false;
+    } else if (ok && rng_.Chance(config_.single_bit_error_rate)) {
+        ++status_.single_bit_errors;  // corrected, transfer succeeds
+    }
+    DoneFn on_done = std::move(active_.on_done);
+    on_done(ok);
+    busy_ = false;
+    Pump();
 }
 
 }  // namespace catapult::shell

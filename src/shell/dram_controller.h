@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "mgmt/telemetry_bus.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::shell {
@@ -66,12 +66,15 @@ class DramController {
         return PeakBandwidth().Scaled(config_.efficiency);
     }
 
+    /** Completion callback: true when the transfer succeeded. */
+    using DoneFn = sim::InlineFunction<void(bool)>;
+
     /**
      * Queue a transfer of `size` bytes; `on_done(success)` fires when
      * it completes. Uncorrectable ECC errors or a failed calibration
      * complete with success=false.
      */
-    void Transfer(Bytes size, std::function<void(bool)> on_done);
+    void Transfer(Bytes size, DoneFn on_done);
 
     /** Time a transfer of `size` bytes takes unqueued. */
     Time TransferTime(Bytes size) const;
@@ -93,17 +96,20 @@ class DramController {
     void PublishTelemetry(mgmt::TelemetryKind kind);
 
     struct Request {
-        Bytes size;
-        std::function<void(bool)> on_done;
+        Bytes size = 0;
+        DoneFn on_done;
     };
 
     void Pump();
+    void Complete();
 
     sim::Simulator* simulator_;
     Rng rng_;
     Config config_;
     Status status_;
-    std::deque<Request> queue_;
+    RingQueue<Request> queue_;
+    /** The transfer in service; its completion event captures `this`. */
+    Request active_;
     bool busy_ = false;
     mgmt::TelemetryBus* telemetry_ = nullptr;
     int telemetry_node_ = -1;

@@ -1,8 +1,18 @@
 #include "shell/packet.h"
 
+#include <new>
+
 #include "common/object_pool.h"
 
 namespace catapult::shell {
+
+namespace {
+
+catapult::detail::PoolArena<Packet>& Pool() {
+    return catapult::detail::PoolArena<Packet>::Instance();
+}
+
+}  // namespace
 
 const char* ToString(Port port) {
     switch (port) {
@@ -40,16 +50,26 @@ const char* ToString(PacketType type) {
 
 PacketPtr MakePacket(PacketType type, NodeId source, NodeId destination,
                      Bytes size, std::uint64_t trace_id) {
-    // Pooled: a load sweep makes one Packet per document per hop-free
-    // injection; recycling the combined allocation keeps the inject
-    // path malloc-free in steady state.
-    auto packet = MakePooled<Packet>();
+    // Pooled: every document makes a few packets (request, response,
+    // reload commands); recycling the blocks keeps the hop path
+    // malloc-free in steady state.
+    auto* packet = ::new (Pool().Allocate())
+        Packet{};
     packet->type = type;
     packet->source = source;
     packet->destination = destination;
     packet->size = size;
     packet->trace_id = trace_id;
-    return packet;
+    return PacketPtr(packet);
+}
+
+void detail::ReleasePacket(Packet* packet) {
+    packet->~Packet();
+    Pool().Release(packet);
+}
+
+std::ptrdiff_t LivePackets() {
+    return Pool().live();
 }
 
 int FlitCount(Bytes size) {

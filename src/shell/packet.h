@@ -8,8 +8,8 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/units.h"
@@ -50,10 +50,7 @@ enum class PacketType : std::uint8_t {
 
 const char* ToString(PacketType type);
 
-/**
- * A packet in flight on the fabric. Reference-counted because it is
- * observed concurrently by links, routers and the FDR.
- */
+/** A packet in flight on the fabric. */
 struct Packet {
     PacketType type = PacketType::kScoringRequest;
     NodeId source = kInvalidNode;
@@ -79,13 +76,79 @@ struct Packet {
 
     /** Slot the requesting thread used (for response routing, §3.1). */
     std::int32_t slot = -1;
+
+    /**
+     * Index of the document's context in the owning service's slot
+     * table; meaningful together with `trace_id`.
+     */
+    std::uint32_t context = 0;
 };
 
-using PacketPtr = std::shared_ptr<Packet>;
+namespace detail {
+void ReleasePacket(Packet* packet);
+}  // namespace detail
 
-/** Convenience constructor. */
+/**
+ * Owning handle to a pooled Packet: pointer-sized, move-only, with no
+ * reference count. A packet has one owner at a time — a link queue,
+ * the event carrying it across a hop, a DMA slot, a role — so every
+ * hand-off is a move; hooks that only look at it (the FDR, corruption
+ * reports) take `const Packet&`. Dropping the owning handle returns the
+ * packet to this thread's pool.
+ */
+class PacketPtr {
+  public:
+    PacketPtr() = default;
+    PacketPtr(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+    PacketPtr(PacketPtr&& other) noexcept : packet_(other.packet_) {
+        other.packet_ = nullptr;
+    }
+    PacketPtr& operator=(PacketPtr&& other) noexcept {
+        if (this != &other) {
+            reset();
+            packet_ = other.packet_;
+            other.packet_ = nullptr;
+        }
+        return *this;
+    }
+    PacketPtr(const PacketPtr&) = delete;
+    PacketPtr& operator=(const PacketPtr&) = delete;
+    ~PacketPtr() { reset(); }
+
+    Packet* operator->() const { return packet_; }
+    Packet& operator*() const { return *packet_; }
+    Packet* get() const { return packet_; }
+    explicit operator bool() const { return packet_ != nullptr; }
+    friend bool operator==(const PacketPtr& p, std::nullptr_t) {
+        return p.packet_ == nullptr;
+    }
+
+    /** Return the packet to the pool now. */
+    void reset() {
+        if (packet_ != nullptr) {
+            detail::ReleasePacket(packet_);
+            packet_ = nullptr;
+        }
+    }
+
+  private:
+    friend PacketPtr MakePacket(PacketType, NodeId, NodeId, Bytes,
+                                std::uint64_t);
+    explicit PacketPtr(Packet* packet) : packet_(packet) {}
+
+    Packet* packet_ = nullptr;
+};
+
+/** Convenience constructor: a fresh packet from this thread's pool. */
 PacketPtr MakePacket(PacketType type, NodeId source, NodeId destination,
                      Bytes size, std::uint64_t trace_id = 0);
+
+/**
+ * Packets allocated from this thread's pool and not yet released. A
+ * drained run returns it to its starting value; anything more is a
+ * leaked handle.
+ */
+std::ptrdiff_t LivePackets();
 
 /** Number of SL3 flits a packet of `size` bytes occupies. */
 int FlitCount(Bytes size);

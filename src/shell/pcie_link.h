@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
+#include "common/ring_queue.h"
 #include "common/units.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::shell {
@@ -39,12 +39,15 @@ class PcieLink {
     explicit PcieLink(sim::Simulator* simulator)
         : PcieLink(simulator, Config()) {}
 
+    /** Completion callback: true when the transfer succeeded. */
+    using DoneFn = sim::InlineFunction<void(bool)>;
+
     /**
      * Queue a transfer in one direction; both directions share the model
      * object but have independent channels in hardware, so callers keep
      * one PcieLink per direction.
      */
-    void Transfer(Bytes size, std::function<void(bool)> on_done);
+    void Transfer(Bytes size, DoneFn on_done);
 
     /** Unqueued time for a transfer of `size` bytes. */
     Time TransferTime(Bytes size) const {
@@ -63,16 +66,19 @@ class PcieLink {
 
   private:
     struct Request {
-        Bytes size;
-        std::function<void(bool)> on_done;
+        Bytes size = 0;
+        DoneFn on_done;
     };
 
     void Pump();
+    void Complete();
 
     sim::Simulator* simulator_;
     Config config_;
     Counters counters_;
-    std::deque<Request> queue_;
+    RingQueue<Request> queue_;
+    /** The transfer on the link; its completion event captures `this`. */
+    Request active_;
     bool busy_ = false;
     bool device_present_ = true;
     std::uint64_t rng_state_ = 0x853c49e6748fea9bull;

@@ -27,6 +27,25 @@ std::size_t Router::InputOccupancyFlits(Port port) const {
     return l != nullptr ? l->RxQueueDepthFlits() : 0;
 }
 
+void Router::RecordCrossing(const Packet& packet, Port in, Port out) {
+    if (fdr_ == nullptr) return;
+    FdrRecord record;
+    record.timestamp = simulator_->Now();
+    record.trace_id = packet.trace_id;
+    record.type = packet.type;
+    record.size = packet.size;
+    record.ingress = in;
+    record.egress = out;
+    std::uint32_t queued = 0;
+    for (const Sl3Link* link : links_) {
+        if (link != nullptr) {
+            queued += static_cast<std::uint32_t>(link->RxQueueDepthFlits());
+        }
+    }
+    record.queue_flits = queued;
+    fdr_->Record(record);
+}
+
 void Router::OnLinkReceive(Port port) {
     if (drain_scheduled_[static_cast<int>(port)]) return;
     drain_scheduled_[static_cast<int>(port)] = true;
@@ -42,8 +61,7 @@ void Router::DrainInput(Port port) {
         // Peek at the head by popping; if the output stalls we re-queue
         // via a retry rather than head-of-line-block other messages that
         // share the crossbar (outputs are independent).
-        PacketPtr packet = in->PopReceived();
-        Route(std::move(packet), port);
+        Route(in->PopReceived(), port);
     }
 }
 
@@ -59,7 +77,7 @@ void Router::Inject(PacketPtr packet, Port from) {
 void Router::Route(PacketPtr packet, Port in) {
     if (packet->destination == local_node_) {
         ++counters_.delivered_local;
-        if (tap_) tap_(packet, in, Port::kRole);
+        RecordCrossing(*packet, in, Port::kRole);
         if (local_delivery_) local_delivery_(std::move(packet));
         return;
     }
@@ -76,8 +94,8 @@ void Router::Route(PacketPtr packet, Port in) {
         ++counters_.no_route_drops;
         return;
     }
-    if (tap_) tap_(packet, in, out);
-    if (!link->Send(packet)) {
+    RecordCrossing(*packet, in, out);
+    if (!link->Send(std::move(packet))) {
         // Output transmit queue full: virtual cut-through applies
         // backpressure. Retry shortly; Xon/Xoff upstream of us throttles
         // the actual producer.

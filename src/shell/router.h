@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/units.h"
+#include "shell/flight_data_recorder.h"
 #include "shell/packet.h"
 #include "shell/routing_table.h"
 #include "shell/sl3_link.h"
@@ -59,9 +60,17 @@ class Router {
         local_delivery_ = std::move(fn);
     }
 
-    /** Observation hook invoked for every packet entering/exiting. */
-    using TapFn = std::function<void(const PacketPtr&, Port in, Port out)>;
-    void set_tap(TapFn tap) { tap_ = std::move(tap); }
+    /**
+     * Record every packet crossing the crossbar in `fdr` (§3.6); null
+     * stops recording. The shell attaches its recorder at construction.
+     */
+    void set_fdr(FlightDataRecorder* fdr) { fdr_ = fdr; }
+
+    /**
+     * Log one crossing in the attached FDR, with the receive queues'
+     * occupancy as the record's misc state. No-op when none is attached.
+     */
+    void RecordCrossing(const Packet& packet, Port in, Port out);
 
     /**
      * Inject a packet from the role or PCIe side. Routing happens after
@@ -92,7 +101,7 @@ class Router {
     std::array<Sl3Link*, kPortCount> links_{};
     std::array<bool, kPortCount> drain_scheduled_{};
     std::function<void(PacketPtr)> local_delivery_;
-    TapFn tap_;
+    FlightDataRecorder* fdr_ = nullptr;
     Counters counters_;
 };
 

@@ -50,7 +50,7 @@ Shell::Shell(sim::Simulator* simulator, NodeId node, std::string name,
         links_[i]->set_shell_version(config_.shell_version);
         links_[i]->SetRxHalt(true);
         links_[i]->set_on_corruption(
-            [this](const PacketPtr&) { FlagApplicationError(); });
+            [this](const Packet&) { FlagApplicationError(); });
         router_.AttachLink(kLinkPorts[i], links_[i].get());
     }
     for (int c = 0; c < 2; ++c) {
@@ -60,11 +60,8 @@ Shell::Shell(sim::Simulator* simulator, NodeId node, std::string name,
 
     router_.set_local_delivery(
         [this](PacketPtr packet) { DeliverLocal(std::move(packet)); });
-    if (config_.fdr_enabled) {
-        router_.set_tap([this](const PacketPtr& packet, Port in, Port out) {
-            RecordFdr(packet, in, out);
-        });
-    }
+    // §3.6: every router crossing is recorded.
+    router_.set_fdr(&fdr_);
     dma_.set_on_ingress([this](PacketPtr packet) { OnIngress(std::move(packet)); });
 
     // The shell reacts to device configuration transitions.
@@ -96,7 +93,7 @@ const Sl3Link& Shell::link(Port port) const { return *links_[LinkIndex(port)]; }
 
 void Shell::SendFromRole(PacketPtr packet) {
     packet->shell_version = config_.shell_version;
-    RecordFdr(packet, Port::kRole, Port::kRole);
+    router_.RecordCrossing(*packet, Port::kRole, Port::kRole);
     router_.Inject(std::move(packet), Port::kRole);
 }
 
@@ -106,7 +103,7 @@ void Shell::SendToHost(PacketPtr packet) {
 }
 
 void Shell::OnIngress(PacketPtr packet) {
-    RecordFdr(packet, Port::kPcie, Port::kPcie);
+    router_.RecordCrossing(*packet, Port::kPcie, Port::kPcie);
     router_.Inject(std::move(packet), Port::kPcie);
 }
 
@@ -244,23 +241,6 @@ HealthVector Shell::CollectHealth() {
     health.temperature_shutdown = device_->thermal().over_temperature();
     health.rx_halted = rx_halted_;
     return health;
-}
-
-void Shell::RecordFdr(const PacketPtr& packet, Port in, Port out) {
-    if (!config_.fdr_enabled) return;
-    FdrRecord record;
-    record.timestamp = simulator_->Now();
-    record.trace_id = packet->trace_id;
-    record.type = packet->type;
-    record.size = packet->size;
-    record.ingress = in;
-    record.egress = out;
-    std::uint32_t queued = 0;
-    for (const auto& link : links_) {
-        queued += static_cast<std::uint32_t>(link->RxQueueDepthFlits());
-    }
-    record.queue_flits = queued;
-    fdr_.Record(record);
 }
 
 }  // namespace catapult::shell

@@ -88,8 +88,6 @@ class Shell {
         DmaEngine::Config dma;
         DramController::Config dram;
         std::uint32_t shell_version = 1;
-        /** Record every router crossing in the FDR (§3.6). */
-        bool fdr_enabled = true;
         /** Role-region rewrite time for partial reconfiguration. */
         Time partial_reconfig_time = Milliseconds(150);
     };
@@ -198,7 +196,6 @@ class Shell {
     static int LinkIndex(Port port);
     void DeliverLocal(PacketPtr packet);
     void OnIngress(PacketPtr packet);
-    void RecordFdr(const PacketPtr& packet, Port in, Port out);
 
     sim::Simulator* simulator_;
     NodeId node_;

@@ -33,7 +33,7 @@ void Sl3Link::ConnectTo(Sl3Link* peer) {
     peer->peer_ = this;
 }
 
-bool Sl3Link::Send(PacketPtr packet) {
+bool Sl3Link::Send(PacketPtr&& packet) {
     assert(packet != nullptr);
     if (tx_queue_flits_ >= kTxQueueBoundFlits) return false;
     packet->shell_version = shell_version_;
@@ -43,8 +43,22 @@ bool Sl3Link::Send(PacketPtr packet) {
     return true;
 }
 
+bool Sl3Link::Transmitting() {
+    if (transmitting_ && simulator_->Passed(busy_until_,
+                                            sim::EventPriority::kDefault,
+                                            end_sequence_)) {
+        transmitting_ = false;
+    }
+    return transmitting_;
+}
+
 void Sl3Link::PumpTransmit() {
-    if (tx_busy_ || tx_queue_.empty()) return;
+    if (tx_queue_.empty()) return;
+    if (Transmitting()) {
+        // The queued packet starts where the serialization ends.
+        ScheduleEnd();
+        return;
+    }
     if (tx_halted_) {
         // §3.4: traffic generated while halted is suppressed, not queued
         // indefinitely — the role is quiesced during reconfiguration.
@@ -54,28 +68,67 @@ void Sl3Link::PumpTransmit() {
         return;
     }
     if (peer_xoff_) return;  // Xoff: pause after the current packet.
+    StartTransmit();
+}
 
-    PacketPtr packet = tx_queue_.front();
-    tx_queue_.pop_front();
-    tx_queue_flits_ -= static_cast<std::size_t>(FlitCount(packet->size));
-
-    tx_busy_ = true;
+void Sl3Link::StartTransmit() {
+    PacketPtr packet = tx_queue_.pop_front();
+    const auto flits = static_cast<std::size_t>(FlitCount(packet->size));
+    tx_queue_flits_ -= flits;
     ++counters_.packets_sent;
-    counters_.flits_sent += static_cast<std::uint64_t>(FlitCount(packet->size));
+    counters_.flits_sent += flits;
 
-    const Time serialization = SerializationTime(packet->size);
-    simulator_->ScheduleAfter(serialization, [this, packet] {
-        tx_busy_ = false;
+    transmitting_ = true;
+    busy_until_ = simulator_->Now() + SerializationTime(packet->size);
+    end_sequence_ = simulator_->ReserveSequence();
+    end_scheduled_ = false;
+    wire_.push_back(std::move(packet));
+    if (peer_ != nullptr) {
+        ScheduleArrival();
+    } else {
+        // Unconnected: the end event counts the drop (or delivers, if a
+        // peer was cabled meanwhile).
+        end_delivers_ = true;
+        ScheduleEnd();
+    }
+    if (!tx_queue_.empty()) ScheduleEnd();
+}
+
+void Sl3Link::ScheduleEnd() {
+    if (end_scheduled_) return;
+    end_scheduled_ = true;
+    simulator_->ScheduleReserved(busy_until_, end_sequence_,
+                                 [this] { EndTransmit(); });
+}
+
+void Sl3Link::EndTransmit() {
+    end_scheduled_ = false;
+    if (end_delivers_) {
+        end_delivers_ = false;
         if (peer_ != nullptr) {
-            simulator_->ScheduleAfter(
-                config_.propagation_delay,
-                [peer = peer_, packet] { peer->Arrive(packet); },
-                sim::EventPriority::kDeliver);
+            ScheduleArrival();
         } else {
+            wire_.pop_back();
             ++counters_.no_peer_drops;
         }
-        PumpTransmit();
-    });
+    }
+    PumpTransmit();
+}
+
+void Sl3Link::ScheduleArrival() {
+    last_arrival_ = simulator_->ScheduleAt(
+        busy_until_ + config_.propagation_delay,
+        [this, peer = peer_] { peer->Arrive(wire_.pop_front()); },
+        sim::EventPriority::kDeliver);
+}
+
+void Sl3Link::YieldArrivalToControl() {
+    if (end_delivers_ || simulator_->Now() != busy_until_ || !Transmitting()) {
+        return;
+    }
+    simulator_->Cancel(last_arrival_);
+    end_delivers_ = true;
+    ScheduleEnd();
 }
 
 void Sl3Link::PublishTelemetry(mgmt::TelemetryKind kind) {
@@ -91,9 +144,9 @@ void Sl3Link::set_defective(bool defective) {
     if (went_down) PublishTelemetry(mgmt::TelemetryKind::kLinkDown);
 }
 
-bool Sl3Link::SurvivesErrorModel(const PacketPtr& packet) {
+bool Sl3Link::SurvivesErrorModel(Packet& packet) {
     if (config_.bit_error_rate <= 0.0) return true;
-    const double bits = static_cast<double>(packet->size) * 8.0;
+    const double bits = static_cast<double>(packet.size) * 8.0;
     const double lambda = bits * config_.bit_error_rate;
     const std::uint64_t errors = rng_.Poisson(lambda);
     if (errors == 0) return true;
@@ -102,7 +155,7 @@ bool Sl3Link::SurvivesErrorModel(const PacketPtr& packet) {
     // 1 error -> SECDED corrects; 2 -> detected, packet dropped;
     // >= 3 -> passes flit ECC, caught by the end-of-packet CRC with
     // probability 1 - 2^-32.
-    const int flits = FlitCount(packet->size);
+    const int flits = FlitCount(packet.size);
     std::map<int, int> per_flit;
     for (std::uint64_t e = 0; e < errors; ++e) {
         const int flit =
@@ -122,7 +175,7 @@ bool Sl3Link::SurvivesErrorModel(const PacketPtr& packet) {
         }
     }
     counters_.single_bit_corrected += corrected;
-    if (corrected > 0) packet->ecc_corrected = true;
+    if (corrected > 0) packet.ecc_corrected = true;
     if (double_bit) {
         ++counters_.double_bit_drops;
         PublishTelemetry(mgmt::TelemetryKind::kLinkCrcError);
@@ -167,7 +220,7 @@ void Sl3Link::Arrive(PacketPtr packet) {
         // Garbage arriving with no halt protection corrupts state (§3.4).
         ++counters_.garbage_received;
         LOG_WARN("sl3") << name_ << ": unprotected garbage burst received";
-        if (on_corruption_) on_corruption_(packet);
+        if (on_corruption_) on_corruption_(*packet);
         return;
     }
     if (packet->shell_version != shell_version_) {
@@ -175,7 +228,7 @@ void Sl3Link::Arrive(PacketPtr packet) {
         ++counters_.version_mismatch_drops;
         return;
     }
-    if (!SurvivesErrorModel(packet)) return;
+    if (!SurvivesErrorModel(*packet)) return;
 
     ++counters_.packets_delivered;
     rx_queue_flits_ += static_cast<std::size_t>(FlitCount(packet->size));
@@ -186,8 +239,7 @@ void Sl3Link::Arrive(PacketPtr packet) {
 
 PacketPtr Sl3Link::PopReceived() {
     if (rx_queue_.empty()) return nullptr;
-    PacketPtr packet = rx_queue_.front();
-    rx_queue_.pop_front();
+    PacketPtr packet = rx_queue_.pop_front();
     rx_queue_flits_ -= static_cast<std::size_t>(FlitCount(packet->size));
     NotifyRxOccupancy();
     return packet;
@@ -227,6 +279,7 @@ void Sl3Link::SetTxHalt(bool halted) {
     if (halted) {
         // Emit the TX Halt control message ahead of any garbage.
         if (peer_ != nullptr) {
+            YieldArrivalToControl();
             simulator_->ScheduleAfter(
                 config_.propagation_delay,
                 [peer = peer_] { peer->OnPeerDeclaredHalt(true); },
@@ -254,11 +307,12 @@ void Sl3Link::EmitGarbageBurst() {
     if (peer_ == nullptr) return;
     // A reconfiguring FPGA "may send garbage data" (§3.4): model one
     // burst of a few junk flits hitting the neighbour.
-    auto garbage = MakePacket(PacketType::kGarbage, kInvalidNode,
-                              kInvalidNode, kFlitBytes * 4);
+    YieldArrivalToControl();
     simulator_->ScheduleAfter(
         config_.propagation_delay,
-        [peer = peer_, garbage] { peer->Arrive(garbage); },
+        [peer = peer_, garbage = MakePacket(PacketType::kGarbage, kInvalidNode,
+                                            kInvalidNode, kFlitBytes * 4)]()
+            mutable { peer->Arrive(std::move(garbage)); },
         sim::EventPriority::kDeliver);
 }
 

@@ -15,14 +15,43 @@
 //     until the link is re-established;
 //   * RX Halt: an FPGA coming out of reconfiguration drops all link
 //     traffic until the Mapping Manager releases it.
+//
+// One event per transmission. A packet that starts serializing at t
+// ends at busy_until = t + serialization and arrives at the peer at
+// busy_until + propagation_delay (kDeliver); the arrival is scheduled
+// the moment serialization starts, and the serialization end needs no
+// event. The link keeps the key that end would have had as an event —
+// (busy_until, kDefault, a sequence number reserved at the start) —
+// and counts as busy until the kernel passes it (Simulator::Passed).
+// When a packet waits behind the busy link, the event that starts it
+// is scheduled at exactly that key (Simulator::ScheduleReserved), so
+// it fires where a two-event model's serialization-done event fires,
+// in time, priority and sequence.
+//
+// An arrival takes its sequence number when its serialization starts
+// rather than when it ends. Among arrivals at the same instant that
+// preserves the two-event order because every link shares one
+// propagation delay (Shell::Config::link): equal arrival times mean
+// equal serialization ends, which the two-event model orders by start.
+// Links with different delays would need the detailed path below.
+//
+// The detailed path — an event at the serialization end that then
+// schedules the arrival — serves an unconnected link (the no-peer drop
+// is counted at the end) and a TX-halt declaration or garbage burst
+// sent at exactly busy_until but ahead of the end's key: that message
+// must reach the peer first, so the pre-scheduled arrival is cancelled
+// and rescheduled from the end event. Xoff, halts, defective links and
+// bit errors act at the same instants either way;
+// tests/test_sl3_transmitter.cc drives this link against a copy of the
+// two-event transmitter.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "mgmt/telemetry_bus.h"
@@ -82,11 +111,12 @@ class Sl3Link {
 
     /**
      * Queue a packet for transmission. Returns false when the TX queue
-     * is beyond its bound (callers treat this as backpressure).
+     * is beyond its bound (callers treat this as backpressure); the
+     * packet then stays with the caller.
      */
-    bool Send(PacketPtr packet);
+    bool Send(PacketPtr&& packet);
 
-    /** Flits queued for transmit (before serialization). */
+    /** Flits queued for transmit (the packet serializing excluded). */
     std::size_t TxQueueDepthFlits() const { return tx_queue_flits_; }
 
     /** Flits held in the receive buffer awaiting router drain. */
@@ -118,7 +148,7 @@ class Sl3Link {
 
     /** Notification hooks. */
     void set_on_receive(std::function<void()> cb) { on_receive_ = std::move(cb); }
-    void set_on_corruption(std::function<void(const PacketPtr&)> cb) {
+    void set_on_corruption(std::function<void(const Packet&)> cb) {
         on_corruption_ = std::move(cb);
     }
 
@@ -162,13 +192,27 @@ class Sl3Link {
     void PublishTelemetry(mgmt::TelemetryKind kind);
 
     void PumpTransmit();
+    /** True until the kernel passes the current serialization end. */
+    bool Transmitting();
+    void StartTransmit();
+    /** Schedule the event at the serialization end's reserved key. */
+    void ScheduleEnd();
+    void EndTransmit();
+    /** The wire's oldest packet reaches the peer at busy_until_ + delay. */
+    void ScheduleArrival();
+    /**
+     * A control message sent now reaches the peer ahead of a packet
+     * whose serialization ends at this instant but after now: move
+     * that packet's arrival back to the detailed path.
+     */
+    void YieldArrivalToControl();
     void Arrive(PacketPtr packet);
     void NotifyRxOccupancy();
     void OnPeerXoff(bool asserted);
     void OnPeerDeclaredHalt(bool halted);
 
     /** Apply the flit ECC + CRC error model; true when packet survives. */
-    bool SurvivesErrorModel(const PacketPtr& packet);
+    bool SurvivesErrorModel(Packet& packet);
 
     sim::Simulator* simulator_;
     std::string name_;
@@ -177,20 +221,33 @@ class Sl3Link {
     Sl3Link* peer_ = nullptr;
     std::uint32_t shell_version_ = 1;
 
-    std::deque<PacketPtr> tx_queue_;
+    RingQueue<PacketPtr> tx_queue_;
     std::size_t tx_queue_flits_ = 0;
-    bool tx_busy_ = false;
+    /** Packets serialized onto the cable and not yet arrived, oldest first. */
+    RingQueue<PacketPtr> wire_;
+    /**
+     * The serialization in progress, as the key its end would have had
+     * as an event: (busy_until_, kDefault, end_sequence_).
+     */
+    bool transmitting_ = false;
+    Time busy_until_ = 0;
+    std::uint64_t end_sequence_ = 0;
+    /** The end event is scheduled at that key. */
+    bool end_scheduled_ = false;
+    /** The end event schedules the arrival (or counts the no-peer drop). */
+    bool end_delivers_ = false;
+    sim::EventHandle last_arrival_;
     bool tx_halted_ = false;
     bool peer_xoff_ = false;
 
-    std::deque<PacketPtr> rx_queue_;
+    RingQueue<PacketPtr> rx_queue_;
     std::size_t rx_queue_flits_ = 0;
     bool rx_halted_ = false;
     bool rx_xoff_sent_ = false;
     bool peer_declared_halt_ = false;
 
     std::function<void()> on_receive_;
-    std::function<void(const PacketPtr&)> on_corruption_;
+    std::function<void(const Packet&)> on_corruption_;
     mgmt::TelemetryBus* telemetry_ = nullptr;
     int telemetry_node_ = -1;
     Counters counters_;

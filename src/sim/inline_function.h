@@ -28,6 +28,7 @@ class InlineFunction<R(Args...)> {
     static constexpr std::size_t kInlineBytes = 48;
 
     InlineFunction() = default;
+    InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
     template <typename F, typename D = std::decay_t<F>,
               typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
@@ -56,6 +57,12 @@ class InlineFunction<R(Args...)> {
             Reset();
             MoveFrom(other);
         }
+        return *this;
+    }
+
+    /** Destroy the held callable, leaving this empty. */
+    InlineFunction& operator=(std::nullptr_t) {
+        Reset();
         return *this;
     }
 

@@ -82,8 +82,8 @@ void Simulator::Discard(std::uint32_t slot) {
     ReleaseSlot(slot);
 }
 
-EventHandle Simulator::Schedule(Time when, EventFn fn, EventPriority priority,
-                                bool daemon) {
+EventHandle Simulator::Schedule(Time when, std::uint64_t sequence, EventFn fn,
+                                EventPriority priority, bool daemon) {
     // Always on: a past event would be misfiled behind the wheel cursor
     // in builds where assert() compiles out.
     if (when < now_) [[unlikely]] {
@@ -96,8 +96,7 @@ EventHandle Simulator::Schedule(Time when, EventFn fn, EventPriority priority,
     }
     const std::uint32_t slot = AcquireSlot(daemon);
     slots_[slot].fn = std::move(fn);
-    Insert(Key{when, next_sequence_++, static_cast<std::int32_t>(priority),
-               slot});
+    Insert(Key{when, sequence, static_cast<std::int32_t>(priority), slot});
     ++live_events_;
     if (daemon) ++daemon_events_;
     return EventHandle((static_cast<std::uint64_t>(slots_[slot].generation)
@@ -107,22 +106,42 @@ EventHandle Simulator::Schedule(Time when, EventFn fn, EventPriority priority,
 
 EventHandle Simulator::ScheduleAt(Time when, EventFn fn,
                                   EventPriority priority) {
-    return Schedule(when, std::move(fn), priority, /*daemon=*/false);
+    return Schedule(when, next_sequence_++, std::move(fn), priority,
+                    /*daemon=*/false);
+}
+
+EventHandle Simulator::ScheduleReserved(Time when, std::uint64_t sequence,
+                                        EventFn fn, EventPriority priority) {
+    // Always on: a key the kernel already ran past would fire out of
+    // order, after events it precedes.
+    if (sequence >= next_sequence_ || Passed(when, priority, sequence))
+        [[unlikely]] {
+        std::fprintf(stderr,
+                     "sim::Simulator: reserved key (when=%lld ps, "
+                     "sequence=%llu) is not ahead of the kernel\n",
+                     static_cast<long long>(when),
+                     static_cast<unsigned long long>(sequence));
+        std::abort();
+    }
+    return Schedule(when, sequence, std::move(fn), priority, /*daemon=*/false);
 }
 
 EventHandle Simulator::ScheduleAfter(Time delay, EventFn fn,
                                      EventPriority priority) {
-    return Schedule(now_ + delay, std::move(fn), priority, /*daemon=*/false);
+    return Schedule(now_ + delay, next_sequence_++, std::move(fn), priority,
+                    /*daemon=*/false);
 }
 
 EventHandle Simulator::ScheduleDaemonAt(Time when, EventFn fn,
                                         EventPriority priority) {
-    return Schedule(when, std::move(fn), priority, /*daemon=*/true);
+    return Schedule(when, next_sequence_++, std::move(fn), priority,
+                    /*daemon=*/true);
 }
 
 EventHandle Simulator::ScheduleDaemonAfter(Time delay, EventFn fn,
                                            EventPriority priority) {
-    return Schedule(now_ + delay, std::move(fn), priority, /*daemon=*/true);
+    return Schedule(now_ + delay, next_sequence_++, std::move(fn), priority,
+                    /*daemon=*/true);
 }
 
 void Simulator::Cancel(const EventHandle& handle) {
@@ -297,6 +316,7 @@ void Simulator::FireAndRelease(const Key& key) {
     --live_events_;
     if (slot.daemon) --daemon_events_;
     now_ = key.when;
+    Advance(key);
     ++events_fired_;
     ++t_events_fired;
     // Move the callback out and release before invoking: a callback
@@ -345,6 +365,8 @@ std::uint64_t Simulator::RunUntil(Time horizon) {
     // time consistent; deferred events keep their sequence numbers and
     // stay cancellable.
     if (now_ < horizon) now_ = horizon;
+    Advance(Key{horizon, std::numeric_limits<std::uint64_t>::max(),
+                std::numeric_limits<std::int32_t>::max(), 0});
     return fired;
 }
 
@@ -356,6 +378,8 @@ std::uint64_t Simulator::RunUntilBefore(Time bound) {
         ++fired;
     }
     if (now_ < bound) now_ = bound;
+    Advance(Key{bound - 1, std::numeric_limits<std::uint64_t>::max(),
+                std::numeric_limits<std::int32_t>::max(), 0});
     return fired;
 }
 

@@ -126,6 +126,37 @@ class Simulator {
     /** Cancel a pending event; no-op if it already fired or was cancelled. */
     void Cancel(const EventHandle& handle);
 
+    /**
+     * Take the sequence number an event scheduled right now would get,
+     * without scheduling one. A model that replaces an event with
+     * arithmetic (an SL3 link's serialization end) keeps the number so
+     * that, if it later needs the event after all, ScheduleReserved
+     * places it at exactly the (time, priority, sequence) position it
+     * would have held.
+     */
+    std::uint64_t ReserveSequence() { return next_sequence_++; }
+
+    /**
+     * Schedule `fn` at the key (when, priority, sequence), where
+     * `sequence` came from ReserveSequence. Aborts in every build when
+     * that key is already behind the kernel (see Passed).
+     */
+    EventHandle ScheduleReserved(Time when, std::uint64_t sequence, EventFn fn,
+                                 EventPriority priority = EventPriority::kDefault);
+
+    /**
+     * True once the kernel has run past the key (when, priority,
+     * sequence): an event holding it would already have fired. Inside
+     * a callback that is "the key does not follow every event fired so
+     * far"; after RunUntil(h) every key at or before h has passed, and
+     * after RunUntilBefore(b) every key before b.
+     */
+    bool Passed(Time when, EventPriority priority,
+                std::uint64_t sequence) const {
+        const Key key{when, sequence, static_cast<std::int32_t>(priority), 0};
+        return !key.After(frontier_);
+    }
+
     /** Run until the queue is empty. Returns the number of events fired. */
     std::uint64_t Run();
 
@@ -214,8 +245,12 @@ class Simulator {
         bool daemon = false;
     };
 
-    EventHandle Schedule(Time when, EventFn fn, EventPriority priority,
-                         bool daemon);
+    EventHandle Schedule(Time when, std::uint64_t sequence, EventFn fn,
+                         EventPriority priority, bool daemon);
+    /** Move the frontier (see Passed) up to `key` if it lies beyond. */
+    void Advance(const Key& key) {
+        if (key.After(frontier_)) frontier_ = key;
+    }
     void Insert(const Key& key);
     /**
      * Pop the earliest live event if it fires at or before `last`,
@@ -265,6 +300,12 @@ class Simulator {
 
     Time now_ = 0;
     std::uint64_t next_sequence_ = 1;
+    /**
+     * The latest key the kernel has run past: the maximum fired key,
+     * raised to a horizon's last key when RunUntil/RunUntilBefore
+     * return. Starts before every schedulable key.
+     */
+    Key frontier_{-1, 0, 0, 0};
     std::uint64_t live_events_ = 0;
     std::uint64_t daemon_events_ = 0;
     std::uint64_t events_fired_ = 0;

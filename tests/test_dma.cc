@@ -69,7 +69,7 @@ struct DmaRig {
 TEST(DmaEngine, HostToFpgaPath) {
     DmaRig rig;
     auto packet = MakePacket(PacketType::kScoringRequest, 0, 1, 6500);
-    EXPECT_TRUE(rig.dma.SetInputFull(5, packet));
+    EXPECT_TRUE(rig.dma.SetInputFull(5, std::move(packet)));
     EXPECT_TRUE(rig.dma.InputFull(5));
     rig.sim.Run();
     ASSERT_EQ(rig.ingress.size(), 1u);
@@ -147,7 +147,7 @@ TEST(DmaEngine, SnapshotOrderIsFairUnderContinuousRefill) {
 TEST(DmaEngine, FpgaToHostWithInterrupt) {
     DmaRig rig;
     auto result = MakePacket(PacketType::kScoringResponse, 1, 0, 64);
-    rig.dma.SendToHost(3, result);
+    rig.dma.SendToHost(3, std::move(result));
     rig.sim.Run();
     ASSERT_EQ(rig.outputs.size(), 1u);
     EXPECT_EQ(rig.outputs[0].first, 3);
@@ -197,6 +197,20 @@ TEST(DmaEngine, RoundTripUnderTwentyMicroseconds) {
     rig.sim.Run();
     EXPECT_GT(response_at, 0);
     EXPECT_LT(response_at, Microseconds(20));
+}
+
+TEST(DmaEngineDeathTest, SlotOutOfRangeAborts) {
+    DmaRig rig;
+    EXPECT_DEATH(
+        rig.dma.SetInputFull(64, MakePacket(PacketType::kScoringRequest, 0, 1,
+                                            64)),
+        "DmaEngine::SetInputFull: slot 64 outside \\[0, 64\\)");
+    EXPECT_DEATH(
+        rig.dma.SendToHost(-1, MakePacket(PacketType::kScoringResponse, 1, 0,
+                                          64)),
+        "DmaEngine::SendToHost: slot -1 outside \\[0, 64\\)");
+    EXPECT_DEATH(rig.dma.ConsumeOutput(64),
+                 "DmaEngine::ConsumeOutput: slot 64 outside \\[0, 64\\)");
 }
 
 }  // namespace

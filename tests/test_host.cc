@@ -49,7 +49,7 @@ TEST(SlotDmaChannel, SendAndReceive) {
     shell::PacketPtr response;
     auto packet = shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0,
                                     6'500, /*trace_id=*/5);
-    rig.host.driver().Send(0, packet, [&](SendStatus s, shell::PacketPtr p) {
+    rig.host.driver().Send(0, std::move(packet), [&](SendStatus s, shell::PacketPtr p) {
         status = s;
         response = std::move(p);
     });
@@ -64,9 +64,9 @@ TEST(SlotDmaChannel, SlotBusyRejected) {
     HostRig rig;
     auto first = shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64);
     auto second = shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64);
-    EXPECT_EQ(rig.host.driver().Send(0, first, [](SendStatus, shell::PacketPtr) {}),
+    EXPECT_EQ(rig.host.driver().Send(0, std::move(first), [](SendStatus, shell::PacketPtr) {}),
               SendStatus::kOk);
-    EXPECT_EQ(rig.host.driver().Send(0, second, [](SendStatus, shell::PacketPtr) {}),
+    EXPECT_EQ(rig.host.driver().Send(0, std::move(second), [](SendStatus, shell::PacketPtr) {}),
               SendStatus::kSlotBusy);
     rig.sim.Run();
 }
@@ -75,7 +75,7 @@ TEST(SlotDmaChannel, OversizedRejected) {
     HostRig rig;
     auto packet = shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0,
                                     shell::kDmaSlotBytes + 1);
-    EXPECT_EQ(rig.host.driver().Send(0, packet,
+    EXPECT_EQ(rig.host.driver().Send(0, std::move(packet),
                                      [](SendStatus, shell::PacketPtr) {}),
               SendStatus::kBadRequest);
 }
@@ -85,7 +85,7 @@ TEST(SlotDmaChannel, TimeoutWhenNoResponse) {
     rig.shell.SetRole(nullptr);  // nobody answers
     SendStatus status = SendStatus::kOk;
     auto packet = shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64);
-    rig.host.driver().Send(3, packet, [&](SendStatus s, shell::PacketPtr) {
+    rig.host.driver().Send(3, std::move(packet), [&](SendStatus s, shell::PacketPtr) {
         status = s;
     });
     rig.sim.Run();
@@ -113,7 +113,7 @@ TEST(SlotDmaChannel, ManyOutstandingRequests) {
                                         0, 0, 1'000,
                                         static_cast<std::uint64_t>(slot));
         EXPECT_EQ(rig.host.driver().Send(
-                      slot, packet,
+                      slot, std::move(packet),
                       [&](SendStatus s, shell::PacketPtr) {
                           if (s == SendStatus::kOk) ++responses;
                       }),
@@ -175,6 +175,52 @@ TEST(HostServer, FlagForServiceIsTerminal) {
     rig.host.FlagForService();
     EXPECT_FALSE(rig.host.responsive());
     EXPECT_EQ(rig.host.state(), ServerState::kFlaggedForService);
+}
+
+// Slot misuse aborts in every build, naming the call and the value.
+
+TEST(SlotDmaChannelDeathTest, AssignThreadsOutsideOneToSixtyFourAborts) {
+    HostRig rig;
+    EXPECT_DEATH(rig.host.driver().AssignThreads(0),
+                 "SlotDmaChannel::AssignThreads: thread_count 0 outside "
+                 "\\[1, 64\\]");
+    EXPECT_DEATH(rig.host.driver().AssignThreads(65),
+                 "SlotDmaChannel::AssignThreads: thread_count 65 outside "
+                 "\\[1, 64\\]");
+}
+
+TEST(SlotDmaChannelDeathTest, SlotForOutOfRangeAborts) {
+    HostRig rig;
+    rig.host.driver().AssignThreads(16);
+    // A wrapped index would alias thread 16 onto thread 0's slots.
+    EXPECT_DEATH(rig.host.driver().SlotFor(16),
+                 "SlotDmaChannel::SlotFor: thread 16 outside \\[0, 16\\)");
+    EXPECT_DEATH(rig.host.driver().SlotFor(-1),
+                 "SlotDmaChannel::SlotFor: thread -1 outside \\[0, 16\\)");
+    EXPECT_DEATH(rig.host.driver().SlotFor(0, 4),
+                 "SlotDmaChannel::SlotFor: k 4 outside \\[0, 4\\)");
+}
+
+TEST(SlotDmaChannelDeathTest, SendOnSlotOutOfRangeAborts) {
+    HostRig rig;
+    EXPECT_DEATH(
+        rig.host.driver().Send(
+            64, shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64),
+            [](SendStatus, shell::PacketPtr) {}),
+        "SlotDmaChannel::Send: slot 64 outside \\[0, 64\\)");
+}
+
+TEST(SlotDmaChannelDeathTest, SendOnIdleSlotWithFullBitAborts) {
+    HostRig rig;
+    // The full bit set behind the driver's back: the driver believes
+    // slot 2 idle, and a release build used to drop the request.
+    ASSERT_TRUE(rig.shell.dma().SetInputFull(
+        2, shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64)));
+    EXPECT_DEATH(
+        rig.host.driver().Send(
+            2, shell::MakePacket(shell::PacketType::kScoringRequest, 0, 0, 64),
+            [](SendStatus, shell::PacketPtr) {}),
+        "SlotDmaChannel::Send: slot 2 is idle but its input full bit is set");
 }
 
 }  // namespace

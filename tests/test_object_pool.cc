@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <thread>
 
 #include "common/object_pool.h"
@@ -11,31 +13,36 @@
 namespace catapult {
 namespace {
 
-// A pooled block is recycled by whichever thread drops the last
-// reference: the block migrates to the releasing thread's free list
-// and is reused there; slab storage is immortal, so the migration is
-// safe.
+// A pooled block is recycled by whichever thread releases it: the
+// block migrates to the releasing thread's free list and is reused
+// there; slab storage is immortal, so the migration is safe.
 TEST(ObjectPool, BlocksMigrateToTheReleasingThread) {
     struct Payload {
         std::uint64_t a;
         std::uint64_t b;
     };
-    auto first = MakePooled<Payload>(Payload{1, 2});
-    void* raw = first.get();
+    using Arena = detail::PoolArena<Payload>;
+    void* first = Arena::Instance().Allocate();
+    const std::ptrdiff_t live = Arena::Instance().live();
     std::thread worker([&] {
-        // Last reference dropped on the worker: the block enters the
-        // worker's arena...
-        first.reset();
+        // Released on the worker: the block enters the worker's
+        // arena...
+        Arena::Instance().Release(first);
         // ...and the worker's next allocation of the same size class
         // recycles exactly that block.
-        auto second = MakePooled<Payload>(Payload{3, 4});
-        EXPECT_EQ(static_cast<void*>(second.get()), raw);
-        EXPECT_EQ(second->a, 3u);
+        void* second = Arena::Instance().Allocate();
+        EXPECT_EQ(second, first);
+        auto* payload = ::new (second) Payload{3, 4};
+        EXPECT_EQ(payload->a, 3u);
+        Arena::Instance().Release(second);
     });
     worker.join();
-    // The main thread's arena refills fresh storage, unaffected.
-    auto third = MakePooled<Payload>(Payload{5, 6});
-    EXPECT_EQ(third->a, 5u);
+    // The main thread's arena still counts the block it handed out;
+    // it refills fresh storage, unaffected.
+    EXPECT_EQ(Arena::Instance().live(), live);
+    void* third = Arena::Instance().Allocate();
+    EXPECT_NE(third, first);
+    Arena::Instance().Release(third);
 }
 
 }  // namespace

@@ -1,29 +1,43 @@
 // Pod layouts, pinned: the same 2-pod blackout + re-admission scenario
 // run unsharded (every pod on one simulator) and as whole-pod shards
-// (each pod on its own SimulatorGroup shard). Every observable —
-// per-query records, dispatcher counters, events fired, end and
-// re-attach times, the deterministic metrics export and the
-// dispatcher's per-pod stats sampled every 2 ms — folds into one FNV-1a
-// hash per layout, compared with a pinned constant.
+// (each pod on its own SimulatorGroup shard). Each layout pins three
+// things apart:
 //
-// The constants were taken before the whole-pod shard became a
-// one-slice pod and are unchanged since; a refactor of the attach,
-// inject, health, mailbox or re-admission paths must leave every
-// layout's transcript exactly where it was.
+//  * a behaviour hash: per-query records, dispatcher counters, end and
+//    re-attach times, the dispatcher's per-pod stats sampled every
+//    2 ms, and the deterministic metrics export without its `exec.*`
+//    keys — everything the simulated system did, folded into one
+//    FNV-1a hash;
+//  * `events_fired`, the kernel work it took;
+//  * the `exec.*` entries of the metrics export (the shard group's
+//    rounds, items, mailbox drains and high-water marks), which count
+//    kernel and group work too.
+//
+// A change that only makes the kernel's work cheaper (fewer events for
+// the same behaviour) re-pins the two counts and must leave the
+// behaviour hash where it is. The behaviour hashes were computed with
+// this split on the code from before the one-event SL3 transmitter
+// and are unchanged since.
 //
 // `health_score` enters the hash only once a pod is past warm-up: the
 // score a warming pod reports is a readout that routing never reads.
+//
+// Packets are pooled handles: once the load drains, the pool's live
+// count is back where it started.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "rank/document_generator.h"
 #include "service/federation_testbed.h"
+#include "shell/packet.h"
 
 namespace catapult::service {
 namespace {
@@ -76,10 +90,52 @@ FederationTestbed::Config LayoutConfig(Layout layout) {
 }
 
 /**
- * Blackout of pod 0, re-attach 30 ms later, paced load throughout;
- * returns the transcript's hash.
+ * Split a metrics export into its `exec.*` entries and everything else.
+ * Entries are `"name":value` pairs inside the counters, gauges and
+ * histograms objects; a value is a number or a nested object.
  */
-std::uint64_t RunLayout(Layout layout) {
+void SplitExec(std::string_view json, std::string* rest, std::string* exec) {
+    std::size_t i = 0;
+    while (i < json.size()) {
+        const bool entry_start =
+            json[i] == '"' && i > 0 && (json[i - 1] == '{' || json[i - 1] == ',');
+        if (!entry_start || json.substr(i + 1, 5) != "exec.") {
+            rest->push_back(json[i++]);
+            continue;
+        }
+        // Find the end of the value: the comma or closing brace at
+        // nesting depth zero.
+        std::size_t j = json.find(':', i) + 1;
+        int depth = 0;
+        while (j < json.size() &&
+               !(depth == 0 && (json[j] == ',' || json[j] == '}'))) {
+            if (json[j] == '{') ++depth;
+            if (json[j] == '}') --depth;
+            ++j;
+        }
+        exec->append(json.substr(i, j - i));
+        exec->push_back(';');
+        if (j < json.size() && json[j] == ',') {
+            ++j;  // drop the separator after the entry
+        } else if (!rest->empty() && rest->back() == ',') {
+            rest->pop_back();  // last entry: drop the one before it
+        }
+        i = j;
+    }
+}
+
+struct LayoutRun {
+    std::uint64_t behaviour = 0;
+    std::uint64_t events_fired = 0;
+    std::string exec;
+    /** Pooled packets still live once the load drained, minus before. */
+    std::ptrdiff_t leaked_packets = 0;
+};
+
+/** Blackout of pod 0, re-attach 30 ms later, paced load throughout. */
+LayoutRun RunLayout(Layout layout) {
+    const std::ptrdiff_t packets_before = shell::LivePackets();
+    LayoutRun run;
     FederationTestbed bed(LayoutConfig(layout));
     EXPECT_TRUE(bed.DeployAndSettle());
     Hasher hash;
@@ -150,7 +206,8 @@ std::uint64_t RunLayout(Layout layout) {
     };
     bed.simulator().ScheduleDaemonAfter(Milliseconds(2), [&] { sample(); });
 
-    const std::uint64_t events_fired = bed.Run();
+    run.events_fired = bed.Run();
+    run.leaked_packets = shell::LivePackets() - packets_before;
 
     for (const QueryRecord& q : queries) {
         hash.Add(q.accepted);
@@ -164,11 +221,12 @@ std::uint64_t RunLayout(Layout layout) {
           c.affinity_hits, c.breaker_trips, c.sheds, c.readmissions}) {
         hash.Add(v);
     }
-    hash.Add(events_fired);
     hash.Add(bed.Now());
     hash.Add(reattach_ok);
     hash.Add(reattach_done_at);
-    hash.Add(bed.observability()->MetricsJson(false));
+    std::string metrics;
+    SplitExec(bed.observability()->MetricsJson(false), &metrics, &run.exec);
+    hash.Add(metrics);
     hash.Add(stats_hash.digest());
 
     // The scenario did what it claims in every layout: load completed,
@@ -177,15 +235,28 @@ std::uint64_t RunLayout(Layout layout) {
     EXPECT_GT(c.failovers, 0u);
     EXPECT_EQ(c.readmissions, 1u);
     EXPECT_TRUE(reattach_ok);
-    return hash.digest();
+    run.behaviour = hash.digest();
+    return run;
 }
 
 TEST(PodLayouts, UnshardedTranscriptIsPinned) {
-    EXPECT_EQ(RunLayout(Layout::kUnsharded), 0xA3CADEB777FA48DCull);
+    const LayoutRun run = RunLayout(Layout::kUnsharded);
+    EXPECT_EQ(run.behaviour, 0x65EC48FD2D8B4861ull);
+    EXPECT_EQ(run.events_fired, 58'715u);
+    EXPECT_EQ(run.exec, "");
+    EXPECT_EQ(run.leaked_packets, 0);
 }
 
 TEST(PodLayouts, WholePodShardTranscriptIsPinned) {
-    EXPECT_EQ(RunLayout(Layout::kWholePodShards), 0xEAA47B22E86B95E1ull);
+    const LayoutRun run = RunLayout(Layout::kWholePodShards);
+    EXPECT_EQ(run.behaviour, 0xE17E2CECD5E274DFull);
+    EXPECT_EQ(run.events_fired, 62'638u);
+    EXPECT_EQ(run.exec,
+              "\"exec.messages_drained\":3519;\"exec.round_items\":8329;"
+              "\"exec.rounds\":5165;\"exec.frontier_advance_ps\":835610000000;"
+              "\"exec.mailbox_hwm.0.1\":1;\"exec.mailbox_hwm.0.2\":2;"
+              "\"exec.mailbox_hwm.1.0\":32;\"exec.mailbox_hwm.2.0\":3;");
+    EXPECT_EQ(run.leaked_packets, 0);
 }
 
 }  // namespace

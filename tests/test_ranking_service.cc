@@ -6,6 +6,7 @@
 #include "rank/software_ranker.h"
 #include "service/load_generator.h"
 #include "service/testbed.h"
+#include "shell/packet.h"
 
 namespace catapult::service {
 namespace {
@@ -135,6 +136,7 @@ TEST(RankingService, ClosedLoopThroughputSaturates) {
     // at the FE-bound pipeline rate.
     PodTestbed bed(FastConfig());
     ASSERT_TRUE(bed.DeployAndSettle());
+    const std::ptrdiff_t packets = shell::LivePackets();
 
     auto run_with_threads = [&](int threads) {
         return RunPerThreadLoop(RingTarget(&bed.service(), {0}, threads), 60)
@@ -146,6 +148,9 @@ TEST(RankingService, ClosedLoopThroughputSaturates) {
     EXPECT_GT(t8, t1 * 2.5);
     // Saturation: 16 threads buys little over 8.
     EXPECT_LT(t16, t8 * 1.5);
+    // Every packet the runs made went back to the pool.
+    EXPECT_EQ(shell::LivePackets(), packets);
+    EXPECT_EQ(bed.service().in_flight(), 0u);
 }
 
 TEST(RankingService, MultiNodeAggregateScalesNearLinearly) {
@@ -216,6 +221,7 @@ TEST(RankingService, LatencyGrowsWithDocumentSize) {
 TEST(RankingService, OpenLoopInjectionCompletes) {
     PodTestbed bed(FastConfig());
     ASSERT_TRUE(bed.DeployAndSettle());
+    const std::ptrdiff_t packets = shell::LivePackets();
     Rng rng(31);
     std::vector<LoadTarget> fronts;
     for (int i = 0; i < RankingService::kRingLength; ++i) {
@@ -226,6 +232,8 @@ TEST(RankingService, OpenLoopInjectionCompletes) {
     EXPECT_GT(result.completed_in_window, 100u);
     EXPECT_EQ(result.timeouts, 0u);
     EXPECT_GT(result.latency_us.mean(), 0.0);
+    EXPECT_EQ(shell::LivePackets(), packets);
+    EXPECT_EQ(bed.service().in_flight(), 0u);
 }
 
 }  // namespace

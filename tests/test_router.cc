@@ -95,14 +95,19 @@ TEST(Router, NoRouteDropsPacket) {
     EXPECT_TRUE(rig.delivered1.empty());
 }
 
+// §3.6: the router logs every crossing in its Flight Data Recorder.
 TEST(Router, TapSeesTraffic) {
     RouterRig rig;
-    int taps = 0;
-    rig.r0.set_tap([&](const PacketPtr&, Port, Port) { ++taps; });
-    rig.r0.Inject(MakePacket(PacketType::kScoringRequest, 0, 1, 256),
+    FlightDataRecorder fdr;
+    rig.r0.set_fdr(&fdr);
+    rig.r0.Inject(MakePacket(PacketType::kScoringRequest, 0, 1, 256, 42),
                   Port::kPcie);
     rig.sim.Run();
-    EXPECT_EQ(taps, 1);
+    ASSERT_EQ(fdr.total_recorded(), 1u);
+    const FdrRecord record = fdr.StreamOut().front();
+    EXPECT_EQ(record.trace_id, 42u);
+    EXPECT_EQ(record.ingress, Port::kPcie);
+    EXPECT_EQ(record.egress, Port::kEast);
 }
 
 TEST(Router, HopLatencyApplied) {

@@ -53,7 +53,7 @@ struct ShellRig {
 TEST(Shell, RoleToRoleAcrossLink) {
     ShellRig rig;
     auto packet = MakePacket(PacketType::kScoringRequest, 0, 1, 2048);
-    rig.shell0.SendFromRole(packet);
+    rig.shell0.SendFromRole(std::move(packet));
     rig.sim.Run();
     ASSERT_EQ(rig.role1.received.size(), 1u);
     EXPECT_EQ(rig.role1.received[0]->size, 2048);
@@ -66,7 +66,7 @@ TEST(Shell, ResponsesGoToPcieNotRole) {
         [&](int, PacketPtr) { ++host_deliveries; });
     auto response = MakePacket(PacketType::kScoringResponse, 1, 0, 64);
     response->slot = 4;
-    rig.shell1.SendFromRole(response);
+    rig.shell1.SendFromRole(std::move(response));
     rig.sim.Run();
     EXPECT_EQ(host_deliveries, 1);
     EXPECT_TRUE(rig.role0.received.empty());
@@ -149,7 +149,7 @@ TEST(Shell, FdrRecordsRouterCrossings) {
     ShellRig rig;
     auto packet = MakePacket(PacketType::kScoringRequest, 0, 1, 1024);
     packet->trace_id = 77;
-    rig.shell0.SendFromRole(packet);
+    rig.shell0.SendFromRole(std::move(packet));
     rig.sim.Run();
     const auto records = rig.shell0.fdr().StreamOut();
     ASSERT_FALSE(records.empty());

@@ -177,6 +177,64 @@ TEST(Simulator, PendingEventCount) {
     EXPECT_TRUE(sim.Empty());
 }
 
+// A reserved sequence number places a later-scheduled event exactly
+// where one scheduled at reservation time would have fired: after
+// same-key events scheduled before the reservation, before those
+// scheduled after it.
+TEST(Simulator, ReservedSequenceKeepsItsPlace) {
+    Simulator sim;
+    std::vector<int> order;
+    sim.ScheduleAt(Microseconds(1), [&] { order.push_back(1); });
+    const std::uint64_t reserved = sim.ReserveSequence();
+    sim.ScheduleAt(Microseconds(1), [&] { order.push_back(3); });
+    sim.ScheduleAt(Nanoseconds(500), [&] {
+        sim.ScheduleReserved(Microseconds(1), reserved,
+                             [&] { order.push_back(2); });
+    });
+    sim.Run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// Passed tells whether the kernel has run beyond a key: inside a
+// callback, every key not after the firing one; after RunUntil(h),
+// every key at or before h.
+TEST(Simulator, PassedTracksTheFiringKey) {
+    Simulator sim;
+    const Time t = Microseconds(1);
+    const std::uint64_t before = sim.ReserveSequence();
+    bool inside_before = false;
+    bool inside_after = true;
+    bool inside_deliver = false;
+    std::uint64_t after = 0;
+    sim.ScheduleAt(t, [&] {
+        inside_before = sim.Passed(t, EventPriority::kDefault, before);
+        inside_after = sim.Passed(t, EventPriority::kDefault, after);
+        inside_deliver = sim.Passed(t, EventPriority::kDeliver, after + 10);
+    });
+    after = sim.ReserveSequence();
+    EXPECT_FALSE(sim.Passed(t, EventPriority::kDefault, before));
+    sim.Run();
+    EXPECT_TRUE(inside_before);
+    EXPECT_FALSE(inside_after);
+    EXPECT_TRUE(inside_deliver);
+    EXPECT_FALSE(sim.Passed(Microseconds(3), EventPriority::kDeliver, 0));
+    sim.RunUntil(Microseconds(3));
+    EXPECT_TRUE(sim.Passed(Microseconds(3), EventPriority::kTimeout, after));
+    EXPECT_FALSE(sim.Passed(Microseconds(3) + 1, EventPriority::kDeliver, 0));
+}
+
+TEST(SimulatorDeathTest, ReservedKeyBehindTheKernelAborts) {
+    Simulator sim;
+    const std::uint64_t reserved = sim.ReserveSequence();
+    sim.ScheduleAt(Microseconds(1), [] {});
+    sim.Run();
+    EXPECT_DEATH(sim.ScheduleReserved(Microseconds(1), reserved, [] {}),
+                 "reserved key \\(when=1000000 ps, sequence=1\\) is not "
+                 "ahead of the kernel");
+    EXPECT_DEATH(sim.ScheduleReserved(Microseconds(2), 1'000, [] {}),
+                 "is not ahead of the kernel");
+}
+
 // Scheduling in the past is API misuse: it aborts in every build, with
 // a message naming both times, instead of compiling out with NDEBUG.
 TEST(SimulatorDeathTest, ScheduleAtInThePastAborts) {

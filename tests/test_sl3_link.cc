@@ -132,7 +132,7 @@ TEST(Sl3Link, TxHaltSuppressesTraffic) {
 TEST(Sl3Link, TxHaltProtectsNeighborFromGarbage) {
     LinkPair pair;
     int corruptions = 0;
-    pair.b.set_on_corruption([&](const PacketPtr&) { ++corruptions; });
+    pair.b.set_on_corruption([&](const Packet&) { ++corruptions; });
     // §3.4 protocol: declare TX Halt, then spray garbage.
     pair.a.SetTxHalt(true);
     pair.sim.Run();
@@ -145,7 +145,7 @@ TEST(Sl3Link, TxHaltProtectsNeighborFromGarbage) {
 TEST(Sl3Link, UnprotectedGarbageCorruptsNeighbor) {
     LinkPair pair;
     int corruptions = 0;
-    pair.b.set_on_corruption([&](const PacketPtr&) { ++corruptions; });
+    pair.b.set_on_corruption([&](const Packet&) { ++corruptions; });
     // Crash path: garbage with no TX Halt warning (§3.4).
     pair.a.EmitGarbageBurst();
     pair.sim.Run();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "service/stage_loopback.h"
+#include "shell/packet.h"
 
 namespace catapult::service {
 namespace {
@@ -20,11 +21,14 @@ StageLoopback::Config SmallConfig(rank::PipelineStage stage, bool via_sl3,
 }
 
 TEST(StageLoopback, CompletesAllDocuments) {
+    const std::ptrdiff_t packets = shell::LivePackets();
     StageLoopback rig(SmallConfig(rank::PipelineStage::kFeatureExtraction,
                                   false, 2));
     const auto result = rig.Run();
     EXPECT_EQ(result.completed, 120u);
     EXPECT_GT(result.ThroughputPerSecond(), 0.0);
+    // Every request and response went back to the packet pool.
+    EXPECT_EQ(shell::LivePackets(), packets);
 }
 
 TEST(StageLoopback, MultithreadingRaisesThroughput) {
@@ -37,6 +41,7 @@ TEST(StageLoopback, MultithreadingRaisesThroughput) {
 }
 
 TEST(StageLoopback, Sl3LoopbackAddsLatency) {
+    const std::ptrdiff_t packets = shell::LivePackets();
     const auto pcie = StageLoopback(SmallConfig(
         rank::PipelineStage::kCompression, false, 1)).Run();
     const auto sl3 = StageLoopback(SmallConfig(
@@ -44,6 +49,8 @@ TEST(StageLoopback, Sl3LoopbackAddsLatency) {
     EXPECT_GT(sl3.latency_us.mean(), pcie.latency_us.mean());
     // Single-threaded throughput drops when round-trip latency grows.
     EXPECT_LT(sl3.ThroughputPerSecond(), pcie.ThroughputPerSecond());
+    // Packets crossing the SL3 loop went back to the pool too.
+    EXPECT_EQ(shell::LivePackets(), packets);
 }
 
 TEST(StageLoopback, FeatureExtractionIsSlowestStage) {
