@@ -56,11 +56,11 @@ float Expr::Evaluate(const FeatureStore& store) const {
       case OpCode::kLoadFeature:
         return store.Get(feature);
       case OpCode::kAdd:
-        return children[0]->Evaluate(store) + children[1]->Evaluate(store);
+        return Add(children[0]->Evaluate(store), children[1]->Evaluate(store));
       case OpCode::kSub:
-        return children[0]->Evaluate(store) - children[1]->Evaluate(store);
+        return Sub(children[0]->Evaluate(store), children[1]->Evaluate(store));
       case OpCode::kMul:
-        return children[0]->Evaluate(store) * children[1]->Evaluate(store);
+        return Mul(children[0]->Evaluate(store), children[1]->Evaluate(store));
       case OpCode::kMax: {
         const float a = children[0]->Evaluate(store);
         const float b = children[1]->Evaluate(store);
@@ -83,26 +83,14 @@ float Expr::Evaluate(const FeatureStore& store) const {
             const float if_false = children[2]->Evaluate(store);
             return cond != 0.0f ? if_true : if_false;
         }
-      case OpCode::kDiv: {
-        const float a = children[0]->Evaluate(store);
-        const float b = children[1]->Evaluate(store);
-        // Hardware divider saturates rather than producing inf/NaN.
-        if (b == 0.0f) return 0.0f;
-        return a / b;
-      }
-      case OpCode::kLn: {
-        const float a = children[0]->Evaluate(store);
-        // ln is defined for positives; hardware clamps at a small eps.
-        return std::log(a > 1e-30f ? a : 1e-30f);
-      }
-      case OpCode::kExp: {
-        const float a = children[0]->Evaluate(store);
-        // Clamp to keep the pipeline's fixed range.
-        const float clamped = a > 60.0f ? 60.0f : (a < -60.0f ? -60.0f : a);
-        return std::exp(clamped);
-      }
+      case OpCode::kDiv:
+        return Div(children[0]->Evaluate(store), children[1]->Evaluate(store));
+      case OpCode::kLn:
+        return Ln(children[0]->Evaluate(store));
+      case OpCode::kExp:
+        return Exp(children[0]->Evaluate(store));
       case OpCode::kFloatToInt:
-        return std::trunc(children[0]->Evaluate(store));
+        return FloatToInt(children[0]->Evaluate(store));
     }
     return 0.0f;
 }

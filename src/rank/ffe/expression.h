@@ -13,6 +13,8 @@
 
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -45,6 +47,39 @@ const char* ToString(OpCode op);
 
 /** True for ops executed by the cluster-shared complex block. */
 bool IsComplexOp(OpCode op);
+
+// The FFE's arithmetic, shared by direct AST evaluation and the FFE
+// processor so both produce the same bits, NaN payloads included. A
+// compiler may swap the operands of a commutative float op, and that
+// changes which NaN comes out when both operands are NaN; so add, sub,
+// mul and div return the IEEE result unless it is NaN, and then their
+// first NaN operand, quieted, or else (an invalid operation such as
+// inf - inf) the hardware's default NaN that the operation produced.
+
+/** `result`, with a NaN replaced as the comment above describes. */
+inline float SettleNaN(float result, float a, float b) {
+    if (!std::isnan(result)) [[likely]] return result;
+    constexpr std::uint32_t kQuietBit = 0x0040'0000u;
+    if (std::isnan(a)) return std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) | kQuietBit);
+    if (std::isnan(b)) return std::bit_cast<float>(std::bit_cast<std::uint32_t>(b) | kQuietBit);
+    return result;
+}
+
+inline float Add(float a, float b) { return SettleNaN(a + b, a, b); }
+inline float Sub(float a, float b) { return SettleNaN(a - b, a, b); }
+inline float Mul(float a, float b) { return SettleNaN(a * b, a, b); }
+/** The hardware divider saturates: division by zero yields 0. */
+inline float Div(float a, float b) {
+    return b == 0.0f ? 0.0f : SettleNaN(a / b, a, b);
+}
+/** ln is defined for positives; the hardware clamps at a small eps. */
+inline float Ln(float a) { return std::log(a > 1e-30f ? a : 1e-30f); }
+/** exp's input is clamped to keep the pipeline's fixed range. */
+inline float Exp(float a) {
+    return std::exp(a > 60.0f ? 60.0f : (a < -60.0f ? -60.0f : a));
+}
+/** Truncation to an integer value, still carried as a float. */
+inline float FloatToInt(float a) { return std::trunc(a); }
 
 /** Expression AST node. */
 struct Expr {

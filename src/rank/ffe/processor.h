@@ -13,20 +13,26 @@
 //   * the complex block also houses the double-buffered Feature Storage
 //     Tile (FST).
 //
-// The functional evaluator executes compiled programs exactly (same
-// float operations, same order, as direct AST evaluation). Loading a
-// partition decodes it once into one flat operation stream: feature and
-// constant loads fold into the operands of the ops that read them, the
-// seven simple ops share one branch-free path (their dispatch is what a
-// switch interpreter mispredicts), and every program reuses one
-// register scratch. The timing model computes the per-document stage
-// makespan from three binding constraints: per-core issue bandwidth
-// (1 instr/cycle shared by its 4 thread slots), per-thread serial
-// dependency latency, and per-cluster complex-block throughput.
+// The functional path runs a decoded partition level by level (§4.5's
+// thread slots overlap thousands of independent expressions; the
+// simulator gets the same parallelism from loops): an op's level is one
+// more than its deepest operand's, and all ops of one opcode at one
+// level run as one tight loop over a single value array, whose
+// iterations are independent. A partition is decoded once: loads fold
+// into operand references, and a load of a slot an earlier program in
+// the partition wrote is bound, at decode time, to that program's
+// result. Every op is the same IEEE operation on the same operands as
+// direct AST evaluation, so both produce the same bits. The timing
+// model computes the per-document stage makespan from three binding
+// constraints: per-core issue bandwidth (1 instr/cycle shared by its 4
+// thread slots), per-thread serial dependency latency, and per-cluster
+// complex-block throughput.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,26 +56,99 @@ class FfeProcessor {
         std::int64_t overhead_cycles = 120;
     };
 
+    /**
+     * A partition decoded for level-by-level execution. The op at
+     * position i of the schedule writes value i; the value array holds
+     * those results, then the partition's constants, then the FST slots
+     * it reads, gathered once per document. Immutable once built, so
+     * one decode serves every caller that runs the partition.
+     */
+    class Partition {
+      public:
+        /**
+         * Decode `programs`, which run in this order. Aborts, in every
+         * build, on a program that reads a register it has not written,
+         * names a feature or output slot outside the FST, or makes the
+         * partition too large for a value index.
+         */
+        explicit Partition(std::span<const Program> programs);
+
+        /** Floats one execution's value array holds. */
+        std::size_t value_count() const {
+            return feature_base_ + features_.size();
+        }
+        /** Dependency levels, and (level, opcode) loops, in the schedule. */
+        int level_count() const { return levels_; }
+        std::size_t group_count() const { return groups_.size(); }
+        /** Loads bound at decode to an earlier program's result. */
+        std::size_t forwarded_loads() const { return forwarded_loads_; }
+
+      private:
+        friend class FfeProcessor;
+
+        /** Ops [begin, end) of the schedule share one opcode and level. */
+        struct Group {
+            OpCode op = OpCode::kAdd;
+            std::uint32_t begin = 0;
+            std::uint32_t end = 0;
+        };
+        /** A program's result, value `value`, goes to FST slot `slot`. */
+        struct Write {
+            std::uint32_t slot = 0;
+            std::uint32_t value = 0;
+        };
+
+        std::vector<Group> groups_;
+        /** Operand value indices per schedule position (c: selects). */
+        std::vector<std::uint32_t> a_;
+        std::vector<std::uint32_t> b_;
+        std::vector<std::uint32_t> c_;
+        std::vector<float> constants_;
+        /** FST slot of each gathered value. */
+        std::vector<std::uint32_t> features_;
+        /** In program order, so the last writer of a slot wins. */
+        std::vector<Write> writes_;
+        std::uint32_t constant_base_ = 0;
+        std::uint32_t feature_base_ = 0;
+        int levels_ = 0;
+        std::size_t forwarded_loads_ = 0;
+    };
+
     FfeProcessor() : FfeProcessor(Config()) {}
     explicit FfeProcessor(Config config);
 
     /**
-     * Load a compiled model partition: decode the programs and compute
-     * the static assignment's timing. Mirrors a Model Reload (§4.3):
-     * instruction memories rewritten. The programs are not retained.
+     * Load a compiled model partition: decode the programs for
+     * ExecuteAll and compute the static assignment's timing. Mirrors a
+     * Model Reload (§4.3): instruction memories rewritten. The programs
+     * are not retained.
      */
     void LoadPrograms(const std::vector<Program>& programs);
 
     /**
+     * Compute the timing only, for a processor whose partition runs
+     * from a decode it does not own (a Model's shared one); ExecuteAll
+     * then aborts.
+     */
+    void LoadTiming(const std::vector<Program>& programs);
+
+    /**
      * Functional execution: run every loaded program, in load order,
      * against `store`, writing each result to its output FST slot.
-     * Uses this processor's register scratch, so one processor serves
-     * one thread at a time.
+     * Uses this processor's value scratch, so one processor serves one
+     * thread at a time.
      */
     void ExecuteAll(FeatureStore& store);
 
-    /** Execute one program through the same evaluator (used by tests). */
+    /** Execute one program through the same executor (used by tests). */
     static float Execute(const Program& program, const FeatureStore& store);
+
+    /**
+     * The executor: run `partition` against `store`, using `values` as
+     * the value array (grown as needed; it holds nothing between runs).
+     */
+    static void Run(const Partition& partition, FeatureStore& store,
+                    std::vector<float>& values);
 
     /**
      * Timing: stage cycles to process one document with the loaded
@@ -98,41 +177,12 @@ class FfeProcessor {
     const Config& config() const { return config_; }
 
   private:
-    /**
-     * One decoded operation: an ISA op, or the write of a program's
-     * result to its FST slot. Operands are references into three banks
-     * (registers, the feature store, constants), so loads need no op.
-     */
-    struct DecodedOp {
-        std::uint32_t code : 8 = 0;
-        /** Destination register; the FST slot for an output write. */
-        std::uint32_t dst : 24 = 0;
-        std::uint32_t a = 0;
-        std::uint32_t b = 0;
-        std::uint32_t c = 0;
-    };
-
-    /** A decoded stream plus the constant bank its operands read. */
-    struct Decoded {
-        /** Constant 0 is the result of an empty program. */
-        std::vector<float> constants = {0.0f};
-        std::vector<DecodedOp> ops;
-        std::uint32_t max_registers = 1;
-
-        /** Appends `program`'s ops, ending with the write of its result. */
-        void Append(const Program& program);
-    };
-
-    /** Runs `ops` with `store` as both the feature bank and the FST. */
-    static void Run(std::span<const DecodedOp> ops, float* registers,
-                    const float* constants, FeatureStore& store);
-
     void RecomputeTiming(const std::vector<Program>& programs);
 
     Config config_;
-    Decoded decoded_;
-    /** Register scratch, reused by every program (sized at load). */
-    std::vector<float> registers_;
+    /** LoadPrograms' decode; empty after LoadTiming. */
+    std::optional<Partition> partition_;
+    std::vector<float> values_;
     std::int64_t total_instructions_ = 0;
     TimingBreakdown breakdown_;
     std::int64_t document_cycles_ = 0;

@@ -165,6 +165,15 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     return model;
 }
 
+const ffe::FfeProcessor::Partition& Model::Decoded(
+    LazyPartition& lazy, const std::vector<ffe::Program>& programs) const {
+    std::call_once(lazy.once, [&] {
+        lazy.partition.emplace(programs);
+        ++decoded_partitions_;
+    });
+    return *lazy.partition;
+}
+
 std::int64_t Model::total_tree_nodes() const {
     std::int64_t nodes = 0;
     for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {

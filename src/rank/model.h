@@ -15,9 +15,12 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/units.h"
@@ -78,6 +81,20 @@ class Model {
     const std::vector<ffe::Program>& ffe0_programs() const { return ffe0_; }
     const std::vector<ffe::Program>& ffe1_programs() const { return ffe1_; }
 
+    /**
+     * The two partitions decoded for execution. Each is decoded once,
+     * by its first caller on any thread, and shared by every caller
+     * from then on; a run that only prices FFE time never decodes.
+     */
+    const ffe::FfeProcessor::Partition& ffe0_partition() const {
+        return Decoded(ffe0_decoded_, ffe0_);
+    }
+    const ffe::FfeProcessor::Partition& ffe1_partition() const {
+        return Decoded(ffe1_decoded_, ffe1_);
+    }
+    /** Partitions decoded so far: 0, 1 or 2. */
+    int decoded_partitions() const { return decoded_partitions_.load(); }
+
     const ScoringEnsemble& ensemble() const { return ensemble_; }
     const CompressionStage& compression() const { return compression_; }
 
@@ -92,6 +109,13 @@ class Model {
   private:
     Model() = default;
 
+    struct LazyPartition {
+        std::once_flag once;
+        std::optional<ffe::FfeProcessor::Partition> partition;
+    };
+    const ffe::FfeProcessor::Partition& Decoded(
+        LazyPartition& lazy, const std::vector<ffe::Program>& programs) const;
+
     std::uint32_t model_id_ = 0;
     std::vector<ffe::ExprPtr> expressions_;
     std::vector<ffe::Program> ffe0_;
@@ -103,6 +127,9 @@ class Model {
     std::int64_t ffe0_instructions_ = 0;
     std::int64_t ffe1_instructions_ = 0;
     int metafeature_count_ = 0;
+    mutable LazyPartition ffe0_decoded_;
+    mutable LazyPartition ffe1_decoded_;
+    mutable std::atomic<int> decoded_partitions_{0};
 };
 
 /**

@@ -2,13 +2,14 @@
 
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 namespace catapult::rank {
 
 RankingFunction::RankingFunction(const Model* model) : model_(model) {
     assert(model_ != nullptr);
-    ffe0_.LoadPrograms(model_->ffe0_programs());
-    ffe1_.LoadPrograms(model_->ffe1_programs());
+    ffe0_.LoadTiming(model_->ffe0_programs());
+    ffe1_.LoadTiming(model_->ffe1_programs());
 }
 
 void RankingFunction::ExtractFeatures(const CompressedRequest& request,
@@ -47,15 +48,14 @@ CpuPool::CpuPool(sim::Simulator* simulator, Rng rng, Config config)
     assert(config_.cores > 0);
 }
 
-void CpuPool::Submit(Time service, std::function<void()> on_done) {
+void CpuPool::Submit(Time service, DoneFn on_done) {
     queue_.push_back(Job{service, std::move(on_done)});
     TryDispatch();
 }
 
 void CpuPool::TryDispatch() {
     while (busy_ < config_.cores && !queue_.empty()) {
-        Job job = std::move(queue_.front());
-        queue_.pop_front();
+        Job job = queue_.pop_front();
         ++busy_;
         // Contention in the memory hierarchy: service inflates with the
         // occupancy at dispatch time, plus heavy-ish lognormal noise.
@@ -66,12 +66,17 @@ void CpuPool::TryDispatch() {
                      config_.noise_sigma * config_.noise_sigma / 2.0);
         const Time effective = static_cast<Time>(
             static_cast<double>(job.service) * contention * noise);
-        simulator_->ScheduleAfter(effective,
-                                  [this, cb = std::move(job.on_done)] {
-                                      --busy_;
-                                      cb();
-                                      TryDispatch();
-                                  });
+        // The event carries a slot index, not the completion itself,
+        // which would not fit inline next to `this`.
+        const std::uint32_t slot = running_.Acquire();
+        running_[slot] = std::move(job.on_done);
+        simulator_->ScheduleAfter(effective, [this, slot] {
+            --busy_;
+            DoneFn done = std::move(running_[slot]);
+            running_.Release(slot);
+            done();
+            TryDispatch();
+        });
     }
 }
 
@@ -106,9 +111,14 @@ void SoftwareRankServer::Submit(const CompressedRequest& request,
                                 std::function<void(Time)> on_done) {
     const Time submitted = simulator_->Now();
     const Time service = config_.cost.FullServiceTime(request, model);
-    cpu_.Submit(service, [this, submitted, on_done = std::move(on_done)] {
+    auto done = [this, submitted, on_done = std::move(on_done)] {
         on_done(simulator_->Now() - submitted);
-    });
+    };
+    // `this`, the submit time and the caller's std::function: the job
+    // stays inline in the pool's queue, allocating nothing.
+    static_assert(sizeof(done) <= CpuPool::DoneFn::kInlineBytes &&
+                  std::is_nothrow_move_constructible_v<decltype(done)>);
+    cpu_.Submit(service, std::move(done));
 }
 
 }  // namespace catapult::rank

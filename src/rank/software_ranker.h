@@ -16,16 +16,19 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "common/ring_queue.h"
 #include "common/rng.h"
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "rank/document.h"
 #include "rank/feature_extraction.h"
 #include "rank/ffe/processor.h"
 #include "rank/model.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace catapult::rank {
@@ -40,8 +43,12 @@ class RankingFunction {
 
     /** Stage-wise access for the distributed FPGA roles. */
     void ExtractFeatures(const CompressedRequest& request, FeatureStore& store);
-    void RunFfe0(FeatureStore& store) { ffe0_.ExecuteAll(store); }
-    void RunFfe1(FeatureStore& store) { ffe1_.ExecuteAll(store); }
+    void RunFfe0(FeatureStore& store) {
+        ffe::FfeProcessor::Run(model_->ffe0_partition(), store, values_);
+    }
+    void RunFfe1(FeatureStore& store) {
+        ffe::FfeProcessor::Run(model_->ffe1_partition(), store, values_);
+    }
     void Compress(const FeatureStore& in, FeatureStore& out) const {
         model_->compression().Apply(in, out);
     }
@@ -64,8 +71,11 @@ class RankingFunction {
   private:
     const Model* model_;
     FeatureExtractor extractor_;
+    /** Timing only: the partitions run from the model's shared decode. */
     ffe::FfeProcessor ffe0_;
     ffe::FfeProcessor ffe1_;
+    /** The FFE executor's value array, this function's own. */
+    std::vector<float> values_;
     FeatureStore scratch_;
     FeatureStore compressed_;
 };
@@ -89,8 +99,11 @@ class CpuPool {
     CpuPool(sim::Simulator* simulator, Rng rng)
         : CpuPool(simulator, rng, Config()) {}
 
+    /** Job completion; captures up to 48 bytes stay inline. */
+    using DoneFn = sim::InlineFunction<void()>;
+
     /** Submit a job with nominal `service` time; on_done fires at completion. */
-    void Submit(Time service, std::function<void()> on_done);
+    void Submit(Time service, DoneFn on_done);
 
     int busy_cores() const { return busy_; }
     std::size_t queue_depth() const { return queue_.size(); }
@@ -102,8 +115,8 @@ class CpuPool {
 
   private:
     struct Job {
-        Time service;
-        std::function<void()> on_done;
+        Time service = 0;
+        DoneFn on_done;
     };
 
     void TryDispatch();
@@ -111,7 +124,9 @@ class CpuPool {
     sim::Simulator* simulator_;
     Rng rng_;
     Config config_;
-    std::deque<Job> queue_;
+    RingQueue<Job> queue_;
+    /** Completions of the jobs on a core; their events carry the index. */
+    SlotTable<DoneFn> running_;
     int busy_ = 0;
 };
 

@@ -588,15 +588,13 @@ host::SendStatus FederatedDispatcher::InjectPreferring(
     return host::SendStatus::kTimeout;
 }
 
-std::vector<int> FederatedDispatcher::EligiblePods() const {
-    std::vector<int> eligible;
-    eligible.reserve(pods_.size());
+void FederatedDispatcher::EligiblePods(std::vector<int>& eligible) const {
+    eligible.clear();
     for (int i = 0; i < pod_count(); ++i) {
         if (Eligible(pods_[static_cast<std::size_t>(i)])) {
             eligible.push_back(i);
         }
     }
-    return eligible;
 }
 
 host::SendStatus FederatedDispatcher::TryInject(int pod_index,

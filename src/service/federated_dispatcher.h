@@ -202,8 +202,9 @@ class FederatedDispatcher {
      * Rotation indices that would be considered for the next query
      * (breaker closed, not shed, under cap, rings in rotation) — the
      * scatter set a front end partitions a document set across.
+     * Replaces the contents of `eligible`, keeping its storage.
      */
-    std::vector<int> EligiblePods() const;
+    void EligiblePods(std::vector<int>& eligible) const;
 
     sim::Simulator* simulator() { return simulator_; }
     int pod_count() const { return static_cast<int>(pods_.size()); }

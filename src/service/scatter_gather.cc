@@ -9,8 +9,8 @@
 
 namespace catapult::service {
 
-std::vector<RankedDoc> ResultMerger::MergeInPlace(
-    std::vector<std::vector<RankedDoc>>& per_pod, std::size_t k) {
+void ResultMerger::MergeInPlace(std::vector<std::vector<RankedDoc>>& per_pod,
+                                std::size_t k, std::vector<RankedDoc>& out) {
     // Canonical per-source order: score descending, doc id ascending.
     // Sources arrive in completion order (gather callbacks), so the
     // merger owns the canonicalization rather than trusting callers.
@@ -23,17 +23,16 @@ std::vector<RankedDoc> ResultMerger::MergeInPlace(
     }
     std::size_t total = 0;
     for (const auto& list : per_pod) total += list.size();
-    std::vector<RankedDoc> out;
+    out.clear();
     out.reserve(std::min(k, total));
-    std::vector<std::size_t> cursor(per_pod.size(), 0);
-    std::vector<std::size_t> tied;  // reused per score run
+    cursor_.assign(per_pod.size(), 0);
     while (out.size() < k) {
         // The highest score still unmerged across every source.
         bool any = false;
         float best = 0.0f;
         for (std::size_t p = 0; p < per_pod.size(); ++p) {
-            if (cursor[p] >= per_pod[p].size()) continue;
-            const float s = per_pod[p][cursor[p]].score;
+            if (cursor_[p] >= per_pod[p].size()) continue;
+            const float s = per_pod[p][cursor_[p]].score;
             if (!any || s > best) {
                 best = s;
                 any = true;
@@ -42,17 +41,17 @@ std::vector<RankedDoc> ResultMerger::MergeInPlace(
         if (!any) break;
         // Sources tied at `best`, ascending (pod id, source index) —
         // the deterministic starting order of the round-robin.
-        tied.clear();
+        tied_.clear();
         for (std::size_t p = 0; p < per_pod.size(); ++p) {
-            if (cursor[p] < per_pod[p].size() &&
-                per_pod[p][cursor[p]].score == best) {
-                tied.push_back(p);
+            if (cursor_[p] < per_pod[p].size() &&
+                per_pod[p][cursor_[p]].score == best) {
+                tied_.push_back(p);
             }
         }
-        std::sort(tied.begin(), tied.end(),
+        std::sort(tied_.begin(), tied_.end(),
                   [&](std::size_t a, std::size_t b) {
-                      const int pa = per_pod[a][cursor[a]].pod;
-                      const int pb = per_pod[b][cursor[b]].pod;
+                      const int pa = per_pod[a][cursor_[a]].pod;
+                      const int pb = per_pod[b][cursor_[b]].pod;
                       if (pa != pb) return pa < pb;
                       return a < b;
                   });
@@ -60,21 +59,20 @@ std::vector<RankedDoc> ResultMerger::MergeInPlace(
         // source leaves the cycle when its next doc scores differently
         // (each source's docs within the run stay doc-id ascending by
         // the canonical sort above).
-        while (!tied.empty() && out.size() < k) {
-            for (std::size_t j = 0; j < tied.size() && out.size() < k;) {
-                const std::size_t p = tied[j];
-                out.push_back(per_pod[p][cursor[p]++]);
-                if (cursor[p] >= per_pod[p].size() ||
-                    per_pod[p][cursor[p]].score != best) {
-                    tied.erase(tied.begin() +
-                               static_cast<std::ptrdiff_t>(j));
+        while (!tied_.empty() && out.size() < k) {
+            for (std::size_t j = 0; j < tied_.size() && out.size() < k;) {
+                const std::size_t p = tied_[j];
+                out.push_back(per_pod[p][cursor_[p]++]);
+                if (cursor_[p] >= per_pod[p].size() ||
+                    per_pod[p][cursor_[p]].score != best) {
+                    tied_.erase(tied_.begin() +
+                                static_cast<std::ptrdiff_t>(j));
                 } else {
                     ++j;
                 }
             }
         }
     }
-    return out;
 }
 
 ScatterGatherDispatcher::ScatterGatherDispatcher(
@@ -148,7 +146,8 @@ std::uint64_t ScatterGatherDispatcher::Submit(
     // its failover machinery) when the target refuses or dies — but
     // the per-pod `assigned` accounting pins who was supposed to
     // answer, which is what the partial result reports as missing.
-    const std::vector<int> eligible = dispatcher_->EligiblePods();
+    dispatcher_->EligiblePods(eligible_);
+    const std::vector<int>& eligible = eligible_;
     for (std::size_t i = 0; i < n; ++i) {
         gather.docs[i].query = query;
         gather.docs[i].query.obs_trace = gather.obs_trace;
@@ -300,7 +299,8 @@ void ScatterGatherDispatcher::DeliverGather(std::uint32_t slot) {
     if (gather.deadline_event.valid()) {
         simulator_->Cancel(gather.deadline_event);
     }
-    GatherResult result;
+    const std::uint32_t result_slot = results_.Acquire();
+    GatherResult& result = results_[result_slot];
     result.gather_id = gather.id;
     result.doc_count = gather.docs.size();
     result.accepted = gather.accepted;
@@ -324,7 +324,7 @@ void ScatterGatherDispatcher::DeliverGather(std::uint32_t slot) {
     // bench_scatter_gather gates it against the end-to-end p50 the
     // federation spends producing the scores being merged.
     const auto merge_start = std::chrono::steady_clock::now();
-    result.top = ResultMerger::MergeInPlace(gather.per_pod, gather.top_k);
+    merger_.MergeInPlace(gather.per_pod, gather.top_k, result.top);
     const auto merge_end = std::chrono::steady_clock::now();
     counters_.merge_wall_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(merge_end -
@@ -352,6 +352,7 @@ void ScatterGatherDispatcher::DeliverGather(std::uint32_t slot) {
     GatherFn on_complete = std::move(gather.on_complete);
     MaybeRelease(slot);
     if (on_complete) on_complete(result);
+    results_.Release(result_slot);
 }
 
 }  // namespace catapult::service

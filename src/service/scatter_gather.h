@@ -76,12 +76,22 @@ class ResultMerger {
   public:
     static std::vector<RankedDoc> Merge(
         std::vector<std::vector<RankedDoc>> per_pod, std::size_t k) {
-        return MergeInPlace(per_pod, k);
+        std::vector<RankedDoc> out;
+        ResultMerger().MergeInPlace(per_pod, k, out);
+        return out;
     }
 
-    /** Merge, canonicalizing the lists of `per_pod` in place. */
-    static std::vector<RankedDoc> MergeInPlace(
-        std::vector<std::vector<RankedDoc>>& per_pod, std::size_t k);
+    /**
+     * Merge into `out` (replacing its contents), canonicalizing the
+     * lists of `per_pod` in place. The merger's scratch and `out` keep
+     * their storage, so repeated merges allocate nothing.
+     */
+    void MergeInPlace(std::vector<std::vector<RankedDoc>>& per_pod,
+                      std::size_t k, std::vector<RankedDoc>& out);
+
+  private:
+    std::vector<std::size_t> cursor_;
+    std::vector<std::size_t> tied_;
 };
 
 /**
@@ -269,6 +279,12 @@ class ScatterGatherDispatcher {
     Config config_;
     std::uint64_t next_gather_id_ = 0;
     SlotTable<Gather> gathers_;
+    // Scratch reused by every gather. A completion callback may submit
+    // and deliver another gather before it returns, so each delivery
+    // holds its own result slot.
+    ResultMerger merger_;
+    std::vector<int> eligible_;
+    SlotTable<GatherResult> results_;
     Counters counters_;
     obs::ShardObs* obs_ = nullptr;
     obs::Histogram* obs_gather_latency_us_ = nullptr;
