@@ -27,7 +27,7 @@ int main() {
     std::printf("\nPower virus (100%% area, activity 1.0): %.1f W  [paper: 22.7 W]\n",
                 power.PowerVirusWatts());
     std::printf("PCIe slot power cap                  : %.1f W  [paper: 25 W]\n",
-                power.config().pcie_cap_watts);
+                fpga::PowerModel::kPcieCapWatts);
 
     std::printf("\nRanking roles at production activity (0.75):\n");
     bench::Row({"stage", "power_W", "under_20W", "die_C"});
@@ -74,7 +74,7 @@ int main() {
         {"power virus", power.PowerVirusWatts(), Seconds(120)},
     };
     std::printf("\nThermal transient (250 ms steps, tau %.0f s):\n",
-                ToSeconds(transient.config().time_constant));
+                ToSeconds(fpga::ThermalModel::kTimeConstant));
     bench::Row({"phase", "watts", "end_die_C", "steady_C", "shutdown"});
     const Time step = Milliseconds(250);
     Time cursor = 0;

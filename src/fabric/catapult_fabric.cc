@@ -26,8 +26,7 @@ void CatapultFabric::Build(Rng& rng) {
         devices_.push_back(std::make_unique<fpga::FpgaDevice>(
             simulator_, name, rng.Fork(), config_.device));
         shells_.push_back(std::make_unique<shell::Shell>(
-            simulator_, GlobalId(i), name, devices_.back().get(), rng.Fork(),
-            config_.shell));
+            simulator_, GlobalId(i), name, devices_.back().get(), rng.Fork()));
         if (rng.Chance(config_.card_failure_rate)) {
             devices_.back()->ForceFail("integration-time card failure");
             ++failed_cards_;

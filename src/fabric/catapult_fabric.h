@@ -43,7 +43,6 @@ class CatapultFabric {
         /** Probability an individual cable link is defective (§2.3). */
         double cable_defect_rate = 0.0;
         fpga::FpgaDevice::Config device;
-        shell::Shell::Config shell;
     };
 
     CatapultFabric(sim::Simulator* simulator, Rng rng, Config config);

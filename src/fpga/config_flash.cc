@@ -7,18 +7,26 @@
 
 namespace catapult::fpga {
 
-ConfigFlash::ConfigFlash(sim::Simulator* simulator, Config config)
-    : simulator_(simulator), config_(config) {
+namespace {
+
+/** 4 x 256 Mb QSPI (§2.1). */
+constexpr Bytes kCapacity = 32ll * 1024 * 1024;
+/** Sustained QSPI program rate (erase+program, ~2 MB/s typical). */
+constexpr Bandwidth kWriteRate = Bandwidth::MegabytesPerSecond(2.0);
+
+}  // namespace
+
+ConfigFlash::ConfigFlash(sim::Simulator* simulator) : simulator_(simulator) {
     assert(simulator_ != nullptr);
 }
 
 Time ConfigFlash::WriteDuration(Bytes size) const {
-    return config_.write_rate.SerializationTime(size);
+    return kWriteRate.SerializationTime(size);
 }
 
 void ConfigFlash::WriteImage(FlashSlot slot, const Bitstream& image,
                              std::function<void(bool)> on_done) {
-    if (write_in_progress_ || image.payload_size > config_.capacity) {
+    if (write_in_progress_ || image.payload_size > kCapacity) {
         simulator_->ScheduleAfter(0, [cb = std::move(on_done)] { cb(false); });
         return;
     }

@@ -35,15 +35,7 @@ inline constexpr int kFlashSlotCount = 3;
  */
 class ConfigFlash {
   public:
-    struct Config {
-        Bytes capacity = 32ll * 1024 * 1024;  ///< 4 x 256 Mb QSPI.
-        /** Sustained QSPI program rate (erase+program, ~2 MB/s typical). */
-        Bandwidth write_rate = Bandwidth::MegabytesPerSecond(2.0);
-    };
-
-    ConfigFlash(sim::Simulator* simulator, Config config);
-    ConfigFlash(sim::Simulator* simulator)
-        : ConfigFlash(simulator, Config()) {}
+    explicit ConfigFlash(sim::Simulator* simulator);
 
     /**
      * Begin writing `image` into `slot`. Completion fires `on_done` with
@@ -66,7 +58,6 @@ class ConfigFlash {
 
   private:
     sim::Simulator* simulator_;
-    Config config_;
     std::array<std::optional<Bitstream>, kFlashSlotCount> slots_;
     bool write_in_progress_ = false;
 };

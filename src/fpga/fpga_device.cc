@@ -25,9 +25,7 @@ FpgaDevice::FpgaDevice(sim::Simulator* simulator, std::string name, Rng rng,
       config_(config),
       rng_(rng),
       flash_(simulator),
-      scrubber_(simulator, rng_.Fork(), config.seu),
-      thermal_(config.thermal),
-      power_model_(config.power) {
+      scrubber_(simulator, rng_.Fork()) {
     assert(simulator_ != nullptr);
     scrubber_.set_on_role_corruption([this] { role_corrupted_ = true; });
 }
@@ -135,7 +133,7 @@ void FpgaDevice::PowerCycle(std::function<void(bool)> on_done) {
 double FpgaDevice::CurrentPowerWatts() const {
     if (state_ != DeviceState::kActive) {
         // Configuration draws roughly static power.
-        return power_model_.config().static_watts;
+        return PowerModel::kStaticWatts;
     }
     return power_model_.Power(loaded_image_, activity_factor_);
 }

@@ -47,14 +47,10 @@ const char* ToString(DeviceState state);
 class FpgaDevice {
   public:
     struct Config {
-        DeviceBudget budget;
         /** Full configuration from flash (§4.3: "milliseconds to seconds"). */
         Time configure_time = Milliseconds(900);
         /** Probability a configuration attempt fails and must retry. */
         double config_failure_probability = 0.0;
-        SeuScrubber::Config seu;
-        PowerModel::Config power;
-        ThermalModel::Config thermal;
     };
 
     using StateListener = std::function<void(DeviceState, DeviceState)>;
@@ -121,7 +117,6 @@ class FpgaDevice {
     /** Mutable thermal access (failure injection: cooling failures). */
     ThermalModel& thermal_mutable() { return thermal_; }
     const PowerModel& power_model() const { return power_model_; }
-    const DeviceBudget& budget() const { return config_.budget; }
 
     /** True when the role was corrupted by an SEU since last (re)config. */
     bool role_corrupted() const { return role_corrupted_; }

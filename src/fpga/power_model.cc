@@ -4,14 +4,25 @@
 
 namespace catapult::fpga {
 
+namespace {
+
+/** Dynamic power of a design using 100% logic at activity 1.0. */
+constexpr double kLogicDynamicWatts = 9.5;
+/** Dynamic power of 100% RAM utilization at activity 1.0. */
+constexpr double kRamDynamicWatts = 2.6;
+/** Dynamic power of 100% DSP utilization at activity 1.0. */
+constexpr double kDspDynamicWatts = 1.6;
+
+}  // namespace
+
 double PowerModel::BoardPower(const Utilization& total_area,
                               double activity_factor) const {
     const double act = std::clamp(activity_factor, 0.0, 1.0);
     const double dynamic =
-        act * (total_area.logic_pct / 100.0 * config_.logic_dynamic_watts +
-               total_area.ram_pct / 100.0 * config_.ram_dynamic_watts +
-               total_area.dsp_pct / 100.0 * config_.dsp_dynamic_watts);
-    return config_.static_watts + dynamic;
+        act * (total_area.logic_pct / 100.0 * kLogicDynamicWatts +
+               total_area.ram_pct / 100.0 * kRamDynamicWatts +
+               total_area.dsp_pct / 100.0 * kDspDynamicWatts);
+    return kStaticWatts + dynamic;
 }
 
 double PowerModel::Power(const Bitstream& role, double activity_factor) const {

@@ -16,21 +16,10 @@ namespace catapult::fpga {
 
 class PowerModel {
   public:
-    struct Config {
-        /** Board static power: DRAM refresh, transceivers, leakage. */
-        double static_watts = 9.0;
-        /** Dynamic power of a design using 100% logic at activity 1.0. */
-        double logic_dynamic_watts = 9.5;
-        /** Dynamic power of 100% RAM utilization at activity 1.0. */
-        double ram_dynamic_watts = 2.6;
-        /** Dynamic power of 100% DSP utilization at activity 1.0. */
-        double dsp_dynamic_watts = 1.6;
-        /** PCIe bus power budget: hard cap (§2.1). */
-        double pcie_cap_watts = 25.0;
-    };
-
-    PowerModel() : PowerModel(Config{}) {}
-    explicit PowerModel(Config config) : config_(config) {}
+    /** Board static power: DRAM refresh, transceivers, leakage. */
+    static constexpr double kStaticWatts = 9.0;
+    /** PCIe bus power budget: hard cap (§2.1). */
+    static constexpr double kPcieCapWatts = 25.0;
 
     /**
      * Board power for a design with the given utilization running at
@@ -47,13 +36,8 @@ class PowerModel {
 
     /** True if a design can exceed the PCIe power cap. */
     bool ExceedsPcieCap(const Bitstream& role) const {
-        return Power(role, 1.0) > config_.pcie_cap_watts;
+        return Power(role, 1.0) > kPcieCapWatts;
     }
-
-    const Config& config() const { return config_; }
-
-  private:
-    Config config_;
 };
 
 }  // namespace catapult::fpga

@@ -30,11 +30,11 @@ void SeuScrubber::Stop() {
 void SeuScrubber::AccountScrubPasses() const {
     // Scrub passes happen continuously; they are accounted lazily (no
     // periodic simulator events) so an idle fabric schedules nothing.
-    if (!running_ || config_.scrub_period <= 0) return;
+    if (!running_) return;
     counters_.scrub_passes =
         scrub_passes_base_ +
         static_cast<std::uint64_t>(
-            (simulator_->Now() - started_at_) / config_.scrub_period);
+            (simulator_->Now() - started_at_) / kScrubPeriod);
 }
 
 void SeuScrubber::ScheduleNextUpset() {
@@ -62,7 +62,7 @@ void SeuScrubber::ScheduleNextUpset() {
             // Corrected by the scrubber within one scan period.
             ++pending_upsets_;
             const std::uint64_t at_epoch = epoch_;
-            simulator_->ScheduleDaemonAfter(config_.scrub_period, [this, at_epoch] {
+            simulator_->ScheduleDaemonAfter(kScrubPeriod, [this, at_epoch] {
                 if (at_epoch != epoch_) return;
                 if (pending_upsets_ > 0) {
                     --pending_upsets_;

@@ -22,9 +22,10 @@ namespace catapult::fpga {
 
 class SeuScrubber {
   public:
+    /** Full-device scrub scan period (typ. tens of ms). */
+    static constexpr Time kScrubPeriod = Milliseconds(50);
+
     struct Config {
-        /** Full-device scrub scan period (typ. tens of ms). */
-        Time scrub_period = Milliseconds(50);
         /**
          * Upset rate per device per second. Ground-level rates for a
          * 28 nm part are ~1e-6/s; tests crank this up to exercise paths.

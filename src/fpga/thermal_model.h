@@ -15,16 +15,8 @@ namespace catapult::fpga {
 
 class ThermalModel {
   public:
-    struct Config {
-        double inlet_celsius = 68.0;        ///< CPU exhaust worst case.
-        double theta_ja = 1.25;             ///< C per watt, heatsinked.
-        double shutdown_celsius = 100.0;    ///< Industrial part rating.
-        Time time_constant = Seconds(20);   ///< Thermal RC constant.
-    };
-
-    ThermalModel() : ThermalModel(Config{}) {}
-    explicit ThermalModel(Config config)
-        : config_(config), die_celsius_(config.inlet_celsius) {}
+    /** Thermal RC time constant. */
+    static constexpr Time kTimeConstant = Seconds(20);
 
     /** Advance the model: power has been `watts` for `elapsed` time. */
     void Advance(double watts, Time elapsed);
@@ -40,20 +32,26 @@ class ThermalModel {
 
     /** Steady-state die temperature at `watts` dissipation. */
     double SteadyStateCelsius(double watts) const {
-        return config_.inlet_celsius + config_.theta_ja * watts;
+        return inlet_celsius_ + kThetaJa * watts;
     }
 
     double die_celsius() const { return die_celsius_; }
     bool over_temperature() const {
-        return die_celsius_ >= config_.shutdown_celsius;
+        return die_celsius_ >= kShutdownCelsius;
     }
 
-    void set_inlet_celsius(double celsius) { config_.inlet_celsius = celsius; }
-    const Config& config() const { return config_; }
+    void set_inlet_celsius(double celsius) { inlet_celsius_ = celsius; }
 
   private:
-    Config config_;
-    double die_celsius_;
+    /** CPU exhaust worst case. */
+    static constexpr double kInletCelsius = 68.0;
+    /** C per watt, heatsinked. */
+    static constexpr double kThetaJa = 1.25;
+    /** Industrial part rating. */
+    static constexpr double kShutdownCelsius = 100.0;
+
+    double inlet_celsius_ = kInletCelsius;
+    double die_celsius_ = kInletCelsius;
 };
 
 }  // namespace catapult::fpga

@@ -41,21 +41,6 @@ HostServer::HostServer(sim::Simulator* simulator, std::string name,
         });
 }
 
-void HostServer::ReconfigureFpga(const fpga::Bitstream& image,
-                                 std::function<void(bool)> on_done) {
-    ++counters_.reconfigurations;
-    shell_->device().flash().WriteImage(
-        fpga::FlashSlot::kApplication, image,
-        [this, on_done = std::move(on_done)](bool ok) mutable {
-            if (!ok) {
-                on_done(false);
-                return;
-            }
-            ReconfigureFromFlash(fpga::FlashSlot::kApplication,
-                                 std::move(on_done));
-        });
-}
-
 void HostServer::ReconfigureFromFlash(fpga::FlashSlot slot,
                                       std::function<void(bool)> on_done) {
     // §3.4: mask the device NMI before the FPGA drops off the bus.

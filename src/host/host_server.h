@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/units.h"
-#include "fpga/bitstream.h"
 #include "host/slot_dma_channel.h"
 #include "shell/shell.h"
 #include "sim/simulator.h"
@@ -62,16 +61,10 @@ class HostServer {
     shell::Shell& shell() { return *shell_; }
 
     /**
-     * Reconfiguration library entry point (§3.1): write the bitstream
-     * into staging flash, mask the device NMI, run the §3.4 protocol,
-     * and unmask when the FPGA is back. `on_done(success)`.
-     */
-    void ReconfigureFpga(const fpga::Bitstream& image,
-                         std::function<void(bool)> on_done);
-
-    /**
-     * Fast path used when the image is already in flash (service
-     * startup and in-place recovery): skips the flash write.
+     * Reconfiguration library entry point (§3.1) for an image already
+     * in flash (service startup and in-place recovery): mask the
+     * device NMI, run the §3.4 protocol, and unmask when the FPGA is
+     * back. `on_done(success)`.
      */
     void ReconfigureFromFlash(fpga::FlashSlot slot,
                               std::function<void(bool)> on_done);
@@ -102,7 +95,6 @@ class HostServer {
     void BreakBoot(int soft_failures, bool permanent = false);
 
     struct Counters {
-        std::uint64_t reconfigurations = 0;
         std::uint64_t nmi_crashes = 0;
         std::uint64_t soft_reboots = 0;
         std::uint64_t hard_reboots = 0;

@@ -36,7 +36,7 @@ const char* ToString(SendStatus status);
 class SlotDmaChannel {
   public:
     struct Config {
-        /** Host-side deadline before invoking failure handling. */
+        /** Host-side deadline before invoking failure handling (§3.2). */
         Time request_timeout = Milliseconds(8);
     };
 

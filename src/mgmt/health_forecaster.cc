@@ -7,6 +7,36 @@
 
 namespace catapult::mgmt {
 
+namespace {
+
+/** EWMA smoothing factor applied to the instantaneous health. */
+constexpr double kEwmaAlpha = 0.35;
+static_assert(kEwmaAlpha > 0.0 && kEwmaAlpha <= 1.0);
+
+// --- Stress weights (rate in events/s -> dimensionless) --------------
+// Beside Config::fault_event_weight. The defaults are sized so one
+// isolated machine reboot (a few heartbeat misses plus one ring
+// recovery inside a window) reads as Degraded, while sustained churn —
+// a thermal ramp marching across nodes, a pod-wide blackout's miss
+// storm — sinks the score through the Critical/shed floor.
+
+constexpr double kHeartbeatMissWeight = 0.02;
+/** One recovery inside an 80 ms window reads as stress ~0.75. */
+constexpr double kRecoveryWeight = 0.06;
+
+// --- Hysteresis bands on the smoothed score --------------------------
+// Enter thresholds sit below exit thresholds, so a score hovering at a
+// boundary cannot flap the band.
+
+constexpr double kDegradedEnter = 0.70;
+constexpr double kDegradedExit = 0.85;
+constexpr double kCriticalEnter = 0.35;
+constexpr double kCriticalExit = 0.55;
+static_assert(kDegradedExit >= kDegradedEnter);
+static_assert(kCriticalExit >= kCriticalEnter);
+
+}  // namespace
+
 const char* ToString(HealthBand band) {
     switch (band) {
       case HealthBand::kWarmingUp: return "warming_up";
@@ -68,10 +98,6 @@ HealthForecaster::HealthForecaster(sim::Simulator* simulator,
     assert(simulator_ != nullptr && feed_ != nullptr);
     assert(config_.sample_period > 0);
     assert(config_.window_samples >= 1);
-    assert(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
-    // Hysteresis sanity: exits must sit above their enters.
-    assert(config_.degraded_exit >= config_.degraded_enter);
-    assert(config_.critical_exit >= config_.critical_enter);
 }
 
 HealthForecaster::~HealthForecaster() { Stop(); }
@@ -135,16 +161,16 @@ HealthBand HealthForecaster::StepBand(HealthBand band, double score) const {
     switch (band) {
       case HealthBand::kWarmingUp:
       case HealthBand::kHealthy:
-        if (score < config_.critical_enter) return HealthBand::kCritical;
-        if (score < config_.degraded_enter) return HealthBand::kDegraded;
+        if (score < kCriticalEnter) return HealthBand::kCritical;
+        if (score < kDegradedEnter) return HealthBand::kDegraded;
         return HealthBand::kHealthy;
       case HealthBand::kDegraded:
-        if (score < config_.critical_enter) return HealthBand::kCritical;
-        if (score > config_.degraded_exit) return HealthBand::kHealthy;
+        if (score < kCriticalEnter) return HealthBand::kCritical;
+        if (score > kDegradedExit) return HealthBand::kHealthy;
         return HealthBand::kDegraded;
       case HealthBand::kCritical:
-        if (score > config_.critical_exit) {
-            return score > config_.degraded_exit ? HealthBand::kHealthy
+        if (score > kCriticalExit) {
+            return score > kDegradedExit ? HealthBand::kHealthy
                                                  : HealthBand::kDegraded;
         }
         return HealthBand::kCritical;
@@ -189,10 +215,8 @@ void HealthForecaster::Tick() {
         ToSeconds(config_.sample_period) * static_cast<double>(window_.size());
     const double stress =
         config_.fault_event_weight * (static_cast<double>(events) / span_s) +
-        config_.heartbeat_miss_weight *
-            (static_cast<double>(misses) / span_s) +
-        config_.recovery_weight *
-            (static_cast<double>(recoveries) / span_s);
+        kHeartbeatMissWeight * (static_cast<double>(misses) / span_s) +
+        kRecoveryWeight * (static_cast<double>(recoveries) / span_s);
     double instantaneous = 1.0 / (1.0 + stress);
 
     // Nodes flagged for manual service are capacity that cannot come
@@ -206,8 +230,7 @@ void HealthForecaster::Tick() {
         instantaneous = std::min(instantaneous, alive);
     }
 
-    score_ = config_.ewma_alpha * instantaneous +
-             (1.0 - config_.ewma_alpha) * score_;
+    score_ = kEwmaAlpha * instantaneous + (1.0 - kEwmaAlpha) * score_;
 
     // Cold-start grace: never band (so never shed) on a short window.
     if (samples_seen_ >= config_.warmup_samples) {

@@ -177,31 +177,13 @@ class HealthForecaster {
          * default.
          */
         int warmup_samples = 8;
-        /** EWMA smoothing factor applied to the instantaneous health. */
-        double ewma_alpha = 0.35;
-
-        // --- Stress weights (rate in events/s -> dimensionless) ------
-        // Instantaneous health is 1 / (1 + stress): 50 fault events/s
-        // sustained (weight 0.02) alone reads as health 0.5. The
-        // defaults are sized so one isolated machine reboot (a few
-        // heartbeat misses plus one ring recovery inside a window)
-        // reads as Degraded, while sustained churn — a thermal ramp
-        // marching across nodes, a pod-wide blackout's miss storm —
-        // sinks the score through the Critical/shed floor.
-
+        /**
+         * Stress weight of fault events (rate in events/s ->
+         * dimensionless; see health_forecaster.cc for the other two).
+         * Instantaneous health is 1 / (1 + stress): 50 fault events/s
+         * sustained (weight 0.02) alone reads as health 0.5.
+         */
         double fault_event_weight = 0.02;
-        double heartbeat_miss_weight = 0.02;
-        /** One recovery inside an 80 ms window reads as stress ~0.75. */
-        double recovery_weight = 0.06;
-
-        // --- Hysteresis bands on the smoothed score ------------------
-        // Enter thresholds sit below exit thresholds, so a score
-        // hovering at a boundary cannot flap the band.
-
-        double degraded_enter = 0.70;
-        double degraded_exit = 0.85;
-        double critical_enter = 0.35;
-        double critical_exit = 0.55;
     };
 
     HealthForecaster(sim::Simulator* simulator, HealthScoreFeed* feed,

@@ -4,8 +4,23 @@
 #include <memory>
 
 #include "common/log.h"
+#include "mgmt/mapping_manager.h"
 
 namespace catapult::mgmt {
+
+namespace {
+
+/** Consecutive missed heartbeats before a node is suspect. */
+constexpr int kHeartbeatMissThreshold = 3;
+/**
+ * Non-critical telemetry events from one node within
+ * kTelemetryBurstWindow before it is suspect. Critical kinds
+ * (IsCriticalTelemetry) suspect on the first event.
+ */
+constexpr int kTelemetryBurstThreshold = 3;
+constexpr Time kTelemetryBurstWindow = Milliseconds(20);
+
+}  // namespace
 
 const char* ToString(FaultType type) {
     switch (type) {
@@ -83,7 +98,7 @@ void HealthMonitor::QueryMachine(std::shared_ptr<Context> ctx,
     host::HostServer* host = hosts_[static_cast<std::size_t>(node)];
     // Status query over Ethernet with a reply timeout.
     simulator_->ScheduleAfter(
-        config_.ethernet_latency + config_.query_timeout,
+        kEthernetLatency + config_.query_timeout,
         [this, ctx, idx, node, host] {
             MachineReport report;
             report.pod = config_.pod_id;
@@ -285,7 +300,7 @@ void HealthMonitor::HeartbeatSweep() {
         // The ping is answered (or not) one Ethernet hop away. Daemon
         // events: heartbeats to an idle pod never keep Run() alive.
         simulator_->ScheduleDaemonAfter(
-            config_.ethernet_latency, [this, node, epoch] {
+            kEthernetLatency, [this, node, epoch] {
                 if (epoch != watchdog_epoch_) return;
                 OnHeartbeatResult(
                     node, hosts_[static_cast<std::size_t>(node)]->responsive());
@@ -304,7 +319,7 @@ void HealthMonitor::OnHeartbeatResult(int node, bool responsive) {
     }
     ++counters_.heartbeat_misses;
     ++state.consecutive_misses;
-    if (state.consecutive_misses >= config_.heartbeat_miss_threshold &&
+    if (state.consecutive_misses >= kHeartbeatMissThreshold &&
         CanSuspect(node)) {
         MarkSuspect(node);
     }
@@ -337,12 +352,10 @@ void HealthMonitor::OnTelemetry(const TelemetryEvent& event) {
     // a salvo is a failing component.
     state.event_times.push_back(event.timestamp);
     while (!state.event_times.empty() &&
-           state.event_times.front() +
-                   config_.telemetry_burst_window < event.timestamp) {
+           state.event_times.front() + kTelemetryBurstWindow < event.timestamp) {
         state.event_times.pop_front();
     }
-    if (static_cast<int>(state.event_times.size()) >=
-            config_.telemetry_burst_threshold &&
+    if (static_cast<int>(state.event_times.size()) >= kTelemetryBurstThreshold &&
         CanSuspect(event.node)) {
         MarkSuspect(event.node);
     }

@@ -74,8 +74,6 @@ class HealthMonitor {
     struct Config {
         /** Pod this monitor watches; stamped on every MachineReport. */
         int pod_id = 0;
-        /** One-way Ethernet latency for status queries. */
-        Time ethernet_latency = Microseconds(150);
         /** Wait for a status reply before declaring unresponsive. */
         Time query_timeout = Seconds(2);
 
@@ -83,15 +81,6 @@ class HealthMonitor {
 
         /** Interval between heartbeat ping sweeps over the pod. */
         Time heartbeat_period = Milliseconds(50);
-        /** Consecutive missed heartbeats before a node is suspect. */
-        int heartbeat_miss_threshold = 3;
-        /**
-         * Non-critical telemetry events from one node within
-         * `telemetry_burst_window` before it is suspect. Critical kinds
-         * (IsCriticalTelemetry) suspect on the first event.
-         */
-        int telemetry_burst_threshold = 3;
-        Time telemetry_burst_window = Milliseconds(20);
         /**
          * Quiet period per node after an investigation concludes;
          * hysteresis so one lingering symptom does not re-investigate

@@ -10,12 +10,8 @@ namespace catapult::mgmt {
 
 MappingManager::MappingManager(sim::Simulator* simulator,
                                fabric::CatapultFabric* fabric,
-                               std::vector<host::HostServer*> hosts,
-                               Config config)
-    : simulator_(simulator),
-      fabric_(fabric),
-      hosts_(std::move(hosts)),
-      config_(config) {
+                               std::vector<host::HostServer*> hosts)
+    : simulator_(simulator), fabric_(fabric), hosts_(std::move(hosts)) {
     assert(simulator_ != nullptr);
     assert(fabric_ != nullptr);
 }
@@ -42,35 +38,11 @@ void MappingManager::Deploy(const ServiceSpec& spec,
                                 << " across " << spec_.roles.size()
                                 << " nodes";
     // Stage images into flash, then configure everything.
-    if (config_.images_preinstalled) {
-        for (const auto& role : spec_.roles) {
-            fabric_->device(role.node).flash().InstallImage(
-                fpga::FlashSlot::kApplication, role.image);
-        }
-        ConfigureAll(std::move(on_done));
-        return;
-    }
-    // Sequential flash writes per node happen inside ReconfigureFpga.
-    auto remaining = std::make_shared<int>(static_cast<int>(spec_.roles.size()));
-    auto all_ok = std::make_shared<bool>(true);
     for (const auto& role : spec_.roles) {
-        host::HostServer* host = hosts_[static_cast<std::size_t>(role.node)];
-        simulator_->ScheduleAfter(
-            config_.ethernet_latency,
-            [this, host, image = role.image, remaining, all_ok,
-             on_done]() mutable {
-                host->ReconfigureFpga(
-                    image, [this, remaining, all_ok, on_done](bool ok) {
-                        *all_ok = *all_ok && ok;
-                        if (--*remaining == 0) {
-                            fabric_->InstallTorusRoutes();
-                            ReleaseAllRxHalts();
-                            on_done(*all_ok);
-                        }
-                    });
-            });
+        fabric_->device(role.node).flash().InstallImage(
+            fpga::FlashSlot::kApplication, role.image);
     }
-    if (spec_.roles.empty()) on_done(true);
+    ConfigureAll(std::move(on_done));
 }
 
 void MappingManager::ConfigureAll(std::function<void(bool)> on_done) {
@@ -83,7 +55,7 @@ void MappingManager::ConfigureAll(std::function<void(bool)> on_done) {
     for (const auto& role : spec_.roles) {
         host::HostServer* host = hosts_[static_cast<std::size_t>(role.node)];
         simulator_->ScheduleAfter(
-            config_.ethernet_latency,
+            kEthernetLatency,
             [this, host, remaining, all_ok, on_done]() mutable {
                 host->ReconfigureFromFlash(
                     fpga::FlashSlot::kApplication,
@@ -106,7 +78,7 @@ void MappingManager::ReconfigureInPlace(int node,
     ++counters_.reconfigurations;
     host::HostServer* host = hosts_[static_cast<std::size_t>(node)];
     simulator_->ScheduleAfter(
-        config_.ethernet_latency,
+        kEthernetLatency,
         [this, host, node, on_done = std::move(on_done)]() mutable {
             host->ReconfigureFromFlash(
                 fpga::FlashSlot::kApplication,

@@ -32,6 +32,12 @@ struct RoleAssignment {
     int node = 0;  ///< Pod-local node index.
 };
 
+/**
+ * One-way latency of the management network's Ethernet messages:
+ * Mapping Manager commands and Health Monitor status queries.
+ */
+inline constexpr Time kEthernetLatency = Microseconds(150);
+
 /** A service to map onto the fabric. */
 struct ServiceSpec {
     std::string service_name;
@@ -40,26 +46,18 @@ struct ServiceSpec {
 
 class MappingManager {
   public:
-    struct Config {
-        /** One-way Ethernet message latency for management commands. */
-        Time ethernet_latency = Microseconds(150);
-        /** Skip the QSPI flash write when the image is already staged. */
-        bool images_preinstalled = true;
-    };
-
     MappingManager(sim::Simulator* simulator, fabric::CatapultFabric* fabric,
-                   std::vector<host::HostServer*> hosts, Config config);
-    MappingManager(sim::Simulator* simulator, fabric::CatapultFabric* fabric,
-                   std::vector<host::HostServer*> hosts)
-        : MappingManager(simulator, fabric, std::move(hosts), Config()) {}
+                   std::vector<host::HostServer*> hosts);
 
     MappingManager(const MappingManager&) = delete;
     MappingManager& operator=(const MappingManager&) = delete;
 
     /**
-     * Deploy a service: configure every assigned FPGA (in parallel),
-     * install torus routing tables, then release RX Halt everywhere —
-     * only after all pipeline FPGAs are configured (§3.4).
+     * Deploy a service: stage every role image in its node's flash
+     * (rack-integration-time flashing), configure every assigned FPGA
+     * (in parallel), install torus routing tables, then release RX
+     * Halt everywhere — only after all pipeline FPGAs are configured
+     * (§3.4).
      */
     void Deploy(const ServiceSpec& spec, std::function<void(bool)> on_done);
 
@@ -103,7 +101,6 @@ class MappingManager {
     sim::Simulator* simulator_;
     fabric::CatapultFabric* fabric_;
     std::vector<host::HostServer*> hosts_;
-    Config config_;
     ServiceSpec spec_;
     std::map<std::string, int> role_to_node_;
     std::vector<std::string> node_to_role_;  ///< Indexed by node.

@@ -27,7 +27,6 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
         config_.fabric.name_prefix += std::to_string(config_.pod_id);
     }
     config_.health.pod_id = config_.pod_id;
-    config_.forecast.pod_id = config_.pod_id;
     // Stride the trace-id space per pod (ServicePool strides per ring
     // below it): federation-unique ids make cross-pod FDR replay
     // unambiguous. An explicit base set by the caller wins.
@@ -79,7 +78,8 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
         scheduler_.get(), std::move(pool_config));
     health_feed_ = std::make_unique<HealthScoreFeed>(simulator_);
     forecaster_ = std::make_unique<HealthForecaster>(
-        simulator_, health_feed_.get(), config_.forecast);
+        simulator_, health_feed_.get(),
+        HealthForecaster::Config{.pod_id = config_.pod_id});
     if (config_.obs != nullptr) {
         pool_->SetObservability(config_.obs);
         health_monitor_->SetObservability(config_.obs);

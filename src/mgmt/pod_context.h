@@ -76,8 +76,6 @@ class PodContext {
          * feed silent, so subscribers see a default-healthy pod.
          */
         bool predictive = true;
-        /** Forecaster tuning (sampling cadence, weights, bands). */
-        HealthForecaster::Config forecast;
         /**
          * Pod index within a federation. Unless the fabric config pins
          * them explicitly, the node base (global ids), fabric name

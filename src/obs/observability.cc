@@ -6,13 +6,20 @@
 
 namespace catapult::obs {
 
+namespace {
+
+/** Per-shard trace ring capacity (records). */
+constexpr std::size_t kTraceCapacity = 1u << 16;
+
+}  // namespace
+
 ObservabilityPlane::ObservabilityPlane(int shard_count, const Config& config)
     : config_(config), hub_(config.hub) {
     assert(shard_count >= 1);
     shards_.reserve(static_cast<std::size_t>(shard_count));
     for (int i = 0; i < shard_count; ++i) {
         shards_.push_back(std::make_unique<ShardObs>(
-            i, config_.trace_capacity, config_.enabled && config_.tracing));
+            i, kTraceCapacity, config_.enabled && config_.tracing));
     }
 }
 

@@ -57,8 +57,6 @@ class ObservabilityPlane {
         bool enabled = false;
         /** Record spans/instants (metrics stay on regardless). */
         bool tracing = true;
-        /** Per-shard trace ring capacity (records). */
-        std::size_t trace_capacity = 1u << 16;
         MetricsHub::Config hub;
     };
 

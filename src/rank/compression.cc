@@ -24,10 +24,13 @@ void CompressionStage::Apply(const FeatureStore& in, FeatureStore& out) const {
 }
 
 Time CompressionStage::ServiceTime() const {
+    // Cycles per 64 feature slots scanned (wide gather datapath).
+    constexpr int kCyclesPer64Slots = 1;
+    constexpr std::int64_t kBaseCycles = 100;
     const std::int64_t scan_cycles =
         static_cast<std::int64_t>((kFeatureUniverse + 63) / 64) *
-        timing_.cycles_per_64_slots;
-    return timing_.clock.Cycles(timing_.base_cycles + scan_cycles);
+        kCyclesPer64Slots;
+    return timing_.clock.Cycles(kBaseCycles + scan_cycles);
 }
 
 }  // namespace catapult::rank

@@ -22,9 +22,6 @@ class CompressionStage {
   public:
     struct Timing {
         Frequency clock = Frequency::MHz(180.0);  ///< Table 1 (Comp).
-        /** Cycles per 64 feature slots scanned (wide gather datapath). */
-        int cycles_per_64_slots = 1;
-        std::int64_t base_cycles = 100;
     };
 
     CompressionStage() = default;

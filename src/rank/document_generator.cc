@@ -6,17 +6,35 @@
 
 namespace catapult::rank {
 
+namespace {
+
+/** Weight of the big-document mixture component. */
+constexpr double kBigComponentWeight = 0.03;
+/** Small component: lognormal mean (bytes) and sigma. */
+constexpr double kSmallMeanBytes = 5'300.0;
+constexpr double kSmallSigma = 0.80;
+/** Big component: lognormal mean (bytes) and sigma. */
+constexpr double kBigMeanBytes = 45'000.0;
+constexpr double kBigSigma = 0.28;
+/**
+ * Average encoded bytes contributed per hit-vector tuple, calibrated to
+ * the 2/4/6-byte mix the codec produces; the document_generator tests
+ * validate wire_bytes vs EncodedSize.
+ */
+constexpr double kBytesPerTuple = 2.7;
+/** Software-computed features per request (§4.1). */
+constexpr int kMinSoftwareFeatures = 4;
+constexpr int kMaxSoftwareFeatures = 24;
+
+}  // namespace
+
 DocumentGenerator::DocumentGenerator(std::uint64_t seed, Config config)
-    : config_(config), rng_(seed) {
-    // Default calibrated to the actual tuple-encoding mix; see the
-    // document_generator tests which validate wire_bytes vs EncodedSize.
-    if (config_.bytes_per_tuple <= 0.0) config_.bytes_per_tuple = 2.7;
-}
+    : config_(config), rng_(seed) {}
 
 double DocumentGenerator::DrawTargetBytes() {
-    const bool big = rng_.Chance(config_.big_component_weight);
-    const double mean = big ? config_.big_mean_bytes : config_.small_mean_bytes;
-    const double sigma = big ? config_.big_sigma : config_.small_sigma;
+    const bool big = rng_.Chance(kBigComponentWeight);
+    const double mean = big ? kBigMeanBytes : kSmallMeanBytes;
+    const double sigma = big ? kBigSigma : kSmallSigma;
     // Parameterize the lognormal by its arithmetic mean:
     //   E[X] = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2.
     const double mu = std::log(mean) - sigma * sigma / 2.0;
@@ -45,8 +63,7 @@ CompressedRequest DocumentGenerator::Build(Bytes target) {
         1 + static_cast<int>(rng_.NextBounded(kMaxQueryTerms));
 
     const int feature_count = static_cast<int>(
-        rng_.UniformInt(config_.min_software_features,
-                        config_.max_software_features));
+        rng_.UniformInt(kMinSoftwareFeatures, kMaxSoftwareFeatures));
     request.software_features.reserve(static_cast<std::size_t>(feature_count));
     for (int i = 0; i < feature_count; ++i) {
         SoftwareFeature feature;
@@ -65,15 +82,15 @@ CompressedRequest DocumentGenerator::Build(Bytes target) {
     const Bytes fixed = CompressedRequest::HeaderSize() +
                         static_cast<Bytes>(request.software_features.size()) * 6;
     const Bytes hit_bytes =
-        std::max<Bytes>(target - fixed, static_cast<Bytes>(config_.bytes_per_tuple));
+        std::max<Bytes>(target - fixed, static_cast<Bytes>(kBytesPerTuple));
     request.tuple_count = static_cast<std::uint32_t>(std::max<Bytes>(
         1, static_cast<Bytes>(static_cast<double>(hit_bytes) /
-                              config_.bytes_per_tuple)));
+                              kBytesPerTuple)));
 
     // Cap the encoded size at 64 KB by shaving tuples if needed.
     const double max_tuples =
         (static_cast<double>(kMaxCompressedBytes - fixed)) /
-        config_.bytes_per_tuple;
+        kBytesPerTuple;
     if (static_cast<double>(request.tuple_count) > max_tuples) {
         request.tuple_count = static_cast<std::uint32_t>(max_tuples);
         request.truncated = true;
@@ -86,7 +103,7 @@ CompressedRequest DocumentGenerator::Build(Bytes target) {
         static_cast<std::uint32_t>(rng_.NextBounded(1'000));
     request.wire_bytes =
         fixed + static_cast<Bytes>(static_cast<double>(request.tuple_count) *
-                                   config_.bytes_per_tuple);
+                                   kBytesPerTuple);
     if (request.wire_bytes > kMaxCompressedBytes) {
         request.wire_bytes = kMaxCompressedBytes;
     }

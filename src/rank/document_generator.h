@@ -24,22 +24,6 @@ namespace catapult::rank {
 class DocumentGenerator {
   public:
     struct Config {
-        /** Weight of the big-document mixture component. */
-        double big_component_weight = 0.03;
-        /** Small component: lognormal mean (bytes) and sigma. */
-        double small_mean_bytes = 5'300.0;
-        double small_sigma = 0.80;
-        /** Big component: lognormal mean (bytes) and sigma. */
-        double big_mean_bytes = 45'000.0;
-        double big_sigma = 0.28;
-        /** Average encoded bytes contributed per hit-vector tuple
-            (calibrated to the 2/4/6-byte mix the codec produces). */
-        double bytes_per_tuple = 2.7;
-        /** Fraction of the compressed request occupied by the hit vector. */
-        double hit_vector_fraction = 0.75;
-        /** Software-computed features per request (§4.1). */
-        int min_software_features = 4;
-        int max_software_features = 24;
         /** Distinct models in the serving mix (§4.3). */
         std::uint32_t model_count = 4;
     };

@@ -602,16 +602,18 @@ void FeatureExtractor::Emit(const CompressedRequest& request,
     }
 }
 
-Time FeatureExtractor::ServiceTime(std::uint32_t tuple_count) const {
+Time FeatureExtractor::ServiceTime(std::uint32_t tuple_count) {
+    constexpr Frequency kClock = Frequency::MHz(150.0);  // Table 1.
+    // Fixed cycles: header parse, FST swap, gather drain.
+    constexpr std::int64_t kBaseCycles = 250;
+    // Effective issue cycles per hit-vector tuple. The Stream Processing
+    // FSM dispatches tokens to all 43 FSMs in parallel (MISD), so the
+    // effective per-tuple rate is sub-cycle.
+    constexpr double kCyclesPerTuple = 0.5;
     const auto cycles =
-        timing_.base_cycles +
-        static_cast<std::int64_t>(
-            std::ceil(timing_.cycles_per_tuple * tuple_count));
-    return timing_.clock.Cycles(cycles);
-}
-
-Time FeatureExtractor::ServiceTime(const CompressedRequest& request) const {
-    return ServiceTime(request.tuple_count);
+        kBaseCycles +
+        static_cast<std::int64_t>(kCyclesPerTuple * tuple_count + 1);
+    return kClock.Cycles(cycles);
 }
 
 }  // namespace catapult::rank

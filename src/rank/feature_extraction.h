@@ -113,18 +113,6 @@ class FeatureFsm {
  */
 class FeatureExtractor {
   public:
-    struct Timing {
-        Frequency clock = Frequency::MHz(150.0);  ///< Table 1.
-        /** Fixed cycles: header parse, FST swap, gather drain. */
-        std::int64_t base_cycles = 250;
-        /**
-         * Effective issue cycles per hit-vector tuple. The Stream
-         * Processing FSM dispatches tokens to all 43 FSMs in parallel
-         * (MISD), so the effective per-tuple rate is sub-cycle.
-         */
-        double cycles_per_tuple = 0.5;
-    };
-
     /**
      * Maps every descriptor to its accumulator lane; aborts on a
      * (kind, param) that no lane computes.
@@ -141,12 +129,12 @@ class FeatureExtractor {
      */
     void Extract(const CompressedRequest& request, FeatureStore& store);
 
-    /** Stage service time for a request (§4.2 macropipeline budget). */
-    Time ServiceTime(const CompressedRequest& request) const;
-    Time ServiceTime(std::uint32_t tuple_count) const;
-
-    const Timing& timing() const { return timing_; }
-    Timing& timing() { return timing_; }
+    /**
+     * Stage service time for a request of `tuple_count` hit-vector
+     * tuples (§4.2 macropipeline budget; FE is the pipeline bottleneck,
+     * §5): the time every FE stage of the simulator takes.
+     */
+    static Time ServiceTime(std::uint32_t tuple_count);
 
   private:
     /**
@@ -206,7 +194,6 @@ class FeatureExtractor {
     static Output OutputFor(const FsmDescriptor& descriptor);
     void Emit(const CompressedRequest& request, FeatureStore& store) const;
 
-    Timing timing_;
     /** The per-(stream, term) FSMs' outputs, then the aggregates'. */
     std::vector<Output> cell_outputs_;
     std::vector<Output> aggregate_outputs_;

@@ -6,17 +6,17 @@
 
 namespace catapult::rank::ffe {
 
-int OpLatencies::For(OpCode op) const {
+int OpLatencies::For(OpCode op) {
     switch (op) {
-      case OpCode::kDiv: return fpdiv;
-      case OpCode::kLn: return ln;
-      case OpCode::kExp: return exp;
-      case OpCode::kFloatToInt: return float_to_int;
+      case OpCode::kDiv: return kFpdiv;
+      case OpCode::kLn: return kLn;
+      case OpCode::kExp: return kExp;
+      case OpCode::kFloatToInt: return kFloatToInt;
       case OpCode::kLoadFeature:
       case OpCode::kLoadConst:
-        return load;
+        return kLoad;
       default:
-        return simple;
+        return kSimple;
     }
 }
 
@@ -41,12 +41,12 @@ std::uint32_t FfeCompiler::Lower(const Expr& expr, Program& program) const {
     return instr.dst;
 }
 
-std::int64_t FfeCompiler::CriticalPath(const Expr& expr) const {
+std::int64_t FfeCompiler::CriticalPath(const Expr& expr) {
     std::int64_t child_path = 0;
     for (const auto& child : expr.children) {
         child_path = std::max(child_path, CriticalPath(*child));
     }
-    return child_path + config_.latencies.For(expr.op);
+    return child_path + OpLatencies::For(expr.op);
 }
 
 Program FfeCompiler::Compile(const Expr& expr,

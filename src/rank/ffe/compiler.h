@@ -55,20 +55,19 @@ struct Program {
 
 /** Per-op issue-to-result latencies in FFE core cycles. */
 struct OpLatencies {
-    int simple = 4;        ///< add/sub/mul/max/min/cmp/select.
-    int load = 2;          ///< feature/const load from FST.
-    int fpdiv = 20;
-    int ln = 24;
-    int exp = 22;
-    int float_to_int = 6;
+    static constexpr int kSimple = 4;      ///< add/sub/mul/max/min/cmp/select.
+    static constexpr int kLoad = 2;        ///< feature/const load from FST.
+    static constexpr int kFpdiv = 20;
+    static constexpr int kLn = 24;
+    static constexpr int kExp = 22;
+    static constexpr int kFloatToInt = 6;
 
-    int For(OpCode op) const;
+    static int For(OpCode op);
 };
 
 class FfeCompiler {
   public:
     struct Config {
-        OpLatencies latencies;
         /**
          * Expressions with more ops than this are split across FPGAs
          * via metafeatures (§4.5) — bounding any one thread's
@@ -104,7 +103,7 @@ class FfeCompiler {
 
   private:
     std::uint32_t Lower(const Expr& expr, Program& program) const;
-    std::int64_t CriticalPath(const Expr& expr) const;
+    static std::int64_t CriticalPath(const Expr& expr);
 
     Config config_;
 };

@@ -143,20 +143,35 @@ ExprPtr MakeSelect(ExprPtr cond, ExprPtr if_true, ExprPtr if_false) {
     return e;
 }
 
+namespace {
+
+/** Small expressions: 3-40 ops. */
+constexpr int kSmallMinOps = 3;
+constexpr int kSmallMaxOps = 40;
+/** Heavy tail: lognormal, capped. */
+constexpr double kTailMeanOps = 250.0;
+constexpr double kTailSigma = 0.9;
+constexpr int kMaxOps = 4'000;
+/** Probability an internal node is a complex op. */
+constexpr double kComplexProbability = 0.12;
+/** Probability of conditional (select) nodes. */
+constexpr double kSelectProbability = 0.06;
+
+}  // namespace
+
 ExpressionGenerator::ExpressionGenerator(std::uint64_t seed, Config config)
     : config_(config), rng_(seed) {}
 
 ExprPtr ExpressionGenerator::Generate() {
     int target;
     if (rng_.Chance(config_.small_probability)) {
-        target = static_cast<int>(
-            rng_.UniformInt(config_.small_min_ops, config_.small_max_ops));
+        target = static_cast<int>(rng_.UniformInt(kSmallMinOps, kSmallMaxOps));
     } else {
-        const double sigma = config_.tail_sigma;
-        const double mu = std::log(config_.tail_mean_ops) - sigma * sigma / 2;
+        const double sigma = kTailSigma;
+        const double mu = std::log(kTailMeanOps) - sigma * sigma / 2;
         target = static_cast<int>(rng_.LogNormal(mu, sigma));
-        if (target < config_.small_max_ops) target = config_.small_max_ops;
-        if (target > config_.max_ops) target = config_.max_ops;
+        if (target < kSmallMaxOps) target = kSmallMaxOps;
+        if (target > kMaxOps) target = kMaxOps;
     }
     return GenerateWithSize(target);
 }
@@ -173,7 +188,7 @@ ExprPtr ExpressionGenerator::Build(int budget) {
         }
         return MakeConst(static_cast<float>(rng_.Uniform(-4.0, 4.0)));
     }
-    if (budget >= 4 && rng_.Chance(config_.select_probability)) {
+    if (budget >= 4 && rng_.Chance(kSelectProbability)) {
         const int b0 = 1 + static_cast<int>(
                                rng_.NextBounded(static_cast<std::uint64_t>(
                                    (budget - 1) / 3 + 1)));
@@ -183,7 +198,7 @@ ExprPtr ExpressionGenerator::Build(int budget) {
         const int b2 = budget - 1 - b0 - b1;
         return MakeSelect(Build(b0), Build(b1), Build(b2 > 0 ? b2 : 1));
     }
-    if (rng_.Chance(config_.complex_probability)) {
+    if (rng_.Chance(kComplexProbability)) {
         const OpCode op = static_cast<OpCode>(
             static_cast<int>(OpCode::kDiv) + rng_.NextBounded(4));
         if (op == OpCode::kDiv) {

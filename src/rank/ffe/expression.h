@@ -120,16 +120,6 @@ class ExpressionGenerator {
     struct Config {
         /** P(small expression); small ~ 3-40 ops, else heavy tail. */
         double small_probability = 0.90;
-        int small_min_ops = 3;
-        int small_max_ops = 40;
-        /** Heavy tail: lognormal, capped. */
-        double tail_mean_ops = 250.0;
-        double tail_sigma = 0.9;
-        int max_ops = 4'000;
-        /** Probability an internal node is a complex op. */
-        double complex_probability = 0.12;
-        /** Probability of conditional (select) nodes. */
-        double select_probability = 0.06;
     };
 
     ExpressionGenerator(std::uint64_t seed, Config config);

@@ -27,6 +27,11 @@ constexpr std::uint32_t Tagged(std::uint32_t tag, std::size_t index) {
 /** Compute opcodes precede the two loads, which are never scheduled. */
 constexpr std::uint32_t kComputeOps = static_cast<std::uint32_t>(OpCode::kLoadFeature);
 
+/** Table 1 (FFE0/1). */
+constexpr Frequency kClock = Frequency::MHz(125.0);
+/** Complex block initiation interval (ops/cycle = 1/II). */
+constexpr int kComplexInitiationInterval = 1;
+
 /** All ones when `p` holds, else zero: a select without a jump. */
 constexpr std::uint32_t Mask(bool p) { return 0u - static_cast<std::uint32_t>(p); }
 
@@ -188,17 +193,13 @@ FfeProcessor::Partition::Partition(std::span<const Program> programs) {
 }
 
 void FfeProcessor::LoadPrograms(const std::vector<Program>& programs) {
-    LoadTiming(programs);
-    partition_.emplace(programs);
-}
-
-void FfeProcessor::LoadTiming(const std::vector<Program>& programs) {
-    partition_.reset();
     total_instructions_ = 0;
     for (const Program& program : programs) {
         total_instructions_ += program.InstructionCount();
     }
-    RecomputeTiming(programs);
+    breakdown_ = Timing(programs);
+    document_cycles_ = Cycles(breakdown_);
+    partition_ = Partition(programs);
 }
 
 void FfeProcessor::Run(const Partition& partition, FeatureStore& store,
@@ -288,17 +289,14 @@ float FfeProcessor::Execute(const Program& program, const FeatureStore& store) {
 }
 
 void FfeProcessor::ExecuteAll(FeatureStore& store) {
-    if (!partition_) {
-        FatalMisuse("FfeProcessor::ExecuteAll: no decoded partition "
-                    "(LoadTiming loads the timing only)");
-    }
-    Run(*partition_, store, values_);
+    Run(partition_, store, values_);
 }
 
-void FfeProcessor::RecomputeTiming(const std::vector<Program>& programs) {
+FfeProcessor::TimingBreakdown FfeProcessor::Timing(
+    const std::vector<Program>& programs) const {
     const ThreadAssignment assignment = AssignThreads(
         programs, config_.core_count, config_.threads_per_core);
-    breakdown_ = TimingBreakdown{};
+    TimingBreakdown breakdown;
     const int cores = config_.core_count;
     const int clusters =
         (cores + config_.cores_per_cluster - 1) / config_.cores_per_cluster;
@@ -317,29 +315,37 @@ void FfeProcessor::RecomputeTiming(const std::vector<Program>& programs) {
                 cluster_complex[static_cast<std::size_t>(
                     core / config_.cores_per_cluster)] +=
                     static_cast<std::int64_t>(p.complex_ops) *
-                    config_.complex_initiation_interval;
+                    kComplexInitiationInterval;
             }
-            breakdown_.max_thread_serial_cycles =
-                std::max(breakdown_.max_thread_serial_cycles, serial);
+            breakdown.max_thread_serial_cycles =
+                std::max(breakdown.max_thread_serial_cycles, serial);
         }
-        breakdown_.max_core_issue_cycles =
-            std::max(breakdown_.max_core_issue_cycles, issue);
+        breakdown.max_core_issue_cycles =
+            std::max(breakdown.max_core_issue_cycles, issue);
     }
     for (std::int64_t c : cluster_complex) {
-        breakdown_.max_cluster_complex_cycles =
-            std::max(breakdown_.max_cluster_complex_cycles, c);
+        breakdown.max_cluster_complex_cycles =
+            std::max(breakdown.max_cluster_complex_cycles, c);
     }
-    document_cycles_ =
-        std::max({breakdown_.max_core_issue_cycles,
-                  breakdown_.max_thread_serial_cycles,
-                  breakdown_.max_cluster_complex_cycles}) +
-        config_.overhead_cycles;
+    return breakdown;
+}
+
+std::int64_t FfeProcessor::Cycles(const TimingBreakdown& breakdown) {
+    return std::max({breakdown.max_core_issue_cycles,
+                     breakdown.max_thread_serial_cycles,
+                     breakdown.max_cluster_complex_cycles}) +
+           kOverheadCycles;
 }
 
 std::int64_t FfeProcessor::DocumentCycles() const { return document_cycles_; }
 
 Time FfeProcessor::DocumentServiceTime() const {
-    return config_.clock.Cycles(document_cycles_);
+    return kClock.Cycles(document_cycles_);
+}
+
+Time FfeProcessor::DocumentServiceTime(
+    const std::vector<Program>& programs) const {
+    return kClock.Cycles(Cycles(Timing(programs)));
 }
 
 Bytes FfeProcessor::InstructionMemoryBytes() const {

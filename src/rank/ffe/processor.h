@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,13 +47,10 @@ class FfeProcessor {
         int core_count = 60;          ///< §4.5.
         int threads_per_core = 4;     ///< §4.5.
         int cores_per_cluster = 6;    ///< §4.5.
-        Frequency clock = Frequency::MHz(125.0);  ///< Table 1 (FFE0/1).
-        OpLatencies latencies;
-        /** Complex block initiation interval (ops/cycle = 1/II). */
-        int complex_initiation_interval = 1;
-        /** Fixed overhead: FST swap, pipeline fill/drain. */
-        std::int64_t overhead_cycles = 120;
     };
+
+    /** Fixed overhead: FST swap, pipeline fill/drain. */
+    static constexpr std::int64_t kOverheadCycles = 120;
 
     /**
      * A partition decoded for level-by-level execution. The op at
@@ -65,6 +61,9 @@ class FfeProcessor {
      */
     class Partition {
       public:
+        /** An empty partition: runs nothing and writes no slot. */
+        Partition() = default;
+
         /**
          * Decode `programs`, which run in this order. Aborts, in every
          * build, on a program that reads a register it has not written,
@@ -126,17 +125,10 @@ class FfeProcessor {
     void LoadPrograms(const std::vector<Program>& programs);
 
     /**
-     * Compute the timing only, for a processor whose partition runs
-     * from a decode it does not own (a Model's shared one); ExecuteAll
-     * then aborts.
-     */
-    void LoadTiming(const std::vector<Program>& programs);
-
-    /**
      * Functional execution: run every loaded program, in load order,
-     * against `store`, writing each result to its output FST slot.
-     * Uses this processor's value scratch, so one processor serves one
-     * thread at a time.
+     * against `store`, writing each result to its output FST slot (no
+     * program is loaded at construction). Uses this processor's value
+     * scratch, so one processor serves one thread at a time.
      */
     void ExecuteAll(FeatureStore& store);
 
@@ -160,6 +152,12 @@ class FfeProcessor {
     /** DocumentCycles converted through the core clock. */
     Time DocumentServiceTime() const;
 
+    /**
+     * DocumentServiceTime of `programs`, computed without loading them
+     * (nothing is decoded): what LoadPrograms(programs) would give.
+     */
+    Time DocumentServiceTime(const std::vector<Program>& programs) const;
+
     /** Breakdown of the three binding constraints (for ablation). */
     struct TimingBreakdown {
         std::int64_t max_core_issue_cycles = 0;
@@ -177,11 +175,12 @@ class FfeProcessor {
     const Config& config() const { return config_; }
 
   private:
-    void RecomputeTiming(const std::vector<Program>& programs);
+    /** The three bounds of `programs`; Cycles() adds the overhead. */
+    TimingBreakdown Timing(const std::vector<Program>& programs) const;
+    static std::int64_t Cycles(const TimingBreakdown& breakdown);
 
     Config config_;
-    /** LoadPrograms' decode; empty after LoadTiming. */
-    std::optional<Partition> partition_;
+    Partition partition_;
     std::vector<float> values_;
     std::int64_t total_instructions_ = 0;
     TimingBreakdown breakdown_;

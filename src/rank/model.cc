@@ -10,6 +10,13 @@ namespace catapult::rank {
 
 namespace {
 
+/** Depth of every scoring tree. */
+constexpr int kTreeDepth = 6;
+/** Dual-channel DDR3-1333 streaming rate during reload (§4.3). */
+constexpr Bandwidth kReloadBandwidth = Bandwidth::MegabytesPerSecond(21'334);
+/** Command/quiesce overhead per stage reload. */
+constexpr Time kReloadOverhead = Microseconds(5);
+
 /**
  * FNV-1a over every generation-relevant config field. Two configs with
  * the same fingerprint synthesize bit-identical models for a given
@@ -29,25 +36,9 @@ std::uint64_t ConfigFingerprint(const Model::Config& config) {
     };
     mix(static_cast<std::uint64_t>(config.expression_count));
     mix(static_cast<std::uint64_t>(config.tree_count));
-    mix(static_cast<std::uint64_t>(config.tree_depth));
-    const auto& e = config.expressions;
-    mix_double(e.small_probability);
-    mix(static_cast<std::uint64_t>(e.small_min_ops));
-    mix(static_cast<std::uint64_t>(e.small_max_ops));
-    mix_double(e.tail_mean_ops);
-    mix_double(e.tail_sigma);
-    mix(static_cast<std::uint64_t>(e.max_ops));
-    mix_double(e.complex_probability);
-    mix_double(e.select_probability);
-    const auto& c = config.compiler;
-    mix(static_cast<std::uint64_t>(c.latencies.simple));
-    mix(static_cast<std::uint64_t>(c.latencies.load));
-    mix(static_cast<std::uint64_t>(c.latencies.fpdiv));
-    mix(static_cast<std::uint64_t>(c.latencies.ln));
-    mix(static_cast<std::uint64_t>(c.latencies.exp));
-    mix(static_cast<std::uint64_t>(c.latencies.float_to_int));
-    mix(static_cast<std::uint64_t>(c.split_threshold_ops));
-    mix(static_cast<std::uint64_t>(c.split_chunk_ops));
+    mix_double(config.expressions.small_probability);
+    mix(static_cast<std::uint64_t>(config.compiler.split_threshold_ops));
+    mix(static_cast<std::uint64_t>(config.compiler.split_chunk_ops));
     return h;
 }
 
@@ -112,8 +103,14 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
         const std::uint32_t output_slot =
             kFfeOutputBase +
             static_cast<std::uint32_t>(i) % kFfeOutputSlots;
-        // Work on a clone so expressions_ stays the unsplit reference.
-        ffe::ExprPtr work = model->expressions_[i]->Clone();
+        const ffe::Expr& expr = *model->expressions_[i];
+        if (expr.OpCount() <= config.compiler.split_threshold_ops) {
+            // Nothing to split: compile the reference AST itself.
+            remainder.push_back(compiler.Compile(expr, output_slot));
+            continue;
+        }
+        // Split a clone so expressions_ stays the unsplit reference.
+        ffe::ExprPtr work = expr.Clone();
         auto parts = compiler.SplitForMetafeatures(*work, next_meta_slot);
         for (auto& part : parts) {
             upstream.push_back(compiler.Compile(*part.expr, part.slot));
@@ -157,10 +154,14 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     model->ffe1_ = std::move(ffe1);
     model->ffe0_instructions_ = load0;
     model->ffe1_instructions_ = load1;
+    // The two FFE stages' time per document on the §4.5 processor.
+    const ffe::FfeProcessor processor;
+    model->ffe0_service_time_ = processor.DocumentServiceTime(model->ffe0_);
+    model->ffe1_service_time_ = processor.DocumentServiceTime(model->ffe1_);
 
     // 3. Scoring ensemble + compression stage programming.
     model->ensemble_ =
-        GenerateEnsemble(model_seed, config.tree_count, config.tree_depth);
+        GenerateEnsemble(model_seed, config.tree_count, kTreeDepth);
     model->compression_.ProgramForModel(model->ensemble_);
     return model;
 }
@@ -225,8 +226,7 @@ Time ModelStore::StageReloadTime(const Model& model,
                                  PipelineStage stage) const {
     const Bytes bytes = model.ReloadBytes(stage);
     if (bytes == 0) return 0;
-    return config_.reload_overhead +
-           config_.reload_bandwidth.SerializationTime(bytes);
+    return kReloadOverhead + kReloadBandwidth.SerializationTime(bytes);
 }
 
 Time ModelStore::PipelineReloadTime(const Model& model) const {
@@ -242,8 +242,7 @@ Time ModelStore::PipelineReloadTime(const Model& model) const {
 Time ModelStore::WorstCaseReloadTime() const {
     // §4.3: all 2,014 M20K RAMs (20 Kb each) reloaded from DRAM.
     const Bytes all_m20k = 2'014ll * 20'480 / 8;
-    return config_.reload_overhead +
-           config_.reload_bandwidth.SerializationTime(all_m20k);
+    return kReloadOverhead + kReloadBandwidth.SerializationTime(all_m20k);
 }
 
 }  // namespace catapult::rank

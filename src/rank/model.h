@@ -57,7 +57,6 @@ class Model {
     struct Config {
         int expression_count = 1'600;  ///< "typically thousands of FFEs".
         int tree_count = 6'000;
-        int tree_depth = 6;
         ffe::ExpressionGenerator::Config expressions;
         ffe::FfeCompiler::Config compiler;
     };
@@ -95,6 +94,14 @@ class Model {
     /** Partitions decoded so far: 0, 1 or 2. */
     int decoded_partitions() const { return decoded_partitions_.load(); }
 
+    /**
+     * FFE0's and FFE1's stage time per document on the §4.5 processor,
+     * computed once at generation from the partitions' static thread
+     * assignment (nothing is decoded for it).
+     */
+    Time ffe0_service_time() const { return ffe0_service_time_; }
+    Time ffe1_service_time() const { return ffe1_service_time_; }
+
     const ScoringEnsemble& ensemble() const { return ensemble_; }
     const CompressionStage& compression() const { return compression_; }
 
@@ -126,6 +133,8 @@ class Model {
     /** Instruction totals of ffe0_ and ffe1_ (their reload sizes). */
     std::int64_t ffe0_instructions_ = 0;
     std::int64_t ffe1_instructions_ = 0;
+    Time ffe0_service_time_ = 0;
+    Time ffe1_service_time_ = 0;
     int metafeature_count_ = 0;
     mutable LazyPartition ffe0_decoded_;
     mutable LazyPartition ffe1_decoded_;
@@ -138,10 +147,6 @@ class Model {
 class ModelStore {
   public:
     struct Config {
-        /** Dual-channel DDR3-1333 streaming rate during reload. */
-        Bandwidth reload_bandwidth = Bandwidth::MegabytesPerSecond(21'334);
-        /** Command/quiesce overhead per stage reload. */
-        Time reload_overhead = Microseconds(5);
         Model::Config model;
     };
 

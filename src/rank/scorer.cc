@@ -116,11 +116,18 @@ float ScorerShard::PartialScore(const FeatureStore& store) const {
 }
 
 Time ScorerShard::ServiceTime() const {
+    constexpr Frequency kClock = Frequency::MHz(166.0);  // Table 1 (Scr0-2).
+    // Parallel tree-evaluation pipelines per chip.
+    constexpr int kTreeUnits = 8;
+    // Cycles per tree per unit (pipelined traversal).
+    constexpr int kCyclesPerTree = 2;
+    // Fixed cycles: partial-sum accumulate, forwarding.
+    constexpr std::int64_t kBaseCycles = 120;
     const std::int64_t tree_cycles =
-        static_cast<std::int64_t>(
-            (tree_count_ + timing_.tree_units - 1) / timing_.tree_units) *
-        timing_.cycles_per_tree;
-    return timing_.clock.Cycles(timing_.base_cycles + tree_cycles);
+        static_cast<std::int64_t>((tree_count_ + kTreeUnits - 1) /
+                                  kTreeUnits) *
+        kCyclesPerTree;
+    return kClock.Cycles(kBaseCycles + tree_cycles);
 }
 
 ScoringEnsemble::ScoringEnsemble(std::span<const DecisionTree> trees) {

@@ -58,16 +58,6 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
 /** One scoring stage's shard of the ensemble. */
 class ScorerShard {
   public:
-    struct Timing {
-        Frequency clock = Frequency::MHz(166.0);  ///< Table 1 (Scr0-2).
-        /** Parallel tree-evaluation pipelines per chip. */
-        int tree_units = 8;
-        /** Cycles per tree per unit (pipelined traversal). */
-        int cycles_per_tree = 2;
-        /** Fixed cycles: partial-sum accumulate, forwarding. */
-        std::int64_t base_cycles = 120;
-    };
-
     /** A node of the preorder array; a split's left child is the next node. */
     struct FlatNode {
         std::uint32_t feature = TreeNode::kLeaf;
@@ -102,8 +92,6 @@ class ScorerShard {
     }
     /** Every tree's nodes, tree after tree. */
     const std::vector<FlatNode>& nodes() const { return nodes_; }
-    Timing& timing() { return timing_; }
-    const Timing& timing() const { return timing_; }
 
   private:
     friend ScoringEnsemble GenerateEnsemble(std::uint64_t, int, int, int);
@@ -118,7 +106,6 @@ class ScorerShard {
      */
     std::vector<std::uint32_t> roots_;
     int tree_count_ = 0;
-    Timing timing_;
 };
 
 /**

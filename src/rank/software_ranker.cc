@@ -6,10 +6,22 @@
 
 namespace catapult::rank {
 
+namespace {
+
+// SoftwareCostModel's cycle counts, at the host CPU clock.
+constexpr Frequency kCpuClock = Frequency::GHz(2.5);
+constexpr double kBaseCycles = 150'000;
+constexpr double kCyclesPerTuple = 900;  ///< metastream + FE work
+constexpr double kCyclesPerFfeOp = 12;
+constexpr double kCyclesPerTreeLevel = 9;
+/** Preprocessing-only (FPGA path): share of tuple work + base. */
+constexpr double kPrepBaseCycles = 120'000;
+constexpr double kPrepCyclesPerTuple = 700;
+
+}  // namespace
+
 RankingFunction::RankingFunction(const Model* model) : model_(model) {
     assert(model_ != nullptr);
-    ffe0_.LoadTiming(model_->ffe0_programs());
-    ffe1_.LoadTiming(model_->ffe1_programs());
 }
 
 void RankingFunction::ExtractFeatures(const CompressedRequest& request,
@@ -88,29 +100,28 @@ Time SoftwareCostModel::FullServiceTime(const CompressedRequest& request,
     const double nodes_per_tree =
         static_cast<double>(model.total_tree_nodes()) / trees;
     const double avg_depth = std::max(1.0, std::log2(nodes_per_tree + 1.0) - 1.0);
-    const double tree_cycles = cycles_per_tree_level * trees * avg_depth;
+    const double tree_cycles = kCyclesPerTreeLevel * trees * avg_depth;
     const double cycles =
-        base_cycles + cycles_per_tuple * request.tuple_count +
-        cycles_per_ffe_op * static_cast<double>(model.total_ffe_ops()) +
+        kBaseCycles + kCyclesPerTuple * request.tuple_count +
+        kCyclesPerFfeOp * static_cast<double>(model.total_ffe_ops()) +
         tree_cycles;
-    return static_cast<Time>(cycles / cpu_clock.hertz() * 1e12);
+    return static_cast<Time>(cycles / kCpuClock.hertz() * 1e12);
 }
 
 Time SoftwareCostModel::PrepServiceTime(const CompressedRequest& request) const {
     const double cycles =
-        prep_base_cycles + prep_cycles_per_tuple * request.tuple_count;
-    return static_cast<Time>(cycles / cpu_clock.hertz() * 1e12);
+        kPrepBaseCycles + kPrepCyclesPerTuple * request.tuple_count;
+    return static_cast<Time>(cycles / kCpuClock.hertz() * 1e12);
 }
 
-SoftwareRankServer::SoftwareRankServer(sim::Simulator* simulator, Rng rng,
-                                       Config config)
-    : simulator_(simulator), config_(config), cpu_(simulator, rng, config.cpu) {}
+SoftwareRankServer::SoftwareRankServer(sim::Simulator* simulator, Rng rng)
+    : simulator_(simulator), cpu_(simulator, rng) {}
 
 void SoftwareRankServer::Submit(const CompressedRequest& request,
                                 const Model& model,
                                 std::function<void(Time)> on_done) {
     const Time submitted = simulator_->Now();
-    const Time service = config_.cost.FullServiceTime(request, model);
+    const Time service = SoftwareCostModel().FullServiceTime(request, model);
     auto done = [this, submitted, on_done = std::move(on_done)] {
         on_done(simulator_->Now() - submitted);
     };

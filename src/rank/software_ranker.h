@@ -64,16 +64,11 @@ class RankingFunction {
     float ReferenceScore(const CompressedRequest& request);
 
     const Model& model() const { return *model_; }
-    const ffe::FfeProcessor& ffe0() const { return ffe0_; }
-    const ffe::FfeProcessor& ffe1() const { return ffe1_; }
     FeatureExtractor& extractor() { return extractor_; }
 
   private:
     const Model* model_;
     FeatureExtractor extractor_;
-    /** Timing only: the partitions run from the model's shared decode. */
-    ffe::FfeProcessor ffe0_;
-    ffe::FfeProcessor ffe1_;
     /** The FFE executor's value array, this function's own. */
     std::vector<float> values_;
     FeatureStore scratch_;
@@ -131,18 +126,16 @@ class CpuPool {
 };
 
 /**
- * Cost model for ranking work on the CPU (cycles at `cpu_clock`).
- * The FPGA-side host pays only the preprocessing component.
+ * Cost model for ranking work on the CPU (cycles at the host's 2.5 GHz
+ * clock). The FPGA-side host pays only the preprocessing component.
  */
 struct SoftwareCostModel {
-    Frequency cpu_clock = Frequency::GHz(2.5);
-    double base_cycles = 150'000;
-    double cycles_per_tuple = 900;      ///< metastream + FE work
-    double cycles_per_ffe_op = 12;
-    double cycles_per_tree_level = 9;
-    /** Preprocessing-only (FPGA path): share of tuple work + base. */
-    double prep_base_cycles = 120'000;
-    double prep_cycles_per_tuple = 700;
+    /**
+     * Stateless: the cycle counts are constants in software_ranker.cc.
+     * User-provided, so a `const SoftwareCostModel` member needs no
+     * initializer.
+     */
+    SoftwareCostModel() {}
 
     /** Full software ranking time for one request. */
     Time FullServiceTime(const CompressedRequest& request,
@@ -158,25 +151,16 @@ struct SoftwareCostModel {
  */
 class SoftwareRankServer {
   public:
-    struct Config {
-        CpuPool::Config cpu;
-        SoftwareCostModel cost;
-    };
-
-    SoftwareRankServer(sim::Simulator* simulator, Rng rng, Config config);
-    SoftwareRankServer(sim::Simulator* simulator, Rng rng)
-        : SoftwareRankServer(simulator, rng, Config()) {}
+    SoftwareRankServer(sim::Simulator* simulator, Rng rng);
 
     /** Rank one request; on_done(latency) fires at completion. */
     void Submit(const CompressedRequest& request, const Model& model,
                 std::function<void(Time)> on_done);
 
     CpuPool& cpu() { return cpu_; }
-    const Config& config() const { return config_; }
 
   private:
     sim::Simulator* simulator_;
-    Config config_;
     CpuPool cpu_;
 };
 

@@ -8,6 +8,32 @@
 
 namespace catapult::service {
 
+namespace {
+
+/** Back-off before a failed query re-injects elsewhere. */
+constexpr Time kRetryBackoff = Microseconds(50);
+/** Consecutive failures before a pod's breaker opens. */
+constexpr int kBreakerThreshold = 6;
+/** How long an open breaker holds the pod out of rotation. */
+constexpr Time kBreakerProbation = Milliseconds(20);
+
+// --- Predictive shed (health-score feed) -----------------------------
+
+/**
+ * Smoothed health score below which a pod is proactively shed: it
+ * leaves the normal rotation (one probe query at a time keeps testing
+ * it) before the first hard failure, so traffic moves without burning
+ * in-flight retries. Hysteresis: the pod rejoins full rotation only
+ * above kShedExit. A pod still in its cold-start grace (band
+ * WarmingUp) is never shed.
+ */
+constexpr double kShedFloor = 0.30;
+constexpr double kShedExit = 0.55;
+/** Routing weight a re-admitted pod starts its warm-up ramp from. */
+constexpr double kWarmupWeightFloor = 0.15;
+
+}  // namespace
+
 const char* ToString(FederationPolicy policy) {
     switch (policy) {
       case FederationPolicy::kRoundRobin: return "round_robin";
@@ -252,16 +278,16 @@ void FederatedDispatcher::OnHealthSample(
     // Cold-start grace: a pod still warming up (fresh attach or fresh
     // re-admission) is never shed on a half-filled trend window.
     if (sample.band == mgmt::HealthBand::kWarmingUp) return;
-    if (!slot.shed && sample.score < config_.shed_floor) {
+    if (!slot.shed && sample.score < kShedFloor) {
         slot.shed = true;
         ++shed_pod_count_;
         ++slot.stat_shed_transitions;
         ++counters_.sheds;
         LOG_WARN("federation")
             << "pod " << slot.context->pod_id() << " shed (score "
-            << sample.score << " < floor " << config_.shed_floor
+            << sample.score << " < floor " << kShedFloor
             << "); probing one query at a time";
-    } else if (slot.shed && sample.score >= config_.shed_exit) {
+    } else if (slot.shed && sample.score >= kShedExit) {
         // Hysteresis: rejoin only once the score clears the exit
         // threshold, so a score hovering at the floor cannot flap the
         // pod in and out of rotation.
@@ -270,7 +296,7 @@ void FederatedDispatcher::OnHealthSample(
         LOG_INFO("federation")
             << "pod " << slot.context->pod_id()
             << " recovered past shed hysteresis (score " << sample.score
-            << " >= " << config_.shed_exit << "); back in rotation";
+            << " >= " << kShedExit << "); back in rotation";
     }
 }
 
@@ -358,7 +384,7 @@ bool FederatedDispatcher::Eligible(const PodSlot& slot) const {
 }
 
 double FederatedDispatcher::WarmupRamp(const PodSlot& slot) const {
-    // Linear re-admission ramp from the configured floor to full over
+    // Linear re-admission ramp from kWarmupWeightFloor to full over
     // [warmup_start, warmup_until); 1.0 outside the window.
     const Time now = simulator_->Now();
     if (now >= slot.warmup_until || slot.warmup_until <= slot.warmup_start) {
@@ -367,8 +393,7 @@ double FederatedDispatcher::WarmupRamp(const PodSlot& slot) const {
     const double ramp =
         static_cast<double>(now - slot.warmup_start) /
         static_cast<double>(slot.warmup_until - slot.warmup_start);
-    return config_.warmup_weight_floor +
-           (1.0 - config_.warmup_weight_floor) * ramp;
+    return kWarmupWeightFloor + (1.0 - kWarmupWeightFloor) * ramp;
 }
 
 double FederatedDispatcher::EffectiveWeight(const PodSlot& slot) const {
@@ -733,7 +758,7 @@ void FederatedDispatcher::OnShardReject(std::uint32_t pending) {
                                  ctx.retries_left);
         }
         simulator_->ScheduleAfter(
-            config_.retry_backoff,
+            kRetryBackoff,
             [this, pod_index, query] { Failover(query, pod_index); });
         return;
     }
@@ -784,7 +809,7 @@ void FederatedDispatcher::OnPodResult(int pod_index, std::uint32_t query,
                              simulator_->Now(), pod_index, ctx.retries_left);
     }
     simulator_->ScheduleAfter(
-        config_.retry_backoff,
+        kRetryBackoff,
         [this, pod_index, query] { Failover(query, pod_index); });
 }
 
@@ -814,7 +839,7 @@ void FederatedDispatcher::Failover(std::uint32_t query, int failed_pod) {
     if (ctx.retries_left > 0) {
         --ctx.retries_left;
         simulator_->ScheduleAfter(
-            config_.retry_backoff,
+            kRetryBackoff,
             [this, failed_pod, query] { Failover(query, failed_pod); });
         return;
     }
@@ -826,11 +851,11 @@ void FederatedDispatcher::Failover(std::uint32_t query, int failed_pod) {
 void FederatedDispatcher::RecordFailure(int pod_index) {
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
     ++slot.failure_streak;
-    if (slot.failure_streak < config_.breaker_threshold) return;
+    if (slot.failure_streak < kBreakerThreshold) return;
     if (slot.breaker_open_until == std::numeric_limits<Time>::max()) return;
     const Time now = simulator_->Now();
     if (now >= slot.breaker_open_until) ++counters_.breaker_trips;
-    slot.breaker_open_until = now + config_.breaker_probation;
+    slot.breaker_open_until = now + kBreakerProbation;
     slot.breaker_opened_at = now;
 }
 

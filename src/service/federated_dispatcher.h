@@ -89,33 +89,13 @@ class FederatedDispatcher {
          * failure.
          */
         int max_retries = 3;
-        /** Back-off before a failed query re-injects elsewhere. */
-        Time retry_backoff = Microseconds(50);
-        /** Consecutive failures before a pod's breaker opens. */
-        int breaker_threshold = 6;
-        /** How long an open breaker holds the pod out of rotation. */
-        Time breaker_probation = Milliseconds(20);
-
-        // --- Predictive shed (health-score feed) ---------------------
-
-        /**
-         * Smoothed health score below which a pod is proactively shed:
-         * it leaves the normal rotation (one probe query at a time
-         * keeps testing it) before the first hard failure, so traffic
-         * moves without burning in-flight retries. Hysteresis: the pod
-         * rejoins full rotation only above `shed_exit`. A pod still in
-         * its cold-start grace (band WarmingUp) is never shed.
-         */
-        double shed_floor = 0.30;
-        double shed_exit = 0.55;
         /**
          * Re-admission warm-up: a pod hot-attached back into rotation
          * (ReadmitPod) earns traffic gradually — its routing weight
-         * (and its admission cap, when configured) ramps from
-         * `warmup_weight_floor` to full over this window.
+         * (and its admission cap, when configured) ramps from a fixed
+         * floor to full over this window.
          */
         Time readmission_warmup = Milliseconds(60);
-        double warmup_weight_floor = 0.15;
     };
 
     /** Aborts on a null simulator or `max_retries` < 0. */

@@ -7,6 +7,20 @@
 
 namespace catapult::service {
 
+namespace {
+
+/**
+ * A query (or completion) crossing the pod boundary of a sharded
+ * federation pays the coordinator <-> pod network leg plus the pod-edge
+ * DMA doorbell/interrupt — the same constants the in-pod shell models
+ * use. It is the shards' epoch (lookahead) too, so no message can land
+ * inside the epoch that produced it.
+ */
+constexpr Time kCrossPodHop =
+    Microseconds(7) + shell::DmaEngine::kInterruptLatency;
+
+}  // namespace
+
 FederationTestbed::FederationTestbed(Config config)
     : config_(std::move(config)) {
     // The dispatcher's rotation holds 64 pods (its per-query tried-set
@@ -22,23 +36,10 @@ FederationTestbed::FederationTestbed(Config config)
     }
     coordinator_ = &simulator_;
     if (config_.sharding.enabled) {
-        // Lookahead derivation: a query (or completion) crossing the
-        // pod boundary pays the front-door network transit plus the
-        // pod-edge DMA doorbell/interrupt — the same constants the
-        // in-pod shell models use. The epoch is the smaller hop, so
-        // no message can land inside the epoch that produced it.
-        const Time leg = config_.sharding.front_door_network +
-                         config_.pod.fabric.shell.dma.interrupt_latency;
-        inject_hop_ =
-            config_.sharding.inject_hop > 0 ? config_.sharding.inject_hop
-                                            : leg;
-        completion_hop_ = config_.sharding.completion_hop > 0
-                              ? config_.sharding.completion_hop
-                              : leg;
         sim::SimulatorGroup::Config group_config;
         // Shard 0 = coordinator; pod k runs on shard 1 + k.
         group_config.shards = 1 + config_.pod_count;
-        group_config.epoch = std::min(inject_hop_, completion_hop_);
+        group_config.epoch = kCrossPodHop;
         group_ = std::make_unique<sim::SimulatorGroup>(group_config);
         coordinator_ = &group_->shard(0);
     }
@@ -56,8 +57,8 @@ FederationTestbed::FederationTestbed(Config config)
         FederatedDispatcher::ShardBinding bind;
         bind.group = group_.get();
         bind.coordinator_shard = 0;
-        bind.inject_hop = inject_hop_;
-        bind.completion_hop = completion_hop_;
+        bind.inject_hop = kCrossPodHop;
+        bind.completion_hop = kCrossPodHop;
         dispatcher_->BindShardGroup(bind);
     }
     for (int k = 0; k < config_.pod_count; ++k) BuildPod(k);
@@ -239,13 +240,13 @@ void FederationTestbed::ReattachPod(int index,
         return;
     }
     const int shard = target->shard_index();
-    group_->Post(0, shard, coordinator_->Now() + inject_hop_,
+    group_->Post(0, shard, coordinator_->Now() + kCrossPodHop,
                  [this, target, shard, verdict] {
                      ServiceAndRedeploy(*target, [this, shard,
                                                   verdict](bool ok) {
                          group_->Post(shard, 0,
                                       group_->shard(shard).Now() +
-                                          completion_hop_,
+                                          kCrossPodHop,
                                       [verdict, ok] { verdict(ok); });
                      });
                  });

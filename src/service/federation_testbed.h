@@ -64,16 +64,6 @@ class FederationTestbed {
              * the next change to perfbench/.
              */
             bool parallel = false;
-            /**
-             * Cross-pod hop latencies; 0 derives them from the fabric:
-             * the pod-edge DMA interrupt latency plus the front-door
-             * network transit below. The epoch (lookahead) is the
-             * smaller of the two.
-             */
-            Time inject_hop = 0;
-            Time completion_hop = 0;
-            /** Coordinator <-> pod network leg of a derived hop. */
-            Time front_door_network = Microseconds(7);
         } sharding;
 
         /**
@@ -155,8 +145,6 @@ class FederationTestbed {
     sim::Simulator* coordinator_ = nullptr;
     /** Declared before pods_/dispatcher_: they hold ShardObs*. */
     std::unique_ptr<obs::ObservabilityPlane> plane_;
-    Time inject_hop_ = 0;
-    Time completion_hop_ = 0;
     std::vector<std::unique_ptr<mgmt::PodContext>> pods_;
     std::unique_ptr<FederatedDispatcher> dispatcher_;
     std::unique_ptr<SessionFrontEnd> front_end_;

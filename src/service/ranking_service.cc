@@ -12,6 +12,14 @@ using rank::PipelineStage;
 
 namespace {
 
+/**
+ * Per-document software cost paid by the injecting thread before the
+ * slot fills (§4: "performs the software portion of the scoring,
+ * converts the document into a format suitable for FPGA evaluation, and
+ * then injects the document").
+ */
+constexpr Time kInjectionOverhead = Microseconds(12);
+
 /** Table 1: FPGA area usage and clock frequencies per ranking stage. */
 struct StageSynthesis {
     fpga::Utilization area;
@@ -175,15 +183,14 @@ Time RankingService::StageServiceTime(PipelineStage stage,
                                       std::uint32_t model_id) {
     const rank::Model& model =
         models_.GetOrGenerate(model_id, config_.model_seed);
-    return StageServiceTimeFor(stage, request, model, FunctionFor(model_id),
-                               config_.fe_timing);
+    return StageServiceTimeFor(stage, request, model);
 }
 
 void RankingService::BindModel(DocContext& ctx) {
-    if (ctx.function != nullptr) return;
+    if (ctx.model != nullptr) return;
     const std::uint32_t model_id = ctx.request.query.model_id;
     ctx.model = &models_.GetOrGenerate(model_id, config_.model_seed);
-    ctx.function = &FunctionFor(model_id);
+    if (config_.compute_scores) ctx.function = &FunctionFor(model_id);
 }
 
 Bytes RankingService::StageOutputBytes(PipelineStage stage,
@@ -269,7 +276,7 @@ host::SendStatus RankingService::InjectOnSlot(
     // The injecting thread first runs the document-conversion software
     // (§4) before filling its slot.
     simulator_->ScheduleAfter(
-        config_.injection_overhead,
+        kInjectionOverhead,
         [this, server, slot, index, trace_id,
          packet = std::move(packet)]() mutable {
             const auto status = server->driver().Send(

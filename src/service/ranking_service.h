@@ -113,17 +113,6 @@ class RankingService {
         std::uint64_t model_seed = 0xCA7A9017ull;
         rank::ModelStore::Config models;
         rank::QueueManager::Config queue_manager;
-        /** FE timing (the pipeline bottleneck, §5). */
-        rank::FeatureExtractor::Timing fe_timing;
-        /** Host request timeout feeding failure handling (§3.2). */
-        Time request_timeout = Milliseconds(8);
-        /**
-         * Per-document software cost paid by the injecting thread
-         * before the slot fills (§4: "performs the software portion of
-         * the scoring, converts the document into a format suitable for
-         * FPGA evaluation, and then injects the document").
-         */
-        Time injection_overhead = Microseconds(12);
         /**
          * Archive every (trace id, document, score) for offline FDR
          * trace replay (§3.6). Off by default: production keeps a
@@ -220,8 +209,9 @@ class RankingService {
     std::size_t in_flight() const { return contexts_.live(); }
 
     /**
-     * Resolve `ctx`'s model and functional pipeline if not yet done, so
-     * the stages after the first look nothing up by model id.
+     * Resolve `ctx`'s model, and with compute_scores its functional
+     * pipeline, if not yet done, so the stages after the first look
+     * nothing up by model id.
      */
     void BindModel(DocContext& ctx);
 

@@ -9,6 +9,15 @@
 
 namespace catapult::service {
 
+namespace {
+
+/** Spacing of one shard's re-attempts after an up-front refusal. */
+constexpr Time kRejectRetryBackoff = Microseconds(50);
+/** Thread rotation when the caller provides no connection pool. */
+constexpr int kDefaultThreads = 32;
+
+}  // namespace
+
 void ResultMerger::MergeInPlace(std::vector<std::vector<RankedDoc>>& per_pod,
                                 std::size_t k, std::vector<RankedDoc>& out) {
     // Canonical per-source order: score descending, doc id ascending.
@@ -160,8 +169,7 @@ std::uint64_t ScatterGatherDispatcher::Submit(
         gather.doc_thread[i] =
             connection_pool != nullptr && !connection_pool->empty()
                 ? (*connection_pool)[i % connection_pool->size()]
-                : static_cast<int>(i) %
-                      std::max(1, config_.default_threads);
+                : static_cast<int>(i) % kDefaultThreads;
     }
 
     const std::uint64_t id = gather.id;
@@ -239,7 +247,7 @@ void ScatterGatherDispatcher::InjectShard(std::uint32_t slot,
         // shard missing, and scattering it late would only manufacture
         // a straggler.
         simulator_->ScheduleAfter(
-            config_.reject_retry_backoff,
+            kRejectRetryBackoff,
             [this, slot, generation = gather.generation, index,
              retries_left] {
                 const Gather* g = GatherAt(slot, generation);

@@ -101,19 +101,14 @@ class ResultMerger {
 class ScatterGatherDispatcher {
   public:
     struct Config {
-        /** Merged result size when the caller does not override it. */
-        std::size_t default_top_k = 16;
         /**
          * Client-side retry for a document the federation refused up
-         * front (slot contention, admission caps): how many times and
-         * how far apart one shard re-attempts before it is counted
+         * front (slot contention, admission caps): how many times one
+         * shard re-attempts, a fixed back-off apart, before it is counted
          * rejected. Bounded, so a permanently refusing federation
          * resolves every shard instead of spinning.
          */
         int max_reject_retries = 8;
-        Time reject_retry_backoff = Microseconds(50);
-        /** Rotation when the caller provides no connection pool. */
-        int default_threads = 32;
     };
 
     /** Per-pod scatter accounting for one gather. */

@@ -10,6 +10,19 @@ namespace catapult::service {
 
 namespace {
 
+// --- Auto-recovery hysteresis ----------------------------------------
+
+/**
+ * Quiet period per ring after a recovery rejoins rotation; reports
+ * confirming the same incident are absorbed instead of rotating the
+ * ring again.
+ */
+constexpr Time kRecoveryCooldown = Milliseconds(500);
+/** Redeploy attempts per recovery before giving up. */
+constexpr int kRecoveryMaxAttempts = 3;
+/** Delay between redeploy attempts. */
+constexpr Time kRecoveryRetryDelay = Milliseconds(100);
+
 // Ring-relative column offset of `col` in `placement` (rings wrap the
 // torus row), or -1 when the column falls outside the placement's span.
 // The dispatcher and the health plane must agree on node ownership, so
@@ -325,7 +338,7 @@ bool ServicePool::HandleMachineReport(const mgmt::MachineReport& report) {
     if (slot.recovering ||
         (slot.ever_recovered &&
          simulator_->Now() - slot.last_recovery_done <
-             config_.recovery_cooldown)) {
+             kRecoveryCooldown)) {
         ++counters_.suppressed_reports;
         // Absorb, don't drop: this can be a *different* node of the same
         // ring failing inside the hysteresis window, and its stage would
@@ -373,19 +386,19 @@ void ServicePool::AutoRecover(int ring_id, int failed_ring_index,
             FlushDeferredReports(ring_id);
             return;
         }
-        if (attempt + 1 >= config_.recovery_max_attempts) {
+        if (attempt + 1 >= kRecoveryMaxAttempts) {
             slot.recovering = false;
             ++counters_.failed_recoveries;
             LOG_ERROR("service_pool")
                 << name() << ": ring " << ring_id << " recovery abandoned "
-                << "after " << config_.recovery_max_attempts << " attempts";
+                << "after " << kRecoveryMaxAttempts << " attempts";
             FlushDeferredReports(ring_id);
             return;
         }
         // The redeploy can race a host still mid-reboot; back off and
         // retry (the rotation half is idempotent).
         simulator_->ScheduleAfter(
-            config_.recovery_retry_delay, [this, ring_id, failed_ring_index,
+            kRecoveryRetryDelay, [this, ring_id, failed_ring_index,
                                            attempt, epoch] {
                 if (epoch != recovery_epoch_) return;
                 AutoRecover(ring_id, failed_ring_index, attempt + 1);
@@ -400,7 +413,7 @@ void ServicePool::ScheduleDeferredFlush(int ring_id) {
     if (slot.deferred_flush_scheduled || slot.recovering) return;
     const Time elapsed = simulator_->Now() - slot.last_recovery_done;
     const Time remaining =
-        std::max<Time>(config_.recovery_cooldown - elapsed, 0);
+        std::max<Time>(kRecoveryCooldown - elapsed, 0);
     slot.deferred_flush_scheduled = true;
     simulator_->ScheduleAfter(remaining, [this, ring_id] {
         rings_[static_cast<std::size_t>(ring_id)].deferred_flush_scheduled =
@@ -414,7 +427,7 @@ void ServicePool::FlushDeferredReports(int ring_id) {
     if (slot.deferred_positions.empty() || slot.recovering) return;
     if (slot.ever_recovered &&
         simulator_->Now() - slot.last_recovery_done <
-            config_.recovery_cooldown) {
+            kRecoveryCooldown) {
         ScheduleDeferredFlush(ring_id);
         return;
     }

@@ -58,19 +58,6 @@ class ServicePool {
          * "<service_name>/ring<k>".
          */
         RankingService::Config ring;
-
-        // --- Auto-recovery hysteresis --------------------------------
-
-        /**
-         * Quiet period per ring after a recovery rejoins rotation;
-         * reports confirming the same incident are absorbed instead of
-         * rotating the ring again.
-         */
-        Time recovery_cooldown = Milliseconds(500);
-        /** Redeploy attempts per recovery before giving up. */
-        int recovery_max_attempts = 3;
-        /** Delay between redeploy attempts. */
-        Time recovery_retry_delay = Milliseconds(100);
     };
 
     /**

@@ -8,6 +8,13 @@
 
 namespace catapult::service {
 
+namespace {
+
+/** Connection-pool slice carved out per session. */
+constexpr int kThreadsPerSession = 4;
+
+}  // namespace
+
 SessionFrontEnd::SessionFrontEnd(sim::Simulator* simulator,
                                  FederatedDispatcher* dispatcher,
                                  Config config)
@@ -16,7 +23,6 @@ SessionFrontEnd::SessionFrontEnd(sim::Simulator* simulator,
       scatter_(simulator, dispatcher, config.scatter) {
     assert(simulator_ != nullptr);
     assert(config_.driver_threads >= 1);
-    assert(config_.threads_per_session >= 1);
 }
 
 std::uint64_t SessionFrontEnd::OpenSession() {
@@ -25,8 +31,7 @@ std::uint64_t SessionFrontEnd::OpenSession() {
     // The session's connection pool: a contiguous slice of driver
     // threads, rotating over the drivers' thread space so concurrent
     // sessions land on disjoint slots until the space wraps.
-    const int threads = std::min(config_.threads_per_session,
-                                 config_.driver_threads);
+    const int threads = std::min(kThreadsPerSession, config_.driver_threads);
     session.stats.connection_pool.reserve(
         static_cast<std::size_t>(threads));
     for (int j = 0; j < threads; ++j) {

@@ -41,8 +41,6 @@ class SessionFrontEnd {
         ScatterGatherDispatcher::Config scatter;
         /** Driver threads registered with each host's slot driver. */
         int driver_threads = 32;
-        /** Connection-pool slice carved out per session. */
-        int threads_per_session = 4;
         /** Concurrent gathers one session may hold open (0 = off). */
         int max_gathers_per_session = 8;
     };

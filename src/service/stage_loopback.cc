@@ -4,6 +4,13 @@
 
 namespace catapult::service {
 
+namespace {
+
+/** The model seed a RankingService uses by default. */
+constexpr std::uint64_t kModelSeed = 0xCA7A9017ull;
+
+}  // namespace
+
 /**
  * Role hosting the stage under test: serves one document at a time at
  * the stage's service rate and reflects a response to the injector.
@@ -33,9 +40,8 @@ class StageLoopback::LoopRole : public shell::Role {
         // (stashed in the packet payload by the rig).
         rank::CompressedRequest request;
         request.tuple_count = static_cast<std::uint32_t>(packet->payload);
-        const Time service = StageServiceTimeFor(
-            rig_->config_.stage, request, *rig_->model_, *rig_->function_,
-            rig_->config_.fe_timing);
+        const Time service =
+            StageServiceTimeFor(rig_->config_.stage, request, *rig_->model_);
         simulator_->ScheduleAfter(service, [this, packet = std::move(packet)] {
             auto response = shell::MakePacket(
                 shell::PacketType::kScoringResponse, shell_->node(),
@@ -57,7 +63,7 @@ class StageLoopback::LoopRole : public shell::Role {
 StageLoopback::StageLoopback(Config config)
     : config_(config),
       models_(rank::ModelStore::Config{.model = config.model}) {
-    Rng rng(config_.model_seed ^ 0x10093ACCull);
+    Rng rng(kModelSeed ^ 0x10093ACCull);
 
     // Two-node micro-fabric (1x2 "torus"): node 0 hosts the injecting
     // server; the stage role sits at node 0 in PCIe mode, node 1 behind
@@ -72,8 +78,7 @@ StageLoopback::StageLoopback(Config config)
     host_ = std::make_unique<host::HostServer>(&simulator_, "loopback.host",
                                                &fabric_->shell(0));
 
-    model_ = &models_.GetOrGenerate(0, config_.model_seed);
-    function_ = std::make_unique<rank::RankingFunction>(model_);
+    model_ = &models_.GetOrGenerate(0, kModelSeed);
 
     const int role_node = config_.via_sl3 ? 1 : 0;
     role_ = std::make_unique<LoopRole>(this, &simulator_,

@@ -22,7 +22,6 @@
 #include "fabric/catapult_fabric.h"
 #include "host/host_server.h"
 #include "rank/model.h"
-#include "rank/software_ranker.h"
 #include "service/load_generator.h"
 #include "service/stage_role.h"
 #include "sim/simulator.h"
@@ -36,8 +35,6 @@ class StageLoopback {
         bool via_sl3 = false;   ///< PCIe-only vs SL3 loopback (§5).
         int threads = 1;
         int documents_per_thread = 200;
-        std::uint64_t model_seed = 0xCA7A9017ull;
-        rank::FeatureExtractor::Timing fe_timing;
         rank::Model::Config model;
     };
 
@@ -58,7 +55,6 @@ class StageLoopback {
         scores with one generated model. */
     rank::ModelStore models_;
     const rank::Model* model_ = nullptr;
-    std::unique_ptr<rank::RankingFunction> function_;
     std::unique_ptr<LoopRole> role_;
     /** The completion of each thread's outstanding document. */
     std::vector<CompletionFn> thread_callbacks_;

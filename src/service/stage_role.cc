@@ -11,21 +11,14 @@ using rank::PipelineStage;
 
 Time StageServiceTimeFor(PipelineStage stage,
                          const rank::CompressedRequest& request,
-                         const rank::Model& model,
-                         const rank::RankingFunction& function,
-                         const rank::FeatureExtractor::Timing& fe_timing) {
+                         const rank::Model& model) {
     switch (stage) {
-      case PipelineStage::kFeatureExtraction: {
-        const auto cycles =
-            fe_timing.base_cycles +
-            static_cast<std::int64_t>(
-                fe_timing.cycles_per_tuple * request.tuple_count + 1);
-        return fe_timing.clock.Cycles(cycles);
-      }
+      case PipelineStage::kFeatureExtraction:
+        return rank::FeatureExtractor::ServiceTime(request.tuple_count);
       case PipelineStage::kFfe0:
-        return function.ffe0().DocumentServiceTime();
+        return model.ffe0_service_time();
       case PipelineStage::kFfe1:
-        return function.ffe1().DocumentServiceTime();
+        return model.ffe1_service_time();
       case PipelineStage::kCompression:
         return model.compression().ServiceTime();
       case PipelineStage::kScoring0:
@@ -221,8 +214,7 @@ void StageRole::StartService(shell::PacketPtr packet) {
     }
     service_->BindModel(*ctx);
     const Time service =
-        StageServiceTimeFor(stage_, ctx->request, *ctx->model, *ctx->function,
-                            service_->config().fe_timing);
+        StageServiceTimeFor(stage_, ctx->request, *ctx->model);
     obs::ShardObs* obs = service_->observability();
     if (obs != nullptr && obs->tracing() && ctx->obs_span != 0) {
         // The stage interval is deterministic once service starts, so

@@ -29,9 +29,7 @@ class RankingService;
  */
 Time StageServiceTimeFor(rank::PipelineStage stage,
                          const rank::CompressedRequest& request,
-                         const rank::Model& model,
-                         const rank::RankingFunction& function,
-                         const rank::FeatureExtractor::Timing& fe_timing);
+                         const rank::Model& model);
 
 class StageRole : public shell::Role {
   public:

@@ -6,11 +6,8 @@
 
 namespace catapult::shell {
 
-DmaEngine::DmaEngine(sim::Simulator* simulator, Config config)
-    : simulator_(simulator),
-      config_(config),
-      h2f_(simulator, config.pcie),
-      f2h_(simulator, config.pcie) {
+DmaEngine::DmaEngine(sim::Simulator* simulator)
+    : simulator_(simulator), h2f_(simulator), f2h_(simulator) {
     assert(simulator_ != nullptr);
 }
 
@@ -113,7 +110,7 @@ void DmaEngine::PumpOutput(int slot) {
         output_full_[slot] = true;
         // Interrupt to wake the consumer thread (§3.1).
         simulator_->ScheduleAfter(
-            config_.interrupt_latency,
+            kInterruptLatency,
             [this, slot, packet = std::move(packet)]() mutable {
                 if (on_output_ready_) on_output_ready_(slot, std::move(packet));
             });

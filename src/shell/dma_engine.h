@@ -33,17 +33,12 @@ inline constexpr Bytes kDmaSlotBytes = 64 * 1024;
 
 class DmaEngine {
   public:
-    struct Config {
-        PcieLink::Config pcie;
-        /**
-         * Interrupt delivery + consumer thread wake latency on readback
-         * (§3.1: "generates an interrupt to wake and notify the consumer
-         * thread" — scheduling a blocked user thread costs microseconds).
-         */
-        Time interrupt_latency = Microseconds(3);
-        /** Staging buffers on the FPGA (double-buffered, §3.1). */
-        int staging_buffers = 2;
-    };
+    /**
+     * Interrupt delivery + consumer thread wake latency on readback
+     * (§3.1: "generates an interrupt to wake and notify the consumer
+     * thread" — scheduling a blocked user thread costs microseconds).
+     */
+    static constexpr Time kInterruptLatency = Microseconds(3);
 
     struct Counters {
         std::uint64_t host_to_fpga = 0;
@@ -53,9 +48,7 @@ class DmaEngine {
         std::uint64_t failed_transfers = 0;
     };
 
-    DmaEngine(sim::Simulator* simulator, Config config);
-    explicit DmaEngine(sim::Simulator* simulator)
-        : DmaEngine(simulator, Config()) {}
+    explicit DmaEngine(sim::Simulator* simulator);
 
     DmaEngine(const DmaEngine&) = delete;
     DmaEngine& operator=(const DmaEngine&) = delete;
@@ -122,7 +115,6 @@ class DmaEngine {
     const Counters& counters() const { return counters_; }
     PcieLink& host_to_fpga_link() { return h2f_; }
     PcieLink& fpga_to_host_link() { return f2h_; }
-    const Config& config() const { return config_; }
 
   private:
     void PumpInput();
@@ -132,7 +124,6 @@ class DmaEngine {
     static void CheckSlot(const char* call, int slot);
 
     sim::Simulator* simulator_;
-    Config config_;
     PcieLink h2f_;
     PcieLink f2h_;
     Counters counters_;

@@ -4,6 +4,15 @@
 
 namespace catapult::shell {
 
+namespace {
+
+/** Closed-page random-access latency. */
+constexpr Time kAccessLatency = Nanoseconds(90);
+/** Fraction of peak usable for streaming transfers. */
+constexpr double kEfficiency = 0.80;
+
+}  // namespace
+
 DramController::DramController(sim::Simulator* simulator, Rng rng,
                                Config config)
     : simulator_(simulator), rng_(rng), config_(config) {
@@ -23,8 +32,12 @@ Bandwidth DramController::PeakBandwidth() const {
                : Bandwidth::MegabytesPerSecond(12'800);
 }
 
+Bandwidth DramController::EffectiveBandwidth() const {
+    return PeakBandwidth().Scaled(kEfficiency);
+}
+
 Time DramController::TransferTime(Bytes size) const {
-    return config_.access_latency + EffectiveBandwidth().SerializationTime(size);
+    return kAccessLatency + EffectiveBandwidth().SerializationTime(size);
 }
 
 void DramController::PublishTelemetry(mgmt::TelemetryKind kind) {

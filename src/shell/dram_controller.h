@@ -34,10 +34,6 @@ class DramController {
   public:
     struct Config {
         DramMode mode = DramMode::kDualRank1333;
-        /** Closed-page random-access latency. */
-        Time access_latency = Nanoseconds(90);
-        /** Fraction of peak usable for streaming transfers. */
-        double efficiency = 0.80;
         /** Probability per transfer of a correctable ECC event. */
         double single_bit_error_rate = 0.0;
         /** Probability per transfer of an uncorrectable ECC event. */
@@ -62,9 +58,7 @@ class DramController {
     Bandwidth PeakBandwidth() const;
 
     /** Effective streaming bandwidth (peak x efficiency). */
-    Bandwidth EffectiveBandwidth() const {
-        return PeakBandwidth().Scaled(config_.efficiency);
-    }
+    Bandwidth EffectiveBandwidth() const;
 
     /** Completion callback: true when the transfer succeeded. */
     using DoneFn = sim::InlineFunction<void(bool)>;

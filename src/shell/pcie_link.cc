@@ -4,9 +4,21 @@
 
 namespace catapult::shell {
 
-PcieLink::PcieLink(sim::Simulator* simulator, Config config)
-    : simulator_(simulator), config_(config) {
+namespace {
+
+/** Effective DMA bandwidth (x8 lanes, after protocol overhead). */
+constexpr Bandwidth kBandwidth = Bandwidth::MegabytesPerSecond(3'200);
+/** Base latency per DMA descriptor (doorbell, TLP, completion). */
+constexpr Time kBaseLatency = Nanoseconds(900);
+
+}  // namespace
+
+PcieLink::PcieLink(sim::Simulator* simulator) : simulator_(simulator) {
     assert(simulator_ != nullptr);
+}
+
+Time PcieLink::TransferTime(Bytes size) const {
+    return kBaseLatency + kBandwidth.SerializationTime(size);
 }
 
 void PcieLink::Transfer(Bytes size, DoneFn on_done) {
@@ -23,18 +35,7 @@ void PcieLink::Pump() {
 }
 
 void PcieLink::Complete() {
-    bool ok = device_present_;
-    if (ok && config_.error_rate > 0.0) {
-        // xorshift64* keeps this header-light; PCIe errors are only
-        // enabled in failure-injection tests.
-        rng_state_ ^= rng_state_ >> 12;
-        rng_state_ ^= rng_state_ << 25;
-        rng_state_ ^= rng_state_ >> 27;
-        const double u =
-            static_cast<double>((rng_state_ * 0x2545F4914F6CDD1Dull) >> 11) *
-            0x1.0p-53;
-        if (u < config_.error_rate) ok = false;
-    }
+    const bool ok = device_present_;
     ++counters_.transfers;
     counters_.bytes += static_cast<std::uint64_t>(active_.size);
     if (!ok) ++counters_.errors;

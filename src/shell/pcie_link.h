@@ -20,24 +20,13 @@ namespace catapult::shell {
 
 class PcieLink {
   public:
-    struct Config {
-        /** Effective DMA bandwidth (x8 lanes, after protocol overhead). */
-        Bandwidth bandwidth = Bandwidth::MegabytesPerSecond(3'200);
-        /** Base latency per DMA descriptor (doorbell, TLP, completion). */
-        Time base_latency = Nanoseconds(900);
-        /** Probability of a link-level error (retrain + failure flag). */
-        double error_rate = 0.0;
-    };
-
     struct Counters {
         std::uint64_t transfers = 0;
         std::uint64_t bytes = 0;
         std::uint64_t errors = 0;
     };
 
-    PcieLink(sim::Simulator* simulator, Config config);
-    explicit PcieLink(sim::Simulator* simulator)
-        : PcieLink(simulator, Config()) {}
+    explicit PcieLink(sim::Simulator* simulator);
 
     /** Completion callback: true when the transfer succeeded. */
     using DoneFn = sim::InlineFunction<void(bool)>;
@@ -50,19 +39,14 @@ class PcieLink {
     void Transfer(Bytes size, DoneFn on_done);
 
     /** Unqueued time for a transfer of `size` bytes. */
-    Time TransferTime(Bytes size) const {
-        return config_.base_latency + config_.bandwidth.SerializationTime(size);
-    }
+    Time TransferTime(Bytes size) const;
 
     /** Surprise-removal state: device reconfiguring (§3.4). */
     void set_device_present(bool present) { device_present_ = present; }
     bool device_present() const { return device_present_; }
 
     const Counters& counters() const { return counters_; }
-    const Config& config() const { return config_; }
     std::size_t QueueDepth() const { return queue_.size(); }
-
-    void set_error_rate(double rate) { config_.error_rate = rate; }
 
   private:
     struct Request {
@@ -74,14 +58,12 @@ class PcieLink {
     void Complete();
 
     sim::Simulator* simulator_;
-    Config config_;
     Counters counters_;
     RingQueue<Request> queue_;
     /** The transfer on the link; its completion event captures `this`. */
     Request active_;
     bool busy_ = false;
     bool device_present_ = true;
-    std::uint64_t rng_state_ = 0x853c49e6748fea9bull;
 };
 
 }  // namespace catapult::shell

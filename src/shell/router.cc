@@ -6,14 +6,26 @@
 
 namespace catapult::shell {
 
-Router::Router(sim::Simulator* simulator, NodeId local_node, Config config)
-    : simulator_(simulator), local_node_(local_node), config_(config) {
+namespace {
+
+/** Cut-through head latency per hop through the crossbar. */
+constexpr Time kHopLatency = Nanoseconds(50);
+/** Retry delay when an output port is backpressured. */
+constexpr Time kBackpressureRetry = Microseconds(1);
+
+}  // namespace
+
+Router::Router(sim::Simulator* simulator, NodeId local_node)
+    : simulator_(simulator), local_node_(local_node) {
     assert(simulator_ != nullptr);
 }
 
 void Router::AttachLink(Port port, Sl3Link* link) {
-    assert(port == Port::kNorth || port == Port::kSouth ||
-           port == Port::kEast || port == Port::kWest);
+    if (port != Port::kNorth && port != Port::kSouth &&
+        port != Port::kEast && port != Port::kWest) {
+        FatalMisuse("Router::AttachLink: port %s is not an SL3 link port",
+                    ToString(port));
+    }
     links_[static_cast<int>(port)] = link;
     link->set_on_receive([this, port] { OnLinkReceive(port); });
 }
@@ -49,8 +61,7 @@ void Router::RecordCrossing(const Packet& packet, Port in, Port out) {
 void Router::OnLinkReceive(Port port) {
     if (drain_scheduled_[static_cast<int>(port)]) return;
     drain_scheduled_[static_cast<int>(port)] = true;
-    simulator_->ScheduleAfter(config_.hop_latency,
-                              [this, port] { DrainInput(port); });
+    simulator_->ScheduleAfter(kHopLatency, [this, port] { DrainInput(port); });
 }
 
 void Router::DrainInput(Port port) {
@@ -68,8 +79,7 @@ void Router::DrainInput(Port port) {
 void Router::Inject(PacketPtr packet, Port from) {
     ++counters_.injected;
     simulator_->ScheduleAfter(
-        config_.hop_latency,
-        [this, packet = std::move(packet), from]() mutable {
+        kHopLatency, [this, packet = std::move(packet), from]() mutable {
             Route(std::move(packet), from);
         });
 }
@@ -101,7 +111,7 @@ void Router::Route(PacketPtr packet, Port in) {
         // the actual producer.
         ++counters_.backpressure_stalls;
         simulator_->ScheduleAfter(
-            config_.backpressure_retry,
+            kBackpressureRetry,
             [this, packet = std::move(packet), in]() mutable {
                 Route(std::move(packet), in);
             });

@@ -29,13 +29,6 @@ namespace catapult::shell {
 
 class Router {
   public:
-    struct Config {
-        /** Cut-through head latency per hop through the crossbar. */
-        Time hop_latency = Nanoseconds(50);
-        /** Retry delay when an output port is backpressured. */
-        Time backpressure_retry = Microseconds(1);
-    };
-
     struct Counters {
         std::uint64_t forwarded = 0;
         std::uint64_t delivered_local = 0;
@@ -44,14 +37,15 @@ class Router {
         std::uint64_t backpressure_stalls = 0;
     };
 
-    Router(sim::Simulator* simulator, NodeId local_node, Config config);
-    Router(sim::Simulator* simulator, NodeId local_node)
-        : Router(simulator, local_node, Config()) {}
+    Router(sim::Simulator* simulator, NodeId local_node);
 
     Router(const Router&) = delete;
     Router& operator=(const Router&) = delete;
 
-    /** Attach the SL3 endpoint serving `port` (kNorth..kWest). */
+    /**
+     * Attach the SL3 endpoint serving `port` (kNorth..kWest). Any other
+     * port aborts in every build.
+     */
     void AttachLink(Port port, Sl3Link* link);
     Sl3Link* link(Port port) const;
 
@@ -96,7 +90,6 @@ class Router {
 
     sim::Simulator* simulator_;
     NodeId local_node_;
-    Config config_;
     RoutingTable table_;
     std::array<Sl3Link*, kPortCount> links_{};
     std::array<bool, kPortCount> drain_scheduled_{};

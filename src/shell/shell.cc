@@ -19,6 +19,11 @@ namespace {
 constexpr Port kLinkPorts[4] = {Port::kNorth, Port::kSouth, Port::kEast,
                                 Port::kWest};
 
+/** Compatibility version this shell stamps on its packets (§3.4). */
+constexpr std::uint32_t kShellVersion = 1;
+/** Role-region rewrite time for partial reconfiguration. */
+constexpr Time kPartialReconfigTime = Milliseconds(150);
+
 }  // namespace
 
 int Shell::LinkIndex(Port port) {
@@ -27,35 +32,33 @@ int Shell::LinkIndex(Port port) {
       case Port::kSouth: return 1;
       case Port::kEast: return 2;
       case Port::kWest: return 3;
-      default: assert(false && "not a link port"); return 0;
+      default:
+        FatalMisuse("Shell: port %s is not an SL3 link port", ToString(port));
     }
 }
 
 Shell::Shell(sim::Simulator* simulator, NodeId node, std::string name,
-             fpga::FpgaDevice* device, Rng rng, Config config)
+             fpga::FpgaDevice* device, Rng rng)
     : simulator_(simulator),
       node_(node),
       name_(std::move(name)),
       device_(device),
-      config_(config),
-      router_(simulator, node, config.router),
-      dma_(simulator, config.dma) {
+      router_(simulator, node),
+      dma_(simulator) {
     assert(simulator_ != nullptr);
     assert(device_ != nullptr);
 
     for (int i = 0; i < 4; ++i) {
         links_[i] = std::make_unique<Sl3Link>(
-            simulator_, name_ + "." + ToString(kLinkPorts[i]), rng.Fork(),
-            config_.link);
-        links_[i]->set_shell_version(config_.shell_version);
+            simulator_, name_ + "." + ToString(kLinkPorts[i]), rng.Fork());
+        links_[i]->set_shell_version(kShellVersion);
         links_[i]->SetRxHalt(true);
         links_[i]->set_on_corruption(
             [this](const Packet&) { FlagApplicationError(); });
         router_.AttachLink(kLinkPorts[i], links_[i].get());
     }
     for (int c = 0; c < 2; ++c) {
-        dram_[c] = std::make_unique<DramController>(simulator_, rng.Fork(),
-                                                    config_.dram);
+        dram_[c] = std::make_unique<DramController>(simulator_, rng.Fork());
     }
 
     router_.set_local_delivery(
@@ -92,7 +95,7 @@ Sl3Link& Shell::link(Port port) { return *links_[LinkIndex(port)]; }
 const Sl3Link& Shell::link(Port port) const { return *links_[LinkIndex(port)]; }
 
 void Shell::SendFromRole(PacketPtr packet) {
-    packet->shell_version = config_.shell_version;
+    packet->shell_version = kShellVersion;
     router_.RecordCrossing(*packet, Port::kRole, Port::kRole);
     router_.Inject(std::move(packet), Port::kRole);
 }
@@ -165,7 +168,7 @@ void Shell::PartialReconfigure(const fpga::Bitstream& role_image,
     LOG_INFO("shell") << name_ << ": partial reconfiguration to "
                       << role_image.role_name << " (shell stays active)";
     simulator_->ScheduleAfter(
-        config_.partial_reconfig_time,
+        kPartialReconfigTime,
         [this, role_image, cb = std::move(on_done)] {
             partial_reconfig_active_ = false;
             partial_role_image_ = role_image;

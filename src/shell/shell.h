@@ -82,21 +82,8 @@ struct HealthVector {
 
 class Shell {
   public:
-    struct Config {
-        Sl3Link::Config link;
-        Router::Config router;
-        DmaEngine::Config dma;
-        DramController::Config dram;
-        std::uint32_t shell_version = 1;
-        /** Role-region rewrite time for partial reconfiguration. */
-        Time partial_reconfig_time = Milliseconds(150);
-    };
-
     Shell(sim::Simulator* simulator, NodeId node, std::string name,
-          fpga::FpgaDevice* device, Rng rng, Config config);
-    Shell(sim::Simulator* simulator, NodeId node, std::string name,
-          fpga::FpgaDevice* device, Rng rng)
-        : Shell(simulator, node, std::move(name), device, rng, Config()) {}
+          fpga::FpgaDevice* device, Rng rng);
 
     Shell(const Shell&) = delete;
     Shell& operator=(const Shell&) = delete;
@@ -180,13 +167,13 @@ class Shell {
     // --- Component access -------------------------------------------------
 
     Router& router() { return router_; }
+    /** The SL3 endpoint on `port`; any other port aborts in every build. */
     Sl3Link& link(Port port);
     const Sl3Link& link(Port port) const;
     DmaEngine& dma() { return dma_; }
     DramController& dram(int channel) { return *dram_[channel]; }
     FlightDataRecorder& fdr() { return fdr_; }
     fpga::FpgaDevice& device() { return *device_; }
-    const Config& config() const { return config_; }
 
     /** Mark an application-level error (stage hang, untested input). */
     void FlagApplicationError();
@@ -201,7 +188,6 @@ class Shell {
     NodeId node_;
     std::string name_;
     fpga::FpgaDevice* device_;
-    Config config_;
     Router router_;
     std::array<std::unique_ptr<Sl3Link>, 4> links_;  // N, S, E, W
     std::array<std::unique_ptr<DramController>, 2> dram_;

@@ -34,7 +34,9 @@ void Sl3Link::ConnectTo(Sl3Link* peer) {
 }
 
 bool Sl3Link::Send(PacketPtr&& packet) {
-    assert(packet != nullptr);
+    if (packet == nullptr) {
+        FatalMisuse("Sl3Link::Send(%s): null packet", name_.c_str());
+    }
     if (tx_queue_flits_ >= kTxQueueBoundFlits) return false;
     packet->shell_version = shell_version_;
     tx_queue_flits_ += static_cast<std::size_t>(FlitCount(packet->size));
@@ -117,7 +119,7 @@ void Sl3Link::EndTransmit() {
 
 void Sl3Link::ScheduleArrival() {
     last_arrival_ = simulator_->ScheduleAt(
-        busy_until_ + config_.propagation_delay,
+        busy_until_ + kPropagationDelay,
         [this, peer = peer_] { peer->Arrive(wire_.pop_front()); },
         sim::EventPriority::kDeliver);
 }
@@ -251,14 +253,14 @@ void Sl3Link::NotifyRxOccupancy() {
         rx_xoff_sent_ = true;
         ++counters_.xoff_asserted;
         if (peer_ != nullptr) {
-            simulator_->ScheduleAfter(config_.propagation_delay,
+            simulator_->ScheduleAfter(kPropagationDelay,
                                       [peer = peer_] { peer->OnPeerXoff(true); });
         }
     } else if (rx_xoff_sent_ &&
                rx_queue_flits_ <= static_cast<std::size_t>(config_.rx_xon_threshold_flits)) {
         rx_xoff_sent_ = false;
         if (peer_ != nullptr) {
-            simulator_->ScheduleAfter(config_.propagation_delay,
+            simulator_->ScheduleAfter(kPropagationDelay,
                                       [peer = peer_] { peer->OnPeerXoff(false); });
         }
     }
@@ -281,7 +283,7 @@ void Sl3Link::SetTxHalt(bool halted) {
         if (peer_ != nullptr) {
             YieldArrivalToControl();
             simulator_->ScheduleAfter(
-                config_.propagation_delay,
+                kPropagationDelay,
                 [peer = peer_] { peer->OnPeerDeclaredHalt(true); },
                 sim::EventPriority::kDeliver);
         }
@@ -292,7 +294,7 @@ void Sl3Link::SetTxHalt(bool halted) {
         // Link re-establishes after relock; peer resumes accepting.
         if (peer_ != nullptr) {
             simulator_->ScheduleAfter(
-                config_.propagation_delay + kRelockDelay,
+                kPropagationDelay + kRelockDelay,
                 [peer = peer_] { peer->OnPeerDeclaredHalt(false); });
         }
         simulator_->ScheduleAfter(kRelockDelay, [this] { PumpTransmit(); });
@@ -309,7 +311,7 @@ void Sl3Link::EmitGarbageBurst() {
     // burst of a few junk flits hitting the neighbour.
     YieldArrivalToControl();
     simulator_->ScheduleAfter(
-        config_.propagation_delay,
+        kPropagationDelay,
         [peer = peer_, garbage = MakePacket(PacketType::kGarbage, kInvalidNode,
                                             kInvalidNode, kFlitBytes * 4)]()
             mutable { peer->Arrive(std::move(garbage)); },

@@ -30,10 +30,9 @@
 //
 // An arrival takes its sequence number when its serialization starts
 // rather than when it ends. Among arrivals at the same instant that
-// preserves the two-event order because every link shares one
-// propagation delay (Shell::Config::link): equal arrival times mean
+// preserves the two-event order because the propagation delay is one
+// constant (kPropagationDelay) for every link: equal arrival times mean
 // equal serialization ends, which the two-event model orders by start.
-// Links with different delays would need the detailed path below.
 //
 // The detailed path — an event at the serialization end that then
 // schedules the arrival — serves an unconnected link (the no-peer drop
@@ -62,13 +61,15 @@ namespace catapult::shell {
 
 class Sl3Link {
   public:
+    /** Peak per-direction bandwidth: 2 lanes x 10 Gb/s (§2.2). */
+    static constexpr Bandwidth kRawBandwidth =
+        Bandwidth::GigabitsPerSecond(20.0);
+    /** Cable + SerDes propagation latency (sub-microsecond, §2.2). */
+    static constexpr Time kPropagationDelay = Nanoseconds(400);
+
     struct Config {
-        /** Peak per-direction bandwidth: 2 lanes x 10 Gb/s. */
-        Bandwidth raw_bandwidth = Bandwidth::GigabitsPerSecond(20.0);
         /** ECC tax on peak bandwidth (§3.2: 20%). */
         double ecc_overhead = 0.20;
-        /** Cable + SerDes propagation latency (sub-microsecond, §2.2). */
-        Time propagation_delay = Nanoseconds(400);
         /** Receive buffer capacity in flits before Xoff is asserted. */
         int rx_xoff_threshold_flits = 4096;
         /** Receive occupancy at which Xon is re-asserted. */
@@ -112,7 +113,8 @@ class Sl3Link {
     /**
      * Queue a packet for transmission. Returns false when the TX queue
      * is beyond its bound (callers treat this as backpressure); the
-     * packet then stays with the caller.
+     * packet then stays with the caller. A null packet aborts in every
+     * build.
      */
     bool Send(PacketPtr&& packet);
 
@@ -158,7 +160,7 @@ class Sl3Link {
 
     /** Effective data bandwidth after the ECC tax. */
     Bandwidth EffectiveBandwidth() const {
-        return config_.raw_bandwidth.Scaled(1.0 - config_.ecc_overhead);
+        return kRawBandwidth.Scaled(1.0 - config_.ecc_overhead);
     }
 
     /** Serialization time of `size` bytes at the effective bandwidth. */

@@ -153,7 +153,7 @@ TEST(DmaEngine, FpgaToHostWithInterrupt) {
     EXPECT_EQ(rig.outputs[0].first, 3);
     EXPECT_TRUE(rig.dma.OutputFull(3));
     // Interrupt latency is charged before the callback (§3.1).
-    EXPECT_GE(rig.sim.Now(), rig.dma.config().interrupt_latency);
+    EXPECT_GE(rig.sim.Now(), DmaEngine::kInterruptLatency);
 }
 
 TEST(DmaEngine, OutputSlotBackpressure) {

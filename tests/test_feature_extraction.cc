@@ -226,6 +226,15 @@ TEST(FeatureExtraction, AverageDocumentNearMacropipelineBudget) {
     EXPECT_LT(t, Microseconds(16));
 }
 
+TEST(FeatureExtraction, ServiceTimeIsThePipelineStageTime) {
+    // 250 fixed cycles + int64(0.5 x 2,400 + 1) = 1,451 cycles at the
+    // Table 1 FE clock: the time every FE stage of the simulator takes.
+    EXPECT_EQ(FeatureExtractor::ServiceTime(2'400u),
+              Frequency::MHz(150.0).Cycles(1'451));
+    EXPECT_EQ(FeatureExtractor::ServiceTime(2'401u),
+              Frequency::MHz(150.0).Cycles(1'451));
+}
+
 TEST(FeatureStore, NonZeroCountAndClear) {
     FeatureStore store;
     EXPECT_EQ(store.NonZeroCount(), 0u);

@@ -394,10 +394,10 @@ TEST(FfeExecutor, RankingFunctionsShareOneDecodePerModel) {
     const auto model = Model::Generate(0, 5, SmallModel());
     RankingFunction first(model.get());
     RankingFunction second(model.get());
-    // Construction prices the FFE stages but decodes nothing.
+    // Generation prices the FFE stages but decodes nothing.
     EXPECT_EQ(model->decoded_partitions(), 0);
-    EXPECT_GT(first.ffe0().DocumentServiceTime(), 0);
-    EXPECT_GT(second.ffe1().DocumentServiceTime(), 0);
+    EXPECT_GT(model->ffe0_service_time(), 0);
+    EXPECT_GT(model->ffe1_service_time(), 0);
 
     DocumentGenerator generator(5);
     const CompressedRequest request = generator.Next();
@@ -416,6 +416,17 @@ TEST(FfeExecutor, RankingFunctionsShareOneDecodePerModel) {
     EXPECT_EQ(std::memcmp(one.raw().data(), two.raw().data(),
                           kFeatureUniverse * sizeof(float)),
               0);
+}
+
+TEST(FfeExecutor, ModelPricesEachPartitionAsALoadedProcessorDoes) {
+    const auto model = Model::Generate(3, 11, SmallModel());
+    FfeProcessor ffe0;
+    ffe0.LoadPrograms(model->ffe0_programs());
+    FfeProcessor ffe1;
+    ffe1.LoadPrograms(model->ffe1_programs());
+    EXPECT_EQ(model->ffe0_service_time(), ffe0.DocumentServiceTime());
+    EXPECT_EQ(model->ffe1_service_time(), ffe1.DocumentServiceTime());
+    EXPECT_EQ(model->decoded_partitions(), 0);
 }
 
 TEST(FfeExecutor, ConcurrentFirstRunsDecodeOnce) {
@@ -441,6 +452,15 @@ TEST(FfeExecutor, ConcurrentFirstRunsDecodeOnce) {
                               kFeatureUniverse * sizeof(float)),
                   0);
     }
+}
+
+TEST(FfeExecutor, ExecuteAllWithNothingLoadedWritesNothing) {
+    FfeProcessor processor;
+    FeatureStore store;
+    store.Set(kFfeOutputBase, 2.0f);
+    processor.ExecuteAll(store);
+    EXPECT_EQ(store.NonZeroCount(), 1u);
+    EXPECT_EQ(store.Get(kFfeOutputBase), 2.0f);
 }
 
 // A malformed program aborts in every build: in release it would read
@@ -472,14 +492,6 @@ TEST(FfeExecutorDeathTest, RejectsSlotsOutsideTheStore) {
     EXPECT_DEATH(FfeProcessor::Partition{writes},
                  "FfeProcessor: program 1 writes slot 13702, outside the "
                  "13700-slot FST");
-}
-
-TEST(FfeExecutorDeathTest, ExecuteAllNeedsADecodedPartition) {
-    FfeProcessor processor;
-    processor.LoadTiming({});
-    FeatureStore store;
-    EXPECT_DEATH(processor.ExecuteAll(store),
-                 "FfeProcessor::ExecuteAll: no decoded partition");
 }
 
 }  // namespace

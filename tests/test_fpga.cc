@@ -72,7 +72,7 @@ TEST(PowerModel, NoDesignExceedsPcieCap) {
 TEST(PowerModel, IdleDrawsStaticPower) {
     const PowerModel model;
     EXPECT_DOUBLE_EQ(model.Power(GoldenBitstream(), 0.0),
-                     model.config().static_watts);
+                     PowerModel::kStaticWatts);
 }
 
 TEST(ThermalModel, ConvergesToSteadyState) {
@@ -238,7 +238,7 @@ TEST(SeuScrubber, InjectsAndCorrectsUpsets) {
     // Every upset before the final scan period has been corrected (the
     // last <= 2 scrub periods' worth may still be pending).
     const auto in_flight_bound = static_cast<std::uint64_t>(
-        2.0 * config.upsets_per_second * ToSeconds(config.scrub_period));
+        2.0 * config.upsets_per_second * ToSeconds(SeuScrubber::kScrubPeriod));
     EXPECT_GE(counters.upsets_corrected + in_flight_bound + 5,
               counters.upsets_injected);
     scrubber.Stop();

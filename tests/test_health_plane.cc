@@ -358,7 +358,7 @@ TEST(HealthPlane, CriticalFaultDuringCooldownIsDeferredNotDropped) {
         });
     }
     // The real fault lands inside that cooldown (the status query waits
-    // ethernet_latency + query_timeout, so the kNone conclusion lands
+    // kEthernetLatency + query_timeout, so the kNone conclusion lands
     // near 53 ms and the cooldown runs to ~153 ms). The thermal model
     // latches the excursion (one event per crossing, never repeated)
     // and the host keeps answering heartbeats, so only the deferred
@@ -387,7 +387,7 @@ TEST(HealthPlane, CriticalFaultDuringInvestigationIsCapturedExactlyOnce) {
 
     // Open an investigation with a CRC salvo, then land the real fault
     // while the status query is still outstanding (it waits
-    // ethernet_latency + query_timeout ≈ 50 ms before reading health).
+    // kEthernetLatency + query_timeout ≈ 50 ms before reading health).
     for (int i = 1; i <= 3; ++i) {
         bed.simulator().ScheduleAt(start + Milliseconds(i), [&, node] {
             bed.telemetry().Publish(node,

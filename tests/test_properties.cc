@@ -321,8 +321,9 @@ TEST_P(FfeScalingProperty, DocumentCyclesBoundedByWork) {
     // Lower bound: perfect balance; upper bound: serial execution.
     EXPECT_GE(processor.DocumentCycles(),
               total_instructions / cores);
-    EXPECT_LE(processor.DocumentCycles() - config.overhead_cycles,
-              total_instructions * config.latencies.ln);
+    EXPECT_LE(processor.DocumentCycles() -
+                  rank::ffe::FfeProcessor::kOverheadCycles,
+              total_instructions * rank::ffe::OpLatencies::kLn);
 }
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, FfeScalingProperty,

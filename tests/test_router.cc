@@ -143,5 +143,16 @@ TEST(Router, InputOccupancyVisible) {
     EXPECT_EQ(rig.r1.InputOccupancyFlits(Port::kNorth), 0u);
 }
 
+// The role and PCIe ports have no SL3 endpoint; attaching one there
+// aborts in every build instead of indexing the link table with them.
+TEST(RouterDeathTest, AttachLinkOnANonLinkPortAborts) {
+    RouterRig rig;
+    Sl3Link extra{&rig.sim, "extra", Rng(3)};
+    EXPECT_DEATH(rig.r0.AttachLink(Port::kRole, &extra),
+                 "Router::AttachLink: port role is not an SL3 link port");
+    EXPECT_DEATH(rig.r0.AttachLink(Port::kPcie, &extra),
+                 "Router::AttachLink: port pcie is not an SL3 link port");
+}
+
 }  // namespace
 }  // namespace catapult::shell

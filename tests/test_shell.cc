@@ -183,6 +183,16 @@ TEST(FlightDataRecorder, WindowIsFiveTwelve) {
     EXPECT_EQ(fdr.total_recorded(), 1000u);
 }
 
+// link() and SetNeighborId() index the four SL3 endpoints by port; a
+// role or PCIe port aborts in every build instead of reading past them.
+TEST(ShellDeathTest, LinkPortsOnlyIndexTheFourLinks) {
+    ShellRig rig;
+    EXPECT_DEATH(rig.shell0.link(Port::kRole),
+                 "Shell: port role is not an SL3 link port");
+    EXPECT_DEATH(rig.shell0.SetNeighborId(Port::kPcie, 7),
+                 "Shell: port pcie is not an SL3 link port");
+}
+
 TEST(FlightDataRecorder, ResetClears) {
     FlightDataRecorder fdr;
     fdr.Record(FdrRecord{});

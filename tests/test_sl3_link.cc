@@ -251,6 +251,14 @@ TEST(Packet, FlitCount) {
     EXPECT_EQ(FlitCount(65'536), 2'048);
 }
 
+// Send reads the packet it is given, so a null one aborts in every
+// build rather than crashing wherever a release build first touches it.
+TEST(Sl3LinkDeathTest, SendOfANullPacketAborts) {
+    LinkPair pair;
+    EXPECT_DEATH(pair.a.Send(PacketPtr()),
+                 "Sl3Link::Send\\(a\\): null packet");
+}
+
 TEST(Packet, PortHelpers) {
     EXPECT_EQ(Opposite(Port::kNorth), Port::kSouth);
     EXPECT_EQ(Opposite(Port::kEast), Port::kWest);

@@ -79,7 +79,7 @@ class TwoEventLink {
         if (halted) {
             if (peer_ != nullptr) {
                 simulator_->ScheduleAfter(
-                    config_.propagation_delay,
+                    Sl3Link::kPropagationDelay,
                     [peer = peer_] { peer->peer_declared_halt_ = true; },
                     sim::EventPriority::kDeliver);
             }
@@ -89,7 +89,7 @@ class TwoEventLink {
         } else {
             if (peer_ != nullptr) {
                 simulator_->ScheduleAfter(
-                    config_.propagation_delay + kRelockDelay,
+                    Sl3Link::kPropagationDelay + kRelockDelay,
                     [peer = peer_] { peer->peer_declared_halt_ = false; });
             }
             simulator_->ScheduleAfter(kRelockDelay, [this] { PumpTransmit(); });
@@ -101,7 +101,7 @@ class TwoEventLink {
     void EmitGarbageBurst() {
         if (peer_ == nullptr) return;
         simulator_->ScheduleAfter(
-            config_.propagation_delay,
+            Sl3Link::kPropagationDelay,
             [peer = peer_, garbage = MakePacket(PacketType::kGarbage,
                                                 kInvalidNode, kInvalidNode,
                                                 kFlitBytes * 4)]() mutable {
@@ -120,7 +120,7 @@ class TwoEventLink {
     const Sl3Link::Counters& counters() const { return counters_; }
 
     Time SerializationTime(Bytes size) const {
-        return config_.raw_bandwidth.Scaled(1.0 - config_.ecc_overhead)
+        return Sl3Link::kRawBandwidth.Scaled(1.0 - config_.ecc_overhead)
             .SerializationTime(size);
     }
 
@@ -148,7 +148,7 @@ class TwoEventLink {
                 tx_busy_ = false;
                 if (peer_ != nullptr) {
                     simulator_->ScheduleAfter(
-                        config_.propagation_delay,
+                        Sl3Link::kPropagationDelay,
                         [peer = peer_, packet = std::move(packet)]() mutable {
                             peer->Arrive(std::move(packet));
                         },
@@ -244,7 +244,7 @@ class TwoEventLink {
             rx_xoff_sent_ = true;
             ++counters_.xoff_asserted;
             if (peer_ != nullptr) {
-                simulator_->ScheduleAfter(config_.propagation_delay,
+                simulator_->ScheduleAfter(Sl3Link::kPropagationDelay,
                                           [peer = peer_] { peer->OnPeerXoff(true); });
             }
         } else if (rx_xoff_sent_ &&
@@ -252,7 +252,7 @@ class TwoEventLink {
                        static_cast<std::size_t>(config_.rx_xon_threshold_flits)) {
             rx_xoff_sent_ = false;
             if (peer_ != nullptr) {
-                simulator_->ScheduleAfter(config_.propagation_delay,
+                simulator_->ScheduleAfter(Sl3Link::kPropagationDelay,
                                           [peer = peer_] { peer->OnPeerXoff(false); });
             }
         }
