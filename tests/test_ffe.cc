@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -376,6 +377,85 @@ TEST(FfeProcessor, PartitionsWriteTheStagedAstStore) {
                                   kFeatureUniverse * sizeof(float)),
                       0)
                 << "seed " << seed << " doc " << doc;
+        }
+    }
+}
+
+/** FNV-1a over 64-bit words, byte by byte. */
+struct Fnv {
+    std::uint64_t hash = 1469598103934665603ull;
+    void Add(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xFF;
+            hash *= 1099511628211ull;
+        }
+    }
+    void AddFloat(float f) { Add(std::bit_cast<std::uint32_t>(f)); }
+    void AddProgram(const Program& program) {
+        Add(program.instructions.size());
+        for (const Instruction& instr : program.instructions) {
+            Add(static_cast<std::uint64_t>(instr.op));
+            Add(instr.dst);
+            Add(instr.src_a);
+            Add(instr.src_b);
+            Add(instr.src_c);
+            AddFloat(instr.constant);
+            Add(instr.feature);
+        }
+        Add(program.output_slot);
+        Add(program.register_count);
+        Add(static_cast<std::uint64_t>(program.complex_ops));
+        Add(static_cast<std::uint64_t>(program.serial_latency));
+    }
+};
+
+TEST(ModelGeneration, GoldenModels) {
+    // Models 0-7 under the default config at perfbench's model seeds for
+    // --seed 1 and 7 (Seeds(seed).models), hashed whole: every FFE0 and
+    // FFE1 program, the metafeature and op totals, the reference
+    // expressions' nodes in post-order (which compiling lists as
+    // instructions) and every scorer shard's flat nodes. Pinned from the
+    // generator that built each expression as a tree of heap nodes.
+    const std::uint64_t model_seeds[] = {0xf893a2eefb32555eull,
+                                         0xe6984080bab12a02ull};
+    const std::uint64_t golden[2][8] = {
+        {0x57df2eae81781b6aull, 0xe4c6e5ac6febbac6ull, 0x032a2febceebdf0cull,
+         0x5a0c9754b6903263ull, 0xc67259789643905full, 0xf78020b5dfc356ddull,
+         0xf1b4e76aa28c874full, 0x6a8fde898e4000deull},
+        {0x741cdc33a74c2b1full, 0x2239d3174aaaa3eaull, 0xca17d834eaf0f773ull,
+         0x49f88893166f98b5ull, 0x14683844957c6437ull, 0x72b25c8220690635ull,
+         0x19e1ca46acc5327aull, 0x3413db46b18bc84full},
+    };
+    const FfeCompiler compiler(ModelStore::Config().model.compiler);
+    for (int s = 0; s < 2; ++s) {
+        ModelStore models;  // a store holds one model per id
+        for (std::uint32_t m = 0; m < 8; ++m) {
+            const Model& model = models.GetOrGenerate(m, model_seeds[s]);
+            Fnv fnv;
+            for (const auto* partition :
+                 {&model.ffe0_programs(), &model.ffe1_programs()}) {
+                fnv.Add(partition->size());
+                for (const Program& program : *partition) fnv.AddProgram(program);
+            }
+            fnv.Add(static_cast<std::uint64_t>(model.metafeature_count()));
+            fnv.Add(static_cast<std::uint64_t>(model.total_ffe_ops()));
+            fnv.Add(model.expressions().size());
+            for (const ExprPtr& expr : model.expressions()) {
+                fnv.AddProgram(compiler.Compile(*expr, 0));
+            }
+            for (int shard = 0; shard < ScoringEnsemble::kShardCount; ++shard) {
+                const ScorerShard& scorer = model.ensemble().shard(shard);
+                fnv.Add(static_cast<std::uint64_t>(scorer.tree_count()));
+                fnv.Add(scorer.nodes().size());
+                for (const ScorerShard::FlatNode& node : scorer.nodes()) {
+                    fnv.Add(node.feature);
+                    fnv.AddFloat(node.value);
+                    fnv.Add(node.right);
+                }
+            }
+            EXPECT_EQ(fnv.hash, golden[s][m])
+                << "model seed 0x" << std::hex << model_seeds[s] << std::dec
+                << " model " << m << ": 0x" << std::hex << fnv.hash;
         }
     }
 }
