@@ -1,7 +1,6 @@
 #include "rank/ffe/compiler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace catapult::rank::ffe {
@@ -20,87 +19,67 @@ int OpLatencies::For(OpCode op) {
     }
 }
 
-std::uint32_t FfeCompiler::Lower(const Expr& expr, Program& program) const {
-    // Post-order lowering: children first, then this node. Register
-    // numbering is SSA-like (one virtual register per node).
-    std::uint32_t srcs[3] = {0, 0, 0};
-    assert(expr.children.size() <= 3);
-    for (std::size_t i = 0; i < expr.children.size(); ++i) {
-        srcs[i] = Lower(*expr.children[i], program);
-    }
-    Instruction instr;
-    instr.op = expr.op;
-    instr.dst = program.register_count++;
-    instr.src_a = srcs[0];
-    instr.src_b = srcs[1];
-    instr.src_c = srcs[2];
-    instr.constant = expr.constant;
-    instr.feature = expr.feature;
-    program.instructions.push_back(instr);
-    if (IsComplexOp(expr.op)) ++program.complex_ops;
-    return instr.dst;
-}
-
-std::int64_t FfeCompiler::CriticalPath(const Expr& expr) {
-    std::int64_t child_path = 0;
-    for (const auto& child : expr.children) {
-        child_path = std::max(child_path, CriticalPath(*child));
-    }
-    return child_path + OpLatencies::For(expr.op);
-}
-
 Program FfeCompiler::Compile(const Expr& expr,
                              std::uint32_t output_slot) const {
+    // Instruction i is node i: the nodes are in post-order, so every
+    // operand is computed before its user, and register i (SSA, one
+    // virtual register per node) holds node i's value.
+    const std::vector<Expr::Node>& nodes = expr.nodes();
+    const auto count = static_cast<std::uint32_t>(nodes.size());
     Program program;
     program.output_slot = output_slot;
-    Lower(expr, program);
-    program.serial_latency = CriticalPath(expr);
+    program.register_count = count;
+    program.instructions.resize(count);
+    // The dependency critical path ending at each node.
+    std::vector<std::int64_t> path(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const Expr::Node& node = nodes[i];
+        std::uint32_t src[3] = {0, 0, 0};
+        const int arity = expr.Operands(i, src);
+        std::int64_t longest = 0;
+        for (int k = 0; k < arity; ++k) longest = std::max(longest, path[src[k]]);
+        path[i] = longest + OpLatencies::For(node.op);
+        program.instructions[i] = Instruction{node.op, i, src[0], src[1], src[2],
+                                              node.constant, node.feature};
+        if (IsComplexOp(node.op)) ++program.complex_ops;
+    }
+    program.serial_latency = path.back();
     return program;
 }
 
 std::vector<FfeCompiler::MetafeaturePart> FfeCompiler::SplitForMetafeatures(
     Expr& expr, std::uint32_t& next_meta_slot) const {
+    // Detach the largest subtree of at most `chunk` ops that is not a
+    // single load, assign it a metafeature slot and replace it with a
+    // load of that slot. Repeat until the remainder fits the threshold.
     std::vector<MetafeaturePart> upstream;
-    if (expr.OpCount() <= config_.split_threshold_ops) return upstream;
-
-    // Walk the tree; when a subtree of <= chunk ops (but substantial
-    // size) hangs under an oversized node, detach it, assign it a
-    // metafeature slot, and replace it with a feature load. Repeat
-    // until the remainder fits the threshold.
     const int chunk = config_.split_chunk_ops;
     while (expr.OpCount() > config_.split_threshold_ops) {
-        // Find the largest subtree with OpCount <= chunk.
-        Expr* best = nullptr;
-        ExprPtr* best_edge = nullptr;
+        // Visit the root's operands last to first, each one's subtree in
+        // pre-order with its last operand first: that is the node array
+        // backwards from the root. A candidate's subtree is skipped
+        // (everything in it is smaller), and the first largest wins.
+        const std::vector<Expr::Node>& nodes = expr.nodes();
+        std::uint32_t best = 0;
         int best_size = 0;
-
-        // Iterative DFS over child edges.
-        std::vector<ExprPtr*> stack;
-        for (auto& child : expr.children) stack.push_back(&child);
-        while (!stack.empty()) {
-            ExprPtr* edge = stack.back();
-            stack.pop_back();
-            Expr* node = edge->get();
-            const int size = node->OpCount();
-            if (size <= chunk) {
-                // Candidate; don't descend further (children are smaller).
-                if (size > best_size && node->op != OpCode::kLoadFeature &&
-                    node->op != OpCode::kLoadConst) {
-                    best_size = size;
-                    best = node;
-                    best_edge = edge;
-                }
+        for (std::int64_t k = static_cast<std::int64_t>(nodes.size()) - 2; k >= 0;) {
+            const Expr::Node& node = nodes[static_cast<std::size_t>(k)];
+            const auto size = static_cast<int>(node.size);
+            if (size > chunk) {
+                --k;
                 continue;
             }
-            for (auto& child : node->children) stack.push_back(&child);
+            if (size > best_size && Arity(node.op) > 0) {
+                best_size = size;
+                best = static_cast<std::uint32_t>(k);
+            }
+            k -= size;
         }
-        if (best == nullptr || best_edge == nullptr) break;  // degenerate
+        if (best_size == 0) break;  // degenerate
 
         const std::uint32_t slot =
             kMetaFeatureBase + (next_meta_slot++ % kMetaFeatureSlots);
-        ExprPtr detached = std::move(*best_edge);
-        *best_edge = MakeFeature(slot);
-        upstream.push_back(MetafeaturePart{slot, std::move(detached)});
+        upstream.push_back(MetafeaturePart{slot, expr.Detach(best, slot)});
     }
     return upstream;
 }

@@ -1,9 +1,9 @@
 // FFE compiler: expression ASTs -> FFE processor programs (§4.5).
 //
 // The compiler performs three jobs the paper describes:
-//  1. lowering ASTs to the register-based FFE ISA in strict post-order
-//     (preserving evaluation order, so interpreter results match direct
-//     AST evaluation bit-for-bit);
+//  1. lowering ASTs to the register-based FFE ISA in strict post-order,
+//     one instruction per node (preserving evaluation order, so
+//     interpreter results match direct AST evaluation bit-for-bit);
 //  2. splitting the longest expressions across FPGAs: "An upstream FFE
 //     unit can perform part of the computation and produce an
 //     intermediate result called a metafeature";
@@ -102,9 +102,6 @@ class FfeCompiler {
     const Config& config() const { return config_; }
 
   private:
-    std::uint32_t Lower(const Expr& expr, Program& program) const;
-    static std::int64_t CriticalPath(const Expr& expr);
-
     Config config_;
 };
 

@@ -81,25 +81,66 @@ inline float Exp(float a) {
 /** Truncation to an integer value, still carried as a float. */
 inline float FloatToInt(float a) { return std::trunc(a); }
 
-/** Expression AST node. */
-struct Expr {
-    OpCode op = OpCode::kLoadConst;
-    float constant = 0.0f;          ///< kLoadConst.
-    std::uint32_t feature = 0;      ///< kLoadFeature.
-    std::vector<std::unique_ptr<Expr>> children;
+/**
+ * Operands `op` takes: none for a load, one for ln, exp and f2i, three
+ * for select and two for every other op.
+ */
+int Arity(OpCode op);
+
+/**
+ * An expression AST stored as one array of nodes in post-order: every
+ * node follows its operands' subtrees, so the root is last, a node's
+ * last operand sits just before it and each other operand just before
+ * the next operand's subtree. Compiling, splitting and evaluating are
+ * loops over the array.
+ */
+class Expr {
+  public:
+    struct Node {
+        OpCode op = OpCode::kLoadConst;
+        std::uint32_t size = 1;     ///< Nodes in this node's subtree.
+        float constant = 0.0f;      ///< kLoadConst.
+        std::uint32_t feature = 0;  ///< kLoadFeature.
+    };
+
+    /**
+     * Takes the nodes of one tree in post-order and sets every node's
+     * `size`; aborts unless each op finds its operands and the last
+     * node's subtree is the whole array.
+     */
+    explicit Expr(std::vector<Node> post_order);
+
+    const std::vector<Node>& nodes() const { return nodes_; }
+
+    /**
+     * Indices of node `i`'s operands, first to last, in `operands`;
+     * returns how many there are.
+     */
+    int Operands(std::uint32_t i, std::uint32_t (&operands)[3]) const;
 
     /** Total operation count (nodes). */
-    int OpCount() const;
+    int OpCount() const { return static_cast<int>(nodes_.size()); }
     /** Count of complex-block operations. */
     int ComplexOpCount() const;
     /** Depth of the tree. */
     int Depth() const;
 
-    /** Direct recursive evaluation against a feature store. */
+    /** Direct evaluation against a feature store, operands first. */
     float Evaluate(const FeatureStore& store) const;
 
-    std::unique_ptr<Expr> Clone() const;
+    std::unique_ptr<Expr> Clone() const { return std::make_unique<Expr>(*this); }
+
+    /**
+     * Replaces the subtree rooted at node `root` by one load of
+     * `feature` and returns that subtree.
+     */
+    std::unique_ptr<Expr> Detach(std::uint32_t root, std::uint32_t feature);
+
+  private:
+    std::vector<Node> nodes_;
 };
+
+static_assert(sizeof(Expr::Node) == 16);
 
 using ExprPtr = std::unique_ptr<Expr>;
 
@@ -133,10 +174,18 @@ class ExpressionGenerator {
     ExprPtr GenerateWithSize(int target_ops);
 
   private:
-    ExprPtr Build(int budget);
+    /**
+     * Draws one node for a subtree of about `budget` ops and pushes its
+     * operands' budgets onto `pending_`, first to last.
+     */
+    Expr::Node Draw(int budget);
 
     Config config_;
     Rng rng_;
+    /** Budgets of the subtrees still to draw; the top one is next. */
+    std::vector<int> pending_;
+    /** The nodes drawn so far, in the order they were drawn. */
+    std::vector<Expr::Node> drawn_;
 };
 
 }  // namespace catapult::rank::ffe

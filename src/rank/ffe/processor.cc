@@ -124,13 +124,11 @@ FfeProcessor::Partition::Partition(std::span<const Program> programs) {
                     result = Tagged(kFeatureTag, gathered[slot]);
                 }
             } else {
+                const int arity = Arity(instr.op);
                 Node node{instr.op, read(instr.src_a, k), 0, 0, 0};
                 // Unused operands repeat a used one, so every index is valid.
-                node.b = instr.op == OpCode::kLn || instr.op == OpCode::kExp ||
-                                 instr.op == OpCode::kFloatToInt
-                             ? node.a
-                             : read(instr.src_b, k);
-                node.c = instr.op == OpCode::kSelect ? read(instr.src_c, k) : node.b;
+                node.b = arity > 1 ? read(instr.src_b, k) : node.a;
+                node.c = arity > 2 ? read(instr.src_c, k) : node.b;
                 node.level = 1 + std::max({level(node.a), level(node.b), level(node.c)});
                 result = Tagged(kOpTag, nodes.size());
                 nodes.push_back(node);

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <type_traits>
 
+#include "common/log.h"
+
 namespace catapult::rank {
 
 namespace {
@@ -57,7 +59,9 @@ float RankingFunction::ReferenceScore(const CompressedRequest& request) {
 CpuPool::CpuPool(sim::Simulator* simulator, Rng rng, Config config)
     : simulator_(simulator), rng_(rng), config_(config) {
     assert(simulator_ != nullptr);
-    assert(config_.cores > 0);
+    if (config_.cores < 1) {
+        FatalMisuse("CpuPool: cores %d < 1", config_.cores);
+    }
 }
 
 void CpuPool::Submit(Time service, DoneFn on_done) {

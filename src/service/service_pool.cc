@@ -47,7 +47,9 @@ ServicePool::ServicePool(sim::Simulator* simulator,
       dispatcher_(config_.policy, fabric->topology().rows()) {
     assert(simulator_ != nullptr && fabric_ != nullptr);
     assert(scheduler_ != nullptr && mapping_manager != nullptr);
-    assert(config_.ring_count >= 1);
+    if (config_.ring_count < 1) {
+        FatalMisuse("ServicePool: ring_count %d < 1", config_.ring_count);
+    }
 
     rings_.reserve(static_cast<std::size_t>(config_.ring_count));
     for (int k = 0; k < config_.ring_count; ++k) {

@@ -22,7 +22,10 @@ SessionFrontEnd::SessionFrontEnd(sim::Simulator* simulator,
       config_(config),
       scatter_(simulator, dispatcher, config.scatter) {
     assert(simulator_ != nullptr);
-    assert(config_.driver_threads >= 1);
+    if (config_.driver_threads < 1) {
+        FatalMisuse("SessionFrontEnd: driver_threads %d < 1",
+                    config_.driver_threads);
+    }
 }
 
 std::uint64_t SessionFrontEnd::OpenSession() {

@@ -85,6 +85,52 @@ TEST(Expression, OpCountAndComplexCount) {
     EXPECT_EQ(e->Depth(), 3);
 }
 
+TEST(Expression, NodesArePostOrderWithSubtreeSizes) {
+    // add(ln(f1), 1.0): operands first, root last.
+    auto e = MakeBinary(OpCode::kAdd, MakeUnary(OpCode::kLn, MakeFeature(1)),
+                        MakeConst(1.0f));
+    const auto& nodes = e->nodes();
+    ASSERT_EQ(nodes.size(), 4u);
+    EXPECT_EQ(nodes[0].op, OpCode::kLoadFeature);
+    EXPECT_EQ(nodes[0].feature, 1u);
+    EXPECT_EQ(nodes[1].op, OpCode::kLn);
+    EXPECT_EQ(nodes[2].op, OpCode::kLoadConst);
+    EXPECT_EQ(nodes[2].constant, 1.0f);
+    EXPECT_EQ(nodes[3].op, OpCode::kAdd);
+    EXPECT_EQ(nodes[0].size, 1u);
+    EXPECT_EQ(nodes[1].size, 2u);
+    EXPECT_EQ(nodes[2].size, 1u);
+    EXPECT_EQ(nodes[3].size, 4u);
+    std::uint32_t operands[3];
+    ASSERT_EQ(e->Operands(3, operands), 2);
+    EXPECT_EQ(operands[0], 1u);
+    EXPECT_EQ(operands[1], 2u);
+    ASSERT_EQ(e->Operands(1, operands), 1);
+    EXPECT_EQ(operands[0], 0u);
+
+    // Detaching ln(f1) leaves add(f9, 1.0), with the root's size cut.
+    const ExprPtr part = e->Detach(1, 9);
+    ASSERT_EQ(part->OpCount(), 2);
+    EXPECT_EQ(part->nodes()[1].op, OpCode::kLn);
+    ASSERT_EQ(e->OpCount(), 3);
+    EXPECT_EQ(nodes[0].op, OpCode::kLoadFeature);
+    EXPECT_EQ(nodes[0].feature, 9u);
+    EXPECT_EQ(nodes[2].op, OpCode::kAdd);
+    EXPECT_EQ(nodes[2].size, 3u);
+}
+
+// Nodes that are not one tree in post-order abort in every build: the
+// compiler would read operands outside the array.
+TEST(ExpressionDeathTest, RejectsNodesThatAreNotOneTree) {
+    EXPECT_DEATH(Expr({Expr::Node{OpCode::kAdd}}),
+                 "Expr: node 0 \\(add\\) lacks an operand");
+    EXPECT_DEATH(MakeUnary(OpCode::kMul, MakeConst(1.0f)),
+                 "Expr: node 1 \\(mul\\) lacks an operand");
+    EXPECT_DEATH(Expr({Expr::Node{}, Expr::Node{}}),
+                 "Expr: 2 nodes are not one tree in post-order");
+    EXPECT_DEATH(Expr({}), "Expr: 0 nodes are not one tree in post-order");
+}
+
 TEST(Expression, CloneIsDeepAndEqual) {
     ExpressionGenerator generator(3);
     const ExprPtr original = generator.Generate();
@@ -327,9 +373,9 @@ TEST(FfeProcessor, EdgeOperandsMatchAstBitForBit) {
         const float expected = exprs[e]->Evaluate(store);
         EXPECT_TRUE(SameBits(out.Get(kFfeOutputBase + static_cast<std::uint32_t>(e)),
                              expected))
-            << ToString(exprs[e]->op) << " expression " << e;
+            << ToString(exprs[e]->nodes().back().op) << " expression " << e;
         EXPECT_TRUE(SameBits(FfeProcessor::Execute(programs[e], store), expected))
-            << ToString(exprs[e]->op) << " expression " << e;
+            << ToString(exprs[e]->nodes().back().op) << " expression " << e;
     }
 }
 

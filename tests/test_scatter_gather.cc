@@ -460,6 +460,17 @@ TEST(SessionFrontEnd, InFlightCapRefusesAndClosedSessionRefuses) {
 
 // ------------------------------------------------------ rotation limit
 
+// A front end with no driver threads aborts in every build: in release
+// OpenSession would take a remainder modulo zero.
+TEST(SessionFrontEndDeathTest, RejectsFewerThanOneDriverThread) {
+    sim::Simulator sim;
+    FederatedDispatcher dispatcher(&sim, {});
+    SessionFrontEnd::Config config;
+    config.driver_threads = 0;
+    EXPECT_DEATH(SessionFrontEnd(&sim, &dispatcher, config),
+                 "SessionFrontEnd: driver_threads 0 < 1");
+}
+
 TEST(FederatedDispatcher, AttachPodRefusesTheSixtyFifthPod) {
     // The per-query tried-set is a 64-bit mask, so the rotation holds
     // at most 64 pods; the 65th attach is refused with -1. One real

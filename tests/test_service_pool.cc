@@ -322,5 +322,11 @@ TEST(ServicePool, AllRingsDrainedRejectsInjection) {
     EXPECT_EQ(bed.pool().counters().rejected, 1u);
 }
 
+// A pool of no rings aborts in every build: in release its deployment
+// would never report.
+TEST(ServicePoolDeathTest, RejectsFewerThanOneRing) {
+    EXPECT_DEATH(PodTestbed(PoolConfig(0)), "ServicePool: ring_count 0 < 1");
+}
+
 }  // namespace
 }  // namespace catapult::service

@@ -120,6 +120,15 @@ TEST(CpuPool, ContentionInflatesService) {
     EXPECT_GT(done.back(), Microseconds(150));
 }
 
+// A pool of no cores aborts in every build: in release it would queue
+// every job forever.
+TEST(CpuPoolDeathTest, RejectsFewerThanOneCore) {
+    sim::Simulator sim;
+    CpuPool::Config config;
+    config.cores = 0;
+    EXPECT_DEATH(CpuPool(&sim, Rng(1), config), "CpuPool: cores 0 < 1");
+}
+
 TEST(SoftwareCostModel, FullRankingIsMilliseconds) {
     // Software ranking of an average document takes O(1 ms) on a core —
     // the scale that makes a 95% throughput gain meaningful.
