@@ -84,8 +84,8 @@ void CatapultFabric::InjectCableDefect(int node, Port port) {
 
 void CatapultFabric::AttachTelemetry(mgmt::TelemetryBus* bus) {
     for (int i = 0; i < node_count(); ++i) {
-        shells_[static_cast<std::size_t>(i)]->AttachTelemetry(bus, i);
-        devices_[static_cast<std::size_t>(i)]->AttachTelemetry(bus, i);
+        shells_[static_cast<std::size_t>(i)]->AttachTelemetry({bus, i});
+        devices_[static_cast<std::size_t>(i)]->AttachTelemetry({bus, i});
     }
 }
 

@@ -7,6 +7,17 @@
 
 namespace catapult::fpga {
 
+namespace {
+
+/**
+ * Role activity factor behind CurrentPowerWatts (0 = idle clocks gated,
+ * 1 = every LUT toggling). No role model sets one, so an active device
+ * draws its loaded role's idle power.
+ */
+constexpr double kActivityFactor = 0.0;
+
+}  // namespace
+
 const char* ToString(DeviceState state) {
     switch (state) {
       case DeviceState::kUnconfigured: return "unconfigured";
@@ -30,17 +41,13 @@ FpgaDevice::FpgaDevice(sim::Simulator* simulator, std::string name, Rng rng,
     scrubber_.set_on_role_corruption([this] { role_corrupted_ = true; });
 }
 
-void FpgaDevice::AddStateListener(StateListener listener) {
-    listeners_.push_back(std::move(listener));
-}
-
 void FpgaDevice::TransitionTo(DeviceState next) {
     if (state_ == next) return;
     const DeviceState previous = state_;
     state_ = next;
     LOG_DEBUG("fpga") << name_ << ": " << ToString(previous) << " -> "
                       << ToString(next);
-    for (const auto& listener : listeners_) listener(previous, next);
+    state_changes_.Publish(next);
 }
 
 void FpgaDevice::ConfigureFromFlash(FlashSlot slot,
@@ -135,18 +142,12 @@ double FpgaDevice::CurrentPowerWatts() const {
         // Configuration draws roughly static power.
         return PowerModel::kStaticWatts;
     }
-    return power_model_.Power(loaded_image_, activity_factor_);
+    return power_model_.Power(loaded_image_, kActivityFactor);
 }
 
-void FpgaDevice::set_activity_factor(double activity) {
-    UpdateThermals();
-    activity_factor_ = activity;
-}
-
-void FpgaDevice::AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-    telemetry_ = bus;
-    telemetry_node_ = node;
-    scrubber_.AttachTelemetry(bus, node);
+void FpgaDevice::AttachTelemetry(mgmt::TelemetryTap tap) {
+    telemetry_ = tap;
+    scrubber_.AttachTelemetry(tap);
 }
 
 void FpgaDevice::UpdateThermals() {
@@ -161,9 +162,8 @@ void FpgaDevice::UpdateThermals() {
         // Latch only once published: an excursion that begins before
         // AttachTelemetry must still surface on the first update after
         // the bus is wired.
-        if (!over_temperature_reported_ && telemetry_ != nullptr) {
-            telemetry_->Publish(telemetry_node_,
-                                mgmt::TelemetryKind::kTemperatureShutdown);
+        if (!over_temperature_reported_ && telemetry_.attached()) {
+            telemetry_.Publish(mgmt::TelemetryKind::kTemperatureShutdown);
             over_temperature_reported_ = true;
         }
     } else {

@@ -15,8 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "common/feed.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "mgmt/telemetry_bus.h"
@@ -53,8 +53,6 @@ class FpgaDevice {
         double config_failure_probability = 0.0;
     };
 
-    using StateListener = std::function<void(DeviceState, DeviceState)>;
-
     FpgaDevice(sim::Simulator* simulator, std::string name, Rng rng,
                Config config);
     FpgaDevice(sim::Simulator* simulator, std::string name, Rng rng)
@@ -85,15 +83,11 @@ class FpgaDevice {
     /** Power-cycle: clears Failed, device returns via configuration. */
     void PowerCycle(std::function<void(bool)> on_done);
 
-    /** Subscribe to state transitions. */
-    void AddStateListener(StateListener listener);
+    /** Publishes the new state on every state transition. */
+    Feed<DeviceState>& state_changes() { return state_changes_; }
 
-    /** Current board power given the role's present activity factor. */
+    /** Current board power: static while configuring, else the role's. */
     double CurrentPowerWatts() const;
-
-    /** Activity factor set by the role model (0..1). */
-    void set_activity_factor(double activity);
-    double activity_factor() const { return activity_factor_; }
 
     /**
      * Advance thermals to the current simulated time. Crossing the
@@ -105,9 +99,9 @@ class FpgaDevice {
     /**
      * Wire this device into the health plane: SEU role corruptions and
      * temperature-shutdown transitions publish as events attributed to
-     * pod-local `node`.
+     * the tap's pod-local node.
      */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node);
+    void AttachTelemetry(mgmt::TelemetryTap tap);
 
     ConfigFlash& flash() { return flash_; }
     const ConfigFlash& flash() const { return flash_; }
@@ -116,7 +110,6 @@ class FpgaDevice {
     const ThermalModel& thermal() const { return thermal_; }
     /** Mutable thermal access (failure injection: cooling failures). */
     ThermalModel& thermal_mutable() { return thermal_; }
-    const PowerModel& power_model() const { return power_model_; }
 
     /** True when the role was corrupted by an SEU since last (re)config. */
     bool role_corrupted() const { return role_corrupted_; }
@@ -141,12 +134,10 @@ class FpgaDevice {
 
     DeviceState state_ = DeviceState::kUnconfigured;
     Bitstream loaded_image_;
-    std::vector<StateListener> listeners_;
-    double activity_factor_ = 0.0;
+    Feed<DeviceState> state_changes_;
     Time last_thermal_update_ = 0;
     bool role_corrupted_ = false;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
     bool over_temperature_reported_ = false;
     std::uint64_t configurations_completed_ = 0;
     std::uint64_t config_epoch_ = 0;

@@ -53,10 +53,7 @@ void SeuScrubber::ScheduleNextUpset() {
         if (rng_.Chance(config_.critical_bit_fraction)) {
             ++counters_.role_corruptions;
             LOG_WARN("seu") << "critical configuration upset corrupted role";
-            if (telemetry_ != nullptr) {
-                telemetry_->Publish(telemetry_node_,
-                                    mgmt::TelemetryKind::kSeuRoleCorruption);
-            }
+            telemetry_.Publish(mgmt::TelemetryKind::kSeuRoleCorruption);
             if (on_role_corruption_) on_role_corruption_();
         } else {
             // Corrected by the scrubber within one scan period.

@@ -57,10 +57,7 @@ class SeuScrubber {
     }
 
     /** Publish role-corrupting upsets as health-plane events. */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-        telemetry_ = bus;
-        telemetry_node_ = node;
-    }
+    void AttachTelemetry(mgmt::TelemetryTap tap) { telemetry_ = tap; }
 
     /** Clear pending (uncorrected) upsets, e.g. after reconfiguration. */
     void ClearPendingUpsets() { pending_upsets_ = 0; }
@@ -85,8 +82,7 @@ class SeuScrubber {
     Config config_;
     mutable Counters counters_;
     std::function<void()> on_role_corruption_;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
     std::uint64_t pending_upsets_ = 0;
     bool running_ = false;
     Time started_at_ = 0;

@@ -28,8 +28,8 @@ HostServer::HostServer(sim::Simulator* simulator, std::string name,
 
     // Surprise removal: the FPGA vanishing from PCIe without the NMI
     // masked destabilizes the host (§3.4).
-    shell_->device().AddStateListener(
-        [this](fpga::DeviceState, fpga::DeviceState next) {
+    device_state_ = shell_->device().state_changes().Subscribe(
+        [this](fpga::DeviceState next) {
             const bool reconfiguring =
                 next == fpga::DeviceState::kConfiguring ||
                 next == fpga::DeviceState::kReconfiguring;
@@ -64,7 +64,6 @@ void HostServer::SoftReboot(std::function<void()> on_done) {
 }
 
 void HostServer::HardReboot(std::function<void()> on_done) {
-    ++counters_.hard_reboots;
     state_ = ServerState::kHardRebooting;
     LOG_INFO("host") << name_ << ": hard reboot (power cycle)";
     simulator_->ScheduleAfter(
@@ -116,7 +115,6 @@ void HostServer::BreakBoot(int soft_failures, bool permanent) {
 void HostServer::Service(std::function<void()> on_done) {
     // The repair clears every injected boot defect before the power
     // cycle, so FinishReboot brings the machine back for real.
-    ++counters_.services;
     broken_soft_boots_ = 0;
     boot_permanently_broken_ = false;
     state_ = ServerState::kHardRebooting;

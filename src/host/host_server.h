@@ -16,6 +16,7 @@
 #include <functional>
 #include <string>
 
+#include "common/feed.h"
 #include "common/units.h"
 #include "host/slot_dma_channel.h"
 #include "shell/shell.h"
@@ -97,8 +98,6 @@ class HostServer {
     struct Counters {
         std::uint64_t nmi_crashes = 0;
         std::uint64_t soft_reboots = 0;
-        std::uint64_t hard_reboots = 0;
-        std::uint64_t services = 0;  ///< Field-service visits.
     };
     const Counters& counters() const { return counters_; }
 
@@ -115,6 +114,8 @@ class HostServer {
     int broken_soft_boots_ = 0;
     bool boot_permanently_broken_ = false;
     Counters counters_;
+    /** Surprise-removal watch on the FPGA's state transitions. */
+    Subscription device_state_;
 };
 
 }  // namespace catapult::host

@@ -54,15 +54,14 @@ class SlotDmaChannel {
     /**
      * Statically partition the 64 slots among `thread_count` threads
      * (§3.1). Returns slots-per-thread. Threads address their slots as
-     * SlotFor(thread, k) for k in [0, slots_per_thread). A count
+     * SlotFor(thread, k) for k in [0, slots-per-thread). A count
      * outside [1, 64] aborts in every build.
      */
     int AssignThreads(int thread_count);
-    int slots_per_thread() const { return slots_per_thread_; }
     int thread_count() const { return thread_count_; }
     /**
      * Slot `k` of `thread`. A thread outside [0, thread_count()) or a
-     * `k` outside [0, slots_per_thread()) aborts in every build: a
+     * `k` outside [0, slots-per-thread) aborts in every build: a
      * wrapped index would alias two threads onto one slot.
      */
     int SlotFor(int thread, int k = 0) const;

@@ -8,12 +8,8 @@ namespace catapult::mgmt {
 
 FailureInjector::FailureInjector(sim::Simulator* simulator,
                                  fabric::CatapultFabric* fabric,
-                                 std::vector<host::HostServer*> hosts,
-                                 Rng rng)
-    : simulator_(simulator),
-      fabric_(fabric),
-      hosts_(std::move(hosts)),
-      rng_(rng) {
+                                 std::vector<host::HostServer*> hosts)
+    : simulator_(simulator), fabric_(fabric), hosts_(std::move(hosts)) {
     assert(simulator_ != nullptr);
     assert(fabric_ != nullptr);
 }
@@ -160,18 +156,6 @@ void FailureInjector::ScheduleDegradationRamp(const std::vector<int>& nodes,
         ScheduleLinkFlap(node, shell::Port::kEast, at + interval / 4,
                          flap_duration);
         at += interval;
-    }
-}
-
-void FailureInjector::ScheduleRandomReboots(int count, Time horizon) {
-    for (int i = 0; i < count; ++i) {
-        const int node =
-            static_cast<int>(rng_.NextBounded(
-                static_cast<std::uint64_t>(fabric_->node_count())));
-        const Time when = simulator_->Now() +
-                          static_cast<Time>(rng_.NextDouble() *
-                                            static_cast<double>(horizon));
-        ScheduleMachineReboot(node, when);
     }
 }
 

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/units.h"
 #include "fabric/catapult_fabric.h"
 #include "host/host_server.h"
@@ -24,7 +23,7 @@ namespace catapult::mgmt {
 class FailureInjector {
   public:
     FailureInjector(sim::Simulator* simulator, fabric::CatapultFabric* fabric,
-                    std::vector<host::HostServer*> hosts, Rng rng);
+                    std::vector<host::HostServer*> hosts);
 
     FailureInjector(const FailureInjector&) = delete;
     FailureInjector& operator=(const FailureInjector&) = delete;
@@ -74,12 +73,6 @@ class FailureInjector {
                           Time duration);
 
     /**
-     * Background noise: schedule `count` random machine reboots
-     * uniformly over [0, horizon] across all nodes.
-     */
-    void ScheduleRandomReboots(int count, Time horizon);
-
-    /**
      * Staged degradation (the slow death the predictive health plane
      * exists to catch): starting at `when`, a thermal shutdown marches
      * across `nodes` every `interval` — a failing fan taking out one
@@ -99,7 +92,6 @@ class FailureInjector {
     sim::Simulator* simulator_;
     fabric::CatapultFabric* fabric_;
     std::vector<host::HostServer*> hosts_;
-    Rng rng_;
     std::uint64_t injected_ = 0;
 };
 

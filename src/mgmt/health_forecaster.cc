@@ -47,53 +47,11 @@ const char* ToString(HealthBand band) {
     return "?";
 }
 
-// ------------------------------------------------------------ feed
-
-void HealthScoreSubscription::Reset() {
-    if (feed_ != nullptr) {
-        feed_->Unsubscribe(id_);
-        feed_ = nullptr;
-        id_ = 0;
-    }
-}
-
-HealthScoreFeed::HealthScoreFeed(sim::Simulator* simulator)
-    : simulator_(simulator) {
-    assert(simulator_ != nullptr);
-}
-
-void HealthScoreFeed::Publish(HealthScoreSample sample) {
-    sample.timestamp = simulator_->Now();
-    last_ = sample;
-    ++published_;
-    // Index-based walk with null-slot removal, same discipline as
-    // TelemetryBus::Publish: a subscriber callback may subscribe
-    // (growing the vector) without invalidating this iteration, and
-    // unsubscribing only nulls the slot so indices stay stable.
-    for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-        if (!subscribers_[i].fn) continue;
-        subscribers_[i].fn(sample);
-    }
-}
-
-HealthScoreFeed::SubscriberId HealthScoreFeed::Subscribe(
-    std::function<void(const HealthScoreSample&)> fn) {
-    assert(fn != nullptr);
-    const SubscriberId id = next_id_++;
-    subscribers_.push_back({id, std::move(fn)});
-    return id;
-}
-
-void HealthScoreFeed::Unsubscribe(SubscriberId id) {
-    for (auto& subscriber : subscribers_) {
-        if (subscriber.id == id) subscriber.fn = nullptr;
-    }
-}
-
 // ------------------------------------------------------ forecaster
 
 HealthForecaster::HealthForecaster(sim::Simulator* simulator,
-                                   HealthScoreFeed* feed, Config config)
+                                   Feed<HealthScoreSample>* feed,
+                                   Config config)
     : simulator_(simulator), feed_(feed), config_(config) {
     assert(simulator_ != nullptr && feed_ != nullptr);
     assert(config_.sample_period > 0);
@@ -103,11 +61,10 @@ HealthForecaster::HealthForecaster(sim::Simulator* simulator,
 HealthForecaster::~HealthForecaster() { Stop(); }
 
 void HealthForecaster::AttachTelemetry(TelemetryBus* bus) {
-    telemetry_subscription_ =
-        bus->SubscribeScoped([this](const TelemetryEvent&) {
-            ++events_seen_;
-            ++counters_.telemetry_events;
-        });
+    telemetry_subscription_ = bus->Subscribe([this](const TelemetryEvent&) {
+        ++events_seen_;
+        ++counters_.telemetry_events;
+    });
 }
 
 void HealthForecaster::AttachHealthMonitor(const HealthMonitor* monitor) {
@@ -149,11 +106,16 @@ void HealthForecaster::ResetForReadmission() {
     LOG_INFO("forecast") << "pod " << config_.pod_id
                          << ": trend reset for re-admission (warm-up grace "
                          << config_.warmup_samples << " samples)";
+    PublishSample(1.0);
+}
+
+void HealthForecaster::PublishSample(double instantaneous) {
     HealthScoreSample sample;
     sample.pod = config_.pod_id;
     sample.score = score_;
-    sample.instantaneous = 1.0;
+    sample.instantaneous = instantaneous;
     sample.band = band_;
+    sample.timestamp = simulator_->Now();
     feed_->Publish(sample);
 }
 
@@ -244,12 +206,7 @@ void HealthForecaster::Tick() {
         }
     }
 
-    HealthScoreSample sample;
-    sample.pod = config_.pod_id;
-    sample.score = score_;
-    sample.instantaneous = instantaneous;
-    sample.band = band_;
-    feed_->Publish(sample);
+    PublishSample(instantaneous);
 
     const std::uint64_t epoch = epoch_;
     simulator_->ScheduleDaemonAfter(config_.sample_period, [this, epoch] {

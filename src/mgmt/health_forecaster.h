@@ -13,8 +13,9 @@
 // window, so the federation's dispatcher can shed load from a pod
 // *before* it hard-fails and ramp a serviced pod back in gradually.
 //
-// The score is published on a HealthScoreFeed (the push spine of the
-// predictive plane, mirroring the TelemetryBus for the reactive one).
+// The score is published on the pod's Feed<HealthScoreSample> (the push
+// spine of the predictive plane, as the TelemetryBus is for the
+// reactive one).
 // Banding is hysteretic: a pod *enters* Degraded/Critical at a lower
 // score than it *exits*, so a score hovering at a threshold cannot
 // flap the dispatcher's shed decision. A cold-start grace holds the
@@ -27,8 +28,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <vector>
 
+#include "common/feed.h"
 #include "common/units.h"
 #include "mgmt/health_monitor.h"
 #include "mgmt/telemetry_bus.h"
@@ -46,7 +47,11 @@ enum class HealthBand {
 
 const char* ToString(HealthBand band);
 
-/** One published health observation for a pod. */
+/**
+ * One published health observation for a pod: the seam between the
+ * management plane (forecasters publish) and the service plane
+ * (dispatchers subscribe), one feed per pod.
+ */
 struct HealthScoreSample {
     int pod = 0;
     /** EWMA-smoothed health, 1.0 = pristine, 0.0 = gone. */
@@ -57,104 +62,10 @@ struct HealthScoreSample {
     Time timestamp = 0;
 };
 
-class HealthScoreFeed;
-
-/**
- * RAII subscription handle for the score feed; unsubscribes on
- * destruction so a torn-down subscriber (a dispatcher dropping a pod)
- * can never be invoked through a dangling callback. Move-only.
- */
-class HealthScoreSubscription {
-  public:
-    HealthScoreSubscription() = default;
-    HealthScoreSubscription(HealthScoreFeed* feed, int id)
-        : feed_(feed), id_(id) {}
-    ~HealthScoreSubscription() { Reset(); }
-
-    HealthScoreSubscription(HealthScoreSubscription&& other) noexcept
-        : feed_(other.feed_), id_(other.id_) {
-        other.feed_ = nullptr;
-        other.id_ = 0;
-    }
-    HealthScoreSubscription& operator=(
-        HealthScoreSubscription&& other) noexcept {
-        if (this != &other) {
-            Reset();
-            feed_ = other.feed_;
-            id_ = other.id_;
-            other.feed_ = nullptr;
-            other.id_ = 0;
-        }
-        return *this;
-    }
-
-    HealthScoreSubscription(const HealthScoreSubscription&) = delete;
-    HealthScoreSubscription& operator=(const HealthScoreSubscription&) =
-        delete;
-
-    /** Unsubscribe now (idempotent). */
-    void Reset();
-
-    bool active() const { return feed_ != nullptr; }
-
-  private:
-    HealthScoreFeed* feed_ = nullptr;
-    int id_ = 0;
-};
-
-/**
- * Pub/sub feed of per-pod health scores: the seam between the
- * management plane (forecasters publish) and the service plane
- * (dispatchers subscribe). One feed per pod, samples stamped with the
- * pod id, exactly like the TelemetryBus.
- */
-class HealthScoreFeed {
-  public:
-    using SubscriberId = int;
-
-    explicit HealthScoreFeed(sim::Simulator* simulator);
-
-    HealthScoreFeed(const HealthScoreFeed&) = delete;
-    HealthScoreFeed& operator=(const HealthScoreFeed&) = delete;
-
-    /** Deliver `sample` to every subscriber, synchronously. */
-    void Publish(HealthScoreSample sample);
-
-    SubscriberId Subscribe(std::function<void(const HealthScoreSample&)> fn);
-    void Unsubscribe(SubscriberId id);
-    HealthScoreSubscription SubscribeScoped(
-        std::function<void(const HealthScoreSample&)> fn) {
-        return HealthScoreSubscription(this, Subscribe(std::move(fn)));
-    }
-
-    /** The most recently published sample (default-healthy before any). */
-    const HealthScoreSample& last() const { return last_; }
-    std::uint64_t published() const { return published_; }
-    int subscriber_count() const {
-        int count = 0;
-        for (const auto& subscriber : subscribers_) {
-            if (subscriber.fn) ++count;
-        }
-        return count;
-    }
-
-  private:
-    struct Subscriber {
-        SubscriberId id;
-        std::function<void(const HealthScoreSample&)> fn;
-    };
-
-    sim::Simulator* simulator_;
-    std::vector<Subscriber> subscribers_;
-    SubscriberId next_id_ = 1;
-    HealthScoreSample last_;
-    std::uint64_t published_ = 0;
-};
-
 /**
  * Per-pod trend model: samples fault-signal rates on a daemon cadence,
  * folds them into a smoothed health score, and publishes every sample
- * on the pod's HealthScoreFeed.
+ * on the pod's health-score feed.
  *
  * Signal taps: a TelemetryBus subscription (fault events), the
  * HealthMonitor's watchdog counters and dead list (heartbeat misses,
@@ -186,8 +97,8 @@ class HealthForecaster {
         double fault_event_weight = 0.02;
     };
 
-    HealthForecaster(sim::Simulator* simulator, HealthScoreFeed* feed,
-                     Config config);
+    HealthForecaster(sim::Simulator* simulator,
+                     Feed<HealthScoreSample>* feed, Config config);
 
     HealthForecaster(const HealthForecaster&) = delete;
     HealthForecaster& operator=(const HealthForecaster&) = delete;
@@ -236,15 +147,17 @@ class HealthForecaster {
     };
 
     void Tick();
+    /** Publish the current score and band, stamped with the time. */
+    void PublishSample(double instantaneous);
     HealthBand StepBand(HealthBand band, double score) const;
     void SnapshotBaselines();
 
     sim::Simulator* simulator_;
-    HealthScoreFeed* feed_;
+    Feed<HealthScoreSample>* feed_;
     Config config_;
     const HealthMonitor* monitor_ = nullptr;
     std::function<std::uint64_t()> churn_probe_;
-    TelemetrySubscription telemetry_subscription_;
+    Subscription telemetry_subscription_;
 
     std::deque<WindowSlot> window_;
     std::uint64_t events_seen_ = 0;       ///< via telemetry subscription

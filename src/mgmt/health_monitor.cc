@@ -93,7 +93,6 @@ void HealthMonitor::Investigate(
 
 void HealthMonitor::QueryMachine(std::shared_ptr<Context> ctx,
                                  std::size_t idx) {
-    ++counters_.queries;
     const int node = ctx->nodes[idx];
     host::HostServer* host = hosts_[static_cast<std::size_t>(node)];
     // Status query over Ethernet with a reply timeout.
@@ -117,7 +116,6 @@ void HealthMonitor::QueryMachine(std::shared_ptr<Context> ctx,
                     HandleResponsive(ctx, idx, std::move(report));
                     return;
                 }
-                ++counters_.hard_reboots;
                 report.needed_hard_reboot = true;
                 host->HardReboot([this, ctx, idx, node, host,
                                   report]() mutable {
@@ -214,7 +212,7 @@ void HealthMonitor::FinishMachine(std::shared_ptr<Context> ctx,
             // joins to the owning query spans — the postmortem shows
             // what the machine was doing when it died.
             const auto records =
-                fabric_->shell(report.node).fdr().StreamOutExtended();
+                fabric_->shell(report.node).fdr().StreamOut();
             const std::size_t first =
                 records.size() > kFdrPostmortemTail
                     ? records.size() - kFdrPostmortemTail
@@ -227,12 +225,7 @@ void HealthMonitor::FinishMachine(std::shared_ptr<Context> ctx,
                 ++counters_.fdr_postmortem_records;
             }
         }
-        if (on_machine_failed_) on_machine_failed_(report);
-        // Index-based walk with null skip: a subscriber callback may
-        // add or remove subscribers without invalidating the sweep.
-        for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-            if (subscribers_[i]) subscribers_[i](report);
-        }
+        failures_.Publish(report);
     }
     ctx->reports[idx] = std::move(report);
     if (--ctx->outstanding == 0) {
@@ -250,26 +243,12 @@ void HealthMonitor::MarkNodeServiced(int node) {
         << "node " << node << " serviced; watchdog coverage resumes";
 }
 
-int HealthMonitor::AddFailureSubscriber(
-    std::function<void(const MachineReport&)> fn) {
-    assert(fn != nullptr);
-    subscribers_.push_back(std::move(fn));
-    return static_cast<int>(subscribers_.size()) - 1;
-}
-
-void HealthMonitor::RemoveFailureSubscriber(int id) {
-    if (id < 0 || id >= static_cast<int>(subscribers_.size())) return;
-    // Null the slot (ids are indices) so other subscriptions survive.
-    subscribers_[static_cast<std::size_t>(id)] = nullptr;
-}
-
 void HealthMonitor::AttachTelemetry(TelemetryBus* bus) {
     assert(bus != nullptr);
-    telemetry_ = bus;
-    // The scoped handle drops any previous subscription on assignment
-    // and the final one at destruction — a torn-down monitor can never
-    // be invoked through the bus again.
-    telemetry_subscription_ = bus->SubscribeScoped(
+    // The handle drops any previous subscription on assignment and the
+    // final one at destruction — a torn-down monitor can never be
+    // invoked through the bus again.
+    telemetry_subscription_ = bus->Subscribe(
         [this](const TelemetryEvent& event) { OnTelemetry(event); });
 }
 

@@ -15,9 +15,9 @@
 // subscription watches the fault-event bus; consecutive missed
 // heartbeats or event bursts form suspect sets that are fed through the
 // same Investigate() ladder a caller could invoke by hand. Confirmed
-// MachineReports fan out to every registered failure subscriber (the
-// Mapping Manager's re-mapping path and the ServicePool's automatic
-// ring recovery).
+// MachineReports are published on the monitor's failure feed (the
+// pod's healing path — the ServicePool's automatic ring recovery and
+// the Mapping Manager's re-mapping — and each federated dispatcher).
 
 #pragma once
 
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/feed.h"
 #include "common/units.h"
 #include "fabric/catapult_fabric.h"
 #include "host/host_server.h"
@@ -108,8 +109,8 @@ class HealthMonitor {
     /**
      * Investigate a set of suspect machines; the reports arrive via
      * `on_done` after queries and any needed reboot ladder. Machines
-     * with faults are appended to the failed-machine list, and every
-     * failure subscriber fires for each. This is the explicit entry
+     * with faults are appended to the failed-machine list and
+     * published on failures(). This is the explicit entry
      * point the watchdog funnels into; callers may still invoke it by
      * hand (maintenance sweeps, tests).
      */
@@ -133,27 +134,12 @@ class HealthMonitor {
      */
     void StartWatchdog();
     void StopWatchdog();
-    bool watchdog_running() const { return watchdog_running_; }
 
     /**
-     * Register a confirmed-failure subscriber; fires (after the legacy
-     * `on_machine_failed` hook) for every faulted MachineReport, from
-     * both automatic and explicit investigations. The returned id can
-     * be passed to RemoveFailureSubscriber.
+     * Every faulted MachineReport, from both automatic and explicit
+     * investigations, in the order the investigations conclude.
      */
-    int AddFailureSubscriber(std::function<void(const MachineReport&)> fn);
-
-    /**
-     * Drop a failure subscriber (no-op for unknown ids), so a
-     * subscriber torn down before the monitor — a federated dispatcher
-     * detaching a pod — leaves no dangling callback.
-     */
-    void RemoveFailureSubscriber(int id);
-
-    /** Legacy single hook (kept as a shim; drives re-mapping). */
-    void set_on_machine_failed(std::function<void(const MachineReport&)> cb) {
-        on_machine_failed_ = std::move(cb);
-    }
+    Feed<MachineReport>& failures() { return failures_; }
 
     const std::vector<MachineReport>& failed_machine_list() const {
         return failed_machines_;
@@ -181,9 +167,7 @@ class HealthMonitor {
 
     struct Counters {
         std::uint64_t investigations = 0;
-        std::uint64_t queries = 0;
         std::uint64_t soft_reboots = 0;
-        std::uint64_t hard_reboots = 0;
         std::uint64_t flagged_for_service = 0;
         // Watchdog instrumentation.
         std::uint64_t heartbeats_sent = 0;
@@ -251,16 +235,14 @@ class HealthMonitor {
     std::vector<host::HostServer*> hosts_;
     Config config_;
     std::vector<MachineReport> failed_machines_;
-    std::function<void(const MachineReport&)> on_machine_failed_;
-    std::vector<std::function<void(const MachineReport&)>> subscribers_;
+    Feed<MachineReport> failures_;
     std::vector<NodeState> nodes_;
     int dead_node_count_ = 0;
     std::vector<int> pending_suspects_;
     bool flush_scheduled_ = false;
     bool watchdog_running_ = false;
     std::uint64_t watchdog_epoch_ = 0;  ///< Orphans stale sweep callbacks.
-    TelemetryBus* telemetry_ = nullptr;
-    TelemetrySubscription telemetry_subscription_;
+    Subscription telemetry_subscription_;
     obs::ShardObs* obs_ = nullptr;
     Counters counters_;
 };

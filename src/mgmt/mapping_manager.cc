@@ -18,7 +18,6 @@ MappingManager::MappingManager(sim::Simulator* simulator,
 
 void MappingManager::Deploy(const ServiceSpec& spec,
                             std::function<void(bool)> on_done) {
-    ++counters_.deployments;
     spec_ = spec;
     // The role map is cumulative across deployments: a multi-ring pool
     // deploys one spec per ring (serialized), and every ring's roles
@@ -91,7 +90,6 @@ void MappingManager::ReconfigureInPlace(int node,
                         fabric_->topology().BuildRoutingTable(
                             node, fabric_->node_base(), table);
                         fabric_->shell(node).ReleaseRxHalt();
-                        ++counters_.rx_halt_releases;
                     }
                     on_done(ok);
                 });
@@ -101,7 +99,6 @@ void MappingManager::ReconfigureInPlace(int node,
 void MappingManager::ReleaseAllRxHalts() {
     for (const auto& role : spec_.roles) {
         fabric_->shell(role.node).ReleaseRxHalt();
-        ++counters_.rx_halt_releases;
     }
 }
 

@@ -82,13 +82,8 @@ class MappingManager {
      */
     std::string RoleAtNode(int node) const;
 
-    /** The most recently deployed spec (empty before Deploy). */
-    const ServiceSpec& current_spec() const { return spec_; }
-
     struct Counters {
-        std::uint64_t deployments = 0;
         std::uint64_t reconfigurations = 0;
-        std::uint64_t rx_halt_releases = 0;
     };
     const Counters& counters() const { return counters_; }
 

@@ -58,7 +58,7 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
     health_monitor_ = std::make_unique<HealthMonitor>(
         simulator_, fabric_.get(), hosts_, config_.health);
     failure_injector_ = std::make_unique<FailureInjector>(
-        simulator_, fabric_.get(), hosts_, rng.Fork());
+        simulator_, fabric_.get(), hosts_);
     scheduler_ = std::make_unique<PodScheduler>(fabric_->topology());
     service::ServicePool::Config pool_config;
     pool_config.ring_count = config_.ring_count;
@@ -76,9 +76,8 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
     pool_ = std::make_unique<service::ServicePool>(
         simulator_, fabric_.get(), hosts_, mapping_manager_.get(),
         scheduler_.get(), std::move(pool_config));
-    health_feed_ = std::make_unique<HealthScoreFeed>(simulator_);
     forecaster_ = std::make_unique<HealthForecaster>(
-        simulator_, health_feed_.get(),
+        simulator_, &health_feed_,
         HealthForecaster::Config{.pod_id = config_.pod_id});
     if (config_.obs != nullptr) {
         pool_->SetObservability(config_.obs);
@@ -94,7 +93,7 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
     // place by the Mapping Manager.
     fabric_->AttachTelemetry(telemetry_.get());
     health_monitor_->AttachTelemetry(telemetry_.get());
-    health_monitor_->AddFailureSubscriber(
+    healing_ = health_monitor_->failures().Subscribe(
         [this](const MachineReport& report) {
             if (pool_->HandleMachineReport(report)) return;
             switch (report.fault) {

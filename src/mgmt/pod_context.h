@@ -69,7 +69,7 @@ class PodContext {
         /**
          * Run the predictive plane on top of the reactive one: the
          * HealthForecaster samples this pod's fault-signal trends and
-         * publishes a health score on the pod's HealthScoreFeed, which
+         * publishes a health score on the pod's health feed, which
          * a FederatedDispatcher uses for score-weighted routing and
          * shed-before-failure. Requires `autonomic` (the forecaster
          * taps the watchdog and the telemetry bus); off leaves the
@@ -130,9 +130,10 @@ class PodContext {
     /**
      * The pod's health-score feed. Always constructed (so a dispatcher
      * can subscribe unconditionally); silent unless the forecaster
-     * runs, in which case subscribers see a default-healthy pod.
+     * runs, and while it is silent subscribers see a default-healthy
+     * pod.
      */
-    HealthScoreFeed& health_feed() { return *health_feed_; }
+    Feed<HealthScoreSample>& health_feed() { return health_feed_; }
     HealthForecaster& forecaster() { return *forecaster_; }
 
     /**
@@ -157,8 +158,10 @@ class PodContext {
     std::unique_ptr<PodScheduler> scheduler_;
     std::unique_ptr<service::TraceArchive> trace_archive_;
     std::unique_ptr<service::ServicePool> pool_;
-    std::unique_ptr<HealthScoreFeed> health_feed_;
+    Feed<HealthScoreSample> health_feed_;
     std::unique_ptr<HealthForecaster> forecaster_;
+    /** The autonomic loop's handler on the monitor's failure feed. */
+    Subscription healing_;
 };
 
 }  // namespace catapult::mgmt

@@ -28,54 +28,18 @@ bool IsCriticalTelemetry(TelemetryKind kind) {
     }
 }
 
-void TelemetrySubscription::Reset() {
-    if (bus_ != nullptr) bus_->Unsubscribe(id_);
-    bus_ = nullptr;
-    id_ = 0;
-}
-
 TelemetryBus::TelemetryBus(sim::Simulator* simulator, int pod_id)
     : simulator_(simulator), pod_id_(pod_id) {
     assert(simulator_ != nullptr);
 }
 
 void TelemetryBus::Publish(int node, TelemetryKind kind) {
-    ++counters_.published;
     TelemetryEvent event;
     event.pod = pod_id_;
     event.node = node;
     event.kind = kind;
     event.timestamp = simulator_->Now();
-    // Index-based walk: a subscriber callback may subscribe (growing the
-    // vector) or publish again without invalidating this iteration.
-    // Unsubscribing only nulls the slot, so indices stay stable.
-    for (std::size_t i = 0; i < subscribers_.size(); ++i) {
-        if (!subscribers_[i].fn) continue;
-        ++counters_.delivered;
-        subscribers_[i].fn(event);
-    }
-}
-
-TelemetryBus::SubscriberId TelemetryBus::Subscribe(
-    std::function<void(const TelemetryEvent&)> fn) {
-    assert(fn != nullptr);
-    const SubscriberId id = next_id_++;
-    subscribers_.push_back(Subscriber{id, std::move(fn)});
-    return id;
-}
-
-void TelemetryBus::Unsubscribe(SubscriberId id) {
-    for (auto& subscriber : subscribers_) {
-        if (subscriber.id == id) subscriber.fn = nullptr;
-    }
-}
-
-int TelemetryBus::subscriber_count() const {
-    int count = 0;
-    for (const auto& subscriber : subscribers_) {
-        if (subscriber.fn) ++count;
-    }
-    return count;
+    Feed::Publish(event);
 }
 
 }  // namespace catapult::mgmt

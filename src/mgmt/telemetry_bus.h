@@ -16,10 +16,7 @@
 
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <vector>
-
+#include "common/feed.h"
 #include "common/units.h"
 #include "sim/simulator.h"
 
@@ -55,53 +52,14 @@ struct TelemetryEvent {
     Time timestamp = 0;
 };
 
-class TelemetryBus;
-
 /**
- * RAII subscription handle: unsubscribes from the bus on destruction,
- * so a torn-down subscriber (a destroyed HealthMonitor, a dispatcher
- * that dropped a pod) can never be invoked through a dangling
- * callback. Move-only; release() detaches without unsubscribing.
+ * The pod's fault-event feed. Publish stamps each event with the pod
+ * id and the simulated time; subscribers (the Health Monitor's
+ * watchdog, the forecaster) hold the Subscription that Subscribe
+ * returns.
  */
-class TelemetrySubscription {
+class TelemetryBus : private Feed<TelemetryEvent> {
   public:
-    TelemetrySubscription() = default;
-    TelemetrySubscription(TelemetryBus* bus, int id) : bus_(bus), id_(id) {}
-    ~TelemetrySubscription() { Reset(); }
-
-    TelemetrySubscription(TelemetrySubscription&& other) noexcept
-        : bus_(other.bus_), id_(other.id_) {
-        other.bus_ = nullptr;
-        other.id_ = 0;
-    }
-    TelemetrySubscription& operator=(TelemetrySubscription&& other) noexcept {
-        if (this != &other) {
-            Reset();
-            bus_ = other.bus_;
-            id_ = other.id_;
-            other.bus_ = nullptr;
-            other.id_ = 0;
-        }
-        return *this;
-    }
-
-    TelemetrySubscription(const TelemetrySubscription&) = delete;
-    TelemetrySubscription& operator=(const TelemetrySubscription&) = delete;
-
-    /** Unsubscribe now (idempotent). */
-    void Reset();
-
-    bool active() const { return bus_ != nullptr; }
-
-  private:
-    TelemetryBus* bus_ = nullptr;
-    int id_ = 0;
-};
-
-class TelemetryBus {
-  public:
-    using SubscriberId = int;
-
     /**
      * `pod_id` stamps every published event, so federated subscribers
      * aggregating several pods' buses can attribute faults without a
@@ -109,53 +67,31 @@ class TelemetryBus {
      */
     explicit TelemetryBus(sim::Simulator* simulator, int pod_id = 0);
 
-    TelemetryBus(const TelemetryBus&) = delete;
-    TelemetryBus& operator=(const TelemetryBus&) = delete;
-
-    /**
-     * Deliver `event` (timestamped with the current simulated time) to
-     * every subscriber, synchronously. Publishing from a subscriber
-     * callback is allowed; the nested event is delivered to subscribers
-     * registered at the time of the nested publish.
-     */
+    /** Deliver a `kind` event from pod-local `node` to every subscriber. */
     void Publish(int node, TelemetryKind kind);
 
-    /** Subscribe; the returned id can be passed to Unsubscribe. */
-    SubscriberId Subscribe(std::function<void(const TelemetryEvent&)> fn);
-
-    /**
-     * Subscribe with an owning handle: the subscription ends when the
-     * handle is destroyed or Reset. Preferred for subscribers whose
-     * lifetime is shorter than the bus (per-pod monitors, federated
-     * dispatchers).
-     */
-    TelemetrySubscription SubscribeScoped(
-        std::function<void(const TelemetryEvent&)> fn) {
-        return TelemetrySubscription(this, Subscribe(std::move(fn)));
-    }
-
-    /** Remove a subscriber; no-op for unknown ids. */
-    void Unsubscribe(SubscriberId id);
-
-    struct Counters {
-        std::uint64_t published = 0;
-        std::uint64_t delivered = 0;  ///< published x subscribers.
-    };
-    const Counters& counters() const { return counters_; }
-    int subscriber_count() const;
+    using Feed::Subscribe;
+    using Feed::subscriber_count;
     int pod_id() const { return pod_id_; }
 
   private:
-    struct Subscriber {
-        SubscriberId id;
-        std::function<void(const TelemetryEvent&)> fn;
-    };
-
     sim::Simulator* simulator_;
     int pod_id_;
-    std::vector<Subscriber> subscribers_;
-    SubscriberId next_id_ = 1;
-    Counters counters_;
+};
+
+/**
+ * A publisher's wiring into its pod's bus: the bus, and the pod-local
+ * node the publisher speaks for. Unattached (no bus), Publish does
+ * nothing.
+ */
+struct TelemetryTap {
+    TelemetryBus* bus = nullptr;
+    int node = -1;
+
+    bool attached() const { return bus != nullptr; }
+    void Publish(TelemetryKind kind) const {
+        if (bus != nullptr) bus->Publish(node, kind);
+    }
 };
 
 }  // namespace catapult::mgmt

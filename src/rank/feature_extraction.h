@@ -84,8 +84,6 @@ class FeatureFsm {
     void Consume(const HitTuple& tuple, std::uint32_t position);
     void Emit(const CompressedRequest& request, FeatureStore& store) const;
 
-    const FsmDescriptor& descriptor() const { return descriptor_; }
-
   private:
     struct Cell {
         std::uint32_t count = 0;

@@ -346,9 +346,4 @@ Time FfeProcessor::DocumentServiceTime(
     return kClock.Cycles(Cycles(Timing(programs)));
 }
 
-Bytes FfeProcessor::InstructionMemoryBytes() const {
-    // 8 bytes per instruction word in the M20K instruction memories.
-    return TotalInstructions() * 8;
-}
-
 }  // namespace catapult::rank::ffe

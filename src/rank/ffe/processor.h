@@ -169,9 +169,6 @@ class FfeProcessor {
     /** Total instructions across loaded programs. */
     std::int64_t TotalInstructions() const { return total_instructions_; }
 
-    /** Instruction memory footprint (drives Model Reload cost, §4.3). */
-    Bytes InstructionMemoryBytes() const;
-
     const Config& config() const { return config_; }
 
   private:

@@ -80,6 +80,7 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
                                        std::uint64_t seed, Config config) {
     auto model = std::unique_ptr<Model>(new Model());
     model->model_id_ = model_id;
+    model->seed_ = seed;
     const std::uint64_t model_seed =
         seed ^ (static_cast<std::uint64_t>(model_id) * 0xD1B54A32D192ED03ull);
 
@@ -213,6 +214,12 @@ const Model& ModelStore::GetOrGenerate(std::uint32_t model_id,
         it = models_.emplace(model_id,
                              CachedGenerate(model_id, seed, config_.model))
                  .first;
+    } else if (it->second->seed() != seed) {
+        FatalMisuse("ModelStore::GetOrGenerate: model %u is resident for "
+                    "seed %#llx, not %#llx",
+                    model_id,
+                    static_cast<unsigned long long>(it->second->seed()),
+                    static_cast<unsigned long long>(seed));
     }
     return *it->second;
 }

@@ -70,6 +70,7 @@ class Model {
     }
 
     std::uint32_t model_id() const { return model_id_; }
+    std::uint64_t seed() const { return seed_; }
 
     /** Original (unsplit) expressions — the software reference. */
     const std::vector<ffe::ExprPtr>& expressions() const {
@@ -124,6 +125,7 @@ class Model {
         LazyPartition& lazy, const std::vector<ffe::Program>& programs) const;
 
     std::uint32_t model_id_ = 0;
+    std::uint64_t seed_ = 0;
     std::vector<ffe::ExprPtr> expressions_;
     std::vector<ffe::Program> ffe0_;
     std::vector<ffe::Program> ffe1_;
@@ -159,7 +161,9 @@ class ModelStore {
      * immutable, so stores share generated models through a
      * process-wide cache: the multi-pod testbeds deploy dozens of
      * rings whose stores would otherwise each regenerate and recompile
-     * identical models — the dominant deploy-time cost.
+     * identical models — the dominant deploy-time cost. A store holds
+     * one model per id: asking for a resident id with another seed
+     * aborts in every build.
      */
     const Model& GetOrGenerate(std::uint32_t model_id, std::uint64_t seed);
 

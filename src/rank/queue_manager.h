@@ -70,8 +70,6 @@ class QueueManager {
      */
     void Reset();
 
-    std::uint32_t current_model() const { return current_model_; }
-    bool has_current_model() const { return has_model_; }
     std::size_t QueuedFor(std::uint32_t model_id) const;
     std::size_t TotalQueued() const { return total_queued_; }
 

@@ -102,9 +102,6 @@ class CpuPool {
 
     int busy_cores() const { return busy_; }
     std::size_t queue_depth() const { return queue_.size(); }
-    double utilization() const {
-        return static_cast<double>(busy_) / config_.cores;
-    }
 
     const Config& config() const { return config_; }
 

@@ -61,16 +61,6 @@ void FederatedDispatcher::SetObservability(obs::ShardObs* obs) {
              : nullptr;
 }
 
-FederatedDispatcher::~FederatedDispatcher() {
-    for (auto& slot : pods_) {
-        slot.context->health_monitor().RemoveFailureSubscriber(
-            slot.health_subscription);
-        if (slot.shard >= 0) {
-            slot.context->pool().set_on_rings_available_changed(nullptr);
-        }
-    }
-}
-
 void FederatedDispatcher::BindShardGroup(const ShardBinding& binding) {
     if (!pods_.empty()) {
         FatalMisuse("FederatedDispatcher::BindShardGroup: called after %d "
@@ -163,11 +153,11 @@ int FederatedDispatcher::AttachPod(mgmt::PodContext* pod) {
     // The predictive plane: every published score updates the slot and
     // drives the shed/unshed hysteresis. Pods without a running
     // forecaster never publish, so they stay default-healthy here.
-    slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
+    slot.failure_subscription = pod->health_monitor().failures().Subscribe(
         [this, index](const mgmt::MachineReport& report) {
             ApplyMachineReport(index, report);
         });
-    slot.score_subscription = pod->health_feed().SubscribeScoped(
+    slot.score_subscription = pod->health_feed().Subscribe(
         [this, index](const mgmt::HealthScoreSample& sample) {
             OnHealthSample(index, sample);
         });
@@ -210,7 +200,7 @@ int FederatedDispatcher::AttachShardedPod(mgmt::PodContext* pod,
     // The seams fire on the pod's shard and must not touch dispatcher
     // state there: each ships a plain copy of its payload one completion
     // hop to the coordinator, the return path completions take.
-    slot.health_subscription = pod->health_monitor().AddFailureSubscriber(
+    slot.failure_subscription = pod->health_monitor().failures().Subscribe(
         [this, group, coord, hop, index,
          shard](const mgmt::MachineReport& report) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
@@ -220,7 +210,7 @@ int FederatedDispatcher::AttachShardedPod(mgmt::PodContext* pod,
         });
     // Daemon: periodic score publishing must not keep the group's Run()
     // alive once foreground work drains.
-    slot.score_subscription = pod->health_feed().SubscribeScoped(
+    slot.score_subscription = pod->health_feed().Subscribe(
         [this, group, coord, hop, index,
          shard](const mgmt::HealthScoreSample& sample) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
@@ -232,7 +222,7 @@ int FederatedDispatcher::AttachShardedPod(mgmt::PodContext* pod,
     // Ring availability: seeded above, then pushed on every rotation
     // change — one hop stale by construction, the optimistic-admission
     // window the pod-side reject path covers.
-    pod->pool().set_on_rings_available_changed(
+    slot.rings_subscription = pod->pool().ring_availability().Subscribe(
         [this, group, coord, hop, index, shard](int rings) {
             group->Post(shard, coord, group->shard(shard).Now() + hop,
                         [this, index, rings] {

@@ -21,7 +21,7 @@
 // exhausted or no pod survives.
 //
 // The predictive plane acts *before* any of that: the dispatcher
-// subscribes to each pod's HealthScoreFeed (mgmt::HealthForecaster's
+// subscribes to each pod's health-score feed (mgmt::HealthForecaster's
 // trend over fault-event rates, heartbeat misses, recovery churn and
 // dead nodes). Under kScoreWeighted, traffic is proportional to each
 // pod's score; a pod whose score sinks below the shed floor is
@@ -103,9 +103,6 @@ class FederatedDispatcher {
 
     FederatedDispatcher(const FederatedDispatcher&) = delete;
     FederatedDispatcher& operator=(const FederatedDispatcher&) = delete;
-
-    /** Detaches every health-plane subscription. */
-    ~FederatedDispatcher();
 
     /**
      * Front `pod`: it joins the dispatch rotation and its health plane
@@ -291,7 +288,13 @@ class FederatedDispatcher {
         bool probe_in_flight = false;
         /** The pod's group shard; -1 for a direct attach. */
         int shard = -1;
-        int health_subscription = -1;
+        /**
+         * The pod's failure, score and (sharded pods only) ring
+         * availability feeds; each ends with the slot.
+         */
+        Subscription failure_subscription;
+        Subscription score_subscription;
+        Subscription rings_subscription;
         /**
          * Coordinator-side proxy of a sharded pod's available rings,
          * kept by pushed availability messages. A direct pod's pool is
@@ -313,7 +316,6 @@ class FederatedDispatcher {
         Time warmup_until = 0;
         /** Smooth-WRR credit for the score-weighted policy. */
         double wrr_credit = 0.0;
-        mgmt::HealthScoreSubscription score_subscription;
         // Per-pod stats (see PodStats).
         std::uint64_t stat_shed_queries = 0;
         std::uint64_t stat_shed_transitions = 0;

@@ -72,11 +72,7 @@ int QueryDispatcher::Pick(const std::vector<RingView>& rings,
         }
         break;
     }
-    if (best < 0) {
-        ++counters_.no_ring_available;
-    } else {
-        ++counters_.picks;
-    }
+    if (best < 0) ++counters_.no_ring_available;
     return best;
 }
 

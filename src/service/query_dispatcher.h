@@ -50,7 +50,6 @@ class QueryDispatcher {
     DispatchPolicy policy() const { return policy_; }
 
     struct Counters {
-        std::uint64_t picks = 0;
         std::uint64_t no_ring_available = 0;
     };
     const Counters& counters() const { return counters_; }

@@ -258,7 +258,6 @@ void ScatterGatherDispatcher::InjectShard(std::uint32_t slot,
     }
     gather.doc_state[index] = DocState::kRejected;
     ++gather.rejected;
-    ++counters_.docs_rejected;
     if (AllResolved(gather) && !gather.delivered) DeliverGather(slot);
 }
 

@@ -154,8 +154,6 @@ class ScatterGatherDispatcher {
         std::uint64_t partial = 0;
         /** Shards accepted into the federation. */
         std::uint64_t docs_scattered = 0;
-        /** Shards refused up front after every retry. */
-        std::uint64_t docs_rejected = 0;
         /** Shards merged before delivery. */
         std::uint64_t docs_answered = 0;
         /** Shards that failed in the federation (retries exhausted). */
@@ -197,9 +195,6 @@ class ScatterGatherDispatcher {
                          std::size_t top_k, Time budget, GatherFn on_complete,
                          const std::vector<int>* connection_pool = nullptr,
                          std::function<void()> on_straggler = nullptr);
-
-    /** Gathers whose slot is still held (undelivered or awaiting stragglers). */
-    std::size_t live_gathers() const { return gathers_.live(); }
 
     const Counters& counters() const { return counters_; }
     const Config& config() const { return config_; }

@@ -131,7 +131,7 @@ void ServicePool::Deploy(std::function<void(bool)> on_done) {
             },
             [this, k, all_ok, remaining, done](bool ok) {
                 rings_[static_cast<std::size_t>(k)].available = ok;
-                NotifyRingsAvailableChanged();
+                ring_availability_.Publish(available_rings());
                 *all_ok = *all_ok && ok;
                 if (--*remaining == 0 && *done) (*done)(*all_ok);
             });
@@ -269,7 +269,7 @@ void ServicePool::RecoverRing(int ring_id, int failed_ring_index,
     // document to the surviving rings; in-flight documents on the
     // broken ring surface as timeouts through the normal §3.2 path.
     slot.available = false;
-    NotifyRingsAvailableChanged();
+    ring_availability_.Publish(available_rings());
     ++counters_.recoveries;
     LOG_INFO("service_pool")
         << name() << ": ring " << ring_id
@@ -296,7 +296,7 @@ void ServicePool::RecoverRing(int ring_id, int failed_ring_index,
             if (ok) {
                 RingSlot& recovered = rings_[static_cast<std::size_t>(ring_id)];
                 recovered.available = true;
-                NotifyRingsAvailableChanged();
+                ring_availability_.Publish(available_rings());
                 recovered.ever_recovered = true;
                 recovered.last_recovery_done = simulator_->Now();
                 LOG_INFO("service_pool") << name() << ": ring "
@@ -390,7 +390,6 @@ void ServicePool::AutoRecover(int ring_id, int failed_ring_index,
         }
         if (attempt + 1 >= kRecoveryMaxAttempts) {
             slot.recovering = false;
-            ++counters_.failed_recoveries;
             LOG_ERROR("service_pool")
                 << name() << ": ring " << ring_id << " recovery abandoned "
                 << "after " << kRecoveryMaxAttempts << " attempts";
@@ -463,13 +462,7 @@ void ServicePool::ClearRecoveryBacklog() {
 
 void ServicePool::SetRingAvailable(int ring_id, bool available) {
     rings_[static_cast<std::size_t>(ring_id)].available = available;
-    NotifyRingsAvailableChanged();
-}
-
-void ServicePool::NotifyRingsAvailableChanged() {
-    if (on_rings_available_changed_) {
-        on_rings_available_changed_(available_rings());
-    }
+    ring_availability_.Publish(available_rings());
 }
 
 RankingService::Counters ServicePool::AggregateRingCounters() const {

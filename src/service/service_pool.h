@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/feed.h"
 #include "common/slot_table.h"
 #include "mgmt/health_monitor.h"
 #include "mgmt/pod_scheduler.h"
@@ -137,15 +138,13 @@ class ServicePool {
         on_ring_recovered_ = std::move(cb);
     }
     /**
-     * Fires with available_rings() after every rotation change (deploy
+     * Publishes available_rings() after every rotation change (deploy
      * completion, drain, recovery rejoin, manual flip). The sharded
      * federation dispatcher mirrors the pod's capacity on its
      * coordinator shard through this — it cannot poll the pool
      * synchronously across the shard boundary.
      */
-    void set_on_rings_available_changed(std::function<void(int)> cb) {
-        on_rings_available_changed_ = std::move(cb);
-    }
+    Feed<int>& ring_availability() { return ring_availability_; }
 
     /**
      * Pod re-admission support: forget deferred health reports and
@@ -198,8 +197,6 @@ class ServicePool {
         std::uint64_t auto_recoveries = 0;
         /** Reports absorbed by hysteresis (in flight / cooldown). */
         std::uint64_t suppressed_reports = 0;
-        /** Recoveries abandoned after recovery_max_attempts. */
-        std::uint64_t failed_recoveries = 0;
     };
     const Counters& counters() const { return counters_; }
 
@@ -248,7 +245,6 @@ class ServicePool {
     void EnqueueDeployment(std::function<void(std::function<void(bool)>)> op,
                            std::function<void(bool)> on_done);
     void PumpDeployments();
-    void NotifyRingsAvailableChanged();
 
     const std::string& name() const { return config_.ring.service_name; }
 
@@ -270,7 +266,7 @@ class ServicePool {
     bool deployment_in_flight_ = false;
     std::function<void(int)> on_ring_drained_;
     std::function<void(int)> on_ring_recovered_;
-    std::function<void(int)> on_rings_available_changed_;
+    Feed<int> ring_availability_;
     Counters counters_;
 };
 

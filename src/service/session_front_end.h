@@ -102,7 +102,6 @@ class SessionFrontEnd {
     bool SessionOpen(std::uint64_t session_id) const {
         return sessions_.find(session_id) != sessions_.end();
     }
-    int session_count() const { return static_cast<int>(sessions_.size()); }
     /** Snapshot of one session's accounting (empty stats if unknown). */
     SessionStats session_stats(std::uint64_t session_id) const;
 

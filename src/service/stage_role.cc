@@ -95,20 +95,14 @@ void StageRole::OnPacket(shell::PacketPtr packet) {
         return;
     }
 
-    if (packet->type != shell::PacketType::kScoringRequest) {
-        ++counters_.dropped_unknown;
-        return;
-    }
+    if (packet->type != shell::PacketType::kScoringRequest) return;
 
     if (stage_ == PipelineStage::kFeatureExtraction) {
         // Head of the pipeline: the request lands in the Queue Manager's
         // per-model DRAM queue (§4.3). The DRAM write is charged against
         // channel 0; queue state updates immediately.
         DocContext* ctx = service_->FindContext(*packet);
-        if (ctx == nullptr) {
-            ++counters_.dropped_unknown;
-            return;
-        }
+        if (ctx == nullptr) return;
         shell_->dram(0).Transfer(packet->size, [](bool) {});
         const std::uint32_t entry = head_slots_.Acquire();
         head_slots_[entry] = std::move(packet);
@@ -164,7 +158,6 @@ void StageRole::PumpHead() {
             // slots; an empty slot means an entry dispatched twice.
             // Drop and keep draining — the document's host timeout
             // handles the rest.
-            ++counters_.dropped_unknown;
             PumpHead();
             return;
         }
@@ -207,7 +200,6 @@ void StageRole::StartService(shell::PacketPtr packet) {
     DocContext* ctx = service_->FindContext(*packet);
     if (ctx == nullptr) {
         // Context evaporated (host timed out and gave up). Drop.
-        ++counters_.dropped_unknown;
         busy_ = false;
         if (stage_ == PipelineStage::kFeatureExtraction) PumpHead(); else Pump();
         return;

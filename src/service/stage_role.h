@@ -56,7 +56,6 @@ class StageRole : public shell::Role {
         std::uint64_t processed = 0;
         std::uint64_t forwarded = 0;
         std::uint64_t reloads = 0;
-        std::uint64_t dropped_unknown = 0;
     };
     const Counters& counters() const { return counters_; }
 

@@ -43,8 +43,7 @@ class PodTestbed {
     /** Ring 0 of the pool: the legacy single-ring surface. */
     RankingService& service() { return pool().ring(0); }
 
-    /** The wrapped 1-pod federation (pod id 0). */
-    FederationTestbed& federation() { return federation_; }
+    /** The wrapped 1-pod federation's pod (pod id 0). */
     mgmt::PodContext& pod() { return federation_.pod(0); }
 
   private:

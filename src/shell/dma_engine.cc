@@ -67,11 +67,9 @@ void DmaEngine::FinishInputTransfer(int slot, bool ok) {
     PacketPtr packet = std::move(input_transfer_);
     if (on_input_cleared_) on_input_cleared_(slot);
     if (ok) {
-        ++counters_.host_to_fpga;
         packet->slot = slot;
         if (on_ingress_) on_ingress_(std::move(packet));
     } else {
-        ++counters_.failed_transfers;
         LOG_DEBUG("dma") << "host->fpga transfer failed (slot " << slot
                          << ")";
     }
@@ -89,10 +87,7 @@ void DmaEngine::PumpOutput(int slot) {
     if (output_full_[slot]) {
         // §3.1: the FPGA checks that the output slot is empty first.
         ++counters_.output_stalls;
-        if (telemetry_ != nullptr) {
-            telemetry_->Publish(telemetry_node_,
-                                mgmt::TelemetryKind::kDmaStall);
-        }
+        telemetry_.Publish(mgmt::TelemetryKind::kDmaStall);
         return;  // retried when the host consumes the slot
     }
     output_dma_active_[slot] = true;
@@ -102,11 +97,9 @@ void DmaEngine::PumpOutput(int slot) {
                             bool ok) mutable {
         output_dma_active_[slot] = false;
         if (!ok) {
-            ++counters_.failed_transfers;
             PumpOutput(slot);
             return;
         }
-        ++counters_.fpga_to_host;
         output_full_[slot] = true;
         // Interrupt to wake the consumer thread (§3.1).
         simulator_->ScheduleAfter(

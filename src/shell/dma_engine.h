@@ -41,11 +41,8 @@ class DmaEngine {
     static constexpr Time kInterruptLatency = Microseconds(3);
 
     struct Counters {
-        std::uint64_t host_to_fpga = 0;
-        std::uint64_t fpga_to_host = 0;
         std::uint64_t snapshots = 0;
         std::uint64_t output_stalls = 0;
-        std::uint64_t failed_transfers = 0;
     };
 
     explicit DmaEngine(sim::Simulator* simulator);
@@ -107,10 +104,7 @@ class DmaEngine {
      * health-plane events. Transfer failures while the device is off
      * the bus are expected reconfiguration noise and stay unpublished.
      */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-        telemetry_ = bus;
-        telemetry_node_ = node;
-    }
+    void AttachTelemetry(mgmt::TelemetryTap tap) { telemetry_ = tap; }
 
     const Counters& counters() const { return counters_; }
     PcieLink& host_to_fpga_link() { return h2f_; }
@@ -145,8 +139,7 @@ class DmaEngine {
     std::function<void(int)> on_input_cleared_;
     std::function<void(int, PacketPtr)> on_output_ready_;
     std::function<void(PacketPtr)> on_ingress_;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
 };
 
 }  // namespace catapult::shell

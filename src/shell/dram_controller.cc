@@ -40,17 +40,13 @@ Time DramController::TransferTime(Bytes size) const {
     return kAccessLatency + EffectiveBandwidth().SerializationTime(size);
 }
 
-void DramController::PublishTelemetry(mgmt::TelemetryKind kind) {
-    if (telemetry_ != nullptr) telemetry_->Publish(telemetry_node_, kind);
-}
-
 void DramController::set_calibrated(bool calibrated) {
     const bool lost = status_.calibrated && !calibrated;
     status_.calibrated = calibrated;
     // Calibration loss is a hard fault (§3.5: the error vector carries
     // "calibration failures"); publish the transition, not every failed
     // transfer that follows it.
-    if (lost) PublishTelemetry(mgmt::TelemetryKind::kDramCalibrationLoss);
+    if (lost) telemetry_.Publish(mgmt::TelemetryKind::kDramCalibrationLoss);
 }
 
 void DramController::Transfer(Bytes size, DoneFn on_done) {
@@ -71,7 +67,7 @@ void DramController::Complete() {
     bool ok = status_.calibrated;
     if (ok && rng_.Chance(config_.double_bit_error_rate)) {
         ++status_.double_bit_errors;
-        PublishTelemetry(mgmt::TelemetryKind::kDramEccFault);
+        telemetry_.Publish(mgmt::TelemetryKind::kDramEccFault);
         ok = false;
     } else if (ok && rng_.Chance(config_.single_bit_error_rate)) {
         ++status_.single_bit_errors;  // corrected, transfer succeeds

@@ -77,18 +77,13 @@ class DramController {
     void set_calibrated(bool calibrated);
 
     /** Publish ECC faults / calibration loss as health-plane events. */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-        telemetry_ = bus;
-        telemetry_node_ = node;
-    }
+    void AttachTelemetry(mgmt::TelemetryTap tap) { telemetry_ = tap; }
 
     const Status& status() const { return status_; }
     const Config& config() const { return config_; }
     std::size_t QueueDepth() const { return queue_.size(); }
 
   private:
-    void PublishTelemetry(mgmt::TelemetryKind kind);
-
     struct Request {
         Bytes size = 0;
         DoneFn on_done;
@@ -105,8 +100,7 @@ class DramController {
     /** The transfer in service; its completion event captures `this`. */
     Request active_;
     bool busy_ = false;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
 };
 
 }  // namespace catapult::shell

@@ -5,29 +5,8 @@
 namespace catapult::shell {
 
 void FlightDataRecorder::Record(const FdrRecord& record) {
-    if (spill_capacity_ > 0 && total_ >= kWindow) {
-        // The slot being overwritten holds the oldest window entry;
-        // spill it to the DRAM history before eviction.
-        if (spill_.size() < spill_capacity_) {
-            spill_.push_back(ring_[total_ % kWindow]);
-        } else {
-            ++spill_overflow_;
-        }
-    }
     ring_[total_ % kWindow] = record;
     ++total_;
-}
-
-void FlightDataRecorder::EnableDramSpill(std::size_t capacity_records) {
-    spill_capacity_ = capacity_records;
-    spill_.reserve(capacity_records);
-}
-
-std::vector<FdrRecord> FlightDataRecorder::StreamOutExtended() const {
-    std::vector<FdrRecord> out = spill_;
-    const auto window = StreamOut();
-    out.insert(out.end(), window.begin(), window.end());
-    return out;
 }
 
 std::vector<FdrRecord> FlightDataRecorder::StreamOut() const {
@@ -51,10 +30,9 @@ std::string FlightDataRecorder::DumpJson() const {
         << ",\"dram_calibrated\":"
         << (power_on_.dram_calibrated ? "true" : "false")
         << ",\"recorded_at\":" << power_on_.recorded_at << "}"
-        << ",\"total_recorded\":" << total_
-        << ",\"spill_overflow\":" << spill_overflow_ << ",\"records\":[";
+        << ",\"total_recorded\":" << total_ << ",\"records\":[";
     bool first = true;
-    for (const FdrRecord& r : StreamOutExtended()) {
+    for (const FdrRecord& r : StreamOut()) {
         if (!first) out << ",";
         first = false;
         out << "{\"ts\":" << r.timestamp << ",\"trace_id\":" << r.trace_id
@@ -70,8 +48,6 @@ std::string FlightDataRecorder::DumpJson() const {
 void FlightDataRecorder::Reset() {
     total_ = 0;
     power_on_ = PowerOnRecord{};
-    spill_.clear();
-    spill_overflow_ = 0;
 }
 
 }  // namespace catapult::shell

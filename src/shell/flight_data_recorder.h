@@ -64,9 +64,9 @@ class FlightDataRecorder {
     std::vector<FdrRecord> StreamOut() const;
 
     /**
-     * The postmortem export: power-on record plus the full history
-     * (DRAM spill + on-chip window, oldest first) as one JSON object —
-     * what a health check attaches to a fault report.
+     * The postmortem export: power-on record plus the window (oldest
+     * first) as one JSON object — what a health check attaches to a
+     * fault report.
      */
     std::string DumpJson() const;
 
@@ -78,32 +78,10 @@ class FlightDataRecorder {
     /** Clear after reconfiguration. */
     void Reset();
 
-    // --- DRAM spill extension -------------------------------------------
-    // §3.6 closes with: "we plan to extend the FDR to perform
-    // compression of log information and to opportunistically buffer
-    // into DRAM for extended histories." When enabled, records evicted
-    // from the on-chip window spill into a bounded DRAM-backed history.
-
-    /** Enable spilling up to `capacity_records` evicted records. */
-    void EnableDramSpill(std::size_t capacity_records);
-    bool dram_spill_enabled() const { return spill_capacity_ > 0; }
-
-    /** Evicted records currently held in DRAM (oldest first). */
-    const std::vector<FdrRecord>& dram_history() const { return spill_; }
-
-    /** Full history: DRAM spill followed by the on-chip window. */
-    std::vector<FdrRecord> StreamOutExtended() const;
-
-    /** Records lost because the DRAM spill itself filled. */
-    std::uint64_t spill_overflow() const { return spill_overflow_; }
-
   private:
     std::array<FdrRecord, kWindow> ring_{};
     std::uint64_t total_ = 0;
     PowerOnRecord power_on_;
-    std::size_t spill_capacity_ = 0;
-    std::vector<FdrRecord> spill_;
-    std::uint64_t spill_overflow_ = 0;
 };
 
 }  // namespace catapult::shell

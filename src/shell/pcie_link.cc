@@ -36,8 +36,6 @@ void PcieLink::Pump() {
 
 void PcieLink::Complete() {
     const bool ok = device_present_;
-    ++counters_.transfers;
-    counters_.bytes += static_cast<std::uint64_t>(active_.size);
     if (!ok) ++counters_.errors;
     DoneFn on_done = std::move(active_.on_done);
     on_done(ok);

@@ -21,8 +21,6 @@ namespace catapult::shell {
 class PcieLink {
   public:
     struct Counters {
-        std::uint64_t transfers = 0;
-        std::uint64_t bytes = 0;
         std::uint64_t errors = 0;
     };
 
@@ -43,7 +41,6 @@ class PcieLink {
 
     /** Surprise-removal state: device reconfiguring (§3.4). */
     void set_device_present(bool present) { device_present_ = present; }
-    bool device_present() const { return device_present_; }
 
     const Counters& counters() const { return counters_; }
     std::size_t QueueDepth() const { return queue_.size(); }

@@ -68,8 +68,8 @@ Shell::Shell(sim::Simulator* simulator, NodeId node, std::string name,
     dma_.set_on_ingress([this](PacketPtr packet) { OnIngress(std::move(packet)); });
 
     // The shell reacts to device configuration transitions.
-    device_->AddStateListener(
-        [this](fpga::DeviceState, fpga::DeviceState next) {
+    device_state_ = device_->state_changes().Subscribe(
+        [this](fpga::DeviceState next) {
             if (next == fpga::DeviceState::kActive) {
                 // §3.4: "each FPGA comes up with RX Halt enabled".
                 rx_halted_ = true;
@@ -191,20 +191,18 @@ void Shell::SetNeighborId(Port port, NodeId id) {
     neighbor_ids_[LinkIndex(port)] = id;
 }
 
-void Shell::AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-    telemetry_ = bus;
-    telemetry_node_ = node;
-    for (auto& link : links_) link->AttachTelemetry(bus, node);
-    for (auto& dram : dram_) dram->AttachTelemetry(bus, node);
-    dma_.AttachTelemetry(bus, node);
+void Shell::AttachTelemetry(mgmt::TelemetryTap tap) {
+    telemetry_ = tap;
+    for (auto& link : links_) link->AttachTelemetry(tap);
+    for (auto& dram : dram_) dram->AttachTelemetry(tap);
+    dma_.AttachTelemetry(tap);
 }
 
 void Shell::FlagApplicationError() {
     // Transition publish: corrupted state stays corrupted until a
     // reconfiguration clears it, so repeat flags are not new faults.
-    if (!application_error_ && telemetry_ != nullptr) {
-        telemetry_->Publish(telemetry_node_,
-                            mgmt::TelemetryKind::kApplicationError);
+    if (!application_error_) {
+        telemetry_.Publish(mgmt::TelemetryKind::kApplicationError);
     }
     application_error_ = true;
 }

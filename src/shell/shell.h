@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 
+#include "common/feed.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "mgmt/telemetry_bus.h"
@@ -159,10 +160,10 @@ class Shell {
     /**
      * Wire this shell and its components (links, DRAM controllers, DMA
      * engine) into the health plane: faults publish as events
-     * attributed to pod-local `node` instead of waiting for the next
-     * CollectHealth() poll.
+     * attributed to the tap's pod-local node instead of waiting for the
+     * next CollectHealth() poll.
      */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node);
+    void AttachTelemetry(mgmt::TelemetryTap tap);
 
     // --- Component access -------------------------------------------------
 
@@ -196,13 +197,14 @@ class Shell {
     Role* role_ = nullptr;
     bool rx_halted_ = true;  // §3.4: comes up with RX Halt enabled
     bool application_error_ = false;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
     bool partial_reconfig_active_ = false;
     std::uint64_t partial_drops_ = 0;
     fpga::Bitstream partial_role_image_;
     std::array<NodeId, 4> neighbor_ids_{kInvalidNode, kInvalidNode,
                                         kInvalidNode, kInvalidNode};
+    /** Reacts to the device's configuration transitions. */
+    Subscription device_state_;
 };
 
 }  // namespace catapult::shell

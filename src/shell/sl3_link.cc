@@ -133,17 +133,13 @@ void Sl3Link::YieldArrivalToControl() {
     ScheduleEnd();
 }
 
-void Sl3Link::PublishTelemetry(mgmt::TelemetryKind kind) {
-    if (telemetry_ != nullptr) telemetry_->Publish(telemetry_node_, kind);
-}
-
 void Sl3Link::set_defective(bool defective) {
     const bool went_down = defective && !config_.defective;
     config_.defective = defective;
     // Lock loss is the event; packets dropped while down are accounted
     // individually in Arrive so a flap under traffic looks like the
     // burst it is.
-    if (went_down) PublishTelemetry(mgmt::TelemetryKind::kLinkDown);
+    if (went_down) telemetry_.Publish(mgmt::TelemetryKind::kLinkDown);
 }
 
 bool Sl3Link::SurvivesErrorModel(Packet& packet) {
@@ -180,14 +176,14 @@ bool Sl3Link::SurvivesErrorModel(Packet& packet) {
     if (corrected > 0) packet.ecc_corrected = true;
     if (double_bit) {
         ++counters_.double_bit_drops;
-        PublishTelemetry(mgmt::TelemetryKind::kLinkCrcError);
+        telemetry_.Publish(mgmt::TelemetryKind::kLinkCrcError);
         return false;
     }
     if (escaped_ecc) {
         // End-of-packet CRC check (CRC-32).
         if (rng_.NextDouble() < 1.0 - 0x1.0p-32) {
             ++counters_.crc_drops;
-            PublishTelemetry(mgmt::TelemetryKind::kLinkCrcError);
+            telemetry_.Publish(mgmt::TelemetryKind::kLinkCrcError);
             return false;
         }
         ++counters_.undetected_errors;
@@ -200,7 +196,7 @@ bool Sl3Link::SurvivesErrorModel(Packet& packet) {
 void Sl3Link::Arrive(PacketPtr packet) {
     if (config_.defective) {
         ++counters_.defective_drops;
-        PublishTelemetry(mgmt::TelemetryKind::kLinkDown);
+        telemetry_.Publish(mgmt::TelemetryKind::kLinkDown);
         return;
     }
     if (packet->type == PacketType::kTxHalt) {

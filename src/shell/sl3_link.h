@@ -136,7 +136,6 @@ class Sl3Link {
      * re-establishes the link after a relock delay.
      */
     void SetTxHalt(bool halted);
-    bool tx_halted() const { return tx_halted_; }
 
     /** RX Halt (§3.4): drop every arriving packet until released. */
     void SetRxHalt(bool halted);
@@ -182,17 +181,12 @@ class Sl3Link {
 
     /**
      * Wire this endpoint into the health plane: CRC/double-bit drops
-     * and lock losses publish as fault events attributed to `node`
-     * (the pod-local index of the owning shell).
+     * and lock losses publish as fault events attributed to the tap's
+     * node (the pod-local index of the owning shell).
      */
-    void AttachTelemetry(mgmt::TelemetryBus* bus, int node) {
-        telemetry_ = bus;
-        telemetry_node_ = node;
-    }
+    void AttachTelemetry(mgmt::TelemetryTap tap) { telemetry_ = tap; }
 
   private:
-    void PublishTelemetry(mgmt::TelemetryKind kind);
-
     void PumpTransmit();
     /** True until the kernel passes the current serialization end. */
     bool Transmitting();
@@ -250,8 +244,7 @@ class Sl3Link {
 
     std::function<void()> on_receive_;
     std::function<void(const Packet&)> on_corruption_;
-    mgmt::TelemetryBus* telemetry_ = nullptr;
-    int telemetry_node_ = -1;
+    mgmt::TelemetryTap telemetry_;
     Counters counters_;
 };
 

@@ -1,13 +1,12 @@
 // Tests for the paper's forward-looking extensions, implemented here:
-// partial reconfiguration (§3.2), FDR DRAM spill (§3.6), and the boot
-// failure modes that exercise the full §3.5 reboot ladder.
+// partial reconfiguration (§3.2) and the boot failure modes that
+// exercise the full §3.5 reboot ladder.
 
 #include <gtest/gtest.h>
 
 #include "rank/document_generator.h"
 #include "service/stage_role.h"
 #include "service/testbed.h"
-#include "shell/flight_data_recorder.h"
 
 namespace catapult {
 namespace {
@@ -135,55 +134,6 @@ TEST(PartialReconfig, MuchFasterThanFullReconfiguration) {
     ASSERT_TRUE(done);
     const Time partial = bed.simulator().Now() - t0;
     EXPECT_LT(partial, Milliseconds(900));  // beats full configuration
-}
-
-// --- FDR DRAM spill (§3.6) ---------------------------------------------
-
-TEST(FdrDramSpill, EvictedRecordsSpillToDram) {
-    shell::FlightDataRecorder fdr;
-    fdr.EnableDramSpill(2'000);
-    for (int i = 0; i < 1'500; ++i) {
-        shell::FdrRecord record;
-        record.trace_id = static_cast<std::uint64_t>(i);
-        fdr.Record(record);
-    }
-    // Window holds the newest 512; the older 988 spilled to DRAM.
-    EXPECT_EQ(fdr.dram_history().size(), 1'500u - 512u);
-    EXPECT_EQ(fdr.dram_history().front().trace_id, 0u);
-    const auto extended = fdr.StreamOutExtended();
-    ASSERT_EQ(extended.size(), 1'500u);
-    for (std::size_t i = 0; i < extended.size(); ++i) {
-        EXPECT_EQ(extended[i].trace_id, static_cast<std::uint64_t>(i));
-    }
-    EXPECT_EQ(fdr.spill_overflow(), 0u);
-}
-
-TEST(FdrDramSpill, BoundedWithOverflowCounter) {
-    shell::FlightDataRecorder fdr;
-    fdr.EnableDramSpill(100);
-    for (int i = 0; i < 1'000; ++i) {
-        fdr.Record(shell::FdrRecord{});
-    }
-    EXPECT_EQ(fdr.dram_history().size(), 100u);
-    EXPECT_EQ(fdr.spill_overflow(), 1'000u - 512u - 100u);
-}
-
-TEST(FdrDramSpill, DisabledByDefault) {
-    shell::FlightDataRecorder fdr;
-    EXPECT_FALSE(fdr.dram_spill_enabled());
-    for (int i = 0; i < 1'000; ++i) fdr.Record(shell::FdrRecord{});
-    EXPECT_TRUE(fdr.dram_history().empty());
-    EXPECT_EQ(fdr.StreamOutExtended().size(),
-              shell::FlightDataRecorder::kWindow);
-}
-
-TEST(FdrDramSpill, ResetClearsHistory) {
-    shell::FlightDataRecorder fdr;
-    fdr.EnableDramSpill(100);
-    for (int i = 0; i < 700; ++i) fdr.Record(shell::FdrRecord{});
-    fdr.Reset();
-    EXPECT_TRUE(fdr.dram_history().empty());
-    EXPECT_EQ(fdr.spill_overflow(), 0u);
 }
 
 // --- Boot failure ladder (§3.5) ----------------------------------------

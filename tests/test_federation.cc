@@ -51,7 +51,7 @@ TEST(PodContext, ThreadsPodIdThroughNodeIdsTelemetryAndReports) {
 
     // Telemetry events carry the publishing pod's id.
     mgmt::TelemetryEvent seen;
-    auto subscription = bed.pod(1).telemetry().SubscribeScoped(
+    const Subscription subscription = bed.pod(1).telemetry().Subscribe(
         [&](const mgmt::TelemetryEvent& event) { seen = event; });
     bed.pod(1).telemetry().Publish(7, mgmt::TelemetryKind::kDmaStall);
     EXPECT_EQ(seen.pod, 1);

@@ -168,8 +168,8 @@ TEST(FpgaDevice, StateListenersFire) {
     FpgaDevice device(&sim, "fpga0", Rng(1));
     device.flash().InstallImage(FlashSlot::kApplication, GoldenBitstream());
     std::vector<DeviceState> transitions;
-    device.AddStateListener(
-        [&](DeviceState, DeviceState next) { transitions.push_back(next); });
+    const Subscription subscription = device.state_changes().Subscribe(
+        [&](DeviceState next) { transitions.push_back(next); });
     device.ConfigureFromFlash(FlashSlot::kApplication, [](bool) {});
     sim.Run();
     ASSERT_EQ(transitions.size(), 2u);
@@ -185,8 +185,8 @@ TEST(FpgaDevice, ReconfigurationFromActiveState) {
     sim.Run();
 
     std::vector<DeviceState> transitions;
-    device.AddStateListener(
-        [&](DeviceState, DeviceState next) { transitions.push_back(next); });
+    const Subscription subscription = device.state_changes().Subscribe(
+        [&](DeviceState next) { transitions.push_back(next); });
     device.ConfigureFromFlash(FlashSlot::kApplication, [](bool) {});
     EXPECT_EQ(device.state(), DeviceState::kReconfiguring);
     sim.Run();

@@ -22,9 +22,10 @@ TEST(TelemetryBus, PublishDeliversToSubscribersWithTimestamp) {
     mgmt::TelemetryBus bus(&sim);
     std::vector<mgmt::TelemetryEvent> seen_a;
     std::vector<mgmt::TelemetryEvent> seen_b;
-    const auto id_a = bus.Subscribe(
+    Subscription a = bus.Subscribe(
         [&](const mgmt::TelemetryEvent& e) { seen_a.push_back(e); });
-    bus.Subscribe([&](const mgmt::TelemetryEvent& e) { seen_b.push_back(e); });
+    const Subscription b = bus.Subscribe(
+        [&](const mgmt::TelemetryEvent& e) { seen_b.push_back(e); });
     EXPECT_EQ(bus.subscriber_count(), 2);
 
     sim.ScheduleAt(Milliseconds(5), [&] {
@@ -36,13 +37,13 @@ TEST(TelemetryBus, PublishDeliversToSubscribersWithTimestamp) {
     EXPECT_EQ(seen_a[0].kind, mgmt::TelemetryKind::kLinkCrcError);
     EXPECT_EQ(seen_a[0].timestamp, Milliseconds(5));
 
-    bus.Unsubscribe(id_a);
+    a.Reset();
+    EXPECT_FALSE(a.active());
     EXPECT_EQ(bus.subscriber_count(), 1);
     bus.Publish(3, mgmt::TelemetryKind::kDmaStall);
     EXPECT_EQ(seen_a.size(), 1u);  // unsubscribed
     EXPECT_EQ(seen_b.size(), 2u);
-    EXPECT_EQ(bus.counters().published, 2u);
-    EXPECT_EQ(bus.counters().delivered, 3u);
+    EXPECT_EQ(seen_b[1].node, 3);
 }
 
 TEST(TelemetryBus, ScopedSubscriptionUnsubscribesOnDestruction) {
@@ -50,14 +51,14 @@ TEST(TelemetryBus, ScopedSubscriptionUnsubscribesOnDestruction) {
     mgmt::TelemetryBus bus(&sim);
     int seen = 0;
     {
-        auto subscription = bus.SubscribeScoped(
-            [&](const mgmt::TelemetryEvent&) { ++seen; });
+        Subscription subscription =
+            bus.Subscribe([&](const mgmt::TelemetryEvent&) { ++seen; });
         EXPECT_TRUE(subscription.active());
         EXPECT_EQ(bus.subscriber_count(), 1);
         bus.Publish(0, mgmt::TelemetryKind::kDmaStall);
         EXPECT_EQ(seen, 1);
         // Moving the handle keeps the one subscription alive.
-        mgmt::TelemetrySubscription moved = std::move(subscription);
+        Subscription moved = std::move(subscription);
         EXPECT_TRUE(moved.active());
         EXPECT_FALSE(subscription.active());
         bus.Publish(0, mgmt::TelemetryKind::kDmaStall);
@@ -86,15 +87,14 @@ TEST(TelemetryBus, DestroyedHealthMonitorIsNeverInvoked) {
     }
     EXPECT_EQ(bus.subscriber_count(), 0);
     bus.Publish(5, mgmt::TelemetryKind::kTemperatureShutdown);
-    EXPECT_EQ(bus.counters().delivered, 0u);
 }
 
 TEST(TelemetryBus, EventsCarryThePublishingPodsId) {
     sim::Simulator sim;
     mgmt::TelemetryBus bus(&sim, /*pod_id=*/3);
     mgmt::TelemetryEvent seen;
-    auto subscription = bus.SubscribeScoped(
-        [&](const mgmt::TelemetryEvent& event) { seen = event; });
+    const Subscription subscription =
+        bus.Subscribe([&](const mgmt::TelemetryEvent& event) { seen = event; });
     bus.Publish(9, mgmt::TelemetryKind::kLinkDown);
     EXPECT_EQ(seen.pod, 3);
     EXPECT_EQ(seen.node, 9);
@@ -253,9 +253,10 @@ TEST(HealthPlane, TransientLinkFlapInvestigatesButDoesNotThrashTheRing) {
 
     // Count link-down events seen on the bus.
     int link_events = 0;
-    bed.telemetry().Subscribe([&](const mgmt::TelemetryEvent& e) {
-        if (e.kind == mgmt::TelemetryKind::kLinkDown) ++link_events;
-    });
+    const Subscription subscription =
+        bed.telemetry().Subscribe([&](const mgmt::TelemetryEvent& e) {
+            if (e.kind == mgmt::TelemetryKind::kLinkDown) ++link_events;
+        });
 
     // 5 ms flap on a mid-ring east link while documents stream through
     // it: every drop publishes, the burst marks the node suspect.

@@ -192,7 +192,7 @@ TEST(HealthMonitor, OnMachineFailedHookFires) {
     rig.mapping->Deploy(rig.EightNodeSpec(), [](bool) {});
     rig.sim.Run();
     int hook_calls = 0;
-    rig.health->set_on_machine_failed(
+    const Subscription subscription = rig.health->failures().Subscribe(
         [&](const MachineReport&) { ++hook_calls; });
     rig.fabric->shell(2).FlagApplicationError();
     rig.health->Investigate({2}, [](std::vector<MachineReport>) {});
@@ -204,7 +204,7 @@ TEST(FailureInjector, ScheduledFaultsFire) {
     MgmtRig rig;
     rig.mapping->Deploy(rig.EightNodeSpec(), [](bool) {});
     rig.sim.Run();
-    FailureInjector injector(&rig.sim, rig.fabric.get(), rig.hosts, Rng(7));
+    FailureInjector injector(&rig.sim, rig.fabric.get(), rig.hosts);
     const Time t0 = rig.sim.Now();
     injector.ScheduleApplicationHang(5, t0 + Milliseconds(1));
     injector.ScheduleDramCalibrationFailure(6, 0, t0 + Milliseconds(2));
@@ -220,7 +220,7 @@ TEST(FailureInjector, MachineRebootMakesHostUnresponsiveThenHeals) {
     MgmtRig rig;
     rig.mapping->Deploy(rig.EightNodeSpec(), [](bool) {});
     rig.sim.Run();
-    FailureInjector injector(&rig.sim, rig.fabric.get(), rig.hosts, Rng(7));
+    FailureInjector injector(&rig.sim, rig.fabric.get(), rig.hosts);
     injector.ScheduleMachineReboot(3, rig.sim.Now() + Milliseconds(1));
     rig.sim.RunUntil(rig.sim.Now() + Milliseconds(2));
     EXPECT_FALSE(rig.hosts[3]->responsive());

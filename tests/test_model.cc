@@ -89,6 +89,17 @@ TEST(ModelStore, CachesGeneratedModels) {
     EXPECT_EQ(store.Find(99), nullptr);
 }
 
+// A store holds one model per id. Returning the resident model for
+// another seed would hand the caller a model it did not ask for, so a
+// second seed aborts in every build.
+TEST(ModelStoreDeathTest, RejectsASecondSeedForOneModel) {
+    ModelStore store;
+    store.GetOrGenerate(5, 42);
+    EXPECT_DEATH(store.GetOrGenerate(5, 43),
+                 "ModelStore::GetOrGenerate: model 5 is resident for seed "
+                 "0x2a, not 0x2b");
+}
+
 TEST(ModelStore, WorstCaseReloadMatchesPaper) {
     // §4.3: "Model Reload can take up to 250 us" — all 2,014 M20Ks
     // reloaded from DRAM at DDR3-1333 (dual channel).

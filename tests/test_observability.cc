@@ -410,11 +410,10 @@ TEST(ObservabilityPlane, BlackoutPostmortemCarriesVictimFdrRecords) {
     EXPECT_NE(trace_json.find("\"fdr\""), std::string::npos);
 
     // At least one streamed record's document trace id matches a real
-    // record still in the victim's FDR spill — the postmortem is the
+    // record still in the victim's FDR window — the postmortem is the
     // victim's own flight data, not a synthesized marker.
     std::set<std::uint64_t> fdr_docs;
-    const auto fdr_records =
-        bed.pod(0).fabric().shell(0).fdr().StreamOutExtended();
+    const auto fdr_records = bed.pod(0).fabric().shell(0).fdr().StreamOut();
     for (const auto& r : fdr_records) fdr_docs.insert(r.trace_id);
     bool matched = false;
     for (int s = 0; s < bed.observability()->shard_count(); ++s) {

@@ -24,16 +24,13 @@ namespace {
 struct ForecasterHarness {
     sim::Simulator simulator;
     mgmt::TelemetryBus bus{&simulator, /*pod_id=*/0};
-    mgmt::HealthScoreFeed feed{&simulator};
+    Feed<mgmt::HealthScoreSample> feed;
     std::vector<mgmt::HealthScoreSample> samples;
-    mgmt::HealthScoreSubscription subscription;
+    Subscription subscription = feed.Subscribe(
+        [this](const mgmt::HealthScoreSample& s) { samples.push_back(s); });
 
     explicit ForecasterHarness(mgmt::HealthForecaster::Config config)
         : forecaster(&simulator, &feed, config) {
-        subscription = feed.SubscribeScoped(
-            [this](const mgmt::HealthScoreSample& s) {
-                samples.push_back(s);
-            });
         forecaster.AttachTelemetry(&bus);
         forecaster.Start();
     }
