@@ -63,7 +63,6 @@ HealthForecaster::~HealthForecaster() { Stop(); }
 void HealthForecaster::AttachTelemetry(TelemetryBus* bus) {
     telemetry_subscription_ = bus->Subscribe([this](const TelemetryEvent&) {
         ++events_seen_;
-        ++counters_.telemetry_events;
     });
 }
 
@@ -162,7 +161,6 @@ void HealthForecaster::Tick() {
         window_.pop_front();
     }
     ++samples_seen_;
-    ++counters_.samples;
 
     // Rates over the trend window.
     std::uint64_t events = 0;

@@ -133,9 +133,7 @@ class HealthForecaster {
     HealthBand band() const { return band_; }
 
     struct Counters {
-        std::uint64_t samples = 0;
         std::uint64_t band_transitions = 0;
-        std::uint64_t telemetry_events = 0;
     };
     const Counters& counters() const { return counters_; }
 

@@ -52,10 +52,9 @@ std::uint64_t GlobalEventsFired() { return t_events_fired; }
 void AdoptEventsFired(std::uint64_t n) { t_events_fired += n; }
 
 std::uint32_t Simulator::AcquireSlot(bool daemon) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+        free_head_ = slots_[slot].next;
     } else {
         slot = static_cast<std::uint32_t>(slots_.size());
         slots_.emplace_back();
@@ -70,8 +69,10 @@ void Simulator::ReleaseSlot(std::uint32_t slot) {
     // Bumping the generation invalidates every outstanding handle to
     // this slot: a later Cancel through a stale handle is a pure
     // comparison miss, never a leak and never a hit on the reused slot.
-    ++slots_[slot].generation;
-    free_slots_.push_back(slot);
+    Slot& record = slots_[slot];
+    ++record.generation;
+    record.next = free_head_;
+    free_head_ = slot;
 }
 
 void Simulator::Discard(std::uint32_t slot) {
@@ -95,12 +96,16 @@ EventHandle Simulator::Schedule(Time when, std::uint64_t sequence, EventFn fn,
         std::abort();
     }
     const std::uint32_t slot = AcquireSlot(daemon);
-    slots_[slot].fn = std::move(fn);
-    Insert(Key{when, sequence, static_cast<std::int32_t>(priority), slot});
+    Slot& record = slots_[slot];
+    record.fn = std::move(fn);
+    record.when = when;
+    record.sequence = sequence;
+    record.priority = static_cast<std::int32_t>(priority);
+    const std::uint32_t generation = record.generation;
+    Insert(slot);
     ++live_events_;
     if (daemon) ++daemon_events_;
-    return EventHandle((static_cast<std::uint64_t>(slots_[slot].generation)
-                        << 32) |
+    return EventHandle((static_cast<std::uint64_t>(generation) << 32) |
                        (slot + 1));
 }
 
@@ -160,67 +165,62 @@ void Simulator::Cancel(const EventHandle& handle) {
     if (record.daemon) --daemon_events_;
 }
 
-void Simulator::Insert(const Key& key) {
-    const auto s0 = static_cast<std::uint64_t>(key.when) >> kSliceBits;
+void Simulator::Insert(std::uint32_t slot) {
+    const auto s0 = static_cast<std::uint64_t>(slots_[slot].when) >> kSliceBits;
     // Schedule rejects past times and no pop moves the cursor past the
     // clock, so nothing lands behind it.
     assert(s0 >= l0_cursor_ && "event behind the wheel cursor");
+    if (s0 == l0_cursor_) {
+        // The slice under the cursor is the one kept in order.
+        HeapPush(current_, KeyOf(slot));
+        return;
+    }
     if (s0 < l0_end_slice()) {
-        // Near horizon: straight into the slice's bucket heap. The L0
-        // window is aligned to one L1 slot, so slice -> index is
-        // injective within it.
-        const std::uint64_t index = s0 & kWheelMask;
-        auto& bucket = l0_[index];
-        bucket.push_back(key);
-        std::push_heap(bucket.begin(), bucket.end(), LaterFirst{});
-        SetBit(l0_occupied_.data(), index);
-        ++l0_count_;
+        // Near horizon: onto the slice's list. The L0 window is aligned
+        // to one L1 slot, so slice -> index is injective within it.
+        Push(l0_, s0 & kWheelMask, slot);
         return;
     }
     const std::uint64_t s1 = s0 >> kWheelBits;
     if (s1 < l1_base_slot_ + kWheelSize) {
-        // Mid horizon: stage unsorted; the slot is heapified bucket by
-        // bucket when the L0 window advances onto it.
-        const std::uint64_t index = s1 & kWheelMask;
-        l1_[index].push_back(key);
-        SetBit(l1_occupied_.data(), index);
-        ++l1_count_;
+        // Mid horizon: onto the window's list; it is spread over the L0
+        // lists when the L0 window advances onto it.
+        Push(l1_, s1 & kWheelMask, slot);
         return;
     }
     // Far future (beyond ~68.7 ms): the sorted overflow level.
-    overflow_.push_back(key);
-    std::push_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
+    HeapPush(overflow_, KeyOf(slot));
 }
 
-std::uint64_t Simulator::FirstL0Bucket() const {
-    const int index =
-        FindSetCircular(l0_occupied_.data(), kBitmapWords,
-                        static_cast<unsigned>(l0_cursor_ & kWheelMask));
+void Simulator::Push(Level& level, std::uint64_t index, std::uint32_t slot) {
+    slots_[slot].next = level.head[index];
+    level.head[index] = slot;
+    SetBit(level.occupied.data(), index);
+    ++level.count;
+}
+
+std::uint32_t Simulator::Level::Detach(std::uint64_t index) {
+    const std::uint32_t first = head[index];
+    head[index] = kNoSlot;
+    ClearBit(occupied.data(), index);
+    return first;
+}
+
+std::uint64_t Simulator::Level::First(std::uint64_t from) const {
+    const int index = FindSetCircular(occupied.data(), kBitmapWords,
+                                      static_cast<unsigned>(from & kWheelMask));
     assert(index >= 0);
-    assert(static_cast<std::uint64_t>(index) >= (l0_cursor_ & kWheelMask) &&
-           "aligned L0 window never wraps");
     return static_cast<std::uint64_t>(index);
 }
 
-std::uint64_t Simulator::FirstL1Slot() const {
-    const int index =
-        FindSetCircular(l1_occupied_.data(), kBitmapWords,
-                        static_cast<unsigned>((l1_cursor_ + 1) & kWheelMask));
-    assert(index >= 0);
-    return static_cast<std::uint64_t>(index);
+void Simulator::HeapPush(std::vector<Key>& heap, const Key& key) {
+    heap.push_back(key);
+    std::push_heap(heap.begin(), heap.end(), LaterFirst{});
 }
 
-void Simulator::PopL0Top(std::uint64_t index) {
-    auto& bucket = l0_[index];
-    std::pop_heap(bucket.begin(), bucket.end(), LaterFirst{});
-    bucket.pop_back();
-    if (bucket.empty()) ClearBit(l0_occupied_.data(), index);
-    --l0_count_;
-}
-
-void Simulator::PopOverflowTop() {
-    std::pop_heap(overflow_.begin(), overflow_.end(), LaterFirst{});
-    overflow_.pop_back();
+void Simulator::HeapPop(std::vector<Key>& heap) {
+    std::pop_heap(heap.begin(), heap.end(), LaterFirst{});
+    heap.pop_back();
 }
 
 void Simulator::DropCancelledFront() {
@@ -232,31 +232,46 @@ bool Simulator::PopNext(Time last, Key& out) {
     if (live_events_ == 0) {
         // Nothing can fire. An unbounded pop would otherwise advance the
         // window onto a slot of cancelled entries and leave the cursor
-        // ahead of the clock.
+        // ahead of the clock. A discarded callback's destructor may
+        // schedule, so look again afterwards.
         DropCancelledFront();
-        return false;
+        if (live_events_ == 0) return false;
     }
     for (;;) {
-        if (l0_count_ > 0) {
-            const std::uint64_t index = FirstL0Bucket();
-            const Key top = l0_[index].front();
+        if (!current_.empty()) {
+            const Key top = current_.front();
             const bool cancelled = slots_[top.slot].cancelled;
             if (!cancelled && top.when > last) return false;
-            PopL0Top(index);
+            HeapPop(current_);
             if (cancelled) {
                 Discard(top.slot);
                 continue;
             }
-            l0_cursor_ = (l1_cursor_ << kWheelBits) + index;
             out = top;
             return true;
         }
-        if (l1_count_ > 0) {
+        if (l0_.count > 0) {
+            // Move the cursor onto the next occupied slice — only if it
+            // starts at or before `last` — and order its list.
+            const std::uint64_t index = l0_.First(l0_cursor_);
+            assert(index > (l0_cursor_ & kWheelMask) &&
+                   "aligned L0 window never wraps");
+            const std::uint64_t slice = (l1_cursor_ << kWheelBits) + index;
+            if (static_cast<Time>(slice << kSliceBits) > last) return false;
+            l0_cursor_ = slice;
+            for (std::uint32_t slot = l0_.Detach(index); slot != kNoSlot;
+                 slot = slots_[slot].next) {
+                current_.push_back(KeyOf(slot));
+                --l0_.count;
+            }
+            std::make_heap(current_.begin(), current_.end(), LaterFirst{});
+            continue;
+        }
+        if (l1_.count > 0) {
             // Advance the L0 window onto the next staged L1 slot — only
-            // if that slot starts at or before `last`, so the cursor
-            // never passes the clock the caller leaves behind — and
-            // scatter its events into their slice buckets.
-            const std::uint64_t index = FirstL1Slot();
+            // if that slot starts at or before `last` — and spread its
+            // list over the L0 lists and the current slice.
+            const std::uint64_t index = l1_.First(l1_cursor_ + 1);
             const std::uint64_t next_slot =
                 l1_cursor_ + 1 + ((index - l1_cursor_ - 1) & kWheelMask);
             if (static_cast<Time>(next_slot << (kSliceBits + kWheelBits)) >
@@ -265,26 +280,18 @@ bool Simulator::PopNext(Time last, Key& out) {
             }
             l1_cursor_ = next_slot;
             l0_cursor_ = l1_cursor_ << kWheelBits;
-            auto& staged = l1_[index];
-            l1_count_ -= staged.size();
-            for (const Key& key : staged) {
-                const std::uint64_t bucket_index =
-                    (static_cast<std::uint64_t>(key.when) >> kSliceBits) &
-                    kWheelMask;
-                auto& bucket = l0_[bucket_index];
-                bucket.push_back(key);
-                std::push_heap(bucket.begin(), bucket.end(), LaterFirst{});
-                SetBit(l0_occupied_.data(), bucket_index);
+            for (std::uint32_t slot = l1_.Detach(index); slot != kNoSlot;) {
+                const std::uint32_t next = slots_[slot].next;
+                --l1_.count;
+                Insert(slot);
+                slot = next;
             }
-            l0_count_ += staged.size();
-            staged.clear();
-            ClearBit(l1_occupied_.data(), index);
             continue;
         }
         if (!overflow_.empty()) {
             const Key top = overflow_.front();
             if (slots_[top.slot].cancelled) {
-                PopOverflowTop();
+                HeapPop(overflow_);
                 Discard(top.slot);
                 continue;
             }
@@ -302,8 +309,8 @@ bool Simulator::PopNext(Time last, Key& out) {
                 const auto s1 = static_cast<std::uint64_t>(key.when) >>
                                 (kSliceBits + kWheelBits);
                 if (s1 >= l1_base_slot_ + kWheelSize) break;
-                PopOverflowTop();
-                Insert(key);
+                HeapPop(overflow_);
+                Insert(key.slot);
             }
             continue;
         }
@@ -341,17 +348,20 @@ std::uint64_t Simulator::Run() {
     // force a far-future daemon event to fire.
     std::uint64_t fired = 0;
     Key key{};
-    while (live_events_ != daemon_events_) {
-        [[maybe_unused]] const bool popped =
-            PopNext(std::numeric_limits<Time>::max(), key);
-        assert(popped && "a live event is pending");
-        FireAndRelease(key);
-        ++fired;
+    for (;;) {
+        while (live_events_ != daemon_events_) {
+            [[maybe_unused]] const bool popped =
+                PopNext(std::numeric_limits<Time>::max(), key);
+            assert(popped && "a live event is pending");
+            FireAndRelease(key);
+            ++fired;
+        }
+        // Only background work remains. Leave it pending, but drop the
+        // cancelled entries in front of it so their slots recycle; a
+        // discarded callback's destructor may schedule more work.
+        DropCancelledFront();
+        if (live_events_ == daemon_events_) return fired;
     }
-    // Only background work remains. Leave it pending, but drop the
-    // cancelled entries in front of it so their slots recycle.
-    DropCancelledFront();
-    return fired;
 }
 
 std::uint64_t Simulator::RunUntil(Time horizon) {
@@ -383,54 +393,64 @@ std::uint64_t Simulator::RunUntilBefore(Time bound) {
     return fired;
 }
 
-bool Simulator::PeekNextTime(Time* when) {
-    while (l0_count_ > 0) {
-        const std::uint64_t index = FirstL0Bucket();
-        const Key top = l0_[index].front();
-        if (!slots_[top.slot].cancelled) {
-            *when = top.when;
-            return true;
+bool Simulator::EarliestLive(Level& level, std::uint64_t index,
+                             Time* when) {
+    Time earliest = std::numeric_limits<Time>::max();
+    bool live = false;
+    for (std::uint32_t slot = level.head[index]; slot != kNoSlot;
+         slot = slots_[slot].next) {
+        if (!slots_[slot].cancelled) {
+            earliest = std::min(earliest, slots_[slot].when);
+            live = true;
         }
-        PopL0Top(index);
-        Discard(top.slot);
     }
-    while (l1_count_ > 0) {
-        // The first staged slot holds the minimum; it is unsorted, so
-        // scan it for its earliest live entry.
-        const std::uint64_t index = FirstL1Slot();
-        auto& staged = l1_[index];
-        Time earliest = std::numeric_limits<Time>::max();
-        bool live = false;
-        for (const Key& key : staged) {
-            if (!slots_[key.slot].cancelled) {
-                earliest = std::min(earliest, key.when);
-                live = true;
-            }
-        }
-        if (live) {
-            *when = earliest;
-            return true;
-        }
-        // Every entry is cancelled: drop the slot without advancing the
-        // window. Index loop — a discarded callback's destructor may
-        // stage new entries here, which must survive.
-        const std::size_t dead = staged.size();
-        l1_count_ -= dead;
-        for (std::size_t i = 0; i < dead; ++i) Discard(staged[i].slot);
-        staged.erase(staged.begin(),
-                     staged.begin() + static_cast<std::ptrdiff_t>(dead));
-        if (staged.empty()) ClearBit(l1_occupied_.data(), index);
+    if (live) {
+        *when = earliest;
+        return true;
     }
-    while (!overflow_.empty()) {
-        const Key top = overflow_.front();
-        if (!slots_[top.slot].cancelled) {
-            *when = top.when;
-            return true;
-        }
-        PopOverflowTop();
-        Discard(top.slot);
+    // Every entry is cancelled. Detach the list before discarding, so an
+    // entry a discarded callback's destructor files here starts a new one.
+    for (std::uint32_t slot = level.Detach(index); slot != kNoSlot;) {
+        const std::uint32_t next = slots_[slot].next;
+        --level.count;
+        Discard(slot);
+        slot = next;
     }
     return false;
+}
+
+bool Simulator::PeekNextTime(Time* when) {
+    // The minimum is the current slice's heap top, else the earliest live
+    // entry of the first L0 list, then of the first L1 list (both
+    // unsorted, so scanned), then the overflow top. Each discard starts
+    // the search again: a discarded callback's destructor may schedule.
+    for (;;) {
+        if (!current_.empty()) {
+            const Key top = current_.front();
+            if (!slots_[top.slot].cancelled) {
+                *when = top.when;
+                return true;
+            }
+            HeapPop(current_);
+            Discard(top.slot);
+        } else if (l0_.count > 0) {
+            if (EarliestLive(l0_, l0_.First(l0_cursor_), when)) return true;
+        } else if (l1_.count > 0) {
+            if (EarliestLive(l1_, l1_.First(l1_cursor_ + 1), when)) {
+                return true;
+            }
+        } else if (!overflow_.empty()) {
+            const Key top = overflow_.front();
+            if (!slots_[top.slot].cancelled) {
+                *when = top.when;
+                return true;
+            }
+            HeapPop(overflow_);
+            Discard(top.slot);
+        } else {
+            return false;
+        }
+    }
 }
 
 }  // namespace catapult::sim

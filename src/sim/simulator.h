@@ -7,36 +7,44 @@
 // explicit priority, then on insertion order, so runs are deterministic.
 //
 // The queue is a two-level hierarchical timing wheel with a sorted
-// overflow heap (Varghese & Lauck, SOSP 1987). Level 0 buckets 65.5 ns
+// overflow heap (Varghese & Lauck, SOSP 1987). Level 0 covers 65.5 ns
 // slices over a ~67 us window; level 1 stages whole L0 windows over a
 // ~68.7 ms horizon; anything further sits in the overflow heap until the
-// wheels advance. Near-horizon schedule/pop — the dense load-sweep
-// pattern — touches one small per-slice bucket heap instead of one
-// global binary heap.
+// wheels advance.
 //
-// Two rules keep the wheel cheap:
+// Three rules keep the wheel cheap:
 //
-//  - The levels hold 24-byte keys (time, sequence, priority, slot), not
-//    callbacks. Schedule parks the callback once in the event's slot of
-//    the cancellation table; firing moves it out once, releases the slot
-//    and invokes it. Heap sifts, L1 scatters and overflow rebases copy
-//    keys and never relocate a closure.
+//  - Each pending event's key (time, priority, sequence) is stored once,
+//    in its slot of the cancellation table beside its callback, with a
+//    32-bit link. Each level is 1,024 heads of unsorted lists threaded
+//    through those links, so filing an event writes its slot and one
+//    head, and no bucket owns a buffer. Firing moves the callback out of
+//    its slot once, releases the slot and invokes it; no level move ever
+//    relocates a closure.
+//  - Only the slice under the cursor is ordered, in one reused binary
+//    heap of (key, slot) pairs, as a calendar queue keeps only its
+//    current day sorted (Brown, CACM 1988). When the cursor reaches a
+//    slice, the slice's list moves into the heap, and an event scheduled
+//    into that slice goes straight in, so a burst inside one slice costs
+//    O(log n) per event.
 //  - The cursor never passes the clock. Every pop takes an inclusive
 //    limit (RunUntil's horizon, the last instant before RunUntilBefore's
-//    bound) and moves no cursor when the earliest live event lies past
-//    it; PeekNextTime reads the minimum where it lives. So an event
-//    scheduled at or after Now() always lands at or ahead of the cursor,
-//    and no level exists for events behind it.
+//    bound), and a slice or L1 window is loaded only when it starts at or
+//    before that limit; PeekNextTime reads the minimum where it lives and
+//    moves no cursor. So an event scheduled at or after Now() always
+//    lands at or ahead of the cursor, and no level exists for events
+//    behind it.
 //
-// Against 96-byte entries that carried their callbacks, popped and put
-// back at every stop and peek (4-core Xeon, GCC 12, Release, 10
-// alternating pairs of perfbench/run.py): frontier simulate time -26%,
-// blackout -23%, identical event counts and digests. In 10 alternating
-// driver runs, one binary heap of these keys in place of the wheel was
-// 26% slower on frontier and 5% faster on blackout (whose shards hold
-// ~30 pending events each), so the wheel stays. The reference queue the
-// wheel must match lives in tests/test_timing_wheel.cc as a
-// sorted-container oracle; there is no queue toggle here.
+// Against per-slice vector heaps of the same keys, whose 2,048 bucket
+// vectors kept their high-water capacity (4-core Xeon, GCC 12, Release,
+// 10 alternating 30-second pairs of perfbench/run.py on seed 1,
+// identical event counts and digests): blackout peak RSS 19.7 -> 16.8
+// MiB and simulate time -11%, every pair; frontier simulate -4%. One
+// binary heap of all keys in place of the wheel was 26% slower on
+// frontier and 5% faster on blackout (whose shards hold ~30 pending
+// events each), so the wheel stays. The reference queue the wheel must
+// match lives in tests/test_timing_wheel.cc as a sorted-container
+// oracle; there is no queue toggle here.
 //
 // Cancellation is generation-stamped: each pending event owns a slot in
 // a free-listed table and its handle packs (slot, generation). Cancel is
@@ -211,10 +219,12 @@ class Simulator {
     static constexpr std::uint64_t kWheelSize = std::uint64_t{1} << kWheelBits;
     static constexpr std::uint64_t kWheelMask = kWheelSize - 1;
     static constexpr std::size_t kBitmapWords = kWheelSize / 64;
+    /** The end of a list of slots. */
+    static constexpr std::uint32_t kNoSlot = 0xFFFFFFFF;
 
     /**
-     * What every queue level holds: 24 bytes, copied by heap sifts and
-     * wheel moves. The callback lives in slots_[slot].
+     * An event's place in the firing order and its slot: what the
+     * current-slice and overflow heaps hold, and what a pop returns.
      */
     struct Key {
         Time when;
@@ -237,12 +247,36 @@ class Simulator {
         }
     };
 
-    /** Per pending event: its callback and generation-stamped cancel state. */
+    /**
+     * Per event: its callback, its key, its link and its
+     * generation-stamped cancel state.
+     */
     struct Slot {
         EventFn fn;
+        Time when = 0;
+        std::uint64_t sequence = 0;
+        std::int32_t priority = 0;
+        /** Next slot in the same L0 or L1 list, or in the free list. */
+        std::uint32_t next = kNoSlot;
         std::uint32_t generation = 1;
         bool cancelled = false;
         bool daemon = false;
+    };
+
+    /**
+     * One wheel level: 1,024 unsorted lists threaded through
+     * Slot::next, an occupancy bitmap over them and their total length.
+     */
+    struct Level {
+        Level() { head.fill(kNoSlot); }
+        /** First occupied index at or after `from`, wrapping; count > 0. */
+        std::uint64_t First(std::uint64_t from) const;
+        /** Empty list `index`, returning its first slot. */
+        std::uint32_t Detach(std::uint64_t index);
+
+        std::array<std::uint32_t, kWheelSize> head;
+        std::array<std::uint64_t, kBitmapWords> occupied{};
+        std::uint64_t count = 0;
     };
 
     EventHandle Schedule(Time when, std::uint64_t sequence, EventFn fn,
@@ -251,7 +285,16 @@ class Simulator {
     void Advance(const Key& key) {
         if (key.After(frontier_)) frontier_ = key;
     }
-    void Insert(const Key& key);
+    Key KeyOf(std::uint32_t slot) const {
+        const Slot& record = slots_[slot];
+        return Key{record.when, record.sequence, record.priority, slot};
+    }
+    /** File a slot by the key it holds: current heap, L0, L1 or overflow. */
+    void Insert(std::uint32_t slot);
+    void Push(Level& level, std::uint64_t index, std::uint32_t slot);
+    /** std::*_heap over `heap`, earliest key on top. */
+    static void HeapPush(std::vector<Key>& heap, const Key& key);
+    static void HeapPop(std::vector<Key>& heap);
     /**
      * Pop the earliest live event if it fires at or before `last`,
      * discarding cancelled entries on the way. Returns false, with no
@@ -260,6 +303,12 @@ class Simulator {
      * FireAndRelease.
      */
     bool PopNext(Time last, Key& out);
+    /**
+     * The earliest live time in list `index` of `level`. When every entry
+     * is cancelled, discards the list without moving a cursor and returns
+     * false.
+     */
+    bool EarliestLive(Level& level, std::uint64_t index, Time* when);
     /** Drop the cancelled entries ahead of the earliest live one. */
     void DropCancelledFront();
     void FireAndRelease(const Key& key);
@@ -271,32 +320,26 @@ class Simulator {
     std::uint64_t l0_end_slice() const {
         return (l1_cursor_ + 1) << kWheelBits;
     }
-    /** First occupied L0 bucket index; l0_count_ must be > 0. */
-    std::uint64_t FirstL0Bucket() const;
-    /** First staged L1 slot index; l1_count_ must be > 0. */
-    std::uint64_t FirstL1Slot() const;
-    void PopL0Top(std::uint64_t index);
-    void PopOverflowTop();
 
-    // Level 0: per-slice bucket heaps over [l1_cursor_ * 1024, +1024).
-    std::array<std::vector<Key>, kWheelSize> l0_{};
-    std::array<std::uint64_t, kBitmapWords> l0_occupied_{};
+    // Level 0: lists per slice over [l1_cursor_ * 1024, +1024), except the
+    // slice under the cursor, whose events are in current_.
+    Level l0_;
+    /** Min-heap (HeapPush/HeapPop) of the cursor's slice. */
+    std::vector<Key> current_;
     /** Absolute slice; earlier slices fired. Never past Now()'s slice. */
     std::uint64_t l0_cursor_ = 0;
-    std::uint64_t l0_count_ = 0;
 
-    // Level 1: unsorted staging slots over [l1_base_slot_, +1024).
-    std::array<std::vector<Key>, kWheelSize> l1_{};
-    std::array<std::uint64_t, kBitmapWords> l1_occupied_{};
+    // Level 1: lists per L0 window over [l1_base_slot_, +1024).
+    Level l1_;
     std::uint64_t l1_base_slot_ = 0;
     std::uint64_t l1_cursor_ = 0;  ///< Slot currently mapped into L0.
-    std::uint64_t l1_count_ = 0;
 
-    /** Min-heap (std::*_heap with LaterFirst) for the far future. */
+    /** Min-heap (HeapPush/HeapPop) for the far future. */
     std::vector<Key> overflow_;
 
     std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    /** First free slot; the free list is threaded through Slot::next. */
+    std::uint32_t free_head_ = kNoSlot;
 
     Time now_ = 0;
     std::uint64_t next_sequence_ = 1;

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -54,9 +55,11 @@ class OracleQueue {
     void Cancel(Handle handle) {
         const auto it = index_.find(handle);
         if (it == index_.end()) return;
-        if (!queue_.at(it->second).daemon) --foreground_;
-        queue_.erase(it->second);
+        auto node = queue_.extract(it->second);
         index_.erase(it);
+        if (!node.mapped().daemon) --foreground_;
+        // The callback is destroyed here, with both maps consistent: a
+        // captured object's destructor may schedule.
     }
 
     std::uint64_t Run() {
@@ -131,7 +134,9 @@ class OracleQueue {
 
 // Deterministic xorshift so the seeded scenarios are identical run to run.
 struct Rng {
-    std::uint64_t state = 0x9E3779B97F4A7C15ull;
+    explicit Rng(std::uint64_t seed)
+        : state(0x9E3779B97F4A7C15ull ^ (seed * 0x2545F4914F6CDD1Dull)) {}
+    std::uint64_t state;
     std::uint64_t Next() {
         state ^= state << 13;
         state ^= state >> 7;
@@ -139,6 +144,25 @@ struct Rng {
         return state;
     }
 };
+
+/** Seeds per differential test; seed 0 is the original single scenario. */
+constexpr std::uint64_t kSeeds = 64;
+
+/** Identical transcripts, or a failure naming the seed and first mismatch. */
+template <typename Entry>
+::testing::AssertionResult SameTranscript(const std::vector<Entry>& wheel,
+                                          const std::vector<Entry>& oracle,
+                                          std::uint64_t seed) {
+    const auto [w, o] = std::mismatch(wheel.begin(), wheel.end(),
+                                      oracle.begin(), oracle.end());
+    if (w == wheel.end() && o == oracle.end()) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "seed " << seed << " diverged at record " << (w - wheel.begin())
+           << " (wheel " << wheel.size() << " records, oracle "
+           << oracle.size() << ")";
+}
 
 struct FiredEvent {
     Time when;
@@ -154,9 +178,9 @@ struct FiredEvent {
  * included) and callback-driven reschedules.
  */
 template <typename Queue>
-std::vector<FiredEvent> RunGoldenScenario() {
+std::vector<FiredEvent> RunGoldenScenario(std::uint64_t seed) {
     Queue sim;
-    Rng rng;
+    Rng rng(seed);
     std::vector<FiredEvent> fired;
     std::vector<decltype(sim.ScheduleAt(0, [] {}))> handles;
     int tag = 0;
@@ -198,11 +222,68 @@ std::vector<FiredEvent> RunGoldenScenario() {
 TEST(TimingWheel, GoldenDeterminismMatchesBinaryHeap) {
     // The reference is the sorted-container oracle above; it replaced
     // the binary heap that used to ship inside the kernel.
-    const auto wheel = RunGoldenScenario<Simulator>();
-    const auto oracle = RunGoldenScenario<OracleQueue>();
-    ASSERT_EQ(wheel.size(), oracle.size());
-    for (std::size_t i = 0; i < wheel.size(); ++i) {
-        EXPECT_EQ(wheel[i], oracle[i]) << "diverged at event " << i;
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        ASSERT_TRUE(SameTranscript(RunGoldenScenario<Simulator>(seed),
+                                   RunGoldenScenario<OracleQueue>(seed), seed));
+    }
+}
+
+/**
+ * One dense slice: 2,048 events inside a single 65.5 ns slice at L0, L1
+ * or overflow distance, in three priorities with many exact ties. About
+ * a sixth are cancelled before the slice is reached; while the slice is
+ * the one under the cursor, a quarter of the firing callbacks schedule
+ * more into the rest of it and some cancel an earlier event.
+ */
+template <typename Queue>
+std::vector<FiredEvent> RunDenseSliceScenario(std::uint64_t seed) {
+    constexpr Time kSlice = Time{1} << 16;
+    constexpr int kEvents = 2'048;
+    Queue sim;
+    Rng rng(seed);
+    std::vector<FiredEvent> fired;
+    std::vector<decltype(sim.ScheduleAt(0, [] {}))> handles;
+    int tag = 0;
+
+    // The slice's index at L0, L1 and overflow distance from time 0.
+    const std::uint64_t slices[] = {1 + rng.Next() % 1'000,
+                                    2'000 + rng.Next() % 1'000'000,
+                                    1'100'000 + rng.Next() % 1'000'000};
+    const Time start = kSlice * static_cast<Time>(slices[seed % 3]);
+    std::function<void(Time)> schedule = [&](Time at) {
+        const int t = ++tag;
+        const auto priority =
+            static_cast<EventPriority>((rng.Next() % 3) * 10);
+        handles.push_back(sim.ScheduleAt(at, [&, t] {
+            fired.push_back({sim.Now(), t});
+            if (rng.Next() % 4 == 0) {
+                const Time left = start + kSlice - sim.Now();
+                schedule(sim.Now() + static_cast<Time>(rng.Next() % left));
+            }
+            if (rng.Next() % 8 == 0) {
+                sim.Cancel(handles[rng.Next() % handles.size()]);
+            }
+        }, priority));
+    };
+    for (int i = 0; i < kEvents; ++i) {
+        // Half on 64 shared instants, half anywhere in the slice.
+        schedule(start + static_cast<Time>(rng.Next() % 2 == 0
+                                               ? (rng.Next() % 64) * 1'024
+                                               : rng.Next() % kSlice));
+    }
+    for (auto& handle : handles) {
+        if (rng.Next() % 6 == 0) sim.Cancel(handle);
+    }
+    sim.Run();
+    return fired;
+}
+
+TEST(TimingWheel, DenseSliceMatchesOracle) {
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        const auto wheel = RunDenseSliceScenario<Simulator>(seed);
+        ASSERT_GT(wheel.size(), 1'500u) << "seed " << seed;
+        ASSERT_TRUE(SameTranscript(
+            wheel, RunDenseSliceScenario<OracleQueue>(seed), seed));
     }
 }
 
@@ -226,8 +307,7 @@ struct Record {
 template <typename Queue>
 std::vector<Record> RunEpochScenario(std::uint64_t seed, int peeks) {
     Queue sim;
-    Rng rng;
-    rng.state ^= seed * 0x2545F4914F6CDD1Dull;
+    Rng rng(seed);
     std::vector<Record> log;
     using Handle = decltype(sim.ScheduleAt(0, [] {}));
     // Pending foreground events by (when, priority, tag) — tags grow in
@@ -324,17 +404,141 @@ std::vector<Record> RunEpochScenario(std::uint64_t seed, int peeks) {
 }
 
 TEST(TimingWheel, EpochPrimitivesMatchOracle) {
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         const auto wheel = RunEpochScenario<Simulator>(seed, /*peeks=*/0);
-        const auto oracle = RunEpochScenario<OracleQueue>(seed, /*peeks=*/0);
-        ASSERT_EQ(wheel.size(), oracle.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < wheel.size(); ++i) {
-            ASSERT_EQ(wheel[i], oracle[i])
-                << "seed " << seed << " diverged at record " << i;
-        }
+        ASSERT_TRUE(SameTranscript(
+            wheel, RunEpochScenario<OracleQueue>(seed, /*peeks=*/0), seed));
         // Repeated peeks are idempotent and never change what fires.
-        EXPECT_EQ(RunEpochScenario<Simulator>(seed, /*peeks=*/3), wheel)
-            << "seed " << seed;
+        ASSERT_TRUE(SameTranscript(
+            RunEpochScenario<Simulator>(seed, /*peeks=*/3), wheel, seed));
+    }
+}
+
+/**
+ * Callbacks whose captured object's destructor schedules a follow-up at
+ * a time fixed in advance. Clusters of them sit at sub-slice, L0, L1 or
+ * overflow distance, three in four cancelled, and each follow-up lands
+ * in the same slice as its parent or at L0, L1 or overflow distance
+ * from it. The kernel destroys a cancelled callback when it discards
+ * the entry (from the current slice's heap, a list a peek finds all
+ * cancelled, the overflow top, or when nothing live is left), the
+ * oracle at Cancel. Every time here is distinct, so the order never
+ * falls to the sequence numbers the two queues give a follow-up at
+ * different moments, and the transcript logs fires and stops but not
+ * peeked times: a peek at the kernel sees a follow-up only once its
+ * parent is discarded.
+ */
+template <typename Queue>
+std::vector<Record> RunDiscardScenario(std::uint64_t seed) {
+    constexpr Time kSlice = Time{1} << 16;
+    Queue sim;
+    Rng rng(seed);
+    std::vector<Record> log;
+    // Cleared when the transcript ends: a follow-up scheduled while the
+    // queue is destroyed would reach a dying queue.
+    bool armed = true;
+    std::set<Time> used;
+    int tag = 0;
+
+    struct FollowUp {
+        FollowUp(Queue* sim, Time at, int tag, std::vector<Record>* log,
+                 const bool* armed)
+            : sim(sim), at(at), tag(tag), log(log), armed(armed) {}
+        FollowUp(const FollowUp&) = delete;
+        FollowUp& operator=(const FollowUp&) = delete;
+        ~FollowUp() {
+            if (!*armed) return;
+            sim->ScheduleAt(at, [s = sim, l = log, t = tag] {
+                l->push_back({Record::kFired, s->Now(), t});
+            });
+        }
+        Queue* sim;
+        Time at;
+        int tag;
+        std::vector<Record>* log;
+        const bool* armed;
+    };
+
+    auto distinct = [&](Time at) {
+        while (!used.insert(at).second) ++at;
+        return at;
+    };
+    auto draw = [&](std::uint64_t n) {
+        return static_cast<Time>(rng.Next() % n);
+    };
+    // A distance of each kind: 0 sub-slice, 1 L0, 2 L1, 3 overflow.
+    auto distance = [&](Time kind) -> Time {
+        switch (kind) {
+          case 0: return draw(4'096);
+          case 1: return Nanoseconds(100 + draw(60'000));
+          case 2: return Microseconds(70 + draw(60'000));
+          default: return Milliseconds(70 + draw(230));
+        }
+    };
+    auto priority = [&] {
+        return static_cast<EventPriority>((rng.Next() % 3) * 10);
+    };
+
+    for (int round = 0; round < 60; ++round) {
+        const Time base = sim.Now() + distance(draw(4));
+        const Time cluster = 1 + draw(4);
+        for (Time i = 0; i < cluster; ++i) {
+            const Time at = distinct(base + draw(2'000));
+            const Time kind = draw(4);
+            // Kind 0 stays inside the parent's own slice.
+            const Time gap =
+                kind == 0 ? draw(static_cast<std::uint64_t>(kSlice - at % kSlice))
+                          : distance(kind);
+            auto follow = std::make_shared<FollowUp>(
+                &sim, distinct(at + gap), ++tag, &log, &armed);
+            const int t = ++tag;
+            const auto handle = sim.ScheduleAt(
+                at,
+                [follow = std::move(follow), &log, &sim, t] {
+                    log.push_back({Record::kFired, sim.Now(), t});
+                },
+                priority());
+            if (rng.Next() % 4 != 0) sim.Cancel(handle);
+        }
+        // Sometimes a live event past the cluster, so pops rather than
+        // peeks discard it.
+        if (rng.Next() % 2 == 0) {
+            const int t = ++tag;
+            sim.ScheduleAt(
+                distinct(base + Microseconds(draw(900))),
+                [&log, &sim, t] {
+                    log.push_back({Record::kFired, sim.Now(), t});
+                },
+                priority());
+        }
+        if (rng.Next() % 3 == 0) {
+            Time ignored = 0;
+            sim.PeekNextTime(&ignored);
+        }
+        const Time span = rng.Next() % 2 == 0 ? Microseconds(draw(400))
+                                              : Milliseconds(draw(200));
+        std::uint64_t fired = 0;
+        switch (rng.Next() % 3) {
+          case 0: fired = sim.RunUntil(sim.Now() + span); break;
+          case 1: fired = sim.RunUntilBefore(sim.Now() + span); break;
+          default: fired = sim.Run(); break;
+        }
+        log.push_back({Record::kStop, sim.Now(),
+                       static_cast<std::int64_t>(fired)});
+    }
+    const std::uint64_t fired = sim.Run();
+    log.push_back({Record::kStop, sim.Now(), static_cast<std::int64_t>(fired)});
+    log.push_back({Record::kStop, sim.Now(),
+                   static_cast<std::int64_t>(sim.PendingEvents())});
+    armed = false;
+    return log;
+}
+
+TEST(TimingWheel, DiscardedCallbackMayScheduleAtEveryDistance) {
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        ASSERT_TRUE(SameTranscript(RunDiscardScenario<Simulator>(seed),
+                                   RunDiscardScenario<OracleQueue>(seed),
+                                   seed));
     }
 }
 
