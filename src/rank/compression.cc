@@ -8,8 +8,10 @@ void CompressionStage::ProgramForModel(const ScoringEnsemble& ensemble) {
     operand_slots_.clear();
     std::vector<bool> referenced(kFeatureUniverse, false);
     for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {
-        for (const auto& node : ensemble.shard(s).nodes()) {
-            if (node.feature != TreeNode::kLeaf) referenced[node.feature] = true;
+        const ScorerShard& shard = ensemble.shard(s);
+        for (std::size_t i = 0; i < static_cast<std::size_t>(shard.total_nodes()); ++i) {
+            const std::uint32_t feature = shard.feature(i);
+            if (feature != TreeNode::kLeaf) referenced[feature] = true;
         }
     }
     for (std::uint32_t id = 0; id < kFeatureUniverse; ++id) {

@@ -1,7 +1,10 @@
 #include "rank/ffe/compiler.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+
+#include "common/log.h"
 
 namespace catapult::rank::ffe {
 
@@ -24,8 +27,14 @@ Program FfeCompiler::Compile(const Expr& expr,
     // Instruction i is node i: the nodes are in post-order, so every
     // operand is computed before its user, and register i (SSA, one
     // virtual register per node) holds node i's value.
+    constexpr std::uint32_t kMaxField = std::numeric_limits<std::uint16_t>::max();
     const std::vector<Expr::Node>& nodes = expr.nodes();
     const auto count = static_cast<std::uint32_t>(nodes.size());
+    if (count > kMaxField + 1) {
+        FatalMisuse("FfeCompiler: an expression of %u nodes needs more "
+                    "registers than an instruction names (%u)", count,
+                    kMaxField + 1);
+    }
     Program program;
     program.output_slot = output_slot;
     program.register_count = count;
@@ -39,8 +48,19 @@ Program FfeCompiler::Compile(const Expr& expr,
         std::int64_t longest = 0;
         for (int k = 0; k < arity; ++k) longest = std::max(longest, path[src[k]]);
         path[i] = longest + OpLatencies::For(node.op);
-        program.instructions[i] = Instruction{node.op, i, src[0], src[1], src[2],
-                                              node.constant, node.feature};
+        if (node.feature > kMaxField) {
+            FatalMisuse("FfeCompiler: node %u names feature %u, beyond an "
+                        "instruction's feature field (%u)", i, node.feature,
+                        kMaxField);
+        }
+        Instruction& instr = program.instructions[i];
+        instr.constant = node.constant;
+        instr.dst = static_cast<std::uint16_t>(i);
+        instr.src_a = static_cast<std::uint16_t>(src[0]);
+        instr.src_b = static_cast<std::uint16_t>(src[1]);
+        instr.src_c = static_cast<std::uint16_t>(src[2]);
+        instr.feature = static_cast<std::uint16_t>(node.feature);
+        instr.op = node.op;
         if (IsComplexOp(node.op)) ++program.complex_ops;
     }
     program.serial_latency = path.back();

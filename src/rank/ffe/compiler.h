@@ -21,15 +21,19 @@
 
 namespace catapult::rank::ffe {
 
-/** One FFE ISA instruction (3-address register form). */
+/**
+ * One FFE ISA instruction (3-address register form), 16 bytes: a
+ * program names at most 65,536 registers and a feature is an FST slot
+ * (kFeatureUniverse of them), so both fit 16 bits.
+ */
 struct Instruction {
-    OpCode op = OpCode::kLoadConst;
-    std::uint32_t dst = 0;
-    std::uint32_t src_a = 0;
-    std::uint32_t src_b = 0;
-    std::uint32_t src_c = 0;      ///< kSelect only.
     float constant = 0.0f;        ///< kLoadConst.
-    std::uint32_t feature = 0;    ///< kLoadFeature.
+    std::uint16_t dst = 0;
+    std::uint16_t src_a = 0;
+    std::uint16_t src_b = 0;
+    std::uint16_t src_c = 0;      ///< kSelect only.
+    std::uint16_t feature = 0;    ///< kLoadFeature.
+    OpCode op = OpCode::kLoadConst;
 };
 
 /** A compiled expression: instructions + destination FST slot. */
@@ -81,7 +85,11 @@ class FfeCompiler {
     FfeCompiler() : FfeCompiler(Config()) {}
     explicit FfeCompiler(Config config) : config_(config) {}
 
-    /** Compile one expression to a program writing `output_slot`. */
+    /**
+     * Compile one expression to a program writing `output_slot`. Aborts,
+     * in every build, on an expression of more than 65,536 nodes or one
+     * that names a feature id above 65,535: neither fits an Instruction.
+     */
     Program Compile(const Expr& expr, std::uint32_t output_slot) const;
 
     /** A subtree detached to run upstream, writing `slot`. */

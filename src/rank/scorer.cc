@@ -1,11 +1,37 @@
 #include "rank/scorer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 
 #include "common/log.h"
 
 namespace catapult::rank {
+
+namespace {
+
+using FlatNode = ScorerShard::FlatNode;
+
+// PartialScore loads a node's feature and right offset as one word.
+static_assert(std::endian::native == std::endian::little &&
+                  offsetof(FlatNode, feature) == 0 &&
+                  offsetof(FlatNode, right) == 2,
+              "a node's first word is its feature, then its offset");
+
+/** The FlatNode offset of a right child at `right` from its split at `split`. */
+std::uint16_t RightOffset(std::size_t split, std::size_t right, int tree) {
+    const std::size_t offset = right - split;
+    if (offset > 0xFFFF) {
+        FatalMisuse("ScorerShard: tree %d has a right child %zu nodes after "
+                    "its split, further than a 16-bit offset reaches (65535)",
+                    tree, offset);
+    }
+    return static_cast<std::uint16_t>(offset);
+}
+
+}  // namespace
 
 float DecisionTree::Evaluate(const FeatureStore& store) const {
     if (nodes.empty()) return 0.0f;
@@ -57,12 +83,15 @@ void ScorerShard::AppendTree(const DecisionTree& tree) {
                         kFeatureUniverse);
         }
         if (next.split != kNoSplit) {
-            nodes_[next.split].right = static_cast<std::uint32_t>(nodes_.size());
+            nodes_[next.split].right =
+                RightOffset(next.split, nodes_.size(), tree_index);
         }
         FlatNode flat;
-        flat.feature = node.feature;
-        flat.value = node.feature == TreeNode::kLeaf ? node.leaf_value
-                                                     : node.threshold;
+        flat.value = node.leaf_value;
+        if (node.feature != TreeNode::kLeaf) {
+            flat.feature = static_cast<std::uint16_t>(node.feature);
+            flat.value = node.threshold;
+        }
         nodes_.push_back(flat);
         if (node.feature != TreeNode::kLeaf) {
             stack.push_back({node.right, nodes_.size() - 1});
@@ -80,13 +109,15 @@ float ScorerShard::PartialScore(const FeatureStore& store) const {
     // the float sum is deterministic and identical to software. Trees
     // walk kGroup at a time, each step moving every tree of the group
     // one level down: the group's loads are independent, so their cache
-    // misses overlap, and the step to a child is a mask select. A tree
-    // at a leaf stays there (its feature id masks to slot 0), and the
-    // group's one data-dependent jump is its exit once all are leaves.
-    // In a shard's last group, the lanes past its last tree walk that
-    // tree again, and their leaves are not summed.
+    // misses overlap, and the step to a child is a mask select of 1 or
+    // the node's right offset, read with its feature as one word. A
+    // tree at a leaf stays there (its step and feature id mask to 0),
+    // and the group's one data-dependent jump is its exit once all are
+    // leaves. In a shard's last group, the lanes past its last tree walk
+    // that tree again, and their leaves are not summed.
     constexpr std::size_t kGroup = 16;
     const FlatNode* nodes = nodes_.data();
+    const float* const fst = store.raw().data();
     const std::size_t tree_count = roots_.size();
     float sum = 0.0f;
     for (std::size_t t = 0; t < tree_count; t += kGroup) {
@@ -98,14 +129,15 @@ float ScorerShard::PartialScore(const FeatureStore& store) const {
             std::uint32_t splits = 0;
             for (std::size_t k = 0; k < kGroup; ++k) {
                 const FlatNode& node = nodes[index[k]];
+                std::uint32_t word;
+                std::memcpy(&word, &node, sizeof word);
+                const std::uint32_t feature = word & 0xFFFF;
                 const std::uint32_t split =
-                    0u - static_cast<std::uint32_t>(node.feature != TreeNode::kLeaf);
+                    0u - static_cast<std::uint32_t>(feature != FlatNode::kLeaf);
                 const std::uint32_t left =
-                    0u - static_cast<std::uint32_t>(
-                             store.Get(node.feature & split) <= node.value);
-                const std::uint32_t child =
-                    ((index[k] + 1) & left) | (node.right & ~left);
-                index[k] = (child & split) | (index[k] & ~split);
+                    0u - static_cast<std::uint32_t>(fst[feature & split] <= node.value);
+                const std::uint32_t step = (1u & left) | (word >> 16 & ~left);
+                index[k] += step & split;
                 splits |= split;
             }
             if (splits == 0) break;
@@ -156,23 +188,25 @@ int ScoringEnsemble::total_trees() const {
 
 namespace {
 
-/** Appends a random subtree in preorder; returns its root's index. */
-std::uint32_t BuildSubtree(std::vector<ScorerShard::FlatNode>& nodes, Rng& rng,
+/**
+ * Appends a random subtree of tree `tree` in preorder; returns its
+ * root's index.
+ */
+std::uint32_t BuildSubtree(std::vector<FlatNode>& nodes, Rng& rng, int tree,
                            int depth, int max_depth,
-                           const std::vector<std::uint32_t>& operands) {
+                           const std::vector<std::uint16_t>& operands) {
     const auto index = static_cast<std::uint32_t>(nodes.size());
     nodes.emplace_back();
     if (depth >= max_depth || rng.Chance(0.25)) {
-        nodes[index].feature = TreeNode::kLeaf;
         nodes[index].value = static_cast<float>(rng.Uniform(-0.5, 0.5));
         return index;
     }
     nodes[index].feature = operands[rng.NextBounded(operands.size())];
     nodes[index].value = static_cast<float>(rng.Uniform(0.0, 16.0));
-    BuildSubtree(nodes, rng, depth + 1, max_depth, operands);  // left: index + 1
+    BuildSubtree(nodes, rng, tree, depth + 1, max_depth, operands);  // left: index + 1
     const std::uint32_t right =
-        BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
-    nodes[index].right = right;
+        BuildSubtree(nodes, rng, tree, depth + 1, max_depth, operands);
+    nodes[index].right = RightOffset(index, right, tree);
     return index;
 }
 
@@ -183,22 +217,20 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
     Rng rng(seed ^ 0x5C03E5C03E5C03E5ull);
     // Per-model feature selection: draw the operand window first, with
     // the paper's emphasis on dynamic features and FFE outputs.
-    std::vector<std::uint32_t> operands;
+    // Every id is below kFeatureUniverse, so it fits a FlatNode.
+    std::vector<std::uint16_t> operands;
     operands.reserve(static_cast<std::size_t>(operand_budget));
     for (int i = 0; i < operand_budget; ++i) {
         const double kind = rng.NextDouble();
+        std::uint64_t feature;
         if (kind < 0.55) {
-            operands.push_back(static_cast<std::uint32_t>(
-                rng.NextBounded(kDynamicFeatureCount)));
+            feature = rng.NextBounded(kDynamicFeatureCount);
         } else if (kind < 0.90) {
-            operands.push_back(
-                kFfeOutputBase +
-                static_cast<std::uint32_t>(rng.NextBounded(kFfeOutputSlots)));
+            feature = kFfeOutputBase + rng.NextBounded(kFfeOutputSlots);
         } else {
-            operands.push_back(kSoftwareFeatureBase +
-                               static_cast<std::uint32_t>(
-                                   rng.NextBounded(kSoftwareFeatureSlots)));
+            feature = kSoftwareFeatureBase + rng.NextBounded(kSoftwareFeatureSlots);
         }
+        operands.push_back(static_cast<std::uint16_t>(feature));
     }
     // Contiguous sharding, as ScoringEnsemble(trees) does it.
     ScoringEnsemble ensemble;
@@ -207,7 +239,7 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
     for (int t = 0; t < tree_count; ++t) {
         ScorerShard& shard = ensemble.shard(t / per_shard);
         shard.roots_.push_back(
-            BuildSubtree(shard.nodes_, rng, 0, max_depth, operands));
+            BuildSubtree(shard.nodes_, rng, t, 0, max_depth, operands));
         ++shard.tree_count_;
     }
     return ensemble;

@@ -58,19 +58,27 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
 /** One scoring stage's shard of the ensemble. */
 class ScorerShard {
   public:
-    /** A node of the preorder array; a split's left child is the next node. */
+    /**
+     * A node of the preorder array, in the 8 bytes Model Reload
+     * charges per node (§4.3). A split's left child is the next node
+     * and its right child `right` nodes ahead; a leaf's feature is
+     * kLeaf. One shard holds more nodes than a 16-bit index reaches,
+     * but no right child lies more than a subtree away.
+     */
     struct FlatNode {
-        std::uint32_t feature = TreeNode::kLeaf;
-        float value = 0.0f;       ///< Split threshold, or the leaf's output.
-        std::uint32_t right = 0;  ///< Index of a split's right child.
+        static constexpr std::uint16_t kLeaf = 0xFFFF;
+        std::uint16_t feature = kLeaf;  ///< Split feature, or kLeaf.
+        std::uint16_t right = 0;        ///< A split's right child, as an offset.
+        float value = 0.0f;             ///< Split threshold, or the leaf's output.
     };
 
     ScorerShard() = default;
     /**
      * Flattens `trees`, whatever their node order, into preorder. Aborts
      * on a tree whose child index is out of range, that reaches a node
-     * twice or leaves one unreachable, or that splits on a feature
-     * outside the feature universe.
+     * twice or leaves one unreachable, that splits on a feature outside
+     * the feature universe, or whose right child lies further ahead
+     * than FlatNode's offset reaches.
      */
     explicit ScorerShard(std::span<const DecisionTree> trees);
 
@@ -81,17 +89,33 @@ class ScorerShard {
     Time ServiceTime() const;
 
     /**
-     * Model memory footprint (drives Model Reload cost, §4.3): 8 bytes
-     * per node (feature id, threshold/leaf, child offsets packed).
+     * Model memory footprint (drives Model Reload cost, §4.3): one
+     * FlatNode per node.
      */
-    Bytes ModelBytes() const { return total_nodes() * 8; }
+    Bytes ModelBytes() const {
+        return total_nodes() * static_cast<Bytes>(sizeof(FlatNode));
+    }
 
     int tree_count() const { return tree_count_; }
     std::int64_t total_nodes() const {
         return static_cast<std::int64_t>(nodes_.size());
     }
-    /** Every tree's nodes, tree after tree. */
-    const std::vector<FlatNode>& nodes() const { return nodes_; }
+
+    // Node `i` of every tree's nodes, tree after tree, in the reference
+    // form's terms.
+    /** Split feature of node `i`, or TreeNode::kLeaf. */
+    std::uint32_t feature(std::size_t i) const {
+        const std::uint16_t id = nodes_[i].feature;
+        return id == FlatNode::kLeaf ? TreeNode::kLeaf : id;
+    }
+    /** Split threshold of node `i`, or the leaf's output. */
+    float value(std::size_t i) const { return nodes_[i].value; }
+    /** Index of split `i`'s right child; 0 for a leaf. */
+    std::uint32_t right(std::size_t i) const {
+        return nodes_[i].feature == FlatNode::kLeaf
+                   ? 0
+                   : static_cast<std::uint32_t>(i) + nodes_[i].right;
+    }
 
   private:
     friend ScoringEnsemble GenerateEnsemble(std::uint64_t, int, int, int);
@@ -107,6 +131,9 @@ class ScorerShard {
     std::vector<std::uint32_t> roots_;
     int tree_count_ = 0;
 };
+
+static_assert(kFeatureUniverse <= ScorerShard::FlatNode::kLeaf,
+              "a split feature must not read as a leaf");
 
 /**
  * The full ensemble: shards for the three scoring FPGAs. The final

@@ -32,28 +32,37 @@ void RankingFunction::ExtractFeatures(const CompressedRequest& request,
     extractor_.Extract(request, store);
 }
 
+RankingFunction::Scratch& RankingFunction::EnsureScratch() {
+    // The stage-wise roles never score whole requests, so their
+    // functions never hold these two FST-sized stores.
+    if (scratch_ == nullptr) scratch_ = std::make_unique<Scratch>();
+    return *scratch_;
+}
+
 float RankingFunction::Score(const CompressedRequest& request) {
-    ExtractFeatures(request, scratch_);
-    RunFfe0(scratch_);
-    RunFfe1(scratch_);
-    compressed_.Clear();
-    Compress(scratch_, compressed_);
-    return FinalScore(compressed_);
+    Scratch& scratch = EnsureScratch();
+    ExtractFeatures(request, scratch.features);
+    RunFfe0(scratch.features);
+    RunFfe1(scratch.features);
+    scratch.compressed.Clear();
+    Compress(scratch.features, scratch.compressed);
+    return FinalScore(scratch.compressed);
 }
 
 float RankingFunction::ReferenceScore(const CompressedRequest& request) {
-    ExtractFeatures(request, scratch_);
+    Scratch& scratch = EnsureScratch();
+    ExtractFeatures(request, scratch.features);
     // Direct AST evaluation of the unsplit expressions, writing the
     // same FFE output slots the compiled path writes.
     const auto& expressions = model_->expressions();
     for (std::size_t i = 0; i < expressions.size(); ++i) {
         const std::uint32_t slot =
             kFfeOutputBase + static_cast<std::uint32_t>(i) % kFfeOutputSlots;
-        scratch_.Set(slot, expressions[i]->Evaluate(scratch_));
+        scratch.features.Set(slot, expressions[i]->Evaluate(scratch.features));
     }
-    compressed_.Clear();
-    Compress(scratch_, compressed_);
-    return FinalScore(compressed_);
+    scratch.compressed.Clear();
+    Compress(scratch.features, scratch.compressed);
+    return FinalScore(scratch.compressed);
 }
 
 CpuPool::CpuPool(sim::Simulator* simulator, Rng rng, Config config)

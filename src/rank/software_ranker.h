@@ -67,12 +67,19 @@ class RankingFunction {
     FeatureExtractor& extractor() { return extractor_; }
 
   private:
+    /** The two stores only Score and ReferenceScore fill. */
+    struct Scratch {
+        FeatureStore features;
+        FeatureStore compressed;
+    };
+    /** Scratch, allocated by the first Score or ReferenceScore. */
+    Scratch& EnsureScratch();
+
     const Model* model_;
     FeatureExtractor extractor_;
     /** The FFE executor's value array, this function's own. */
     std::vector<float> values_;
-    FeatureStore scratch_;
-    FeatureStore compressed_;
+    std::unique_ptr<Scratch> scratch_;
 };
 
 /**

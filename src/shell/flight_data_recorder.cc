@@ -5,6 +5,7 @@
 namespace catapult::shell {
 
 void FlightDataRecorder::Record(const FdrRecord& record) {
+    if (ring_.empty()) ring_.resize(kWindow);
     ring_[total_ % kWindow] = record;
     ++total_;
 }

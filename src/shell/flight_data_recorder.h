@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,7 +52,11 @@ class FlightDataRecorder {
     /** §3.6: "the FDR can only capture a limited window (512 recent events)". */
     static constexpr std::size_t kWindow = 512;
 
-    /** Append a record, evicting the oldest when the window is full. */
+    /**
+     * Append a record, evicting the oldest when the window is full. The
+     * window is allocated by the first record: only a shell that packets
+     * pass through ever holds one.
+     */
     void Record(const FdrRecord& record);
 
     /** Capture the power-on state (called once per configuration). */
@@ -79,7 +82,8 @@ class FlightDataRecorder {
     void Reset();
 
   private:
-    std::array<FdrRecord, kWindow> ring_{};
+    /** Empty until the first record, then kWindow records. */
+    std::vector<FdrRecord> ring_;
     std::uint64_t total_ = 0;
     PowerOnRecord power_on_;
 };

@@ -228,6 +228,31 @@ TEST(Compiler, SmallExpressionsNotSplit) {
     EXPECT_EQ(next_slot, 0u);
 }
 
+static_assert(sizeof(Instruction) == 16);
+
+// An instruction names registers and features in 16 bits. An expression
+// needing more aborts in every build; in release it would compile to a
+// program that reads the wrong registers or slots.
+TEST(CompilerDeathTest, RejectsWhatAnInstructionCannotName) {
+    const FfeCompiler compiler;
+    // A feature load under a chain of ln ops: register i holds node i.
+    const auto chain = [](std::size_t nodes) {
+        std::vector<Expr::Node> post_order(nodes, Expr::Node{.op = OpCode::kLn});
+        post_order.front() = Expr::Node{.op = OpCode::kLoadFeature, .feature = 3};
+        return Expr(std::move(post_order));
+    };
+    const Program widest = compiler.Compile(chain(65'536), kFfeOutputBase);
+    EXPECT_EQ(widest.instructions.back().dst, 65'535);
+    EXPECT_EQ(widest.instructions.back().src_a, 65'534);
+    const Expr too_wide = chain(65'537);
+    EXPECT_DEATH(compiler.Compile(too_wide, kFfeOutputBase),
+                 "FfeCompiler: an expression of 65537 nodes needs more "
+                 "registers than an instruction names \\(65536\\)");
+    EXPECT_DEATH(compiler.Compile(*MakeFeature(0x10000), kFfeOutputBase),
+                 "FfeCompiler: node 0 names feature 65536, beyond an "
+                 "instruction's feature field \\(65535\\)");
+}
+
 TEST(ThreadAssignment, LongestFirstSlotZero) {
     // §4.5: "The assembler maps the expressions with the longest
     // expected latency to Thread Slot 0 on all cores, then fills in
@@ -460,8 +485,12 @@ TEST(ModelGeneration, GoldenModels) {
     // --seed 1 and 7 (Seeds(seed).models), hashed whole: every FFE0 and
     // FFE1 program, the metafeature and op totals, the reference
     // expressions' nodes in post-order (which compiling lists as
-    // instructions) and every scorer shard's flat nodes. Pinned from the
-    // generator that built each expression as a tree of heap nodes.
+    // instructions) and every scorer shard's nodes, read through the
+    // shard's accessors as their logical values (a leaf's feature is
+    // TreeNode::kLeaf, a right child an absolute index, 0 for a leaf).
+    // Pinned from the generator that built each expression as a tree of
+    // heap nodes, whose programs held 32-bit fields and whose shards
+    // held 12-byte nodes.
     const std::uint64_t model_seeds[] = {0xf893a2eefb32555eull,
                                          0xe6984080bab12a02ull};
     const std::uint64_t golden[2][8] = {
@@ -492,11 +521,12 @@ TEST(ModelGeneration, GoldenModels) {
             for (int shard = 0; shard < ScoringEnsemble::kShardCount; ++shard) {
                 const ScorerShard& scorer = model.ensemble().shard(shard);
                 fnv.Add(static_cast<std::uint64_t>(scorer.tree_count()));
-                fnv.Add(scorer.nodes().size());
-                for (const ScorerShard::FlatNode& node : scorer.nodes()) {
-                    fnv.Add(node.feature);
-                    fnv.AddFloat(node.value);
-                    fnv.Add(node.right);
+                const auto nodes = static_cast<std::size_t>(scorer.total_nodes());
+                fnv.Add(nodes);
+                for (std::size_t i = 0; i < nodes; ++i) {
+                    fnv.Add(scorer.feature(i));
+                    fnv.AddFloat(scorer.value(i));
+                    fnv.Add(scorer.right(i));
                 }
             }
             EXPECT_EQ(fnv.hash, golden[s][m])

@@ -122,6 +122,25 @@ TEST(ModelStore, TypicalReloadMuchLessThanWorstCase) {
     EXPECT_GT(reload, Microseconds(5));
 }
 
+TEST(ModelStore, ReloadTimesArePinned) {
+    // Model Reload streams 8 bytes per tree node and per FFE instruction
+    // (§4.3), whatever records the simulator keeps them in. Pinned with
+    // 12-byte tree nodes and 28-byte instructions.
+    ModelStore store;
+    const Model& model = store.GetOrGenerate(0, 42);
+    const Time expected[kPipelineStageCount] = {
+        8'071'904,  21'239'243, 21'236'993, 5'608'043,
+        28'929'502, 29'226'493, 29'125'246, 0};
+    for (int s = 0; s < kPipelineStageCount; ++s) {
+        const auto stage = static_cast<PipelineStage>(s);
+        EXPECT_EQ(store.StageReloadTime(model, stage), expected[s])
+            << ToString(stage);
+    }
+    EXPECT_EQ(model.ReloadBytes(PipelineStage::kScoring0),
+              model.ensemble().shard(0).total_nodes() * 8);
+    EXPECT_EQ(store.PipelineReloadTime(model), 31'226'493);
+}
+
 TEST(ModelStore, StageReloadScalesWithFootprint) {
     ModelStore store;
     const Model& model = store.GetOrGenerate(0, 42);

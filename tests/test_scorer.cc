@@ -105,11 +105,38 @@ TEST(ScorerShard, ServiceTimeScalesWithTrees) {
     EXPECT_LT(large.shard(0).ServiceTime(), Microseconds(8));
 }
 
+static_assert(sizeof(ScorerShard::FlatNode) == 8);
+
 TEST(ScorerShard, ModelBytesProportionalToNodes) {
+    // The simulator stores a node in the 8 bytes Model Reload charges.
     const ScoringEnsemble ensemble = GenerateEnsemble(19, 500);
     const auto& shard = ensemble.shard(0);
+    EXPECT_EQ(shard.ModelBytes(),
+              shard.total_nodes() *
+                  static_cast<Bytes>(sizeof(ScorerShard::FlatNode)));
     EXPECT_EQ(shard.ModelBytes(), shard.total_nodes() * 8);
     EXPECT_GT(shard.total_nodes(), shard.tree_count());
+}
+
+TEST(ScorerShard, AccessorsGiveTheReferenceForm) {
+    // Root splits feature 10 at 5: left a leaf, right a split on 12.
+    DecisionTree tree;
+    tree.nodes = {TreeNode{.feature = 10, .threshold = 5.0f, .left = 1, .right = 2},
+                  TreeNode{.leaf_value = -1.0f},
+                  TreeNode{.feature = 12, .threshold = 2.0f, .left = 3, .right = 4},
+                  TreeNode{.leaf_value = 0.5f},
+                  TreeNode{.leaf_value = 1.5f}};
+    const ScorerShard shard(std::span<const DecisionTree>(&tree, 1));
+    ASSERT_EQ(shard.total_nodes(), 5);
+    const std::uint32_t feature[] = {10, TreeNode::kLeaf, 12, TreeNode::kLeaf,
+                                     TreeNode::kLeaf};
+    const float value[] = {5.0f, -1.0f, 2.0f, 0.5f, 1.5f};
+    const std::uint32_t right[] = {2, 0, 4, 0, 0};
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(shard.feature(i), feature[i]) << "node " << i;
+        EXPECT_EQ(shard.value(i), value[i]) << "node " << i;
+        EXPECT_EQ(shard.right(i), right[i]) << "node " << i;
+    }
 }
 
 /** Feature slots the random oracle trees split on. */
@@ -296,6 +323,25 @@ TEST(ScorerShardDeathTest, RejectsMalformedTrees) {
     EXPECT_DEATH(flatten({split(kFeatureUniverse, 1, 2), leaf, leaf}),
                  "ScorerShard: tree 0 node 0 splits on feature 13700 outside "
                  "\\[0, 13700\\)");
+    // A left chain of 32,768 splits, each with a leaf on its right:
+    // 65,537 nodes, and the root's right leaf is the last, 65,536 nodes
+    // after it, one more than a node's 16-bit offset holds.
+    constexpr std::int32_t kSplits = 32'768;
+    std::vector<TreeNode> chain;
+    for (std::int32_t i = 0; i < kSplits; ++i) {
+        chain.push_back(split(0, i + 1, kSplits + 1 + i));
+    }
+    chain.resize(2 * kSplits + 1, leaf);
+    EXPECT_DEATH(flatten(chain),
+                 "ScorerShard: tree 0 has a right child 65536 nodes after its "
+                 "split, further than a 16-bit offset reaches \\(65535\\)");
+    // One split fewer fits: the root's right child is 65,534 ahead.
+    chain.resize(2 * kSplits - 1);
+    chain[kSplits - 1] = leaf;
+    for (std::int32_t i = 0; i + 1 < kSplits; ++i) {
+        chain[static_cast<std::size_t>(i)].right = kSplits + i;
+    }
+    EXPECT_EQ(flatten(chain).right(0), 65'534u);
 }
 
 TEST(ScorerShard, EmptyShardScoresZero) {

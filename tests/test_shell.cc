@@ -199,6 +199,28 @@ TEST(FlightDataRecorder, ResetClears) {
     fdr.Reset();
     EXPECT_TRUE(fdr.StreamOut().empty());
     EXPECT_FALSE(fdr.power_on().AllGood());
+    // The window refills from its start.
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        FdrRecord record;
+        record.trace_id = i;
+        fdr.Record(record);
+    }
+    const auto out = fdr.StreamOut();
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out.front().trace_id, 1u);
+    EXPECT_EQ(out.back().trace_id, 3u);
+}
+
+TEST(FlightDataRecorder, NeverRecordingStreamsNothing) {
+    // A shell off every ring's path records nothing, and holds no window.
+    const FlightDataRecorder fdr;
+    EXPECT_TRUE(fdr.StreamOut().empty());
+    EXPECT_EQ(fdr.window_occupancy(), 0u);
+    EXPECT_EQ(fdr.total_recorded(), 0u);
+    const std::string dump = fdr.DumpJson();
+    EXPECT_NE(dump.find("\"total_recorded\":0,\"records\":[]}"),
+              std::string::npos)
+        << dump;
 }
 
 }  // namespace

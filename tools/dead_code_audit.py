@@ -10,9 +10,11 @@ tests/:
   access counts as a read unless it is the target of an assignment or
   an increment (`c.name += n`, `++c.name`, `c.name = 0`);
 * every public function declared in a src/ header (a member in a public
-  section, or a free function) whose name appears on no line except its
-  own declaration and its out-of-line definition (a line that starts at
-  column 0 and names `Owner::name(`).
+  section of a class that is itself public, or a free function) whose
+  name appears on no line except its own declaration and its
+  out-of-line definition (a line that starts at column 0 and names
+  `Owner::name(`). A class declared in a private or protected section,
+  or inside a function, adds no public functions.
 
 The match is by name, so a dead counter or function that shares its
 name with a live one goes unlisted, while anything some file reads or
@@ -105,12 +107,15 @@ def declared_function(head, owner):
 def public_functions(text):
     """(owner, name, offset) of every public function a header declares."""
     out = []
-    stack = [("namespace", None, True)]  # (kind, name, public)
+    # (kind, name, public, visible): `public` is the current access of a
+    # class body, `visible` whether the scope itself is reachable from
+    # outside (a class declared where a public function could be).
+    stack = [("namespace", None, True, True)]
     head_start = 0
     for i, ch in enumerate(text):
         if ch not in "{};":
             continue
-        kind, owner, public = stack[-1]
+        kind, owner, public, visible = stack[-1]
         raw = text[head_start:i]
         head = " ".join(raw.split())
         while kind == "class":
@@ -119,8 +124,8 @@ def public_functions(text):
                 break
             public = spec.group(1) == "public"
             head = head[spec.end():]
-        stack[-1] = (kind, owner, public)
-        eligible = kind in ("namespace", "class") and public
+        stack[-1] = (kind, owner, public, visible)
+        eligible = kind in ("namespace", "class") and public and visible
         if ch in "{;" and eligible:
             name = declared_function(head, owner)
             if name is not None:
@@ -130,12 +135,12 @@ def public_functions(text):
         if ch == "{":
             cls = re.search(r"\b(class|struct)\s+(\w+)[^(]*$", head)
             if head.startswith("namespace"):
-                stack.append(("namespace", None, True))
+                stack.append(("namespace", None, True, True))
             elif cls and not re.search(r"\benum\b", head):
                 stack.append(("class", cls.group(2),
-                              cls.group(1) == "struct"))
+                              cls.group(1) == "struct", eligible))
             else:
-                stack.append(("other", owner, False))
+                stack.append(("other", owner, False, False))
         elif ch == "}" and len(stack) > 1:
             stack.pop()
         head_start = i + 1
